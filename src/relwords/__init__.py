@@ -48,6 +48,7 @@ from .text import (
     BigramCandidate,
     TokenStream,
     apply_bigrams,
+    count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
@@ -77,6 +78,7 @@ __all__ = [
     "compute_relevance",
     "contrast_relevance",
     "cosine_distance",
+    "count_corpus",
     "dbscan",
     "fetch_archive",
     "fit_kpca",

@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .embedding import write_embedding_csv
 from .features import build_vocabulary, write_matrix_csv
-from .pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_corpus
+from .pipeline import PipelineConfig, prepare_streams, run_clustering
 from .relevance import (
     build_occurrence_index,
     compute_relevance,
@@ -47,7 +47,7 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import score_bigrams, write_bigrams_csv
+from .text import write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
@@ -145,8 +145,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if args.dump_bigrams:
-        candidates = score_bigrams(tokenize_corpus(corpus), discount=config.bigram_discount)
-        write_bigrams_csv(candidates, set(result.selected_bigrams), outdir / "bigrams.csv")
+        write_bigrams_csv(result.selected_bigrams.values(), outdir / "bigrams.csv")
     if args.dump_matrix:
         write_matrix_csv(result.features, outdir / "matrix.csv")
     if args.dump_embedding:

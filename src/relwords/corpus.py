@@ -14,12 +14,13 @@ import os
 import re
 import tempfile
 import time
+import urllib.error
+import urllib.request
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from http.client import HTTPException
 from pathlib import Path
-
-import requests
 
 API_KEY_ENV_VAR = "RELWORDS_API_KEY"
 
@@ -67,7 +68,6 @@ class Corpus:
     """
 
     docs: tuple[Document, ...]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if not isinstance(self.docs, tuple):
@@ -140,7 +140,7 @@ def load_jsonl(
                     group=None if group is None else str(group),
                 )
             )
-    return Corpus(tuple(docs), provenance=f"jsonl:{path}")
+    return Corpus(tuple(docs))
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -179,7 +179,7 @@ def load_dir(path: str | Path) -> Corpus:
         if not text.strip():
             raise ValueError(f"{file_path}: empty document text")
         docs.append(Document(id=rel, text=text))
-    return Corpus(tuple(docs), provenance=f"dir:{root}")
+    return Corpus(tuple(docs))
 
 
 def month_range(spec: str) -> list[tuple[int, int]]:
@@ -252,8 +252,7 @@ def fetch_archive(
     if dropped:
         warnings.warn(f"dropped {dropped} archive items with empty snippets")
     docs.sort(key=lambda d: (d.timestamp, d.id))
-    months_label = ",".join(f"{y:04d}-{m:02d}" for y, m in months)
-    return Corpus(tuple(docs), provenance=f"archive:{endpoint} months={months_label}")
+    return Corpus(tuple(docs))
 
 
 def _archive_docs(payload: dict) -> list[dict]:
@@ -269,6 +268,16 @@ def _archive_docs(payload: dict) -> list[dict]:
 def _cache_path(cache_root: Path, endpoint: str, year: int, month: int) -> Path:
     digest = hashlib.sha256(endpoint.encode("utf-8")).hexdigest()[:12]
     return cache_root / f"{digest}-{year:04d}-{month:02d}.json"
+
+
+def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
+    """(status, body) of a GET for every HTTP status; network failures raise OSError."""
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
 
 
 def _fetch_month(
@@ -288,18 +297,24 @@ def _fetch_month(
     last_error: Exception | None = None
     for attempt in range(max_retries):
         try:
-            resp = requests.get(url, timeout=timeout)
-        except requests.RequestException as exc:
+            status, body = _http_get(url, timeout)
+        except (OSError, HTTPException) as exc:
             last_error = exc
         else:
-            if resp.status_code in (401, 403):
-                raise RuntimeError(f"archive authentication failed ({resp.status_code}): {resp.text}")
-            if resp.status_code == 200:
-                payload = resp.json()
-                _archive_docs(payload)  # validate before caching
-                _atomic_write(cached, json.dumps(payload, ensure_ascii=False))
-                return payload
-            last_error = RuntimeError(f"HTTP {resp.status_code} from {url}")
+            if status in (401, 403):
+                detail = body.decode("utf-8", errors="replace")
+                raise RuntimeError(f"archive authentication failed ({status}): {detail}")
+            if status != 200:
+                last_error = RuntimeError(f"HTTP {status} from {url}")
+            else:
+                try:
+                    payload = json.loads(body)
+                except ValueError as exc:
+                    last_error = ValueError(f"HTTP 200 with a non-JSON body ({exc})")
+                else:
+                    _archive_docs(payload)  # validate before caching
+                    _atomic_write(cached, json.dumps(payload, ensure_ascii=False))
+                    return payload
         if attempt < max_retries - 1:
             time.sleep(backoff * (2**attempt))
     raise RuntimeError(f"archive fetch failed for {year:04d}-{month:02d}: {last_error}")
@@ -331,4 +346,4 @@ def split_by_period(corpus: Corpus, boundary: datetime) -> Corpus:
         replace(doc, group="after" if doc.timestamp >= boundary else "before")
         for doc in corpus.docs
     )
-    return Corpus(labeled, provenance=corpus.provenance)
+    return Corpus(labeled)

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import Corpus
 from .embedding import DEFAULT_COMPONENTS, Embedding, KpcaModel, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
 from .relevance import DEFAULT_EPSILON
-from .text import TokenStream, apply_bigrams, normalize_tokenize, score_bigrams, select_bigrams
+from .text import (
+    BigramCandidate,
+    TokenStream,
+    apply_bigrams,
+    count_corpus,
+    normalize_tokenize,
+    score_bigrams,
+    select_bigrams,
+)
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,10 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineResult:
     streams: tuple[TokenStream, ...]
-    selected_bigrams: frozenset[tuple[str, str]]
+    selected_bigrams: dict[tuple[str, str], BigramCandidate]
     features: FeatureMatrix
     model: KpcaModel
     embedding: Embedding
-    distances: np.ndarray
     assignment: ClusterAssignment
 
 
@@ -67,13 +72,15 @@ def tokenize_corpus(corpus: Corpus) -> list[TokenStream]:
 
 def prepare_streams(
     corpus: Corpus, config: PipelineConfig
-) -> tuple[list[TokenStream], frozenset[tuple[str, str]]]:
-    """Tokenize the corpus and merge its distinctive bigrams."""
+) -> tuple[list[TokenStream], dict[tuple[str, str], BigramCandidate]]:
+    """Tokenize the corpus, count it once, and merge its distinctive bigrams
+    (returned with the merged streams, keyed by pair)."""
     streams = tokenize_corpus(corpus)
-    candidates = score_bigrams(streams, discount=config.bigram_discount)
-    selected = select_bigrams(candidates, streams, seed=config.bigram_seed)
+    counts = count_corpus(streams)
+    candidates = score_bigrams(counts, discount=config.bigram_discount)
+    selected = select_bigrams(candidates, counts, seed=config.bigram_seed)
     merged = [apply_bigrams(stream, selected) for stream in streams]
-    return merged, frozenset(selected)
+    return merged, selected
 
 
 def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> PipelineResult:
@@ -89,14 +96,12 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     except ValueError as exc:
         raise ValueError(f"embedding: {exc}") from exc
     emb = transform(model, features)
-    distances = pairwise_distances(emb)
-    assignment = dbscan(distances, eps=config.eps, min_pts=config.min_pts)
+    assignment = dbscan(pairwise_distances(emb), eps=config.eps, min_pts=config.min_pts)
     return PipelineResult(
         streams=tuple(streams),
         selected_bigrams=selected,
         features=features,
         model=model,
         embedding=emb,
-        distances=distances,
         assignment=assignment,
     )

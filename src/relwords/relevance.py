@@ -111,34 +111,44 @@ def build_occurrence_index(
     )
 
 
-def tpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
-    """Fraction of the cluster's documents containing the term."""
+def _locate(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> tuple[int, int]:
     c = index.cluster_position(cluster)
     try:
-        i = index.terms.index(term)
+        return c, index.terms.index(term)
     except ValueError:
         raise ValueError(f"unknown term: {term!r}") from None
-    return float(index.counts[c, i]) / float(index.sizes[c])
 
 
-def fpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
-    """Mean plus population std of the term's TPRs over all other clusters.
+def _fpr_raw(rates: np.ndarray) -> np.ndarray:
+    """Per (cluster, term): mean plus population std of the term's rates over
+    all other clusters, from a (clusters, terms) rate matrix.
 
     Mean-plus-std rather than a maximum keeps one small cluster from
     dominating the estimate. With no other cluster the value is 0 and scores
     reduce to plain occurrence rates.
     """
-    c = index.cluster_position(cluster)
-    try:
-        i = index.terms.index(term)
-    except ValueError:
-        raise ValueError(f"unknown term: {term!r}") from None
-    others = [l for l in range(len(index.clusters)) if l != c]
-    if not others:
+    n_clusters = rates.shape[0]
+    fpr_raw = np.zeros_like(rates)
+    if n_clusters == 1:
         warnings.warn("single cluster: FPR is 0 and scores reduce to occurrence rates")
-        return 0.0
-    rates = index.counts[others, i] / index.sizes[others]
-    return float(rates.mean() + rates.std())
+    else:
+        for c in range(n_clusters):
+            others = rates[[l for l in range(n_clusters) if l != c]]
+            fpr_raw[c] = others.mean(axis=0) + others.std(axis=0)
+    return fpr_raw
+
+
+def tpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
+    """Fraction of the cluster's documents containing the term."""
+    c, i = _locate(index, cluster, term)
+    return float(index.counts[c, i]) / float(index.sizes[c])
+
+
+def fpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
+    """The term's raw (unclamped) FPR in the cluster; see ``_fpr_raw``."""
+    c, i = _locate(index, cluster, term)
+    rates = index.counts[:, i : i + 1] / index.sizes[:, None]
+    return float(_fpr_raw(rates)[c, 0])
 
 
 def score_diff(tpr_value, fpr_value):
@@ -164,15 +174,8 @@ def score_final(tpr_value, fpr_value, epsilon: float = DEFAULT_EPSILON):
 
 def compute_relevance(index: OccurrenceIndex, epsilon: float = DEFAULT_EPSILON) -> RelevanceTable:
     """Score every (cluster, term) pair of an occurrence index."""
-    n_clusters = len(index.clusters)
     rates = index.counts / index.sizes[:, None]
-    fpr_raw = np.zeros_like(rates)
-    if n_clusters == 1:
-        warnings.warn("single cluster: FPR is 0 and scores reduce to occurrence rates")
-    else:
-        for c in range(n_clusters):
-            others = rates[[l for l in range(n_clusters) if l != c]]
-            fpr_raw[c] = others.mean(axis=0) + others.std(axis=0)
+    fpr_raw = _fpr_raw(rates)
     r_diff = score_diff(rates, fpr_raw)
     r_quot = score_quot(rates, fpr_raw, epsilon)
     return RelevanceTable(

@@ -200,24 +200,10 @@ def _align_raw_tokens(text: str, stream: TokenStream) -> list[tuple[int, int, st
     covers two consecutive raw tokens, each mapped to the merged term.
     """
     raw = token_spans(text)
-    aligned: list[tuple[int, int, str]] = []
-    j = 0
-    for term in stream.tokens:
-        if JOINER in term:
-            first, _, second = term.partition(JOINER)
-            if j + 1 >= len(raw) or raw[j][2] != first or raw[j + 1][2] != second:
-                raise ValueError(f"token stream does not match document text at token {j}")
-            aligned.append((raw[j][0], raw[j][1], term))
-            aligned.append((raw[j + 1][0], raw[j + 1][1], term))
-            j += 2
-        else:
-            if j >= len(raw) or raw[j][2] != term:
-                raise ValueError(f"token stream does not match document text at token {j}")
-            aligned.append((raw[j][0], raw[j][1], term))
-            j += 1
-    if j != len(raw):
-        raise ValueError("token stream does not match document text: leftover tokens")
-    return aligned
+    parts = [(part, term) for term in stream.tokens for part in term.split(JOINER)]
+    if [token for *_, token in raw] != [part for part, _ in parts]:
+        raise ValueError("token stream does not match document text")
+    return [(start, end, term) for (start, end, _), (_, term) in zip(raw, parts)]
 
 
 def highlight_html(

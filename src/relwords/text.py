@@ -1,14 +1,16 @@
 """Tokenization and distinctive-bigram detection.
 
-Texts are lowercased and split on every non-alphanumeric character. Word
-pairs that co-occur adjacently far more often than chance are merged into
-single ``first_second`` tokens so they act as one feature downstream.
+Texts are split on every non-alphanumeric character, then each token is
+lowercased. Word pairs that co-occur adjacently far more often than chance
+are merged into single ``first_second`` tokens so they act as one feature
+downstream.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +18,8 @@ import numpy as np
 JOINER = "_"
 
 # Letters and digits only; underscore is a separator in raw text but is the
-# joiner of merged bigrams, so re-tokenization of merged output keeps it.
+# joiner of merged bigrams.
 _TOKEN = re.compile(r"[^\W_]+")
-_TOKEN_WITH_JOINER = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -40,29 +41,38 @@ class BigramCandidate:
     score: float
 
 
-def normalize_tokenize(text: str, doc_id: str = "", *, keep_joiner: bool = False) -> TokenStream:
-    """Lowercase and split a text into alphanumeric tokens.
+def normalize_tokenize(text: str, doc_id: str = "") -> TokenStream:
+    """Split a text into alphanumeric tokens, then lowercase each token.
 
     Every character that is not a letter or digit separates tokens; empty
-    tokens are dropped and order is preserved. With ``keep_joiner`` the
-    bigram joiner counts as alphanumeric, which makes tokenization idempotent
-    on merged output.
+    tokens are dropped and order is preserved. Splitting comes before
+    lowercasing, so the tokens are exactly those of ``token_spans``.
     """
-    pattern = _TOKEN_WITH_JOINER if keep_joiner else _TOKEN
-    return TokenStream(doc_id, tuple(pattern.findall(text.lower())))
+    return TokenStream(doc_id, tuple(map(str.lower, _TOKEN.findall(text))))
 
 
 def token_spans(text: str) -> list[tuple[int, int, str]]:
-    """Raw tokens of a text with their (start, end) positions in it.
+    """The tokens of ``normalize_tokenize`` with their (start, end) positions.
 
-    Tokens are lowercased; positions refer to the original string, which lets
-    renderers wrap tokens in place without touching other characters.
+    Positions refer to the original string, which lets renderers wrap tokens
+    in place without touching other characters.
     """
     return [(m.start(), m.end(), m.group().lower()) for m in _TOKEN.finditer(text)]
 
 
-def _corpus_counts(streams: list[TokenStream]) -> tuple[Counter, Counter, int]:
+@dataclass(frozen=True)
+class CorpusCounts:
     """Corpus-wide unigram counts, adjacent ordered-pair counts, total tokens."""
+
+    unigrams: Counter
+    pairs: Counter
+    total: int
+
+
+def count_corpus(streams: list[TokenStream]) -> CorpusCounts:
+    """Count the unigrams and adjacent pairs of a corpus in one pass."""
+    if not streams:
+        raise ValueError("empty corpus")
     unigrams: Counter = Counter()
     pairs: Counter = Counter()
     total = 0
@@ -71,61 +81,47 @@ def _corpus_counts(streams: list[TokenStream]) -> tuple[Counter, Counter, int]:
         unigrams.update(tokens)
         pairs.update(zip(tokens, tokens[1:]))
         total += len(tokens)
-    return unigrams, pairs, total
+    return CorpusCounts(unigrams, pairs, total)
 
 
-def score_bigrams(streams: list[TokenStream], discount: int = 5) -> list[BigramCandidate]:
-    """Score every adjacent word pair in the corpus.
+def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandidate]:
+    """Score every adjacent word pair in the corpus, in pair order.
 
     score(a, b) = (count(a b) - discount) * W / (count(a) * count(b)) with W
     the corpus token count; pairs adjacent at most ``discount`` times are
     omitted. The discount suppresses one-off co-occurrences of rare words.
     """
-    if not streams:
-        raise ValueError("empty corpus")
-    unigrams, pairs, total = _corpus_counts(streams)
+    unigrams, total = counts.unigrams, counts.total
+    frequent = ((pair, joint) for pair, joint in counts.pairs.items() if joint > discount)
     candidates = []
-    for (first, second), joint in sorted(pairs.items()):
-        if joint <= discount:
-            continue
+    for (first, second), joint in sorted(frequent):
         score = (joint - discount) * total / (unigrams[first] * unigrams[second])
         candidates.append(BigramCandidate(first, second, joint, score))
     return candidates
 
 
 def select_bigrams(
-    candidates: list[BigramCandidate],
-    streams: list[TokenStream],
-    *,
-    n_random: int | None = None,
-    seed: int = 0,
-) -> set[tuple[str, str]]:
+    candidates: list[BigramCandidate], counts: CorpusCounts, *, seed: int = 0
+) -> dict[tuple[str, str], BigramCandidate]:
     """Keep the candidates scoring far above randomly chosen adjacent pairs.
 
-    The baseline is the undiscounted score of ``n_random`` pairs sampled
-    uniformly (with replacement, seeded) from all pairs adjacent anywhere in
-    the corpus; the cut is mean + 2 std of those baseline scores. Defaults to
-    ``n_random = 10 * len(candidates)``.
+    The baseline is the undiscounted score of ``10 * len(candidates)`` pairs
+    sampled uniformly (with replacement, seeded) from all pairs adjacent
+    anywhere in the corpus; the cut is mean + 2 std of those baseline
+    scores. Returns the kept candidates keyed by ``(first, second)``.
     """
-    if not candidates:
-        return set()
-    unigrams, pairs, total = _corpus_counts(streams)
-    if len(unigrams) < 2 or not pairs:
-        return set()
+    unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
+    if not candidates or len(unigrams) < 2 or not pairs:
+        return {}
     universe = sorted(pairs)
-    if n_random is None:
-        n_random = 10 * len(candidates)
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(universe), size=n_random)
-    baseline = np.empty(n_random, dtype=float)
-    for row, pick in enumerate(picks):
-        first, second = universe[pick]
-        baseline[row] = pairs[(first, second)] * total / (unigrams[first] * unigrams[second])
+    sample = [universe[pick] for pick in rng.integers(0, len(universe), size=10 * len(candidates))]
+    baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
     threshold = baseline.mean() + 2.0 * baseline.std()
-    return {(c.first, c.second) for c in candidates if c.score > threshold}
+    return {(c.first, c.second): c for c in candidates if c.score > threshold}
 
 
-def apply_bigrams(stream: TokenStream, selected: set[tuple[str, str]]) -> TokenStream:
+def apply_bigrams(stream: TokenStream, selected: Collection[tuple[str, str]]) -> TokenStream:
     """Merge selected adjacent pairs into single joined tokens.
 
     Greedy left-to-right scan; a token consumed by a merge cannot start
@@ -146,16 +142,9 @@ def apply_bigrams(stream: TokenStream, selected: set[tuple[str, str]]) -> TokenS
     return TokenStream(stream.doc_id, tuple(merged))
 
 
-def write_bigrams_csv(
-    candidates: list[BigramCandidate],
-    selected: set[tuple[str, str]],
-    path,
-) -> None:
+def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
     """Debug dump of the selected bigrams as ``first,second,score`` CSV."""
-    rows = sorted(
-        (c for c in candidates if (c.first, c.second) in selected),
-        key=lambda c: (-c.score, c.first, c.second),
-    )
+    rows = sorted(selected, key=lambda c: (-c.score, c.first, c.second))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("first,second,score\n")
         for cand in rows:

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from relwords.cli import main
-from relwords.corpus import load_jsonl, save_jsonl
+from relwords.corpus import Corpus, load_jsonl, save_jsonl
 
 from corpora import planted_topic_corpus, trending_corpus
 
@@ -168,6 +169,23 @@ class TestHighlight:
         assert code == 0
         content = out.read_text(encoding="utf-8")
         assert "<span" in content and "t0d00" in content
+
+    def test_dotted_capital_i_document(self, tmp_path):
+        # "İ" lowers to two characters; the highlighted tokens must still
+        # line up with the document text.
+        corpus, _, _ = planted_topic_corpus()
+        docs = [
+            replace(doc, text=f"İstanbul {doc.text}") if doc.id.startswith("t0") else doc
+            for doc in corpus.docs
+        ]
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(Corpus(tuple(docs)), corpus_path)
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_path), "--outdir", str(outdir)]) == 0
+        out = tmp_path / "doc.html"
+        code = main(["highlight", "--run", str(outdir), "--doc-id", "t0d00", "--out", str(out)])
+        assert code == 0
+        assert ">İstanbul</span>" in out.read_text(encoding="utf-8")
 
     def test_unknown_doc_rejected(self, run_dir, tmp_path, capsys):
         code = main(["highlight", "--run", str(run_dir), "--doc-id", "ghost",

@@ -1,5 +1,8 @@
 import datetime
 import json
+import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -166,14 +169,11 @@ class TestSplitByPeriod:
         assert groups.count("before") + groups.count("after") == len(docs)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text
-
-    def json(self):
-        return self._payload
+def response(status=200, payload=None, body=None):
+    """What ``corpus._http_get`` returns: (status, body bytes)."""
+    if body is None:
+        body = json.dumps(payload or {}).encode("utf-8")
+    return status, body
 
 
 def archive_payload(items):
@@ -195,7 +195,7 @@ class TestFetchArchive:
         def no_network(*args, **kwargs):
             raise AssertionError("network call on cache hit")
 
-        monkeypatch.setattr(corpus_mod.requests, "get", no_network)
+        monkeypatch.setattr(corpus_mod, "_http_get", no_network)
         corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
         assert corpus.ids() == ("a1",)
         assert corpus.docs[0].text == "cached text"
@@ -209,24 +209,24 @@ class TestFetchArchive:
         def fake_get(url, timeout):
             for (year, month), payload in by_month.items():
                 if f"/{year}/{month}.json" in url:
-                    return FakeResponse(payload=payload)
+                    return response(payload=payload)
             raise AssertionError(url)
 
-        monkeypatch.setattr(corpus_mod.requests, "get", fake_get)
+        monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
         corpus = fetch_archive(
             self.ENDPOINT, [(2017, 1), (2016, 12)], api_key="k", cache_dir=tmp_path
         )
         assert corpus.ids() == ("dec", "jan")
         # second run is served from cache
-        monkeypatch.setattr(corpus_mod.requests, "get", lambda *a, **k: pytest.fail("network"))
+        monkeypatch.setattr(corpus_mod, "_http_get", lambda *a, **k: pytest.fail("network"))
         again = fetch_archive(self.ENDPOINT, [(2017, 1), (2016, 12)], api_key="k", cache_dir=tmp_path)
         assert again.ids() == corpus.ids()
 
     def test_invalid_credential_surfaced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            corpus_mod.requests,
-            "get",
-            lambda url, timeout: FakeResponse(status_code=401, text="invalid api key"),
+            corpus_mod,
+            "_http_get",
+            lambda url, timeout: response(401, body=b"invalid api key"),
         )
         with pytest.raises(RuntimeError, match="invalid api key"):
             fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="bad", cache_dir=tmp_path)
@@ -238,11 +238,11 @@ class TestFetchArchive:
         def flaky_get(url, timeout):
             calls["n"] += 1
             if calls["n"] < 3:
-                return FakeResponse(status_code=503)
-            return FakeResponse(payload=payload)
+                return response(503)
+            return response(payload=payload)
 
         delays = []
-        monkeypatch.setattr(corpus_mod.requests, "get", flaky_get)
+        monkeypatch.setattr(corpus_mod, "_http_get", flaky_get)
         monkeypatch.setattr(corpus_mod.time, "sleep", delays.append)
         corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
         assert corpus.docs[0].text == "late success"
@@ -251,17 +251,57 @@ class TestFetchArchive:
 
     def test_gives_up_after_bounded_retries(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            corpus_mod.requests, "get", lambda url, timeout: FakeResponse(status_code=500)
+            corpus_mod, "_http_get", lambda url, timeout: response(500)
         )
         monkeypatch.setattr(corpus_mod.time, "sleep", lambda s: None)
         with pytest.raises(RuntimeError, match="HTTP 500"):
             fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
 
+    def test_non_json_body_retried_then_succeeds(self, tmp_path, monkeypatch):
+        payload = archive_payload([archive_item("a1", "second try", "2017-01-03T00:00:00+0000")])
+        replies = [response(body=b"<html>gateway hiccup</html>"), response(payload=payload)]
+        delays = []
+        monkeypatch.setattr(corpus_mod, "_http_get", lambda url, timeout: replies.pop(0))
+        monkeypatch.setattr(corpus_mod.time, "sleep", delays.append)
+        corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
+        assert corpus.docs[0].text == "second try"
+        assert delays == [0.5]
+        cached = corpus_mod._cache_path(tmp_path, self.ENDPOINT, 2017, 1)
+        assert json.loads(cached.read_text(encoding="utf-8")) == payload
+
+    def test_non_json_body_gives_up_naming_month(self, tmp_path, monkeypatch):
+        calls = []
+
+        def html_get(url, timeout):
+            calls.append(url)
+            return response(body=b"<html>maintenance</html>")
+
+        monkeypatch.setattr(corpus_mod, "_http_get", html_get)
+        monkeypatch.setattr(corpus_mod.time, "sleep", lambda s: None)
+        with pytest.raises(RuntimeError, match="2017-01: .*non-JSON body"):
+            fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
+        assert len(calls) == 3
+        assert not corpus_mod._cache_path(tmp_path, self.ENDPOINT, 2017, 1).exists()
+
+    def test_connection_error_retried(self, tmp_path, monkeypatch):
+        payload = archive_payload([archive_item("a1", "reconnected", "2017-01-03T00:00:00+0000")])
+        replies = [urllib.error.URLError("connection refused"), TimeoutError("timed out")]
+
+        def failing_get(url, timeout):
+            if replies:
+                raise replies.pop(0)
+            return response(payload=payload)
+
+        monkeypatch.setattr(corpus_mod, "_http_get", failing_get)
+        monkeypatch.setattr(corpus_mod.time, "sleep", lambda s: None)
+        corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
+        assert corpus.docs[0].text == "reconnected"
+
     def test_schema_mismatch_names_missing_field(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            corpus_mod.requests,
-            "get",
-            lambda url, timeout: FakeResponse(payload={"response": {"notdocs": []}}),
+            corpus_mod,
+            "_http_get",
+            lambda url, timeout: response(payload={"response": {"notdocs": []}}),
         )
         with pytest.raises(ValueError, match="response.docs"):
             fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
@@ -269,7 +309,7 @@ class TestFetchArchive:
     def test_item_missing_field_named(self, tmp_path, monkeypatch):
         payload = archive_payload([{"_id": "a1", "snippet": "text"}])
         monkeypatch.setattr(
-            corpus_mod.requests, "get", lambda url, timeout: FakeResponse(payload=payload)
+            corpus_mod, "_http_get", lambda url, timeout: response(payload=payload)
         )
         with pytest.raises(ValueError, match="pub_date"):
             fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
@@ -280,9 +320,9 @@ class TestFetchArchive:
 
         def capture_get(url, timeout):
             seen_urls.append(url)
-            return FakeResponse(payload=payload)
+            return response(payload=payload)
 
-        monkeypatch.setattr(corpus_mod.requests, "get", capture_get)
+        monkeypatch.setattr(corpus_mod, "_http_get", capture_get)
         monkeypatch.setenv("RELWORDS_API_KEY", "env-secret")
         fetch_archive(self.ENDPOINT, [(2017, 1)], cache_dir=tmp_path)
         assert seen_urls == ["https://archive.example/2017/1.json?api-key=env-secret"]
@@ -295,11 +335,37 @@ class TestFetchArchive:
             ]
         )
         monkeypatch.setattr(
-            corpus_mod.requests, "get", lambda url, timeout: FakeResponse(payload=payload)
+            corpus_mod, "_http_get", lambda url, timeout: response(payload=payload)
         )
         with pytest.warns(UserWarning, match="empty snippets"):
             corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
         assert corpus.ids() == ("a1",)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        status = 200 if self.path == "/ok" else 404
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(f"body of {self.path}".encode("utf-8"))
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_get_returns_status_and_body_for_any_status(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # the server is local
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        assert corpus_mod._http_get(f"{base}/ok", timeout=5) == (200, b"body of /ok")
+        assert corpus_mod._http_get(f"{base}/gone", timeout=5) == (404, b"body of /gone")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 class TestParseHelpers:

@@ -60,7 +60,6 @@ class TestRunClustering:
         assert len(result.streams) == n
         assert result.features.matrix.shape[0] == n
         assert result.embedding.coords.shape[0] == n
-        assert result.distances.shape == (n, n)
         assert result.assignment.labels.shape == (n,)
         assert result.embedding.coords.shape[1] == result.model.eigenvalues.shape[0]
 

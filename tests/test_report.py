@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from relwords.corpus import Corpus, Document, parse_timestamp
 from relwords.features import build_vocabulary
@@ -135,6 +137,13 @@ def table_for(streams, labels):
     return compute_relevance(build_occurrence_index(streams, vocab, labels))
 
 
+def highlighted_text(path):
+    """The document text of a highlight page, spans stripped and unescaped."""
+    content = path.read_bytes().decode("utf-8")
+    body = re.search(r'<div class="doc"[^>]*>(.*)</div>', content, re.DOTALL).group(1)
+    return html.unescape(re.sub(r"</?span[^>]*>", "", body))
+
+
 class TestHighlightHtml:
     def make_fixture(self):
         doc = Document(id="d0", text="DeVos hearing: the DeVos vote looms!")
@@ -177,10 +186,23 @@ class TestHighlightHtml:
         table = table_for([stream, other], [0, 1])
         out = tmp_path / "doc.html"
         highlight_html(doc, stream, table, 0, out)
-        content = out.read_text(encoding="utf-8")
-        body = re.search(r'<div class="doc"[^>]*>(.*)</div>', content, re.DOTALL).group(1)
-        stripped = re.sub(r"</?span[^>]*>", "", body)
-        assert html.unescape(stripped) == doc.text
+        assert highlighted_text(out) == doc.text
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.text(min_size=1, max_size=200).filter(str.strip))
+    @example("İstanbul")
+    @example("ΟΔΟΣ.Α")
+    def test_round_trip_on_any_text(self, tmp_path, text):
+        doc = Document(id="d0", text=text)
+        stream = normalize_tokenize(doc.text, doc.id)
+        table = table_for([stream, TokenStream("d1", ("other",))], [0, 1])
+        out = tmp_path / "doc.html"
+        highlight_html(doc, stream, table, 0, out)
+        assert highlighted_text(out) == doc.text
 
     def test_merged_bigram_tokens_highlighted(self, tmp_path):
         doc = Document(id="d0", text="betsy devos spoke")

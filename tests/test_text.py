@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relwords.text import (
     TokenStream,
     apply_bigrams,
+    count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
@@ -32,18 +33,19 @@ class TestNormalizeTokenize:
     def test_examples(self, text, expected):
         assert normalize_tokenize(text).tokens == expected
 
-    def test_joiner_kept_on_request(self):
-        assert normalize_tokenize("new_york times", keep_joiner=True).tokens == (
-            "new_york",
-            "times",
-        )
+    def test_split_before_lowercasing(self):
+        # "İ" lowers to "i" + U+0307, which is not alphanumeric; and "Σ" lowers
+        # to "σ" or final "ς" depending on the characters around it. Splitting
+        # first keeps "İstanbul" one token and lowercases "ΟΔΟΣ" as a word.
+        assert normalize_tokenize("İstanbul").tokens == ("i\u0307stanbul",)
+        assert normalize_tokenize("ΟΔΟΣ.Α").tokens == ("οδος", "α")
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
-    def test_idempotent_on_own_output(self, text):
-        tokens = normalize_tokenize(text).tokens
-        rejoined = " ".join(tokens)
-        assert normalize_tokenize(rejoined, keep_joiner=True).tokens == tokens
+    @example("İstanbul")
+    @example("ΟΔΟΣ.Α")
+    def test_same_tokens_as_token_spans(self, text):
+        assert normalize_tokenize(text).tokens == tuple(t for *_, t in token_spans(text))
 
     def test_token_spans_match_tokens(self):
         text = "Hello, World-2"
@@ -52,13 +54,21 @@ class TestNormalizeTokenize:
         assert [text[a:b].lower() for a, b, _ in spans] == ["hello", "world", "2"]
 
 
+class TestCountCorpus:
+    def test_unigrams_pairs_and_total(self):
+        counts = count_corpus([stream("a", "b", "a"), stream("b")])
+        assert counts.unigrams == {"a": 2, "b": 2}
+        assert counts.pairs == {("a", "b"): 1, ("b", "a"): 1}
+        assert counts.total == 4
+
+
 class TestScoreBigrams:
     def test_hand_computed_score(self):
         # "new york" adjacent 10 times, each word counted 10 times, corpus of
         # 1000 tokens, discount 5 -> (10-5)*1000/(10*10) = 50.
         streams = [stream("new", "york") for _ in range(10)]
         streams.append(TokenStream("filler", tuple(f"f{i}" for i in range(980))))
-        candidates = score_bigrams(streams, discount=5)
+        candidates = score_bigrams(count_corpus(streams), discount=5)
         by_pair = {(c.first, c.second): c for c in candidates}
         assert ("new", "york") in by_pair
         assert by_pair[("new", "york")].score == pytest.approx(50.0)
@@ -66,14 +76,20 @@ class TestScoreBigrams:
 
     def test_pair_at_discount_count_omitted(self):
         streams = [stream("a", "b") for _ in range(5)]
-        assert score_bigrams(streams, discount=5) == []
+        assert score_bigrams(count_corpus(streams), discount=5) == []
         streams.append(stream("a", "b"))
-        kept = score_bigrams(streams, discount=5)
+        kept = score_bigrams(count_corpus(streams), discount=5)
         assert [(c.first, c.second) for c in kept] == [("a", "b")]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            score_bigrams([])
+            score_bigrams(count_corpus([]))
+
+    def test_candidates_in_pair_order(self):
+        streams = [stream("b", "a", "b", "a", "c", "a")]
+        candidates = score_bigrams(count_corpus(streams), discount=0)
+        pairs = [(c.first, c.second) for c in candidates]
+        assert pairs == sorted(pairs) == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
 
     def test_chance_adjacency_scores_low(self):
         # Two frequent words adjacent exactly once score ~ W/(count*count),
@@ -87,9 +103,17 @@ class TestScoreBigrams:
             *[stream("liquid", "nitrogen")] * 30,
         ]
         total = sum(len(s.tokens) for s in streams)
-        candidates = {(c.first, c.second): c.score for c in score_bigrams(streams, discount=0)}
+        candidates = {
+            (c.first, c.second): c.score for c in score_bigrams(count_corpus(streams), discount=0)
+        }
         assert candidates[("alpha", "beta")] == pytest.approx(total / (51 * 51))
         assert candidates[("liquid", "nitrogen")] > 10 * candidates[("alpha", "beta")]
+
+
+def score_and_select(streams, discount, seed=0):
+    counts = count_corpus(streams)
+    candidates = score_bigrams(counts, discount=discount)
+    return candidates, select_bigrams(candidates, counts, seed=seed)
 
 
 class TestSelectBigrams:
@@ -105,10 +129,11 @@ class TestSelectBigrams:
         return streams
 
     def test_planted_collocation_selected(self):
-        streams = self.make_planted()
-        candidates = score_bigrams(streams, discount=5)
-        selected = select_bigrams(candidates, streams, seed=0)
+        candidates, selected = score_and_select(self.make_planted(), discount=5)
         assert ("betsy", "devos") in selected
+        # the kept candidates are handed back, keyed by their pair
+        assert all(selected[pair] in candidates for pair in selected)
+        assert all((c.first, c.second) == pair for pair, c in selected.items())
 
     def test_shuffled_corpus_selects_almost_nothing(self):
         rng = np.random.default_rng(11)
@@ -120,37 +145,31 @@ class TestSelectBigrams:
         streams = [
             TokenStream(f"d{i}", tuple(tokens[i * 100 : (i + 1) * 100])) for i in range(50)
         ]
-        candidates = score_bigrams(streams, discount=5)
+        candidates, selected = score_and_select(streams, discount=5)
         assert len(candidates) > 20  # the corpus does produce frequent pairs
-        selected = select_bigrams(candidates, streams, seed=0)
         assert len(selected) <= max(1, len(candidates) // 100)
 
     def test_single_document_two_word_corpus(self):
         # "a b a b a b": score(a,b)=2, score(b,a)=4/3; any baseline sample
         # containing both pairs puts mean+2std above 2, so nothing passes.
-        streams = [stream(*"ababab")]
-        candidates = score_bigrams(streams, discount=0)
+        candidates, selected = score_and_select([stream(*"ababab")], discount=0)
         assert {(c.first, c.second) for c in candidates} == {("a", "b"), ("b", "a")}
-        assert select_bigrams(candidates, streams, seed=0) == set()
+        assert selected == {}
 
     def test_single_term_corpus_yields_empty_set(self):
-        streams = [stream("a", "a", "a")]
-        candidates = score_bigrams(streams, discount=0)
-        assert select_bigrams(candidates, streams, seed=0) == set()
+        _, selected = score_and_select([stream("a", "a", "a")], discount=0)
+        assert selected == {}
 
     def test_threshold_invariant_to_candidate_order(self):
-        streams = self.make_planted()
-        candidates = score_bigrams(streams, discount=0)
-        forward = select_bigrams(candidates, streams, seed=0)
-        backward = select_bigrams(list(reversed(candidates)), streams, seed=0)
+        counts = count_corpus(self.make_planted())
+        candidates = score_bigrams(counts, discount=0)
+        forward = select_bigrams(candidates, counts, seed=0)
+        backward = select_bigrams(list(reversed(candidates)), counts, seed=0)
         assert forward == backward
 
     def test_seed_is_respected(self):
         streams = self.make_planted()
-        candidates = score_bigrams(streams, discount=5)
-        assert select_bigrams(candidates, streams, seed=0) == select_bigrams(
-            candidates, streams, seed=0
-        )
+        assert score_and_select(streams, 5, seed=0) == score_and_select(streams, 5, seed=0)
 
 
 class TestApplyBigrams:
@@ -183,9 +202,9 @@ class TestApplyBigrams:
 
 def test_bigrams_csv_dump(tmp_path):
     streams = [stream("new", "york")] * 8 + [stream("other", "words")]
-    candidates = score_bigrams(streams, discount=5)
+    candidates = score_bigrams(count_corpus(streams), discount=5)
     out = tmp_path / "bigrams.csv"
-    write_bigrams_csv(candidates, {("new", "york")}, out)
+    write_bigrams_csv([c for c in candidates if (c.first, c.second) == ("new", "york")], out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "first,second,score"
     assert lines[1].startswith("new,york,")
