@@ -1,23 +1,24 @@
 """Command-line pipeline with persisted, reproducible intermediate artifacts.
 
-``relwords cluster`` writes a labels CSV plus a manifest recording the full
-config and a hash of the input corpus; downstream commands (relevant,
-wordcloud, highlight) recompute the cheap stages from the corpus + manifest
-and refuse to run against a corpus that changed since clustering.
+``relwords cluster`` writes a labels CSV, the selected bigrams and a manifest
+recording the full config and a hash of the input corpus; downstream commands
+(relevant, wordcloud, highlight) re-tokenize the corpus, merge the run's
+bigrams and score relevance from them, and refuse to run against a corpus
+that changed since clustering.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .clustering import NOISE, ClusterAssignment, write_labels_csv
+from .clustering import NOISE, write_labels_csv
 from .corpus import (
     Corpus,
     fetch_archive,
@@ -30,8 +31,9 @@ from .corpus import (
 )
 from .embedding import write_embedding_csv
 from .features import build_vocabulary, write_matrix_csv
-from .pipeline import PipelineConfig, prepare_streams, run_clustering
+from .pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_with_bigrams
 from .relevance import (
+    RelevanceTable,
     build_occurrence_index,
     compute_relevance,
     contrast_relevance,
@@ -47,10 +49,11 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import write_bigrams_csv
+from .text import TokenStream, read_bigrams_csv, write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
+BIGRAMS_NAME = "bigrams.csv"
 
 DEFAULT_ENDPOINT = (
     "https://api.nytimes.com/svc/archive/v1/{year}/{month}.json?api-key={key}"
@@ -131,6 +134,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(result.assignment, corpus.ids(), outdir / LABELS_NAME)
+    write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
     manifest = {
         "config": config.as_dict(),
         "corpus_path": str(Path(args.corpus).resolve()),
@@ -144,8 +148,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     (outdir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if args.dump_bigrams:
-        write_bigrams_csv(result.selected_bigrams.values(), outdir / "bigrams.csv")
     if args.dump_matrix:
         write_matrix_csv(result.features, outdir / "matrix.csv")
     if args.dump_embedding:
@@ -157,42 +159,46 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run(run_dir: str | Path) -> tuple[Corpus, PipelineConfig, ClusterAssignment]:
+@dataclass(frozen=True)
+class _Run:
+    """A cluster run read back, with its relevance table recomputed."""
+
+    corpus: Corpus
+    config: PipelineConfig
+    labels: list[int]
+    streams: list[TokenStream]
+    table: RelevanceTable
+
+
+def _load_run(run_dir: str | Path) -> _Run:
     run = Path(run_dir)
     manifest_path = run / MANIFEST_NAME
     labels_path = run / LABELS_NAME
+    bigrams_path = run / BIGRAMS_NAME
     if not manifest_path.exists() or not labels_path.exists():
         raise FileNotFoundError(f"no cluster run in {run} (expected {MANIFEST_NAME} and {LABELS_NAME})")
+    if not bigrams_path.exists():
+        raise ValueError(f"no {BIGRAMS_NAME} in {run}; rerun cluster")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     corpus_path = manifest["corpus_path"]
     if corpus_sha256(corpus_path) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
     corpus = load_jsonl(corpus_path)
     config = PipelineConfig(**manifest["config"])
-    labels, ids = [], []
-    with open(labels_path, "r", encoding="utf-8") as handle:
-        next(handle)  # header
-        for line in handle:
-            doc_id, _, label = line.rstrip("\n").rpartition(",")
-            ids.append(doc_id)
-            labels.append(int(label))
-    if tuple(ids) != corpus.ids():
+    with open(labels_path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]  # after the header
+    if tuple(doc_id for doc_id, _ in rows) != corpus.ids():
         raise ValueError("stale artifacts; rerun cluster")
-    label_array = np.array(labels, dtype=np.int64)
-    n_clusters = int(label_array.max()) + 1 if (label_array != NOISE).any() else 0
-    return corpus, config, ClusterAssignment(labels=label_array, n_clusters=n_clusters)
-
-
-def _relevance_for_run(corpus: Corpus, config: PipelineConfig, assignment: ClusterAssignment):
-    streams, _ = prepare_streams(corpus, config)
+    labels = [int(label) for _, label in rows]
+    streams = tokenize_with_bigrams(corpus, read_bigrams_csv(bigrams_path))
     vocab = build_vocabulary(streams, min_df=config.min_df)
-    index = build_occurrence_index(streams, vocab, list(assignment.labels))
-    return streams, compute_relevance(index, epsilon=config.epsilon)
+    index = build_occurrence_index(streams, vocab, labels)
+    table = compute_relevance(index, epsilon=config.epsilon)
+    return _Run(corpus, config, labels, streams, table)
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
-    corpus, config, assignment = _load_run(args.run)
-    _, table = _relevance_for_run(corpus, config, assignment)
+    table = _load_run(args.run).table
     out = Path(args.out) if args.out else Path(args.run) / "relevance.csv"
     write_relevance_csv(table, out)
     print(f"wrote relevance table for {len(table.clusters)} clusters to {out}")
@@ -200,9 +206,9 @@ def cmd_relevant(args: argparse.Namespace) -> int:
 
 
 def cmd_wordcloud(args: argparse.Namespace) -> int:
-    corpus, config, assignment = _load_run(args.run)
-    _, table = _relevance_for_run(corpus, config, assignment)
-    top_k = args.top if args.top is not None else config.top_k
+    run = _load_run(args.run)
+    table = run.table
+    top_k = args.top if args.top is not None else run.config.top_k
     if args.cluster is not None:
         clusters = [args.cluster]
         if args.cluster not in table.clusters:
@@ -245,17 +251,16 @@ def cmd_contrast(args: argparse.Namespace) -> int:
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
-    corpus, config, assignment = _load_run(args.run)
+    run = _load_run(args.run)
     try:
-        position = corpus.ids().index(args.doc_id)
+        position = run.corpus.ids().index(args.doc_id)
     except ValueError:
         raise ValueError(f"no such document: {args.doc_id!r}") from None
-    label = int(assignment.labels[position])
+    label = run.labels[position]
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
-    streams, table = _relevance_for_run(corpus, config, assignment)
     highlight_html(
-        corpus.docs[position], streams[position], table, label, args.out, label=label
+        run.corpus.docs[position], run.streams[position], run.table, label, args.out, label=label
     )
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
@@ -304,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     _add_config_flags(p)
-    p.add_argument("--dump-bigrams", action="store_true")
     p.add_argument("--dump-matrix", action="store_true")
     p.add_argument("--dump-embedding", action="store_true")
     p.set_defaults(func=cmd_cluster)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -120,10 +121,10 @@ def dbscan(
 
 
 def write_labels_csv(assignment: ClusterAssignment, doc_ids, path) -> None:
-    """Dump the assignment as ``doc_id,label`` CSV (noise rendered as -1)."""
+    """Dump the assignment as ``doc_id,label`` CSV (noise as -1), quoting ids as ``csv`` does."""
     if len(doc_ids) != assignment.labels.shape[0]:
         raise ValueError("doc_ids length does not match label count")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doc_id,label\n")
-        for doc_id, label in zip(doc_ids, assignment.labels):
-            handle.write(f"{doc_id},{int(label)}\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("doc_id", "label"))
+        writer.writerows(zip(doc_ids, assignment.labels.tolist()))

@@ -7,6 +7,7 @@ what makes cosine-distance clustering productive afterwards.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,8 @@ def transform(model: KpcaModel, features: FeatureMatrix) -> Embedding:
 
 def write_embedding_csv(embedding: Embedding, path) -> None:
     """Dump coordinates as CSV: doc_id followed by the D components."""
-    n, dim = embedding.coords.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doc_id," + ",".join(f"c{d}" for d in range(dim)) + "\n")
-        for k in range(n):
-            row = ",".join(f"{v:.12g}" for v in embedding.coords[k])
-            handle.write(f"{embedding.doc_ids[k]},{row}\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["doc_id"] + [f"c{d}" for d in range(embedding.coords.shape[1])])
+        for doc_id, coords in zip(embedding.doc_ids, embedding.coords.tolist()):
+            writer.writerow([doc_id] + [f"{v:.12g}" for v in coords])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -66,22 +67,15 @@ def idf(vocab: Vocabulary, n_docs: int) -> np.ndarray:
     return np.log(float(n_docs) / vocab.doc_freq)
 
 
-def vectorize(
-    streams: list[TokenStream],
-    vocab: Vocabulary,
-    *,
-    n_docs: int | None = None,
-) -> FeatureMatrix:
+def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
     """Build the tf-idf matrix for a corpus against a vocabulary.
 
     tf is the term count divided by the document's total token count (all
     tokens, so out-of-vocabulary tokens still shrink tf of the rest).
-    ``n_docs`` defaults to ``len(streams)``; pass the training corpus size
-    when vectorizing new documents against a previously built vocabulary.
     """
     if not streams:
         raise ValueError("empty corpus")
-    idf_vec = idf(vocab, n_docs if n_docs is not None else len(streams))
+    idf_vec = idf(vocab, len(streams))
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -114,9 +108,9 @@ def write_matrix_csv(features: FeatureMatrix, path) -> None:
     """Sparse triplet dump: ``doc_id,term,weight``, one row per nonzero."""
     coo = features.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doc_id,term,weight\n")
-        for pos in order:
-            doc = features.doc_ids[coo.row[pos]]
-            term = features.vocab.terms[coo.col[pos]]
-            handle.write(f"{doc},{term},{coo.data[pos]:.12g}\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("doc_id", "term", "weight"))
+        rows = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
+        for row, col, weight in rows:
+            writer.writerow((features.doc_ids[row], features.vocab.terms[col], f"{weight:.12g}"))

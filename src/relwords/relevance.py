@@ -189,6 +189,19 @@ def compute_relevance(index: OccurrenceIndex, epsilon: float = DEFAULT_EPSILON) 
     )
 
 
+def _term_ranks(terms: Sequence[str]) -> np.ndarray:
+    """Each term's position in ascending term order."""
+    ranks = np.empty(len(terms), dtype=np.intp)
+    ranks[np.argsort(np.array(terms, dtype=str))] = np.arange(len(terms))
+    return ranks
+
+
+def _ranked(table: RelevanceTable, c: int, term_ranks: np.ndarray) -> np.ndarray:
+    """Term positions of cluster row ``c`` by score descending, ties by TPR
+    descending, then term ascending."""
+    return np.lexsort((term_ranks, -table.tpr[c], -table.r[c]))
+
+
 def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple[str, float]]:
     """Top-k terms for a cluster by score, descending.
 
@@ -196,20 +209,15 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     so the list may be shorter than k.
     """
     c = table.cluster_position(cluster)
-    scored = [
-        (term, float(table.r[c, i]), float(table.tpr[c, i]))
-        for i, term in enumerate(table.terms)
-        if table.r[c, i] > 0.0
-    ]
-    scored.sort(key=lambda row: (-row[1], -row[2], row[0]))
-    return [(term, score) for term, score, _ in scored[:k]]
+    n_positive = int(np.count_nonzero(table.r[c] > 0.0))
+    top = _ranked(table, c, _term_ranks(table.terms))[:n_positive][:k]
+    return [(table.terms[i], score) for i, score in zip(top.tolist(), table.r[c, top].tolist())]
 
 
 def contrast_relevance(
     streams: Sequence[TokenStream],
     groups: Sequence[str | None],
     *,
-    vocab: Vocabulary | None = None,
     epsilon: float = DEFAULT_EPSILON,
 ) -> RelevanceTable:
     """Relevance scores for a manual two-group split of the corpus.
@@ -223,8 +231,7 @@ def contrast_relevance(
     distinct = sorted(set(groups))
     if len(distinct) != 2:
         raise ValueError(f"need exactly 2 non-empty groups, got {len(distinct)}: {distinct}")
-    if vocab is None:
-        vocab = build_vocabulary(list(streams), min_df=1)
+    vocab = build_vocabulary(list(streams), min_df=1)
     index = build_occurrence_index(streams, vocab, list(groups))
     return compute_relevance(index, epsilon=epsilon)
 
@@ -235,16 +242,15 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     Rows sorted by cluster, then score descending (ties: TPR descending,
     term ascending) — the same order used for ranking.
     """
+    term_ranks = _term_ranks(table.terms)
+    columns = (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
-            order = sorted(
-                range(len(table.terms)),
-                key=lambda i: (-table.r[c, i], -table.tpr[c, i], table.terms[i]),
-            )
-            for i in order:
+            order = _ranked(table, c, term_ranks)
+            rows = zip(order.tolist(), *(column[c, order].tolist() for column in columns))
+            for i, tpr_value, fpr_value, r_diff, r_quot, r in rows:
                 handle.write(
-                    f"{cluster},{table.terms[i]},{table.tpr[c, i]:.12g},"
-                    f"{table.fpr[c, i]:.12g},{table.r_diff[c, i]:.12g},"
-                    f"{table.r_quot[c, i]:.12g},{table.r[c, i]:.12g}\n"
+                    f"{cluster},{table.terms[i]},{tpr_value:.12g},{fpr_value:.12g},"
+                    f"{r_diff:.12g},{r_quot:.12g},{r:.12g}\n"
                 )

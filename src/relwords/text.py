@@ -142,10 +142,24 @@ def apply_bigrams(stream: TokenStream, selected: Collection[tuple[str, str]]) ->
     return TokenStream(stream.doc_id, tuple(merged))
 
 
+_BIGRAMS_HEADER = "first,second,score\n"
+
+
 def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
-    """Debug dump of the selected bigrams as ``first,second,score`` CSV."""
+    """The selected bigrams as ``first,second,score`` CSV, best first."""
     rows = sorted(selected, key=lambda c: (-c.score, c.first, c.second))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("first,second,score\n")
+        handle.write(_BIGRAMS_HEADER)
         for cand in rows:
             handle.write(f"{cand.first},{cand.second},{cand.score:.12g}\n")
+
+
+def read_bigrams_csv(path) -> set[tuple[str, str]]:
+    """The ``(first, second)`` pairs of a ``write_bigrams_csv`` file.
+
+    Tokens are letters and digits only, so every row splits on ``,``.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as handle:
+        if handle.readline() != _BIGRAMS_HEADER:
+            raise ValueError(f"{path}: not a bigrams CSV (no first,second,score header)")
+        return {tuple(line.split(",", 2)[:2]) for line in handle}

@@ -1,12 +1,19 @@
+import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import relwords
+from relwords import pipeline
 from relwords.cli import main
 from relwords.corpus import Corpus, load_jsonl, save_jsonl
+from relwords.features import build_vocabulary
+from relwords.relevance import build_occurrence_index, compute_relevance, write_relevance_csv
 
 from corpora import planted_topic_corpus, trending_corpus
 
@@ -25,6 +32,34 @@ def run_dir(tmp_path_factory, corpus_file):
     code = main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)])
     assert code == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def phrase_run(tmp_path_factory):
+    """A run whose corpus has one distinctive bigram, "new york", in topic 0."""
+    corpus, _, _ = planted_topic_corpus()
+    docs = tuple(
+        replace(doc, text=f"New York {doc.text} new york") if doc.id.startswith("t0") else doc
+        for doc in corpus.docs
+    )
+    base = tmp_path_factory.mktemp("phrase")
+    save_jsonl(Corpus(docs), base / "corpus.jsonl")
+    outdir = base / "run"
+    assert main(["cluster", "--corpus", str(base / "corpus.jsonl"), "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+def read_commands(run, out):
+    """relevant, wordcloud and highlight on ``run``, writing into ``out``."""
+    return [
+        ["relevant", "--run", str(run), "--out", str(out / "relevance.csv")],
+        ["wordcloud", "--run", str(run), "--outdir", str(out)],
+        ["highlight", "--run", str(run), "--doc-id", "t0d00", "--out", str(out / "t0d00.html")],
+    ]
+
+
+def written(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 class TestIngest:
@@ -67,6 +102,8 @@ class TestCluster:
         labels = (run_dir / "labels.csv").read_text(encoding="utf-8").splitlines()
         assert labels[0] == "doc_id,label"
         assert len(labels) == 46
+        bigrams = (run_dir / "bigrams.csv").read_text(encoding="utf-8")
+        assert bigrams.startswith("first,second,score\n")
 
     def test_extreme_eps_all_noise(self, tmp_path, corpus_file, capsys):
         outdir = tmp_path / "run"
@@ -86,10 +123,98 @@ class TestCluster:
     def test_optional_dumps(self, tmp_path, corpus_file):
         outdir = tmp_path / "run"
         code = main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
-                     "--dump-matrix", "--dump-embedding", "--dump-bigrams"])
+                     "--dump-matrix", "--dump-embedding"])
         assert code == 0
-        for name in ("matrix.csv", "embedding.csv", "bigrams.csv"):
+        for name in ("matrix.csv", "embedding.csv"):
             assert (outdir / name).exists()
+
+
+class TestReadCommandsReuseRunBigrams:
+    def test_no_bigram_counting_scoring_or_selection(self, phrase_run, tmp_path, monkeypatch):
+        bigrams = (phrase_run / "bigrams.csv").read_text(encoding="utf-8")
+        assert bigrams.splitlines()[1].startswith("new,york,")
+        before, after = tmp_path / "before", tmp_path / "after"
+        before.mkdir()
+        after.mkdir()
+        for argv in read_commands(phrase_run, before):
+            assert main(argv) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run's bigrams are re-derived")
+
+        for name in ("count_corpus", "score_bigrams", "select_bigrams"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        for argv in read_commands(phrase_run, after):
+            assert main(argv) == 0
+        assert written(after) == written(before)
+
+    def test_relevance_same_as_from_the_clustering_streams(self, phrase_run, tmp_path):
+        corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
+        config = pipeline.PipelineConfig()
+        result = pipeline.run_clustering(corpus, config)
+        streams = list(result.streams)
+        vocab = build_vocabulary(streams, min_df=config.min_df)
+        index = build_occurrence_index(streams, vocab, list(result.assignment.labels))
+        expected = tmp_path / "expected.csv"
+        write_relevance_csv(compute_relevance(index, epsilon=config.epsilon), expected)
+        out = tmp_path / "relevance.csv"
+        assert main(["relevant", "--run", str(phrase_run), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert "new_york" in vocab.index
+
+    def test_run_without_bigrams_csv_rejected(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+        (outdir / "bigrams.csv").unlink()
+        capsys.readouterr()
+        for argv in read_commands(outdir, tmp_path):
+            assert main(argv) != 0
+            err = capsys.readouterr().err
+            assert "bigrams.csv" in err and "rerun cluster" in err
+
+
+class TestOddDocumentIds:
+    def test_ids_with_comma_quote_and_newline(self, tmp_path):
+        corpus, _, _ = planted_topic_corpus()
+        odd = {"t0d00": "a,b", "t1d00": 'say "hi"', "t2d00": "two\nlines"}
+        docs = tuple(replace(doc, id=odd.get(doc.id, doc.id)) for doc in corpus.docs)
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(Corpus(docs), corpus_path)
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_path), "--outdir", str(outdir),
+                     "--dump-matrix", "--dump-embedding"]) == 0
+        assert main(["relevant", "--run", str(outdir)]) == 0
+        for doc_id in odd.values():
+            code = main(["highlight", "--run", str(outdir), "--doc-id", doc_id,
+                         "--out", str(tmp_path / "doc.html")])
+            assert code == 0
+        ids = [doc.id for doc in docs]
+        first_columns = {}
+        for name in ("labels.csv", "matrix.csv", "embedding.csv"):
+            with open(outdir / name, encoding="utf-8", newline="") as handle:
+                first_columns[name] = [row[0] for row in list(csv.reader(handle))[1:]]
+        assert first_columns["labels.csv"] == ids
+        assert first_columns["embedding.csv"] == ids
+        assert set(first_columns["matrix.csv"]) == set(ids)
+
+
+def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
+    src = str(Path(relwords.__file__).resolve().parents[1])
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outdir = tmp_path / f"threads{threads}"
+        for argv in (["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)],
+                     ["relevant", "--run", str(outdir)],
+                     ["wordcloud", "--run", str(outdir)]):
+            subprocess.run([sys.executable, "-m", "relwords.cli", *argv],
+                           env=env, check=True, capture_output=True)
+        names = ["labels.csv", "bigrams.csv", "relevance.csv"]
+        names += sorted(path.name for path in outdir.glob("*.svg"))
+        artifacts[threads] = {name: (outdir / name).read_bytes() for name in names}
+    assert len(artifacts["1"]) == 6
+    assert artifacts["1"] == artifacts["2"]
 
 
 class TestRelevant:

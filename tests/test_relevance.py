@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ from relwords.text import TokenStream
 
 def stream(doc_id, *tokens):
     return TokenStream(doc_id, tuple(tokens))
+
+
+def csv_terms(table, cluster, tmp_path):
+    """The terms of ``cluster``'s rows in the relevance CSV, in row order."""
+    out = tmp_path / "relevance.csv"
+    write_relevance_csv(table, out)
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    return [term for c, term, *_ in rows if c == str(cluster)]
 
 
 def make_index(cluster_docs):
@@ -180,13 +189,14 @@ class TestRankTerms:
         ranked = rank_terms(table, 0, 5)
         assert ranked[0] == ("devos", 1.0)
 
-    def test_tie_broken_by_tpr_then_term(self):
+    def test_tie_broken_by_tpr_then_term(self, tmp_path):
         # high: in 9/10 target docs; low: in 7/10; both absent elsewhere get
         # r_quot 1, so r orders by the diff part, i.e. by TPR.
         target = [["high", "low"]] * 7 + [["high"]] * 2 + [["pad"]]
         table = compute_relevance(make_index({0: target, 1: [["pad"], ["pad"]]}))
         ranked = rank_terms(table, 0, 3)
         assert [t for t, _ in ranked[:2]] == ["high", "low"]
+        assert csv_terms(table, 0, tmp_path)[: len(ranked)] == [t for t, _ in ranked]
 
     def test_zero_scores_excluded_even_if_k_unreached(self):
         # every cluster-0 term occurs at the same rate in cluster 1, so no
@@ -197,12 +207,46 @@ class TestRankTerms:
         assert rank_terms(table, 0, 10) == []
         assert [t for t, _ in rank_terms(table, 1, 10)] == ["other"]
 
-    def test_lexicographic_tiebreak(self):
+    def test_lexicographic_tiebreak(self, tmp_path):
         table = compute_relevance(
             make_index({0: [["zeta", "alpha"], ["zeta", "alpha"]], 1: [["x"], ["x"]]})
         )
         ranked = rank_terms(table, 0, 2)
         assert [t for t, _ in ranked] == ["alpha", "zeta"]
+        assert csv_terms(table, 0, tmp_path)[:2] == ["alpha", "zeta"]
+
+    def test_tiebreak_by_term_when_terms_unsorted(self, tmp_path):
+        table = compute_relevance(
+            make_index({0: [["zeta", "alpha", "mid"]] * 2, 1: [["x"], ["x"]]})
+        )
+        columns = ("tpr", "fpr", "r_diff", "r_quot", "r")
+        reversed_table = replace(
+            table,
+            terms=table.terms[::-1],
+            **{name: getattr(table, name)[:, ::-1] for name in columns},
+        )
+        ranked = rank_terms(reversed_table, 0, 3)
+        assert ranked == rank_terms(table, 0, 3)
+        assert [t for t, _ in ranked] == ["alpha", "mid", "zeta"]
+        assert csv_terms(reversed_table, 0, tmp_path) == ["alpha", "mid", "zeta", "x"]
+
+    def test_order_matches_sorted_reference(self, tmp_path):
+        # few documents per cluster make many exact score and TPR ties
+        rng = np.random.default_rng(5)
+        words = [f"w{i:02d}" for i in range(40)]
+        index = make_index(
+            {c: [list(rng.choice(words, size=6)) for _ in range(4)] for c in range(3)}
+        )
+        table = compute_relevance(index)
+        for c in table.clusters:
+            row = table.cluster_position(c)
+            expected = sorted(
+                range(len(table.terms)),
+                key=lambda i: (-table.r[row, i], -table.tpr[row, i], table.terms[i]),
+            )
+            ranked = [(table.terms[i], float(table.r[row, i])) for i in expected if table.r[row, i] > 0]
+            assert rank_terms(table, c, len(table.terms)) == ranked
+            assert csv_terms(table, c, tmp_path) == [table.terms[i] for i in expected]
 
 
 class TestContrastRelevance:

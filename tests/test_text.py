@@ -4,10 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relwords.text import (
+    BigramCandidate,
     TokenStream,
     apply_bigrams,
     count_corpus,
     normalize_tokenize,
+    read_bigrams_csv,
     score_bigrams,
     select_bigrams,
     token_spans,
@@ -209,3 +211,25 @@ def test_bigrams_csv_dump(tmp_path):
     assert lines[0] == "first,second,score"
     assert lines[1].startswith("new,york,")
     assert len(lines) == 2
+
+
+def test_bigrams_csv_round_trip(tmp_path):
+    selected = [
+        BigramCandidate("new", "york", 9, 12.5),
+        BigramCandidate("são", "paulo", 7, 3.25),
+        BigramCandidate("i̇stanbul", "şehir", 6, 1e-7),
+        BigramCandidate("東京", "都", 6, 40.0),
+    ]
+    out = tmp_path / "bigrams.csv"
+    write_bigrams_csv(selected, out)
+    assert read_bigrams_csv(out) == {(c.first, c.second) for c in selected}
+
+
+def test_empty_bigram_selection_round_trip(tmp_path):
+    out = tmp_path / "bigrams.csv"
+    write_bigrams_csv([], out)
+    assert out.read_text(encoding="utf-8") == "first,second,score\n"
+    assert read_bigrams_csv(out) == set()
+    out.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="not a bigrams CSV"):
+        read_bigrams_csv(out)
