@@ -206,6 +206,10 @@ def cmd_relevant(args: argparse.Namespace) -> int:
 
 
 def cmd_wordcloud(args: argparse.Namespace) -> int:
+    if args.out and args.cluster is None:
+        raise ValueError("--out needs --cluster (without it, every cloud goes to --outdir)")
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     run = _load_run(args.run)
     table = run.table
     top_k = args.top if args.top is not None else run.config.top_k
@@ -220,7 +224,7 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
     written = []
     for cluster in clusters:
         ranked = rank_terms(table, cluster, top_k)
-        if args.out and args.cluster is not None:
+        if args.out:
             out = Path(args.out)
         else:
             out = outdir / f"cluster{cluster}.svg"

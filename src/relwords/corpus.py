@@ -101,8 +101,8 @@ def load_jsonl(
     """Read a JSON-lines corpus, preserving line order.
 
     Raises ValueError naming the offending line for malformed JSON, missing
-    or empty id/text fields, and unparseable dates; duplicate ids are
-    rejected with the id in the message.
+    or empty id/text fields, ids holding a carriage return, and unparseable
+    dates; duplicate ids are rejected with the id in the message.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -120,6 +120,12 @@ def load_jsonl(
                 if name not in record:
                     raise ValueError(f"{path}: line {lineno}: missing {name!r} field")
             doc_id = str(record[id_field])
+            if "\r" in doc_id:
+                # csv.writer leaves a bare "\r" unquoted, which would split
+                # this document's row in labels.csv.
+                raise ValueError(
+                    f"{path}: line {lineno}: document id holds a carriage return: {doc_id!r}"
+                )
             text = record[text_field]
             if not isinstance(text, str) or not text.strip():
                 raise ValueError(f"{path}: line {lineno}: empty {text_field!r} field")

@@ -81,3 +81,25 @@ def random_distance_matrix(seed: int) -> np.ndarray:
     dist = np.triu(dist, 1)
     dist = dist + dist.T
     return dist
+
+
+def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
+    """Textbook linear kernel PCA: the top ``k`` principal coordinates of the
+    rows of a dense matrix.
+
+    Double-centers the Gram matrix as H K H with H = I - 11^T / n,
+    eigendecomposes it, and returns sqrt(eigenvalue) * eigenvector per
+    component, each column's sign fixed so its largest-magnitude entry is
+    positive.
+    """
+    n = rows.shape[0]
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    kernel = centering @ (rows @ rows.T) @ centering
+    values, vectors = np.linalg.eigh(kernel)
+    order = np.argsort(values)[::-1][:k]
+    coords = vectors[:, order] * np.sqrt(values[order])
+    for d in range(k):
+        pivot = int(np.argmax(np.abs(coords[:, d])))
+        if coords[pivot, d] < 0:
+            coords[:, d] = -coords[:, d]
+    return coords

@@ -197,13 +197,34 @@ class TestOddDocumentIds:
         assert first_columns["embedding.csv"] == ids
         assert set(first_columns["matrix.csv"]) == set(ids)
 
+    def test_id_with_carriage_return_rejected_at_load(self, tmp_path, capsys):
+        # A bare "\r" would be written unquoted to labels.csv and split the
+        # row on reading, so such an id is refused before anything is written.
+        corpus, _, _ = planted_topic_corpus()
+        docs = tuple(replace(doc, id="a\rb") if doc.id == "t1d03" else doc for doc in corpus.docs)
+        line = 1 + [doc.id for doc in docs].index("a\rb")
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(Corpus(docs), corpus_path)
+        outdir = tmp_path / "run"
+        code = main(["cluster", "--corpus", str(corpus_path), "--outdir", str(outdir)])
+        assert code != 0
+        assert f"line {line}: document id holds a carriage return" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def subprocess_env(**variables):
+    """This environment plus ``variables``, with the imported ``relwords``
+    first on PYTHONPATH so ``python -m relwords.cli`` finds the same code."""
+    src = str(Path(relwords.__file__).resolve().parents[1])
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
+
 
 def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
-    src = str(Path(relwords.__file__).resolve().parents[1])
     artifacts = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outdir = tmp_path / f"threads{threads}"
         for argv in (["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)],
                      ["relevant", "--run", str(outdir)],
@@ -263,6 +284,21 @@ class TestWordcloud:
                      "--out", str(tmp_path / "x.svg")])
         assert code != 0
         assert "no such cluster" in capsys.readouterr().err
+
+    def test_out_without_cluster_rejected(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        code = main(["wordcloud", "--run", str(run_dir), "--outdir", str(tmp_path),
+                     "--out", str(out)])
+        assert code != 0
+        assert "--out needs --cluster" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.glob("*.svg"))
+
+    def test_top_below_one_rejected(self, run_dir, tmp_path, capsys):
+        code = main(["wordcloud", "--run", str(run_dir), "--cluster", "0", "--top", "0",
+                     "--out", str(tmp_path / "x.svg")])
+        assert code != 0
+        assert "--top must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestContrast:
@@ -348,6 +384,7 @@ class TestFetch:
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "relwords.cli", "--version"],
+        env=subprocess_env(),
         capture_output=True,
         text=True,
     )

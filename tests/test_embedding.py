@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from relwords.embedding import fit_kpca, transform, write_embedding_csv
+from relwords.embedding import DualKpca, PrimalKpca, fit_kpca, transform, write_embedding_csv
 from relwords.features import FeatureMatrix, Vocabulary
+
+from oracles import kpca_reference
 
 
 def make_feature_matrix(rows: np.ndarray, prefix: str = "d") -> FeatureMatrix:
@@ -66,10 +70,12 @@ class TestFitKpca:
 
     def test_component_cap_applies(self):
         rng = np.random.default_rng(0)
-        fm = make_feature_matrix(random_tfidf(rng, 40, 60))
-        model = fit_kpca(fm, max_components=10)
+        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 40, 60)), max_components=10)
         assert model.eigenvalues.shape == (10,)
         assert model.dual_coef.shape == (40, 10)
+        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 60, 40)), max_components=10)
+        assert model.eigenvalues.shape == (10,)
+        assert model.axes.shape == (40, 10)
 
     def test_default_cap_on_large_corpus(self):
         rng = np.random.default_rng(10)
@@ -91,18 +97,71 @@ class TestFitKpca:
         assert np.all(np.diff(model.eigenvalues) <= 0)
 
     def test_dual_coefficient_normalization(self):
+        # N <= T: eigenvalue * ||dual coefficient column||^2 == 1.
         rng = np.random.default_rng(3)
         model = fit_kpca(make_feature_matrix(random_tfidf(rng, 20, 30)))
+        assert isinstance(model, DualKpca)
         norms = model.eigenvalues * np.sum(model.dual_coef**2, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+        # T < N: the term-space axes are orthonormal.
+        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 30, 20)))
+        assert isinstance(model, PrimalKpca)
+        gram = model.axes.T @ model.axes
+        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
 
     def test_refit_is_bitwise_reproducible(self):
         rng = np.random.default_rng(4)
-        rows = random_tfidf(rng, 15, 25)
-        first = fit_kpca(make_feature_matrix(rows))
-        second = fit_kpca(make_feature_matrix(rows))
-        assert np.array_equal(first.dual_coef, second.dual_coef)
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        for n, t in ((15, 25), (25, 15)):
+            rows = random_tfidf(rng, n, t)
+            first = fit_kpca(make_feature_matrix(rows))
+            second = fit_kpca(make_feature_matrix(rows))
+            assert type(first) is type(second)
+            for field in fields(first):
+                value = getattr(first, field.name)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(second, field.name)), field.name
+
+    def test_primal_model_holds_nothing_per_document(self):
+        # T < N: the fitted model is O(T * k); no array has one row per
+        # training document and the training matrix is not kept.
+        rng = np.random.default_rng(11)
+        n = 90
+        model = fit_kpca(make_feature_matrix(random_tfidf(rng, n, 40)))
+        for field in fields(model):
+            value = getattr(model, field.name)
+            assert not isinstance(value, FeatureMatrix) and not sparse.issparse(value), field.name
+            assert np.shape(value)[:1] != (n,), field.name
+
+
+class TestShortSide:
+    """The eigenproblem is solved on the N x N Gram when N <= T and on the
+    T x T covariance when T < N; both must give the textbook coordinates."""
+
+    @pytest.mark.parametrize("n, t", [(30, 50), (70, 25)])
+    def test_matches_textbook_reference(self, n, t):
+        rng = np.random.default_rng(n * 1000 + t)
+        rows = random_tfidf(rng, n, t)
+        fm = make_feature_matrix(rows)
+        model = fit_kpca(fm, max_components=min(n, t))
+        assert isinstance(model, DualKpca if n <= t else PrimalKpca)
+        coords = transform(model, fm).coords
+        reference = kpca_reference(rows, coords.shape[1])
+        assert coords.shape == (n, min(n - 1, t))
+        np.testing.assert_allclose(coords, reference, rtol=0, atol=1e-9)
+
+    def test_more_documents_than_terms_reconstruction(self):
+        rng = np.random.default_rng(12)
+        n, t = 120, 35
+        rows = random_tfidf(rng, n, t)
+        rows[n // 2] = rows[n // 3]  # plant a duplicate document
+        fm = make_feature_matrix(rows)
+        model = fit_kpca(fm, max_components=n)
+        assert isinstance(model, PrimalKpca)
+        coords = transform(model, fm).coords
+        reference = centered_gram(rows)
+        err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
+        assert err <= 1e-8
+        assert np.array_equal(coords[n // 2], coords[n // 3])
 
 
 class TestTransform:
