@@ -8,7 +8,7 @@ reproducible artifacts.
 
 __version__ = "0.1.0"
 
-from .clustering import NOISE, ClusterAssignment, cosine_distance, dbscan, pairwise_distances
+from .clustering import NOISE, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import (
     Corpus,
     Document,
@@ -77,7 +77,6 @@ __all__ = [
     "build_vocabulary",
     "compute_relevance",
     "contrast_relevance",
-    "cosine_distance",
     "count_corpus",
     "dbscan",
     "fetch_archive",

@@ -34,20 +34,6 @@ class ClusterAssignment:
         return np.flatnonzero(self.labels == cluster)
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 minus the cosine similarity of two vectors, in [0, 2]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} != {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a < _NORM_FLOOR or norm_b < _NORM_FLOOR:
-        return 1.0
-    distance = 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
-    return min(2.0, max(0.0, distance))
-
-
 def pairwise_distances(embedding: Embedding) -> np.ndarray:
     """Full symmetric matrix of cosine distances between embedding rows.
 

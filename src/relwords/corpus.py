@@ -100,9 +100,9 @@ def load_jsonl(
 ) -> Corpus:
     """Read a JSON-lines corpus, preserving line order.
 
-    Raises ValueError naming the offending line for malformed JSON, missing
-    or empty id/text fields, ids holding a carriage return, and unparseable
-    dates; duplicate ids are rejected with the id in the message.
+    Raises ValueError naming the offending line for malformed JSON, missing,
+    null or empty id/text fields, ids holding a carriage return, and
+    unparseable dates; duplicate ids are rejected with the id in the message.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -119,6 +119,8 @@ def load_jsonl(
             for name in (id_field, text_field):
                 if name not in record:
                     raise ValueError(f"{path}: line {lineno}: missing {name!r} field")
+            if record[id_field] in (None, ""):
+                raise ValueError(f"{path}: line {lineno}: empty {id_field!r} field")
             doc_id = str(record[id_field])
             if "\r" in doc_id:
                 # csv.writer leaves a bare "\r" unquoted, which would split

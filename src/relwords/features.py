@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,31 @@ def idf(vocab: Vocabulary, n_docs: int) -> np.ndarray:
     return np.log(float(n_docs) / vocab.doc_freq)
 
 
+def term_counts(streams: Sequence[TokenStream], index: Mapping[str, int]) -> sparse.csr_matrix:
+    """N x len(index) int64 counts of the tokens found in ``index``; row k is ``streams[k]``."""
+    lengths = [len(stream.tokens) for stream in streams]
+    cols = np.fromiter((index.get(t, -1) for s in streams for t in s.tokens), np.int32, sum(lengths))
+    kept = cols >= 0
+    # Tokens come in row order, so a row starts after the kept tokens of the rows before it.
+    kept_before = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    indptr = kept_before[np.cumsum([0] + lengths)]
+    ones = np.ones(indptr[-1], dtype=np.int64)
+    counts = sparse.csr_matrix((ones, cols[kept], indptr), shape=(len(streams), len(index)))
+    counts.sum_duplicates()
+    return counts
+
+
+def group_doc_freq(counts: sparse.csr_matrix, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, columns) int64: per group, how many of its rows have a
+    nonzero count in each column. Row k of ``counts`` is in group
+    ``groups[k]``; rows of a negative group count nowhere."""
+    rows = np.flatnonzero(groups >= 0)
+    ones = np.ones(rows.size, dtype=np.int64)
+    members = sparse.csr_matrix((ones, (groups[rows], rows)), shape=(n_groups, counts.shape[0]))
+    return (members @ counts.sign()).toarray()
+
+
 def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
     """Build the tf-idf matrix for a corpus against a vocabulary.
 
@@ -75,32 +101,18 @@ def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
     """
     if not streams:
         raise ValueError("empty corpus")
-    idf_vec = idf(vocab, len(streams))
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    empty_docs: list[str] = []
-    for k, stream in enumerate(streams):
-        total = len(stream.tokens)
-        counts = Counter(t for t in stream.tokens if t in vocab.index)
-        if not counts:
-            empty_docs.append(stream.doc_id)
-            continue
-        for term in sorted(counts):
-            col = vocab.index[term]
-            weight = (counts[term] / total) * idf_vec[col]
-            if weight != 0.0:
-                rows.append(k)
-                cols.append(col)
-                vals.append(weight)
+    counts = term_counts(streams, vocab.index)
+    per_row = np.diff(counts.indptr)
+    empty_docs = [streams[k].doc_id for k in np.flatnonzero(per_row == 0).tolist()]
     if empty_docs:
         warnings.warn(
             "documents with no in-vocabulary tokens (zero feature vectors): "
             + ", ".join(empty_docs)
         )
-    matrix = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(streams), len(vocab.terms)), dtype=np.float64
-    )
+    totals = np.repeat(np.array([len(s.tokens) for s in streams], dtype=np.int64), per_row)
+    weights = counts.data / totals * idf(vocab, len(streams))[counts.indices]
+    matrix = sparse.csr_matrix((weights, counts.indices, counts.indptr), shape=counts.shape)
+    matrix.eliminate_zeros()
     return FeatureMatrix(matrix=matrix, vocab=vocab, doc_ids=tuple(s.doc_id for s in streams))
 
 

@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .clustering import NOISE
-from .features import Vocabulary, build_vocabulary
+from .features import Vocabulary, build_vocabulary, group_doc_freq, term_counts
 from .text import TokenStream
 
 DEFAULT_EPSILON = 1e-8
@@ -95,17 +95,9 @@ def build_occurrence_index(
     if not kept:
         raise ValueError("no clusters to score (all documents are noise)")
     positions = {label: c for c, label in enumerate(kept)}
-    counts = np.zeros((len(kept), len(vocab.terms)), dtype=np.int64)
-    sizes = np.zeros(len(kept), dtype=np.int64)
-    for stream, label in zip(streams, labels):
-        if label == NOISE:
-            continue
-        c = positions[label]
-        sizes[c] += 1
-        for term in set(stream.tokens):
-            col = vocab.index.get(term)
-            if col is not None:
-                counts[c, col] += 1
+    groups = np.array([positions.get(label, NOISE) for label in labels], dtype=np.int64)
+    counts = group_doc_freq(term_counts(streams, vocab.index), groups, len(kept))
+    sizes = np.bincount(groups[groups != NOISE], minlength=len(kept))
     return OccurrenceIndex(
         terms=vocab.terms, clusters=tuple(kept), counts=counts, sizes=sizes
     )

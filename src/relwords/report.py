@@ -21,6 +21,7 @@ from xml.sax.saxutils import escape as xml_escape
 import numpy as np
 
 from .corpus import Corpus, Document
+from .features import group_doc_freq, term_counts
 from .relevance import ClusterKey, RelevanceTable
 from .text import JOINER, TokenStream, token_spans
 
@@ -284,10 +285,17 @@ def term_trends(
 ) -> TrendTable:
     """Document-occurrence counts of selected terms per day or week.
 
+    Terms are lowercased as tokens are, and a term given twice is rejected.
     Buckets cover the corpus time span contiguously, including empty ones;
     the rate is the fraction of that bucket's documents containing the term
     (0 for empty buckets).
     """
+    term_rows: dict[str, int] = {}
+    for term in terms:
+        term = term.lower()
+        if term in term_rows:
+            raise ValueError(f"duplicate trend term: {term!r}")
+        term_rows[term] = len(term_rows)
     missing = [doc.id for doc in corpus.docs if doc.timestamp is None]
     if missing:
         raise ValueError(f"documents without timestamps: {', '.join(missing)}")
@@ -299,20 +307,13 @@ def term_trends(
     while cursor <= last:
         starts.append(cursor)
         cursor += step
-    position = {start: b for b, start in enumerate(starts)}
-
-    totals = np.zeros(len(starts), dtype=np.int64)
-    counts = np.zeros((len(terms), len(starts)), dtype=np.int64)
-    term_rows = {term: i for i, term in enumerate(terms)}
-    for doc_bucket, stream in zip(doc_buckets, streams):
-        b = position[doc_bucket]
-        totals[b] += 1
-        for term in set(stream.tokens) & term_rows.keys():
-            counts[term_rows[term], b] += 1
+    bucket_of = np.array([(b - first) // step for b in doc_buckets], dtype=np.int64)
+    totals = np.bincount(bucket_of, minlength=len(starts))
+    counts = group_doc_freq(term_counts(streams, term_rows), bucket_of, len(starts)).T
     safe_totals = np.where(totals == 0, 1, totals)
     rates = counts / safe_totals
     return TrendTable(
-        terms=tuple(terms),
+        terms=tuple(term_rows),
         bucket=bucket,
         starts=tuple(starts),
         totals=totals,

@@ -6,7 +6,10 @@ code with the library.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
+from scipy import sparse
 
 NOISE = -1
 
@@ -43,6 +46,47 @@ def dbscan_reference(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if adjacent_cores.size:
             labels[point] = labels[adjacent_cores].min()
     return labels
+
+
+def vectorize_reference(streams, vocab) -> sparse.csr_matrix:
+    """tf-idf by a per-document Counter: weight (count / total tokens) *
+    ln(N / doc_freq) per in-vocabulary term, zero weights left out."""
+    idf = np.log(float(len(streams)) / vocab.doc_freq)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for k, stream in enumerate(streams):
+        total = len(stream.tokens)
+        counts = Counter(t for t in stream.tokens if t in vocab.index)
+        for term in sorted(counts):
+            col = vocab.index[term]
+            weight = (counts[term] / total) * idf[col]
+            if weight != 0.0:
+                rows.append(k)
+                cols.append(col)
+                vals.append(weight)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(streams), len(vocab.terms)), dtype=np.float64
+    )
+
+
+def occurrence_reference(streams, vocab, labels):
+    """(clusters, counts, sizes) by one increment per (document, distinct
+    term); NOISE documents are left out and clusters are the sorted labels."""
+    kept = sorted({label for label in labels if label != NOISE})
+    positions = {label: c for c, label in enumerate(kept)}
+    counts = np.zeros((len(kept), len(vocab.terms)), dtype=np.int64)
+    sizes = np.zeros(len(kept), dtype=np.int64)
+    for stream, label in zip(streams, labels):
+        if label == NOISE:
+            continue
+        c = positions[label]
+        sizes[c] += 1
+        for term in set(stream.tokens):
+            col = vocab.index.get(term)
+            if col is not None:
+                counts[c, col] += 1
+    return tuple(kept), counts, sizes
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset[frozenset[int]], frozenset[int]]:

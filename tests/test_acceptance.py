@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from relwords.cli import main
-from relwords.clustering import NOISE, cosine_distance, dbscan
+from relwords.clustering import NOISE, dbscan, pairwise_distances
 from relwords.corpus import save_jsonl, split_by_period
-from relwords.embedding import fit_kpca, transform
+from relwords.embedding import Embedding, fit_kpca, transform
 from relwords.features import build_vocabulary, idf
 from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
 from relwords.relevance import (
@@ -165,11 +165,12 @@ def test_formula_exactness():
     expected = 0.1 + math.sqrt(0.02 / 3)
     assert abs(fpr(index, "target", "w") - expected) <= 1e-12
 
-    v = np.array([3.0, 4.0])
-    orthogonal = np.array([-4.0, 3.0])
-    assert cosine_distance(v, v) == 0.0
-    assert cosine_distance(v, orthogonal) == 1.0
-    assert cosine_distance(v, -v) == 2.0
+    v = [3.0, 4.0]
+    rows = np.array([v, v, [-4.0, 3.0], [-3.0, -4.0]])  # v, v, orthogonal, -v
+    dist = pairwise_distances(Embedding(coords=rows, doc_ids=("v", "w", "o", "n")))
+    assert dist[0, 1] == 0.0
+    assert dist[0, 2] == 1.0
+    assert dist[0, 3] == 2.0
 
 
 def _index_with_other_tprs():

@@ -407,3 +407,13 @@ class TestTrends:
         trend_rows = [l for l in lines[1:] if l.startswith(trend_words[0] + ",2017-01-0")]
         # the trend word never occurs before the boundary
         assert all(row.split(",")[2] == "0" for row in trend_rows)
+
+    def test_duplicate_terms_fail_naming_the_term(self, tmp_path, capsys):
+        corpus, trend_words, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        word = trend_words[0]
+        code = main(["trends", "--corpus", str(corpus_path),
+                     "--terms", f"{word},{word.upper()}", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert f"duplicate trend term: {word!r}" in capsys.readouterr().err

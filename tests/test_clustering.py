@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from relwords.clustering import (
     NOISE,
-    cosine_distance,
     dbscan,
     pairwise_distances,
     write_labels_csv,
@@ -21,23 +20,28 @@ def embedding_of(rows):
 
 
 class TestCosineDistance:
+    """The cosine distance of two rows, as ``pairwise_distances`` computes it."""
+
     def test_identical_vectors(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-15)
+        v = [0.3, -1.2, 4.0]
+        assert pairwise_distances(embedding_of([v, v]))[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_vectors(self):
-        assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 1.0
+        assert pairwise_distances(embedding_of([[1.0, 0.0], [0.0, 2.0]]))[0, 1] == 1.0
 
     def test_opposite_vectors(self):
         v = np.array([1.5, -2.0])
-        assert cosine_distance(v, -v) == pytest.approx(2.0, abs=1e-15)
+        assert pairwise_distances(embedding_of([v, -v]))[0, 1] == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_vector_convention(self):
-        assert cosine_distance(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine_distance(np.ones(2), np.ones(3))
+        # a zero-norm row is at distance 1 from every other row, another
+        # zero row included, and at distance 0 from itself
+        zero, v = [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]
+        dist = pairwise_distances(embedding_of([zero, v, zero, [-1.0, -2.0, -3.0]]))
+        assert dist[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert dist[2].tolist() == [1.0, 1.0, 0.0, 1.0]
+        assert dist[:, 0].tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert np.diag(dist).tolist() == [0.0] * 4
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -45,10 +49,9 @@ class TestCosineDistance:
         b=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
     )
     def test_bounds_and_symmetry(self, a, b):
-        a, b = np.array(a), np.array(b)
-        d = cosine_distance(a, b)
-        assert -1e-12 <= d <= 2.0 + 1e-12
-        assert d == cosine_distance(b, a)
+        dist = pairwise_distances(embedding_of([a, b]))
+        assert 0.0 <= dist[0, 1] <= 2.0
+        assert dist[0, 1] == dist[1, 0]
 
 
 class TestPairwiseDistances:

@@ -64,6 +64,13 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match="line 1"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("bad_id", ["", None])
+    def test_empty_or_null_id_cites_line(self, tmp_path, bad_id):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "a", "text": "ok"}, {"id": bad_id, "text": "ok"}])
+        with pytest.raises(ValueError, match=r"corpus\.jsonl: line 2: empty 'id' field"):
+            load_jsonl(path)
+
     def test_configurable_field_names(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [{"key": "a", "body": "hello", "when": "2017-01-05"}])

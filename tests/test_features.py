@@ -1,10 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from relwords.features import build_vocabulary, idf, vectorize, write_matrix_csv
+from relwords.clustering import NOISE
+from relwords.features import build_vocabulary, idf, term_counts, vectorize, write_matrix_csv
+from relwords.relevance import build_occurrence_index
 from relwords.text import TokenStream
+
+from oracles import occurrence_reference, vectorize_reference
 
 
 def stream(doc_id, *tokens):
@@ -119,6 +126,61 @@ class TestVectorize:
         forward = vectorize(streams, vocab).matrix.toarray()
         backward = vectorize(list(reversed(streams)), vocab).matrix.toarray()
         assert np.array_equal(backward, forward[::-1])
+
+
+class TestTermCounts:
+    def test_counts_in_stream_order(self):
+        streams = [stream("1", "b", "a", "b"), stream("2"), stream("3", "x", "a")]
+        counts = term_counts(streams, {"a": 0, "b": 1})
+        assert counts.shape == (3, 2)
+        assert counts.dtype == np.int64
+        assert counts.toarray().tolist() == [[1, 2], [0, 0], [1, 0]]
+
+
+def csr_arrays(matrix):
+    return [(a.dtype, a.tobytes()) for a in (matrix.indptr, matrix.indices, matrix.data)]
+
+
+# Small alphabets so that repeated tokens, empty streams, terms present in
+# every document (idf 0) and, with min_df > 1, out-of-vocabulary tokens all
+# turn up.
+token_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=12)
+
+
+def streams_and_vocab(docs, min_df):
+    streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
+    try:
+        return streams, build_vocabulary(streams, min_df=min_df)
+    except ValueError:
+        assume(False)
+
+
+class TestCountsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(docs=token_lists, min_df=st.integers(1, 3))
+    def test_vectorize_bitwise(self, docs, min_df):
+        streams, vocab = streams_and_vocab(docs, min_df)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            matrix = vectorize(streams, vocab).matrix
+        assert csr_arrays(matrix) == csr_arrays(vectorize_reference(streams, vocab))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=token_lists,
+        min_df=st.integers(1, 3),
+        label_pool=st.sampled_from([[NOISE, 0, 1, 2], ["after", "before"]]),
+        data=st.data(),
+    )
+    def test_occurrence_index_exact(self, docs, min_df, label_pool, data):
+        streams, vocab = streams_and_vocab(docs, min_df)
+        labels = data.draw(st.lists(st.sampled_from(label_pool), min_size=len(docs), max_size=len(docs)))
+        assume(any(label != NOISE for label in labels))
+        index = build_occurrence_index(streams, vocab, labels)
+        clusters, counts, sizes = occurrence_reference(streams, vocab, labels)
+        assert index.clusters == clusters
+        assert index.counts.dtype == counts.dtype and np.array_equal(index.counts, counts)
+        assert index.sizes.dtype == sizes.dtype and np.array_equal(index.sizes, sizes)
 
 
 def test_matrix_csv_dump(tmp_path):

@@ -300,6 +300,22 @@ class TestTermTrends:
         with pytest.raises(ValueError, match="undated"):
             term_trends(corpus, [normalize_tokenize("x", "undated")], ["x"])
 
+    def test_terms_are_lowercased_like_tokens(self):
+        corpus = Corpus(
+            (dated_doc("a", "Trump speech", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
+        )
+        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        table = term_trends(corpus, streams, ["Trump", "CALM"], bucket="day")
+        assert table.terms == ("trump", "calm")
+        assert table.counts.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("terms", [["trump", "trump"], ["trump", "Trump"]])
+    def test_duplicate_term_rejected_by_name(self, terms):
+        corpus = Corpus((dated_doc("a", "trump", "2017-01-20"),))
+        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        with pytest.raises(ValueError, match="duplicate trend term: 'trump'"):
+            term_trends(corpus, streams, terms)
+
     def test_csv_dump(self, tmp_path):
         corpus = Corpus(
             (dated_doc("a", "trump", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
