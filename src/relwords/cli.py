@@ -64,37 +64,33 @@ def corpus_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# Flag -> (PipelineConfig field, type, help). Each command takes the flags
+# of the fields it reads.
+CONFIG_FLAGS = {
+    "--min-df": ("min_df", int, "drop terms in fewer documents than this"),
+    "--delta": ("bigram_discount", int, "bigram count discount"),
+    "--seed": ("bigram_seed", int, "seed for the bigram baseline sampling"),
+    "--components": ("kpca_components", int, "max kernel-PCA components"),
+    "--eps": ("eps", float, "DBSCAN cosine-distance threshold"),
+    "--min-pts": ("min_pts", int, "DBSCAN minimum neighborhood size (point included)"),
+    "--epsilon": ("epsilon", float, "FPR floor in the quotient score"),
+    "--top-k": ("top_k", int, "words per word cloud / ranking"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
     defaults = PipelineConfig()
-    parser.add_argument("--min-df", type=int, default=defaults.min_df,
-                        help="drop terms in fewer documents than this")
-    parser.add_argument("--delta", type=int, default=defaults.bigram_discount,
-                        help="bigram count discount")
-    parser.add_argument("--seed", type=int, default=defaults.bigram_seed,
-                        help="seed for the bigram baseline sampling")
-    parser.add_argument("--components", type=int, default=defaults.kpca_components,
-                        help="max kernel-PCA components")
-    parser.add_argument("--eps", type=float, default=defaults.eps,
-                        help="DBSCAN cosine-distance threshold")
-    parser.add_argument("--min-pts", type=int, default=defaults.min_pts,
-                        help="DBSCAN minimum neighborhood size (point included)")
-    parser.add_argument("--epsilon", type=float, default=defaults.epsilon,
-                        help="FPR floor in the quotient score")
-    parser.add_argument("--top-k", type=int, default=defaults.top_k,
-                        help="words per word cloud / ranking")
+    for flag in flags:
+        field, kind, text = CONFIG_FLAGS[flag]
+        parser.add_argument(flag, dest=field, type=kind, default=getattr(defaults, field), help=text)
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig(
-        min_df=args.min_df,
-        bigram_discount=args.delta,
-        bigram_seed=args.seed,
-        kpca_components=args.components,
-        eps=args.eps,
-        min_pts=args.min_pts,
-        epsilon=args.epsilon,
-        top_k=args.top_k,
-    )
+    """The config of the flags ``args`` holds; fields without a flag keep
+    their defaults."""
+    config = PipelineConfig(**{
+        field: getattr(args, field) for field, _, _ in CONFIG_FLAGS.values() if hasattr(args, field)
+    })
     config.validate()
     return config
 
@@ -312,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="run the clustering pipeline and persist a run")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, *CONFIG_FLAGS)
     p.add_argument("--dump-matrix", action="store_true")
     p.add_argument("--dump-embedding", action="store_true")
     p.set_defaults(func=cmd_cluster)
@@ -330,11 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None, help="output directory (default: the run dir)")
     p.set_defaults(func=cmd_wordcloud)
 
-    p = sub.add_parser("contrast", help="two-period contrast cloud around a boundary date")
+    # no abbreviations: "--eps" would be taken as "--epsilon"
+    p = sub.add_parser("contrast", help="two-period contrast cloud around a boundary date",
+                       allow_abbrev=False)
     p.add_argument("--corpus", required=True)
     p.add_argument("--boundary", required=True, help="ISO date; documents on/after it are 'after'")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "--delta", "--seed", "--epsilon", "--top-k")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("highlight", help="render one document with relevant words marked")
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True, help="comma-separated terms")
     p.add_argument("--by", choices=("day", "week"), default="day")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "--delta", "--seed")
     p.set_defaults(func=cmd_trends)
 
     return parser

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +23,20 @@ _NORM_FLOOR = 1e-12
 class ClusterAssignment:
     """Per-document cluster labels; NOISE (-1) marks unassigned documents.
 
-    Cluster ids are contiguous from 0 in order of discovery.
+    Cluster ids are contiguous from 0, numbered by each cluster's smallest
+    core point.
     """
 
     labels: np.ndarray
     n_clusters: int
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cluster)
-
 
 def pairwise_distances(embedding: Embedding) -> np.ndarray:
     """Full symmetric matrix of cosine distances between embedding rows.
 
-    Entries lie in [0, 2] with an exactly-zero diagonal; each unordered pair
-    is computed once and mirrored, so symmetry is exact.
+    Entries lie in [0, 2] with an exactly-zero diagonal. ``unit @ unit.T``
+    computes each unordered pair once and mirrors it (BLAS ``syrk``), so
+    symmetry is exact.
     """
     coords = embedding.coords
     n = coords.shape[0]
@@ -50,10 +48,9 @@ def pairwise_distances(embedding: Embedding) -> np.ndarray:
     sim = unit @ unit.T
     sim[norms < _NORM_FLOOR, :] = 0.0
     sim[:, norms < _NORM_FLOOR] = 0.0
-    dist = 1.0 - sim
+    dist = np.subtract(1.0, sim, out=sim)
     np.clip(dist, 0.0, 2.0, out=dist)
-    dist = np.triu(dist, 1)
-    dist = dist + dist.T
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 
@@ -62,14 +59,15 @@ def dbscan(
     eps: float = DEFAULT_EPS,
     min_pts: int = DEFAULT_MIN_PTS,
 ) -> ClusterAssignment:
-    """Density-based clustering on a precomputed distance matrix.
+    """Density-based clustering on a precomputed symmetric distance matrix.
 
-    A point is core iff its eps-neighborhood (itself included) holds at least
-    ``min_pts`` points; clusters are the maximal density-connected sets and
-    non-core points within eps of a core join that core's cluster. Points are
-    seeded in index order and expansion is breadth-first in index order, so a
-    border point reachable from several clusters joins the first one
-    discovered — the assignment is fully deterministic.
+    A point is core iff its eps-neighborhood (itself included, a distance
+    of exactly eps counts) holds at least ``min_pts`` points. Clusters are
+    the connected components of the core points, numbered by their smallest
+    core point; a border point joins the smallest-numbered cluster among its
+    core neighbours, and a point with no core neighbour is noise. This is
+    what seeding in index order with breadth-first expansion assigns, so the
+    assignment is fully deterministic.
     """
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -78,32 +76,28 @@ def dbscan(
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = dist.shape[0]
-    labels = np.full(n, NOISE, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    cluster = 0
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        neighborhood = np.flatnonzero(dist[seed] <= eps)
-        if neighborhood.size < min_pts:
-            continue
-        labels[seed] = cluster
-        queue = deque(int(j) for j in neighborhood if j != seed)
-        while queue:
-            point = queue.popleft()
-            if labels[point] == NOISE:
-                labels[point] = cluster
-            if visited[point]:
-                continue
-            visited[point] = True
-            expansion = np.flatnonzero(dist[point] <= eps)
-            if expansion.size >= min_pts:
-                queue.extend(
-                    int(q) for q in expansion if not visited[q] or labels[q] == NOISE
-                )
-        cluster += 1
-    return ClusterAssignment(labels=labels, n_clusters=cluster)
+    within = dist <= eps
+    core = np.count_nonzero(within, axis=1) >= min_pts
+    within &= core
+    point, neighbour = np.nonzero(within)
+    # root[p]: the smallest core index found so far in p's cluster (for a
+    # border point, in any cluster that reaches it), or the sentinel n, its
+    # own root, while none is found. Each round takes the minimum over the
+    # core neighbours, then jumps one pointer.
+    root = np.append(np.where(core, np.arange(n), n), n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, point, root[neighbour])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    root = root[:n]
+    roots, labels = np.unique(root, return_inverse=True)
+    labels[root == n] = NOISE
+    return ClusterAssignment(
+        labels=labels.astype(np.int64, copy=False), n_clusters=int(np.count_nonzero(roots < n))
+    )
 
 
 def write_labels_csv(assignment: ClusterAssignment, doc_ids, path) -> None:

@@ -6,7 +6,7 @@ code with the library.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +46,40 @@ def dbscan_reference(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         if adjacent_cores.size:
             labels[point] = labels[adjacent_cores].min()
     return labels
+
+
+def dbscan_index_order(dist: np.ndarray, eps: float, min_pts: int) -> tuple[np.ndarray, int]:
+    """(labels, n_clusters) of DBSCAN seeded in index order with breadth-first
+    expansion in index order: cluster ids count up in discovery order, and a
+    border point reachable from several clusters joins the first one that
+    reaches it."""
+    n = dist.shape[0]
+    labels = np.full(n, NOISE, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    cluster = 0
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        neighborhood = np.flatnonzero(dist[seed] <= eps)
+        if neighborhood.size < min_pts:
+            continue
+        labels[seed] = cluster
+        queue = deque(int(j) for j in neighborhood if j != seed)
+        while queue:
+            point = queue.popleft()
+            if labels[point] == NOISE:
+                labels[point] = cluster
+            if visited[point]:
+                continue
+            visited[point] = True
+            expansion = np.flatnonzero(dist[point] <= eps)
+            if expansion.size >= min_pts:
+                queue.extend(
+                    int(q) for q in expansion if not visited[q] or labels[q] == NOISE
+                )
+        cluster += 1
+    return labels, cluster
 
 
 def vectorize_reference(streams, vocab) -> sparse.csr_matrix:

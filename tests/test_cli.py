@@ -417,3 +417,32 @@ class TestTrends:
                      "--terms", f"{word},{word.upper()}", "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert f"duplicate trend term: {word!r}" in capsys.readouterr().err
+
+
+# Each command takes only the config flags it reads: contrast scores with
+# min_df 1 and never clusters, trends only tokenizes and merges bigrams.
+UNREAD_FLAGS = [
+    ("contrast", flag, value)
+    for flag, value in (("--min-df", "2"), ("--components", "5"), ("--eps", "0.3"), ("--min-pts", "4"))
+] + [
+    ("trends", flag, value)
+    for flag, value in (("--min-df", "2"), ("--components", "5"), ("--eps", "0.3"),
+                        ("--min-pts", "4"), ("--epsilon", "0.01"), ("--top-k", "10"))
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_config_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag, value):
+    corpus, trend_words, _ = trending_corpus()
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_jsonl(corpus, corpus_path)
+    out = tmp_path / "out"
+    argv = {
+        "contrast": ["contrast", "--corpus", str(corpus_path), "--boundary", "2017-01-16", "--out", str(out)],
+        "trends": ["trends", "--corpus", str(corpus_path), "--terms", trend_words[0], "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()

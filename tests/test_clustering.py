@@ -11,12 +11,24 @@ from relwords.clustering import (
 )
 from relwords.embedding import Embedding
 
-from oracles import dbscan_reference, partition_of, random_distance_matrix
+from oracles import dbscan_index_order, dbscan_reference, partition_of, random_distance_matrix
 
 
 def embedding_of(rows):
     rows = np.asarray(rows, dtype=np.float64)
     return Embedding(coords=rows, doc_ids=tuple(f"d{k}" for k in range(rows.shape[0])))
+
+
+def clustered_rows(seed, n, dim):
+    """``n`` noisy copies of a few random centres, some rows zero and some
+    rows exact (or positively scaled) duplicates of earlier ones."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(int(rng.integers(1, 8)), dim))
+    rows = centers[rng.integers(0, len(centers), n)] + rng.normal(scale=0.3, size=(n, dim))
+    rows[rng.choice(n, size=max(1, n // 20), replace=False)] = 0.0
+    copies = rng.choice(n, size=max(2, n // 5), replace=False)
+    rows[copies] = rows[rng.integers(0, n, copies.size)] * rng.choice([1.0, 1.0, 2.5], copies.size)[:, None]
+    return rows
 
 
 class TestCosineDistance:
@@ -71,6 +83,13 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(0)
         dist = pairwise_distances(embedding_of(rng.normal(size=(40, 7))))
         assert np.array_equal(dist, dist.T)  # exact symmetry
+        assert np.all(np.diag(dist) == 0.0)
+        assert dist.min() >= 0.0 and dist.max() <= 2.0
+
+    def test_exact_symmetry_with_zero_and_duplicate_rows(self):
+        # the product itself must be symmetric: nothing mirrors it
+        dist = pairwise_distances(embedding_of(clustered_rows(1, 601, 17)))
+        assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
         assert dist.min() >= 0.0 and dist.max() <= 2.0
 
@@ -135,6 +154,12 @@ class TestDbscan:
             reference = dbscan_reference(dist, eps=0.45, min_pts=3)
             assert partition_of(fast) == partition_of(reference), f"seed {seed}"
 
+    def test_a_pair_exactly_at_eps_is_a_neighbour(self):
+        dist = np.array([[0.0, 0.25, 0.75], [0.25, 0.0, 0.75], [0.75, 0.75, 0.0]])
+        assert dbscan(dist, eps=0.25, min_pts=2).labels.tolist() == [0, 0, NOISE]
+        below = dbscan(dist, eps=np.nextafter(0.25, 0.0), min_pts=2)
+        assert below.labels.tolist() == [NOISE] * 3 and below.n_clusters == 0
+
     def test_noise_count_never_grows_with_eps(self):
         dist = random_distance_matrix(12)
         noise_counts = [
@@ -151,6 +176,50 @@ class TestDbscan:
             dbscan(dist, min_pts=0)
         with pytest.raises(ValueError, match="square"):
             dbscan(np.zeros((3, 2)))
+
+
+class TestDbscanIndexOrder:
+    """Equal labels and cluster counts, not just the same partition, as
+    seeding in index order with breadth-first expansion (the oracle)."""
+
+    @staticmethod
+    def assert_index_order(dist, eps, min_pts):
+        labels, n_clusters = dbscan_index_order(dist, eps, min_pts)
+        assignment = dbscan(dist, eps=eps, min_pts=min_pts)
+        assert assignment.labels.dtype == np.int64
+        assert assignment.labels.tolist() == labels.tolist()
+        assert assignment.n_clusters == n_clusters
+
+    @pytest.mark.parametrize("eps, min_pts", [(0.45, 3), (0.45, 1), (0.2, 2), (0.8, 5), (1.2, 4)])
+    def test_criterion_3_matrices(self, eps, min_pts):
+        for seed in range(100):
+            self.assert_index_order(random_distance_matrix(seed), eps, min_pts)
+
+    def test_random_embeddings_with_zero_and_duplicate_rows(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            rows = clustered_rows(seed, int(rng.integers(20, 150)), int(rng.integers(2, 10)))
+            dist = pairwise_distances(embedding_of(rows))
+            for eps in (0.05, 0.2, 0.45, 0.8, 1.5):
+                self.assert_index_order(dist, eps, int(rng.integers(1, 6)))
+
+    def test_chain_in_random_index_order(self):
+        # one cluster whose core points link only to their two chain
+        # neighbours, numbered at random: labels spread over many rounds
+        positions = np.random.default_rng(5).permutation(400).astype(np.float64)
+        dist = np.abs(positions[:, None] - positions[None, :])
+        assignment = dbscan(dist, eps=1.0, min_pts=3)
+        assert assignment.n_clusters == 1
+        assert assignment.labels.tolist() == [0] * 400
+        self.assert_index_order(dist, 1.0, 3)
+
+    def test_no_core_point_all_noise(self):
+        dist = np.full((6, 6), 1.0)
+        np.fill_diagonal(dist, 0.0)
+        assignment = dbscan(dist, eps=0.5, min_pts=2)
+        assert assignment.labels.tolist() == [NOISE] * 6
+        assert assignment.n_clusters == 0
+        self.assert_index_order(dist, 0.5, 2)
 
 
 def test_labels_csv_renders_noise_as_minus_one(tmp_path):

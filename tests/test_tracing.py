@@ -1,17 +1,26 @@
 """The bench tracer patches functions by name in ``relwords.cli`` and
 ``relwords.pipeline`` and reads some of their arguments back. These tests
-pin that contract, so renaming or dropping one of those names fails here and
-not only in a traced bench run."""
+pin that contract, and run ``cluster`` under the tracer to check the counts
+it derives, so renaming or dropping one of those names, or changing what
+they receive, fails here and not only in a traced bench run."""
 
+import csv
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relwords.cli
 import relwords.pipeline
+from relwords import Corpus, Document
+from relwords.clustering import NOISE, pairwise_distances
+from relwords.corpus import save_jsonl
+from relwords.pipeline import PipelineConfig
+
+from corpora import planted_topic_corpus
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,6 +31,19 @@ READ_PARAMETERS = {
     "embedding.fit_kpca": {"features"},
     "clustering.dbscan": {"dist", "eps", "min_pts"},
     "report.layout_wordcloud": {"ranked", "top_k"},
+}
+
+
+# The counts op_counts derives from the embedding and clustering stages.
+STAGE_COUNTS = {
+    "embedding.components_kept",
+    "embedding.explained_variance",
+    "embedding.dense_bytes",
+    "clustering.distance_bytes",
+    "clustering.core_points",
+    "clustering.eps_degree_mean",
+    "clustering.eps_degree_max",
+    "clustering.noise_frac",
 }
 
 
@@ -53,3 +75,33 @@ def test_captured_functions_take_the_parameters_op_counts_reads(tracing, span):
     for module, attribute in targets:
         parameters = inspect.signature(getattr(MODULES[module], attribute)).parameters
         assert READ_PARAMETERS[span] <= parameters.keys()
+
+
+def test_traced_cluster_run_counts(tracing, tmp_path):
+    # three planted topics plus four documents that share no word with any
+    # other, so the run has core points and noise
+    corpus, _, _ = planted_topic_corpus()
+    strays = tuple(
+        Document(id=f"stray{k}", text=" ".join(f"stray{k}word{j}" for j in range(12))) for k in range(4)
+    )
+    save_jsonl(Corpus(corpus.docs + strays), tmp_path / "corpus.jsonl")
+    run = tmp_path / "run"
+    tracer = tracing.Tracer()
+    with tracer.installed(MODULES):
+        code = tracer.operation(
+            relwords.cli.main, ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(run)]
+        )
+    assert code == 0
+    calls = tracer.take_calls()
+    counts = tracing.op_counts(calls)
+    assert STAGE_COUNTS <= counts.keys()
+
+    (embedding,) = [result for name, _, result in calls if name == "embedding.transform"]
+    config = PipelineConfig()
+    degree = np.count_nonzero(pairwise_distances(embedding) <= config.eps, axis=1)
+    with open(run / "labels.csv", encoding="utf-8", newline="") as handle:
+        labels = [int(label) for _, label in list(csv.reader(handle))[1:]]
+    assert counts["clustering.core_points"] == np.count_nonzero(degree >= config.min_pts) == 45
+    assert counts["clustering.eps_degree_mean"] == degree.mean()
+    assert counts["clustering.eps_degree_max"] == degree.max()
+    assert counts["clustering.noise_frac"] == labels.count(NOISE) / len(labels) == 4 / 49
