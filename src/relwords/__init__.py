@@ -27,7 +27,6 @@ from .relevance import (
     RelevanceTable,
     build_occurrence_index,
     compute_relevance,
-    contrast_relevance,
     fpr,
     rank_terms,
     score_diff,
@@ -76,7 +75,6 @@ __all__ = [
     "build_occurrence_index",
     "build_vocabulary",
     "compute_relevance",
-    "contrast_relevance",
     "count_corpus",
     "dbscan",
     "fetch_archive",

@@ -36,11 +36,12 @@ from .relevance import (
     RelevanceTable,
     build_occurrence_index,
     compute_relevance,
-    contrast_relevance,
     rank_terms,
     write_relevance_csv,
 )
 from .report import (
+    CANVAS_HEIGHT,
+    CANVAS_WIDTH,
     WordCloudSpec,
     highlight_html,
     layout_wordcloud,
@@ -166,6 +167,16 @@ class _Run:
     table: RelevanceTable
 
 
+def _relevance(
+    streams: list[TokenStream], labels: list[int] | list[str], config: PipelineConfig
+) -> RelevanceTable:
+    """The relevance table of the streams under one label per stream: a
+    cluster run's labels or the contrast's periods."""
+    vocab = build_vocabulary(streams, min_df=config.min_df)
+    index = build_occurrence_index(streams, vocab, labels)
+    return compute_relevance(index, epsilon=config.epsilon)
+
+
 def _load_run(run_dir: str | Path) -> _Run:
     run = Path(run_dir)
     manifest_path = run / MANIFEST_NAME
@@ -187,10 +198,7 @@ def _load_run(run_dir: str | Path) -> _Run:
         raise ValueError("stale artifacts; rerun cluster")
     labels = [int(label) for _, label in rows]
     streams = tokenize_with_bigrams(corpus, read_bigrams_csv(bigrams_path))
-    vocab = build_vocabulary(streams, min_df=config.min_df)
-    index = build_occurrence_index(streams, vocab, labels)
-    table = compute_relevance(index, epsilon=config.epsilon)
-    return _Run(corpus, config, labels, streams, table)
+    return _Run(corpus, config, labels, streams, _relevance(streams, labels, config))
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
@@ -228,7 +236,7 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
             spec = layout_wordcloud(ranked, top_k=top_k)
         else:
             print(f"cluster {cluster}: no positively scored terms; empty cloud", file=sys.stderr)
-            spec = WordCloudSpec(entries=(), width=800, height=600)
+            spec = WordCloudSpec(entries=(), width=CANVAS_WIDTH, height=CANVAS_HEIGHT)
         render_svg(spec, out)
         written.append(out)
     print(f"wrote {len(written)} word cloud(s): " + ", ".join(str(p) for p in written))
@@ -238,11 +246,12 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
 def cmd_contrast(args: argparse.Namespace) -> int:
     corpus = load_jsonl(args.corpus)
     config = config_from_args(args)
-    boundary = parse_timestamp(args.boundary)
-    split = split_by_period(corpus, boundary)
-    streams, _ = prepare_streams(split, config)
-    groups = [doc.group for doc in split.docs]
-    table = contrast_relevance(streams, groups, epsilon=config.epsilon)
+    periods = split_by_period(corpus, parse_timestamp(args.boundary))
+    for period in ("before", "after"):
+        if period not in periods:
+            raise ValueError(f"no documents {period} {args.boundary}")
+    streams, _ = prepare_streams(corpus, config)
+    table = _relevance(streams, periods, config)
     ranked_after = rank_terms(table, "after", config.top_k)
     ranked_before = rank_terms(table, "before", config.top_k)
     render_contrast_cloud(ranked_after, ranked_before, args.out, top_k=config.top_k)
@@ -259,9 +268,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     label = run.labels[position]
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
-    highlight_html(
-        run.corpus.docs[position], run.streams[position], run.table, label, args.out, label=label
-    )
+    highlight_html(run.corpus.docs[position], run.streams[position], run.table, label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

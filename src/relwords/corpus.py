@@ -1,8 +1,8 @@
 """Load, normalize, persist, and partition document collections.
 
 The canonical on-disk corpus format is JSON-lines with one object per line,
-``{"id": ..., "text": ..., "date": ..., "group": ...}`` (date and group
-optional). Document order in a corpus is stable and is the index order used
+``{"id": ..., "text": ..., "date": ...}`` (date optional, other keys
+ignored). Document order in a corpus is stable and is the index order used
 by every downstream stage.
 """
 
@@ -17,7 +17,7 @@ import time
 import urllib.error
 import urllib.request
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.client import HTTPException
 from pathlib import Path
@@ -45,12 +45,11 @@ def parse_timestamp(value: str) -> datetime:
 
 @dataclass(frozen=True)
 class Document:
-    """One raw text with a unique id and optional timestamp / group label."""
+    """One raw text with a unique id and optional timestamp."""
 
     id: str
     text: str
     timestamp: datetime | None = None
-    group: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -89,6 +88,14 @@ class Corpus:
     def ids(self) -> tuple[str, ...]:
         return tuple(doc.id for doc in self.docs)
 
+    def timestamps(self) -> tuple[datetime, ...]:
+        """Every document's timestamp; raises ValueError listing the
+        documents without one."""
+        missing = [doc.id for doc in self.docs if doc.timestamp is None]
+        if missing:
+            raise ValueError(f"documents without timestamps: {', '.join(missing)}")
+        return tuple(doc.timestamp for doc in self.docs)
+
 
 def load_jsonl(
     path: str | Path,
@@ -96,7 +103,6 @@ def load_jsonl(
     id_field: str = "id",
     text_field: str = "text",
     date_field: str = "date",
-    group_field: str = "group",
 ) -> Corpus:
     """Read a JSON-lines corpus, preserving line order.
 
@@ -139,15 +145,7 @@ def load_jsonl(
                     raise ValueError(
                         f"{path}: line {lineno}: bad {date_field!r} value: {exc}"
                     ) from exc
-            group = record.get(group_field)
-            docs.append(
-                Document(
-                    id=doc_id,
-                    text=text,
-                    timestamp=timestamp,
-                    group=None if group is None else str(group),
-                )
-            )
+            docs.append(Document(id=doc_id, text=text, timestamp=timestamp))
     return Corpus(tuple(docs))
 
 
@@ -159,8 +157,6 @@ def save_jsonl(corpus: Corpus, path: str | Path) -> None:
             record: dict[str, object] = {"id": doc.id, "text": doc.text}
             if doc.timestamp is not None:
                 record["date"] = doc.timestamp.isoformat()
-            if doc.group is not None:
-                record["group"] = doc.group
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -340,18 +336,10 @@ def _atomic_write(path: Path, content: str) -> None:
         raise
 
 
-def split_by_period(corpus: Corpus, boundary: datetime) -> Corpus:
-    """Label every document "before" or "after" a boundary timestamp.
+def split_by_period(corpus: Corpus, boundary: datetime) -> list[str]:
+    """One period label per document: "after" for a timestamp >= boundary
+    (half-open interval convention), "before" otherwise.
 
-    Documents with timestamp >= boundary go to "after" (half-open interval
-    convention), the rest to "before". The result is a two-group
-    pseudo-assignment for contrast scoring.
+    The labels stand in for cluster labels in contrast scoring.
     """
-    missing = [doc.id for doc in corpus.docs if doc.timestamp is None]
-    if missing:
-        raise ValueError(f"documents without timestamps: {', '.join(missing)}")
-    labeled = tuple(
-        replace(doc, group="after" if doc.timestamp >= boundary else "before")
-        for doc in corpus.docs
-    )
-    return Corpus(labeled)
+    return ["after" if ts >= boundary else "before" for ts in corpus.timestamps()]

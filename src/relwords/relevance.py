@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .clustering import NOISE
-from .features import Vocabulary, build_vocabulary, group_doc_freq, term_counts
+from .features import Vocabulary, group_doc_freq, term_counts
 from .text import TokenStream
 
 DEFAULT_EPSILON = 1e-8
@@ -85,7 +85,7 @@ def build_occurrence_index(
 ) -> OccurrenceIndex:
     """Count, per cluster, how many documents contain each vocabulary term.
 
-    ``labels`` is one cluster id (or group name) per stream, in order.
+    ``labels`` is one cluster id (or period label) per stream, in order.
     Documents labeled NOISE are excluded entirely: they form neither a target
     cluster nor a contrast cluster.
     """
@@ -204,28 +204,6 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     n_positive = int(np.count_nonzero(table.r[c] > 0.0))
     top = _ranked(table, c, _term_ranks(table.terms))[:n_positive][:k]
     return [(table.terms[i], score) for i, score in zip(top.tolist(), table.r[c, top].tolist())]
-
-
-def contrast_relevance(
-    streams: Sequence[TokenStream],
-    groups: Sequence[str | None],
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-) -> RelevanceTable:
-    """Relevance scores for a manual two-group split of the corpus.
-
-    The two groups play the role of clusters, which surfaces the words that
-    distinguish one period (or any hand-made partition) from the other.
-    """
-    missing = [s.doc_id for s, g in zip(streams, groups) if g is None]
-    if missing:
-        raise ValueError(f"documents without group labels: {', '.join(missing)}")
-    distinct = sorted(set(groups))
-    if len(distinct) != 2:
-        raise ValueError(f"need exactly 2 non-empty groups, got {len(distinct)}: {distinct}")
-    vocab = build_vocabulary(list(streams), min_df=1)
-    index = build_occurrence_index(streams, vocab, list(groups))
-    return compute_relevance(index, epsilon=epsilon)
 
 
 def write_relevance_csv(table: RelevanceTable, path) -> None:

@@ -29,6 +29,9 @@ MIN_FONT_PT = 10.0
 MAX_FONT_PT = 48.0
 CHAR_ADVANCE = 0.6  # box width per character, in units of font size
 
+CANVAS_WIDTH = 800
+CANVAS_HEIGHT = 600
+
 GROUP_A_COLOR = "green"
 GROUP_B_COLOR = "red"
 
@@ -81,8 +84,8 @@ def layout_wordcloud(
     ranked: Sequence[tuple[str, float]],
     *,
     top_k: int = 50,
-    width: int = 800,
-    height: int = 600,
+    width: int = CANVAS_WIDTH,
+    height: int = CANVAS_HEIGHT,
     color: str | None = None,
 ) -> WordCloudSpec:
     """Place the top-k ranked words on an Archimedean spiral.
@@ -178,8 +181,8 @@ def render_contrast_cloud(
     path,
     *,
     top_k: int = 50,
-    width: int = 800,
-    height: int = 600,
+    width: int = CANVAS_WIDTH,
+    height: int = CANVAS_HEIGHT,
 ) -> WordCloudSpec:
     """Two-group cloud: group A green in the upper half, group B red in the
     lower half, each half sized independently."""
@@ -213,8 +216,6 @@ def highlight_html(
     table: RelevanceTable,
     cluster: ClusterKey,
     path,
-    *,
-    label: ClusterKey | None = None,
 ) -> None:
     """Write the document as HTML with its cluster's relevant words marked.
 
@@ -223,8 +224,6 @@ def highlight_html(
     untouched, so stripping the spans (and unescaping) restores the original
     text exactly.
     """
-    if label is not None and label != cluster:
-        raise ValueError(f"document {doc.id!r} belongs to cluster {label!r}, not {cluster!r}")
     c = table.cluster_position(cluster)
     scores = {
         term: float(table.r[c, i]) for i, term in enumerate(table.terms) if table.r[c, i] > 0.0
@@ -296,11 +295,8 @@ def term_trends(
         if term in term_rows:
             raise ValueError(f"duplicate trend term: {term!r}")
         term_rows[term] = len(term_rows)
-    missing = [doc.id for doc in corpus.docs if doc.timestamp is None]
-    if missing:
-        raise ValueError(f"documents without timestamps: {', '.join(missing)}")
     step = timedelta(days=1 if bucket == "day" else 7)
-    doc_buckets = [_bucket_start(doc.timestamp.date(), bucket) for doc in corpus.docs]
+    doc_buckets = [_bucket_start(ts.date(), bucket) for ts in corpus.timestamps()]
     first, last = min(doc_buckets), max(doc_buckets)
     starts: list[date] = []
     cursor = first

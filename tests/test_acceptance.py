@@ -23,7 +23,6 @@ from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
 from relwords.relevance import (
     build_occurrence_index,
     compute_relevance,
-    contrast_relevance,
     fpr,
     rank_terms,
     score_final,
@@ -140,9 +139,9 @@ def test_planted_topic_recovery():
 @criterion(6, "two-period contrast surfaces the planted trend words", time_limit=5.0)
 def test_contrast_mode():
     corpus, trend_words, boundary = trending_corpus()
-    split = split_by_period(corpus, boundary)
-    streams, _ = prepare_streams(split, PipelineConfig())
-    table = contrast_relevance(streams, [doc.group for doc in split.docs])
+    periods = split_by_period(corpus, boundary)
+    streams, _ = prepare_streams(corpus, PipelineConfig())
+    table = compute_relevance(build_occurrence_index(streams, build_vocabulary(streams), periods))
     top10_after = {term for term, _ in rank_terms(table, "after", 10)}
     top10_before = {term for term, _ in rank_terms(table, "before", 10)}
     assert set(trend_words) <= top10_after

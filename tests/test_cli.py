@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +12,7 @@ import pytest
 
 import relwords
 from relwords import pipeline
-from relwords.cli import main
+from relwords.cli import build_parser, main
 from relwords.corpus import Corpus, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary
 from relwords.relevance import build_occurrence_index, compute_relevance, write_relevance_csv
@@ -315,6 +317,20 @@ class TestContrast:
             assert f'fill="green">{word}</text>' in content
             assert f'fill="red">{word}</text>' not in content
 
+    @pytest.mark.parametrize("boundary, empty", [("2016-12-31", "before"), ("2017-02-01", "after")])
+    def test_boundary_outside_the_corpus_names_the_empty_period(
+        self, tmp_path, capsys, boundary, empty
+    ):
+        corpus, _, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        out = tmp_path / "contrast.svg"
+        code = main(["contrast", "--corpus", str(corpus_path),
+                     "--boundary", boundary, "--out", str(out)])
+        assert code == 1
+        assert f"no documents {empty} {boundary}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_timestamps_fail(self, tmp_path, corpus_file, capsys):
         code = main(["contrast", "--corpus", str(corpus_file),
                      "--boundary", "2017-01-16", "--out", str(tmp_path / "c.svg")])
@@ -390,6 +406,25 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip().startswith("relwords ")
+
+
+def readme_command_lines():
+    """The ``relwords ...`` lines of the README's ``sh`` blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("relwords ")]
+
+
+def test_readme_commands_parse():
+    lines = readme_command_lines()
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestTrends:

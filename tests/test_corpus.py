@@ -78,12 +78,17 @@ class TestLoadJsonl:
         assert corpus.docs[0].id == "a"
         assert corpus.docs[0].timestamp == datetime.datetime(2017, 1, 5)
 
+    def test_other_keys_ignored(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "a", "text": "hello", "group": "before", "section": 3}])
+        assert load_jsonl(path).docs == (Document(id="a", text="hello"),)
+
 
 class TestRoundTrip:
     def test_full_record_round_trip(self, tmp_path):
         docs = (
             Document(id="a", text="first text", timestamp=parse_timestamp("2017-01-10T08:30:00")),
-            Document(id="b", text="second\nwith newline", group="before"),
+            Document(id="b", text="second\nwith newline"),
             Document(id="c", text="third: ünïcode"),
         )
         path = tmp_path / "corpus.jsonl"
@@ -143,16 +148,13 @@ class TestSplitByPeriod:
                 Document(id="late", text="y", timestamp=parse_timestamp("2017-01-18")),
             )
         )
-        split = split_by_period(corpus, parse_timestamp("2017-01-16"))
-        assert split.docs[0].group == "before"
-        assert split.docs[1].group == "after"
+        assert split_by_period(corpus, parse_timestamp("2017-01-16")) == ["before", "after"]
 
     def test_timestamp_equal_to_boundary_goes_after(self):
         corpus = Corpus(
             (Document(id="edge", text="x", timestamp=parse_timestamp("2017-01-16")),)
         )
-        split = split_by_period(corpus, parse_timestamp("2017-01-16"))
-        assert split.docs[0].group == "after"
+        assert split_by_period(corpus, parse_timestamp("2017-01-16")) == ["after"]
 
     def test_missing_timestamps_listed(self):
         corpus = Corpus(
@@ -170,10 +172,8 @@ class TestSplitByPeriod:
             Document(id=f"d{i}", text="x", timestamp=parse_timestamp(f"2017-01-{i + 1:02d}"))
             for i in range(20)
         )
-        split = split_by_period(Corpus(docs), parse_timestamp("2017-01-08"))
-        groups = [d.group for d in split.docs]
-        assert all(g in ("before", "after") for g in groups)
-        assert groups.count("before") + groups.count("after") == len(docs)
+        periods = split_by_period(Corpus(docs), parse_timestamp("2017-01-08"))
+        assert periods == ["before"] * 7 + ["after"] * 13
 
 
 def response(status=200, payload=None, body=None):

@@ -9,7 +9,6 @@ from relwords.features import build_vocabulary
 from relwords.relevance import (
     build_occurrence_index,
     compute_relevance,
-    contrast_relevance,
     fpr,
     rank_terms,
     score_diff,
@@ -250,32 +249,23 @@ class TestRankTerms:
 
 
 class TestContrastRelevance:
+    """Period labels take the place of cluster labels."""
+
     def test_group_exclusive_term(self):
-        streams = [
-            stream("a1", "inauguration", "x"),
-            stream("a2", "inauguration", "y"),
-            stream("b1", "x"),
-            stream("b2", "y"),
-        ]
-        table = contrast_relevance(streams, ["A", "A", "B", "B"])
-        assert table.scores("A", "inauguration")[4] == 1.0
-        assert table.scores("B", "inauguration")[4] == 0.0
+        table = compute_relevance(make_index({
+            "after": [["inauguration", "x"], ["inauguration", "y"]],
+            "before": [["x"], ["y"]],
+        }))
+        assert table.scores("after", "inauguration")[4] == 1.0
+        assert table.scores("before", "inauguration")[4] == 0.0
 
     def test_term_everywhere_scores_zero_both_sides(self):
-        streams = [stream(f"d{i}", "everywhere", f"u{i}") for i in range(4)]
-        table = contrast_relevance(streams, ["A", "A", "B", "B"])
-        assert table.scores("A", "everywhere")[4] == 0.0
-        assert table.scores("B", "everywhere")[4] == 0.0
-
-    def test_single_group_rejected(self):
-        streams = [stream("a", "x"), stream("b", "y")]
-        with pytest.raises(ValueError, match="exactly 2"):
-            contrast_relevance(streams, ["only", "only"])
-
-    def test_unlabeled_documents_rejected(self):
-        streams = [stream("a", "x"), stream("b", "y")]
-        with pytest.raises(ValueError, match="without group labels"):
-            contrast_relevance(streams, ["g", None])
+        table = compute_relevance(make_index({
+            "after": [["everywhere", "u0"], ["everywhere", "u1"]],
+            "before": [["everywhere", "u2"], ["everywhere", "u3"]],
+        }))
+        assert table.scores("after", "everywhere")[4] == 0.0
+        assert table.scores("before", "everywhere")[4] == 0.0
 
 
 def test_relevance_csv_sorted_by_cluster_then_score(tmp_path):

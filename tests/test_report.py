@@ -217,11 +217,6 @@ class TestHighlightHtml:
         stripped = re.sub(r"</?span[^>]*>", "", content)
         assert "betsy devos spoke" in html.unescape(stripped)
 
-    def test_label_mismatch_rejected(self, tmp_path):
-        doc, stream, table = self.make_fixture()
-        with pytest.raises(ValueError, match="belongs to cluster"):
-            highlight_html(doc, stream, table, 0, tmp_path / "x.html", label=1)
-
     def test_stream_document_mismatch_rejected(self, tmp_path):
         doc, _, table = self.make_fixture()
         wrong = TokenStream("d0", ("entirely", "different"))
