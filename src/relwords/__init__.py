@@ -27,12 +27,10 @@ from .relevance import (
     RelevanceTable,
     build_occurrence_index,
     compute_relevance,
-    fpr,
     rank_terms,
     score_diff,
     score_final,
     score_quot,
-    tpr,
 )
 from .report import (
     TrendTable,
@@ -79,7 +77,6 @@ __all__ = [
     "dbscan",
     "fetch_archive",
     "fit_kpca",
-    "fpr",
     "highlight_html",
     "idf",
     "layout_wordcloud",
@@ -102,7 +99,6 @@ __all__ = [
     "split_by_period",
     "term_trends",
     "tokenize_corpus",
-    "tpr",
     "transform",
     "vectorize",
 ]

@@ -74,8 +74,6 @@ CONFIG_FLAGS = {
     "--components": ("kpca_components", int, "max kernel-PCA components"),
     "--eps": ("eps", float, "DBSCAN cosine-distance threshold"),
     "--min-pts": ("min_pts", int, "DBSCAN minimum neighborhood size (point included)"),
-    "--epsilon": ("epsilon", float, "FPR floor in the quotient score"),
-    "--top-k": ("top_k", int, "words per word cloud / ranking"),
 }
 
 
@@ -161,7 +159,6 @@ class _Run:
     """A cluster run read back, with its relevance table recomputed."""
 
     corpus: Corpus
-    config: PipelineConfig
     labels: list[int]
     streams: list[TokenStream]
     table: RelevanceTable
@@ -174,7 +171,7 @@ def _relevance(
     cluster run's labels or the contrast's periods."""
     vocab = build_vocabulary(streams, min_df=config.min_df)
     index = build_occurrence_index(streams, vocab, labels)
-    return compute_relevance(index, epsilon=config.epsilon)
+    return compute_relevance(index)
 
 
 def _load_run(run_dir: str | Path) -> _Run:
@@ -187,6 +184,11 @@ def _load_run(run_dir: str | Path) -> _Run:
     if not bigrams_path.exists():
         raise ValueError(f"no {BIGRAMS_NAME} in {run}; rerun cluster")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    differing = set(manifest["config"]) ^ set(PipelineConfig().as_dict())
+    if differing:
+        raise ValueError(
+            f"run config keys differ from this version's: {', '.join(sorted(differing))}; rerun cluster"
+        )
     corpus_path = manifest["corpus_path"]
     if corpus_sha256(corpus_path) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
@@ -198,7 +200,7 @@ def _load_run(run_dir: str | Path) -> _Run:
         raise ValueError("stale artifacts; rerun cluster")
     labels = [int(label) for _, label in rows]
     streams = tokenize_with_bigrams(corpus, read_bigrams_csv(bigrams_path))
-    return _Run(corpus, config, labels, streams, _relevance(streams, labels, config))
+    return _Run(corpus, labels, streams, _relevance(streams, labels, config))
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
@@ -209,14 +211,16 @@ def cmd_relevant(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_top(top: int) -> None:
+    if top < 1:
+        raise ValueError(f"--top must be >= 1, got {top}")
+
+
 def cmd_wordcloud(args: argparse.Namespace) -> int:
     if args.out and args.cluster is None:
         raise ValueError("--out needs --cluster (without it, every cloud goes to --outdir)")
-    if args.top is not None and args.top < 1:
-        raise ValueError(f"--top must be >= 1, got {args.top}")
-    run = _load_run(args.run)
-    table = run.table
-    top_k = args.top if args.top is not None else run.config.top_k
+    _check_top(args.top)
+    table = _load_run(args.run).table
     if args.cluster is not None:
         clusters = [args.cluster]
         if args.cluster not in table.clusters:
@@ -227,13 +231,13 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for cluster in clusters:
-        ranked = rank_terms(table, cluster, top_k)
+        ranked = rank_terms(table, cluster, args.top)
         if args.out:
             out = Path(args.out)
         else:
             out = outdir / f"cluster{cluster}.svg"
         if ranked:
-            spec = layout_wordcloud(ranked, top_k=top_k)
+            spec = layout_wordcloud(ranked, top_k=args.top)
         else:
             print(f"cluster {cluster}: no positively scored terms; empty cloud", file=sys.stderr)
             spec = WordCloudSpec(entries=(), width=CANVAS_WIDTH, height=CANVAS_HEIGHT)
@@ -244,6 +248,7 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
 
 
 def cmd_contrast(args: argparse.Namespace) -> int:
+    _check_top(args.top)
     corpus = load_jsonl(args.corpus)
     config = config_from_args(args)
     periods = split_by_period(corpus, parse_timestamp(args.boundary))
@@ -252,9 +257,12 @@ def cmd_contrast(args: argparse.Namespace) -> int:
             raise ValueError(f"no documents {period} {args.boundary}")
     streams, _ = prepare_streams(corpus, config)
     table = _relevance(streams, periods, config)
-    ranked_after = rank_terms(table, "after", config.top_k)
-    ranked_before = rank_terms(table, "before", config.top_k)
-    render_contrast_cloud(ranked_after, ranked_before, args.out, top_k=config.top_k)
+    ranked_after = rank_terms(table, "after", args.top)
+    ranked_before = rank_terms(table, "before", args.top)
+    for period, ranked in (("after", ranked_after), ("before", ranked_before)):
+        if not ranked:
+            print(f"{period} {args.boundary}: no positively scored terms; empty half", file=sys.stderr)
+    render_contrast_cloud(ranked_after, ranked_before, args.out, top_k=args.top)
     print(f"wrote contrast cloud ({len(ranked_after)} after / {len(ranked_before)} before) to {args.out}")
     return 0
 
@@ -328,18 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wordcloud", help="render per-cluster word clouds from a run")
     p.add_argument("--run", required=True)
     p.add_argument("--cluster", type=int, default=None, help="one cluster (default: all)")
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=int, default=50, help="words per cloud")
     p.add_argument("--out", default=None, help="output file (single cluster only)")
     p.add_argument("--outdir", default=None, help="output directory (default: the run dir)")
     p.set_defaults(func=cmd_wordcloud)
 
-    # no abbreviations: "--eps" would be taken as "--epsilon"
-    p = sub.add_parser("contrast", help="two-period contrast cloud around a boundary date",
-                       allow_abbrev=False)
+    p = sub.add_parser("contrast", help="two-period contrast cloud around a boundary date")
     p.add_argument("--corpus", required=True)
     p.add_argument("--boundary", required=True, help="ISO date; documents on/after it are 'after'")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "--delta", "--seed", "--epsilon", "--top-k")
+    _add_config_flags(p, "--delta", "--seed")
+    p.add_argument("--top", type=int, default=50, help="words per half")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("highlight", help="render one document with relevant words marked")

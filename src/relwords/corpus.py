@@ -89,11 +89,14 @@ class Corpus:
         return tuple(doc.id for doc in self.docs)
 
     def timestamps(self) -> tuple[datetime, ...]:
-        """Every document's timestamp; raises ValueError listing the
-        documents without one."""
+        """Every document's timestamp; raises ValueError naming how many
+        documents have none and the first five of them."""
         missing = [doc.id for doc in self.docs if doc.timestamp is None]
         if missing:
-            raise ValueError(f"documents without timestamps: {', '.join(missing)}")
+            more = ", ..." if len(missing) > 5 else ""
+            raise ValueError(
+                f"{len(missing)} document(s) without timestamps: {', '.join(missing[:5])}{more}"
+            )
         return tuple(doc.timestamp for doc in self.docs)
 
 

@@ -14,7 +14,6 @@ from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan,
 from .corpus import Corpus
 from .embedding import DEFAULT_COMPONENTS, Embedding, KpcaModel, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
-from .relevance import DEFAULT_EPSILON
 from .text import (
     BigramCandidate,
     TokenStream,
@@ -34,8 +33,6 @@ class PipelineConfig:
     kpca_components: int = DEFAULT_COMPONENTS
     eps: float = DEFAULT_EPS
     min_pts: int = DEFAULT_MIN_PTS
-    epsilon: float = DEFAULT_EPSILON
-    top_k: int = 50
 
     def validate(self) -> None:
         if not 0.0 < self.eps < 2.0:
@@ -48,10 +45,6 @@ class PipelineConfig:
             raise ValueError(f"min_df must be >= 1, got {self.min_df}")
         if self.bigram_discount < 0:
             raise ValueError(f"bigram_discount must be >= 0, got {self.bigram_discount}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -19,7 +19,11 @@ from .clustering import NOISE
 from .features import Vocabulary, group_doc_freq, term_counts
 from .text import TokenStream
 
-DEFAULT_EPSILON = 1e-8
+# FPR floor in the quotient score: it only keeps a zero FPR from dividing.
+# A positive FPR is at least 1/((C-1)·largest cluster), above EPSILON while
+# that product is below 1e8, and over a zero FPR any positive TPR saturates
+# the quotient in clusters of up to 1/(4·EPSILON) = 25M documents.
+EPSILON = 1e-8
 
 ClusterKey = Hashable
 
@@ -36,12 +40,6 @@ class OccurrenceIndex:
     clusters: tuple[ClusterKey, ...]
     counts: np.ndarray
     sizes: np.ndarray
-
-    def cluster_position(self, cluster: ClusterKey) -> int:
-        try:
-            return self.clusters.index(cluster)
-        except ValueError:
-            raise ValueError(f"unknown or empty cluster: {cluster!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,6 @@ class RelevanceTable:
             return self.clusters.index(cluster)
         except ValueError:
             raise ValueError(f"unknown cluster: {cluster!r}") from None
-
-    def scores(self, cluster: ClusterKey, term: str) -> tuple[float, float, float, float, float]:
-        c = self.cluster_position(cluster)
-        i = self.terms.index(term)
-        return (
-            float(self.tpr[c, i]),
-            float(self.fpr[c, i]),
-            float(self.r_diff[c, i]),
-            float(self.r_quot[c, i]),
-            float(self.r[c, i]),
-        )
 
 
 def build_occurrence_index(
@@ -103,14 +90,6 @@ def build_occurrence_index(
     )
 
 
-def _locate(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> tuple[int, int]:
-    c = index.cluster_position(cluster)
-    try:
-        return c, index.terms.index(term)
-    except ValueError:
-        raise ValueError(f"unknown term: {term!r}") from None
-
-
 def _fpr_raw(rates: np.ndarray) -> np.ndarray:
     """Per (cluster, term): mean plus population std of the term's rates over
     all other clusters, from a (clusters, terms) rate matrix.
@@ -130,46 +109,36 @@ def _fpr_raw(rates: np.ndarray) -> np.ndarray:
     return fpr_raw
 
 
-def tpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
-    """Fraction of the cluster's documents containing the term."""
-    c, i = _locate(index, cluster, term)
-    return float(index.counts[c, i]) / float(index.sizes[c])
-
-
-def fpr(index: OccurrenceIndex, cluster: ClusterKey, term: str) -> float:
-    """The term's raw (unclamped) FPR in the cluster; see ``_fpr_raw``."""
-    c, i = _locate(index, cluster, term)
-    rates = index.counts[:, i : i + 1] / index.sizes[:, None]
-    return float(_fpr_raw(rates)[c, 0])
-
-
 def score_diff(tpr_value, fpr_value):
     """Rate difference clamped at zero: max(TPR - FPR, 0)."""
     return np.maximum(np.asarray(tpr_value, dtype=np.float64) - fpr_value, 0.0)
 
 
-def score_quot(tpr_value, fpr_value, epsilon: float = DEFAULT_EPSILON):
+def score_quot(tpr_value, fpr_value):
     """Saturating rate quotient in [0, 1].
 
-    The TPR/FPR ratio is clipped to [1, 4] and rescaled, so any word at least
-    four times more frequent inside the cluster scores 1 regardless of its
-    absolute rate.
+    The TPR/max(FPR, EPSILON) ratio is clipped to [1, 4] and rescaled, so any
+    word at least four times more frequent inside the cluster scores 1
+    regardless of its absolute rate.
     """
-    ratio = np.asarray(tpr_value, dtype=np.float64) / np.maximum(fpr_value, epsilon)
+    ratio = np.asarray(tpr_value, dtype=np.float64) / np.maximum(fpr_value, EPSILON)
     return (np.clip(ratio, 1.0, 4.0) - 1.0) / 3.0
 
 
-def score_final(tpr_value, fpr_value, epsilon: float = DEFAULT_EPSILON):
+def score_final(tpr_value, fpr_value):
     """Mean of the difference and quotient scores."""
-    return 0.5 * (score_diff(tpr_value, fpr_value) + score_quot(tpr_value, fpr_value, epsilon))
+    return 0.5 * (score_diff(tpr_value, fpr_value) + score_quot(tpr_value, fpr_value))
 
 
-def compute_relevance(index: OccurrenceIndex, epsilon: float = DEFAULT_EPSILON) -> RelevanceTable:
+def compute_relevance(index: OccurrenceIndex) -> RelevanceTable:
     """Score every (cluster, term) pair of an occurrence index."""
     rates = index.counts / index.sizes[:, None]
     fpr_raw = _fpr_raw(rates)
+    # In this order no more (clusters, terms) arrays are alive at once than
+    # the five stored ones and fpr_raw.
+    r = score_final(rates, fpr_raw)
+    r_quot = score_quot(rates, fpr_raw)
     r_diff = score_diff(rates, fpr_raw)
-    r_quot = score_quot(rates, fpr_raw, epsilon)
     return RelevanceTable(
         terms=index.terms,
         clusters=index.clusters,
@@ -177,7 +146,7 @@ def compute_relevance(index: OccurrenceIndex, epsilon: float = DEFAULT_EPSILON) 
         fpr=np.minimum(fpr_raw, 1.0),
         r_diff=r_diff,
         r_quot=r_quot,
-        r=0.5 * (r_diff + r_quot),
+        r=r,
     )
 
 

@@ -185,10 +185,15 @@ def render_contrast_cloud(
     height: int = CANVAS_HEIGHT,
 ) -> WordCloudSpec:
     """Two-group cloud: group A green in the upper half, group B red in the
-    lower half, each half sized independently."""
+    lower half, each half sized independently; an empty ranking leaves its
+    half empty."""
     half = height // 2
-    spec_a = layout_wordcloud(ranked_a, top_k=top_k, width=width, height=half, color=GROUP_A_COLOR)
-    spec_b = layout_wordcloud(ranked_b, top_k=top_k, width=width, height=half, color=GROUP_B_COLOR)
+    spec_a, spec_b = (
+        layout_wordcloud(ranked, top_k=top_k, width=width, height=half, color=color)
+        if ranked
+        else WordCloudSpec(entries=(), width=width, height=half)
+        for ranked, color in ((ranked_a, GROUP_A_COLOR), (ranked_b, GROUP_B_COLOR))
+    )
     entries = spec_a.entries + tuple(replace(e, y=e.y + half) for e in spec_b.entries)
     spec = WordCloudSpec(entries=entries, width=width, height=height)
     divider = f'<line x1="0" y1="{half}" x2="{width}" y2="{half}" stroke="#cccccc" stroke-width="1"/>'

@@ -23,7 +23,6 @@ from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
 from relwords.relevance import (
     build_occurrence_index,
     compute_relevance,
-    fpr,
     rank_terms,
     score_final,
     score_quot,
@@ -160,9 +159,10 @@ def test_formula_exactness():
     assert abs(idf(vocab, 4)[vocab.index["half"]] - math.log(2)) <= 1e-12
 
     # other-cluster TPRs {0.2, 0.0, 0.1} -> 0.1 + sqrt(0.02/3)
-    index = _index_with_other_tprs()
+    table = compute_relevance(_index_with_other_tprs())
     expected = 0.1 + math.sqrt(0.02 / 3)
-    assert abs(fpr(index, "target", "w") - expected) <= 1e-12
+    fpr_w = table.fpr[table.cluster_position("target"), table.terms.index("w")]
+    assert abs(fpr_w - expected) <= 1e-12
 
     v = [3.0, 4.0]
     rows = np.array([v, v, [-4.0, 3.0], [-3.0, -4.0]])  # v, v, orthogonal, -v

@@ -5,14 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import relwords
 from relwords import pipeline
-from relwords.cli import build_parser, main
+from relwords.cli import CONFIG_FLAGS, build_parser, config_from_args, main
 from relwords.corpus import Corpus, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary
 from relwords.relevance import build_occurrence_index, compute_relevance, write_relevance_csv
@@ -158,7 +158,7 @@ class TestReadCommandsReuseRunBigrams:
         vocab = build_vocabulary(streams, min_df=config.min_df)
         index = build_occurrence_index(streams, vocab, list(result.assignment.labels))
         expected = tmp_path / "expected.csv"
-        write_relevance_csv(compute_relevance(index, epsilon=config.epsilon), expected)
+        write_relevance_csv(compute_relevance(index), expected)
         out = tmp_path / "relevance.csv"
         assert main(["relevant", "--run", str(phrase_run), "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes()
@@ -262,6 +262,18 @@ class TestRelevant:
         assert code != 0
         assert "stale artifacts; rerun cluster" in capsys.readouterr().err
 
+    def test_run_with_a_config_key_this_version_lacks_rejected(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+        manifest_path = outdir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["config"]["epsilon"] = 1e-8  # recorded by runs of older versions
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["relevant", "--run", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "epsilon" in err and "rerun cluster" in err
+
 
 class TestWordcloud:
     def test_single_cluster_svg(self, run_dir, tmp_path):
@@ -329,6 +341,40 @@ class TestContrast:
                      "--boundary", boundary, "--out", str(out)])
         assert code == 1
         assert f"no documents {empty} {boundary}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_period_without_scored_terms_drawn_empty(self, tmp_path, capsys):
+        # every "before" document holds both words, each "after" one only
+        # one of them: nothing scores above zero after the boundary
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps({"id": doc_id, "text": text, "date": date}) + "\n"
+            for doc_id, text, date in (
+                ("b0", "alpha beta", "2017-01-01"),
+                ("b1", "alpha beta", "2017-01-02"),
+                ("a0", "alpha", "2017-01-20"),
+                ("a1", "beta", "2017-01-21"),
+            )
+        ), encoding="utf-8")
+        out = tmp_path / "contrast.svg"
+        code = main(["contrast", "--corpus", str(corpus_path),
+                     "--boundary", "2017-01-15", "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "after 2017-01-15" in err and "no positively scored terms" in err
+        content = out.read_text(encoding="utf-8")
+        assert 'fill="green"' not in content
+        assert 'fill="red">alpha</text>' in content and 'fill="red">beta</text>' in content
+
+    def test_top_below_one_rejected(self, tmp_path, capsys):
+        corpus, _, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        out = tmp_path / "contrast.svg"
+        code = main(["contrast", "--corpus", str(corpus_path), "--boundary", "2017-01-16",
+                     "--top", "0", "--out", str(out)])
+        assert code == 1
+        assert "--top must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_timestamps_fail(self, tmp_path, corpus_file, capsys):
@@ -455,7 +501,8 @@ class TestTrends:
 
 
 # Each command takes only the config flags it reads: contrast scores with
-# min_df 1 and never clusters, trends only tokenizes and merges bigrams.
+# min_df 1 and never clusters, trends only tokenizes and merges bigrams. The
+# relevance floor and the number of words drawn are no config fields at all.
 UNREAD_FLAGS = [
     ("contrast", flag, value)
     for flag, value in (("--min-df", "2"), ("--components", "5"), ("--eps", "0.3"), ("--min-pts", "4"))
@@ -463,6 +510,10 @@ UNREAD_FLAGS = [
     ("trends", flag, value)
     for flag, value in (("--min-df", "2"), ("--components", "5"), ("--eps", "0.3"),
                         ("--min-pts", "4"), ("--epsilon", "0.01"), ("--top-k", "10"))
+] + [
+    (command, flag, value)
+    for command in ("cluster", "contrast")
+    for flag, value in (("--epsilon", "0.01"), ("--top-k", "10"))
 ]
 
 
@@ -473,6 +524,7 @@ def test_config_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, com
     save_jsonl(corpus, corpus_path)
     out = tmp_path / "out"
     argv = {
+        "cluster": ["cluster", "--corpus", str(corpus_path), "--outdir", str(out)],
         "contrast": ["contrast", "--corpus", str(corpus_path), "--boundary", "2017-01-16", "--out", str(out)],
         "trends": ["trends", "--corpus", str(corpus_path), "--terms", trend_words[0], "--out", str(out)],
     }[command]
@@ -481,3 +533,14 @@ def test_config_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, com
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_flags_set_every_config_field_on_cluster():
+    assert {field for field, _, _ in CONFIG_FLAGS.values()} == {
+        f.name for f in fields(pipeline.PipelineConfig)
+    }
+    argv = ["cluster", "--corpus", "c.jsonl", "--outdir", "run"]
+    args = build_parser().parse_args(argv + [part for flag in CONFIG_FLAGS for part in (flag, "1")])
+    assert config_from_args(args) == pipeline.PipelineConfig(
+        **{field: kind("1") for field, kind, _ in CONFIG_FLAGS.values()}
+    )

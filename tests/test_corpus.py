@@ -167,6 +167,16 @@ class TestSplitByPeriod:
         with pytest.raises(ValueError, match="nodate1, nodate2"):
             split_by_period(corpus, parse_timestamp("2017-01-16"))
 
+    def test_many_missing_timestamps_counted_not_listed(self):
+        corpus = Corpus(tuple(Document(id=f"doc-{i:06d}", text="x") for i in range(2000)))
+        with pytest.raises(ValueError) as info:
+            corpus.timestamps()
+        message = str(info.value)
+        assert "2000" in message
+        assert "doc-000000" in message and "doc-000004" in message
+        assert "doc-000005" not in message
+        assert len(message.encode("utf-8")) < 300
+
     def test_partition_covers_every_document(self):
         docs = tuple(
             Document(id=f"d{i}", text="x", timestamp=parse_timestamp(f"2017-01-{i + 1:02d}"))

@@ -15,8 +15,6 @@ class TestPipelineConfig:
         assert config.min_pts == 3
         assert config.kpca_components == 250
         assert config.bigram_discount == 5
-        assert config.epsilon == 1e-8
-        assert config.top_k == 50
         config.validate()
 
     @pytest.mark.parametrize(
@@ -28,8 +26,6 @@ class TestPipelineConfig:
             {"kpca_components": 0},
             {"min_df": 0},
             {"bigram_discount": -1},
-            {"epsilon": 0.0},
-            {"top_k": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

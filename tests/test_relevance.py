@@ -7,14 +7,13 @@ import pytest
 from relwords.clustering import NOISE
 from relwords.features import build_vocabulary
 from relwords.relevance import (
+    _fpr_raw,
     build_occurrence_index,
     compute_relevance,
-    fpr,
     rank_terms,
     score_diff,
     score_final,
     score_quot,
-    tpr,
     write_relevance_csv,
 )
 from relwords.text import TokenStream
@@ -22,6 +21,11 @@ from relwords.text import TokenStream
 
 def stream(doc_id, *tokens):
     return TokenStream(doc_id, tuple(tokens))
+
+
+def at(table, column, cluster, term):
+    """One stored value of a relevance table column."""
+    return float(getattr(table, column)[table.cluster_position(cluster), table.terms.index(term)])
 
 
 def csv_terms(table, cluster, tmp_path):
@@ -45,16 +49,16 @@ def make_index(cluster_docs):
 
 class TestRates:
     def test_tpr_counting(self):
-        index = make_index({0: [["x"], ["x"], ["x"], ["y"]], 1: [["y"]]})
-        assert tpr(index, 0, "x") == 0.75
-        assert tpr(index, 0, "y") == 0.25
-        assert tpr(index, 1, "x") == 0.0
-        assert tpr(index, 1, "y") == 1.0
+        table = compute_relevance(make_index({0: [["x"], ["x"], ["x"], ["y"]], 1: [["y"]]}))
+        assert at(table, "tpr", 0, "x") == 0.75
+        assert at(table, "tpr", 0, "y") == 0.25
+        assert at(table, "tpr", 1, "x") == 0.0
+        assert at(table, "tpr", 1, "y") == 1.0
 
     def test_tpr_unknown_cluster(self):
-        index = make_index({0: [["x"]], 1: [["y"]]})
-        with pytest.raises(ValueError, match="unknown or empty cluster"):
-            tpr(index, 9, "x")
+        table = compute_relevance(make_index({0: [["x"]], 1: [["y"]]}))
+        with pytest.raises(ValueError, match="unknown cluster"):
+            at(table, "tpr", 9, "x")
 
     def test_fpr_mean_plus_population_std(self):
         # Other-cluster TPRs {0.2, 0.0, 0.1}: mean 0.1, population std
@@ -68,27 +72,28 @@ class TestRates:
             }
         )
         expected = 0.1 + math.sqrt(0.02 / 3)
-        assert fpr(index, "target", "w") == pytest.approx(expected, abs=1e-12)
+        assert at(compute_relevance(index), "fpr", "target", "w") == pytest.approx(expected, abs=1e-12)
 
     def test_fpr_singleton_other_cluster(self):
         index = make_index({0: [["w"]], 1: [["w"], ["w"], ["w"], ["z"], ["z"]]})
-        assert fpr(index, 0, "w") == pytest.approx(0.6, abs=1e-12)
+        assert at(compute_relevance(index), "fpr", 0, "w") == pytest.approx(0.6, abs=1e-12)
 
     def test_fpr_absent_everywhere_else(self):
         index = make_index({0: [["w"]], 1: [["z"]], 2: [["z"]]})
-        assert fpr(index, 0, "w") == 0.0
+        assert at(compute_relevance(index), "fpr", 0, "w") == 0.0
 
     def test_fpr_single_cluster_warns_and_returns_zero(self):
         index = make_index({0: [["w"], ["z"]]})
         with pytest.warns(UserWarning, match="single cluster"):
-            assert fpr(index, 0, "w") == 0.0
+            table = compute_relevance(index)
+        assert at(table, "fpr", 0, "w") == 0.0
 
     def test_noise_documents_excluded(self):
         streams = [stream("a", "w"), stream("b", "w"), stream("c", "w"), stream("d", "z")]
         vocab = build_vocabulary(streams)
         index = build_occurrence_index(streams, vocab, [0, 0, NOISE, 1])
         assert index.sizes.tolist() == [2, 1]
-        assert tpr(index, 0, "w") == 1.0
+        assert at(compute_relevance(index), "tpr", 0, "w") == 1.0
 
 
 class TestScores:
@@ -143,14 +148,14 @@ class TestRelevanceTable:
         table = compute_relevance(
             make_index({0: [["devos", "x"], ["devos", "y"]], 1: [["x"], ["y"]]})
         )
-        assert table.scores(0, "devos")[4] == 1.0
+        assert at(table, "r", 0, "devos") == 1.0
 
     def test_ubiquitous_term_scores_zero(self):
         table = compute_relevance(
             make_index({0: [["the", "a"], ["the"]], 1: [["the", "b"], ["the"]]})
         )
-        assert table.scores(0, "the")[4] == 0.0
-        assert table.scores(1, "the")[4] == 0.0
+        assert at(table, "r", 0, "the") == 0.0
+        assert at(table, "r", 1, "the") == 0.0
 
     def test_cluster_relabeling_keeps_scores(self):
         docs_a = [["u", "v"], ["u"]]
@@ -158,9 +163,10 @@ class TestRelevanceTable:
         table1 = compute_relevance(make_index({0: docs_a, 1: docs_b}))
         table2 = compute_relevance(make_index({5: docs_b, 9: docs_a}))
         # same cluster contents, different ids/order: scores must agree
-        for term in table1.terms:
-            assert table1.scores(0, term) == table2.scores(9, term)
-            assert table1.scores(1, term) == table2.scores(5, term)
+        for column in ("tpr", "fpr", "r_diff", "r_quot", "r"):
+            for term in table1.terms:
+                assert at(table1, column, 0, term) == at(table2, column, 9, term)
+                assert at(table1, column, 1, term) == at(table2, column, 5, term)
 
     def test_stored_fpr_clamped_but_scores_use_raw(self):
         # Other TPRs {1, 1, 0}: mean 2/3, std sqrt(2)/3 -> raw FPR ~ 1.138.
@@ -172,12 +178,13 @@ class TestRelevanceTable:
                 "c": [["z"]],
             }
         )
-        raw = fpr(index, "t", "w")
+        raw = _fpr_raw(index.counts / index.sizes[:, None])[
+            index.clusters.index("t"), index.terms.index("w")
+        ]
         assert raw > 1.0
         table = compute_relevance(index)
-        stored = table.scores("t", "w")[1]
-        assert stored == 1.0
-        assert table.scores("t", "w")[2] == score_diff(1.0, raw)
+        assert at(table, "fpr", "t", "w") == 1.0
+        assert at(table, "r_diff", "t", "w") == score_diff(1.0, raw)
 
 
 class TestRankTerms:
@@ -256,16 +263,16 @@ class TestContrastRelevance:
             "after": [["inauguration", "x"], ["inauguration", "y"]],
             "before": [["x"], ["y"]],
         }))
-        assert table.scores("after", "inauguration")[4] == 1.0
-        assert table.scores("before", "inauguration")[4] == 0.0
+        assert at(table, "r", "after", "inauguration") == 1.0
+        assert at(table, "r", "before", "inauguration") == 0.0
 
     def test_term_everywhere_scores_zero_both_sides(self):
         table = compute_relevance(make_index({
             "after": [["everywhere", "u0"], ["everywhere", "u1"]],
             "before": [["everywhere", "u2"], ["everywhere", "u3"]],
         }))
-        assert table.scores("after", "everywhere")[4] == 0.0
-        assert table.scores("before", "everywhere")[4] == 0.0
+        assert at(table, "r", "after", "everywhere") == 0.0
+        assert at(table, "r", "before", "everywhere") == 0.0
 
 
 def test_relevance_csv_sorted_by_cluster_then_score(tmp_path):
