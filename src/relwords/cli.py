@@ -61,8 +61,8 @@ DEFAULT_ENDPOINT = (
 )
 
 
-def corpus_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def corpus_sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 # Flag -> (PipelineConfig field, type, help). Each command takes the flags
@@ -123,7 +123,10 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    corpus = load_jsonl(args.corpus)
+    data = Path(args.corpus).read_bytes()  # one read, hashed and parsed
+    digest = corpus_sha256(data)
+    corpus = load_jsonl(data)
+    del data  # not held through clustering
     config = config_from_args(args)
     result = run_clustering(corpus, config)
     outdir = Path(args.outdir)
@@ -133,7 +136,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     manifest = {
         "config": config.as_dict(),
         "corpus_path": str(Path(args.corpus).resolve()),
-        "corpus_sha256": corpus_sha256(args.corpus),
+        "corpus_sha256": digest,
         "n_docs": len(corpus),
         "n_clusters": result.assignment.n_clusters,
         "n_noise": int((result.assignment.labels == NOISE).sum()),
@@ -189,10 +192,11 @@ def _load_run(run_dir: str | Path) -> _Run:
         raise ValueError(
             f"run config keys differ from this version's: {', '.join(sorted(differing))}; rerun cluster"
         )
-    corpus_path = manifest["corpus_path"]
-    if corpus_sha256(corpus_path) != manifest["corpus_sha256"]:
+    data = Path(manifest["corpus_path"]).read_bytes()  # one read, hashed and parsed
+    if corpus_sha256(data) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
-    corpus = load_jsonl(corpus_path)
+    corpus = load_jsonl(data)
+    del data  # not held through tokenizing and scoring
     config = PipelineConfig(**manifest["config"])
     with open(labels_path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))[1:]  # after the header

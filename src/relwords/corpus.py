@@ -9,6 +9,7 @@ by every downstream stage.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -101,7 +102,7 @@ class Corpus:
 
 
 def load_jsonl(
-    path: str | Path,
+    source: str | Path | bytes,
     *,
     id_field: str = "id",
     text_field: str = "text",
@@ -109,44 +110,51 @@ def load_jsonl(
 ) -> Corpus:
     """Read a JSON-lines corpus, preserving line order.
 
-    Raises ValueError naming the offending line for malformed JSON, missing,
-    null or empty id/text fields, ids holding a carriage return, and
-    unparseable dates; duplicate ids are rejected with the id in the message.
+    ``source`` is the file's path, or its bytes when the caller has read
+    them to hash (so that what is hashed is what is parsed).
+
+    Raises ValueError naming the offending line (and the file, given its
+    path) for malformed JSON, missing, null or empty id/text fields, ids
+    holding a carriage return, and unparseable dates; duplicate ids are
+    rejected with the id in the message.
     """
-    path = Path(path)
+    if isinstance(source, bytes):
+        where, handle = "", io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
+    else:
+        where, handle = f"{Path(source)}: ", Path(source).open("r", encoding="utf-8")
     docs: list[Document] = []
-    with path.open("r", encoding="utf-8") as handle:
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
+                raise ValueError(f"{where}line {lineno}: malformed JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+                raise ValueError(f"{where}line {lineno}: expected a JSON object")
             for name in (id_field, text_field):
                 if name not in record:
-                    raise ValueError(f"{path}: line {lineno}: missing {name!r} field")
+                    raise ValueError(f"{where}line {lineno}: missing {name!r} field")
             if record[id_field] in (None, ""):
-                raise ValueError(f"{path}: line {lineno}: empty {id_field!r} field")
+                raise ValueError(f"{where}line {lineno}: empty {id_field!r} field")
             doc_id = str(record[id_field])
             if "\r" in doc_id:
                 # csv.writer leaves a bare "\r" unquoted, which would split
                 # this document's row in labels.csv.
                 raise ValueError(
-                    f"{path}: line {lineno}: document id holds a carriage return: {doc_id!r}"
+                    f"{where}line {lineno}: document id holds a carriage return: {doc_id!r}"
                 )
             text = record[text_field]
             if not isinstance(text, str) or not text.strip():
-                raise ValueError(f"{path}: line {lineno}: empty {text_field!r} field")
+                raise ValueError(f"{where}line {lineno}: empty {text_field!r} field")
             timestamp = None
             if record.get(date_field) is not None:
                 try:
                     timestamp = parse_timestamp(str(record[date_field]))
                 except ValueError as exc:
                     raise ValueError(
-                        f"{path}: line {lineno}: bad {date_field!r} value: {exc}"
+                        f"{where}line {lineno}: bad {date_field!r} value: {exc}"
                     ) from exc
             docs.append(Document(id=doc_id, text=text, timestamp=timestamp))
     return Corpus(tuple(docs))

@@ -13,6 +13,7 @@ import html
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from functools import lru_cache
 from math import ceil, cos, hypot, sin
 from pathlib import Path
 from typing import Sequence
@@ -76,8 +77,26 @@ class WordCloudSpec:
     height: int
 
 
-def _boxes_overlap(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> bool:
-    return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
+@lru_cache(maxsize=8)
+def _spiral(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of the spiral positions, from the canvas center out to
+    its corners, in the order a word tries them.
+
+    Computed with ``math.cos``/``math.sin`` one step at a time, because
+    ``np.cos`` may differ in the last bit and move a word. The arrays are
+    shared by every cloud of this size, so they are read-only.
+    """
+    center_x, center_y = width / 2.0, height / 2.0
+    max_radius = hypot(width, height) / 2.0
+    max_steps = ceil(max_radius / (_SPIRAL_GROWTH * _SPIRAL_STEP)) + 1
+    xs, ys = np.empty(max_steps), np.empty(max_steps)
+    for step in range(max_steps):
+        theta = step * _SPIRAL_STEP
+        radius = _SPIRAL_GROWTH * theta
+        xs[step] = center_x + radius * cos(theta)
+        ys[step] = center_y + radius * sin(theta)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def layout_wordcloud(
@@ -93,8 +112,9 @@ def layout_wordcloud(
     Font size is affine in the word's score (MIN_FONT_PT..MAX_FONT_PT, or
     MAX_FONT_PT for all when scores are equal). Words are placed largest
     first; each takes the first spiral position from the canvas center where
-    its bounding box fits inside the canvas without touching a placed box.
-    Words that fit nowhere are skipped with a warning. No randomness.
+    its bounding box fits inside the canvas without overlapping a placed box
+    (touching edges are allowed). Words that fit nowhere are skipped with a
+    warning. No randomness.
     """
     if not ranked:
         raise ValueError("nothing to lay out: empty ranking")
@@ -105,10 +125,7 @@ def layout_wordcloud(
     weights = [w for _, w in chosen]
     w_min, w_max = min(weights), max(weights)
     span = w_max - w_min
-
-    center_x, center_y = width / 2.0, height / 2.0
-    max_radius = hypot(width, height) / 2.0
-    max_steps = ceil(max_radius / (_SPIRAL_GROWTH * _SPIRAL_STEP)) + 1
+    xs, ys = _spiral(width, height)
 
     entries: list[CloudEntry] = []
     boxes: list[tuple[float, float, float, float]] = []
@@ -122,30 +139,24 @@ def layout_wordcloud(
         if box_w > width or box_h > height:
             warnings.warn(f"word {term!r} does not fit the canvas; skipped")
             continue
-        placed = None
-        for step in range(max_steps):
-            theta = step * _SPIRAL_STEP
-            radius = _SPIRAL_GROWTH * theta
-            x = center_x + radius * cos(theta)
-            y = center_y + radius * sin(theta)
-            candidate = (x - box_w / 2.0, y - box_h / 2.0, x + box_w / 2.0, y + box_h / 2.0)
-            if candidate[0] < 0 or candidate[1] < 0 or candidate[2] > width or candidate[3] > height:
-                continue
-            if any(_boxes_overlap(candidate, other) for other in boxes):
-                continue
-            placed = (x, y)
-            boxes.append(candidate)
-            break
-        if placed is None:
+        x0, y0 = xs - box_w / 2.0, ys - box_h / 2.0
+        x1, y1 = xs + box_w / 2.0, ys + box_h / 2.0
+        # "not outside the canvas", which a NaN box passes, where "inside it" would fail it
+        free = ~((x0 < 0) | (y0 < 0) | (x1 > width) | (y1 > height))
+        for b0, b1, b2, b3 in boxes:
+            free &= (x1 <= b0) | (b2 <= x0) | (y1 <= b1) | (b3 <= y0)
+        if not free.any():
             warnings.warn(f"no free position for word {term!r}; skipped")
             continue
+        step = int(free.argmax())
+        boxes.append((x0[step], y0[step], x1[step], y1[step]))
         entries.append(
             CloudEntry(
                 term=term,
                 weight=weight,
                 font_size=size,
-                x=placed[0],
-                y=placed[1],
+                x=float(xs[step]),
+                y=float(ys[step]),
                 color=color if color is not None else _PALETTE[rank % len(_PALETTE)],
             )
         )

@@ -1,15 +1,31 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 These deliberately follow the textbook definitions step by step and share no
-code with the library.
+code with the library (the word-cloud reference takes only the report's
+constants and result types from it).
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter, deque
+from math import ceil, cos, hypot, sin
 
 import numpy as np
 from scipy import sparse
+
+from relwords.report import (
+    _PALETTE,
+    _SPIRAL_GROWTH,
+    _SPIRAL_STEP,
+    CANVAS_HEIGHT,
+    CANVAS_WIDTH,
+    CHAR_ADVANCE,
+    MAX_FONT_PT,
+    MIN_FONT_PT,
+    CloudEntry,
+    WordCloudSpec,
+)
 
 NOISE = -1
 
@@ -181,3 +197,73 @@ def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
         if coords[pivot, d] < 0:
             coords[:, d] = -coords[:, d]
     return coords
+
+
+def _boxes_overlap(a, b) -> bool:
+    return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
+
+
+def layout_wordcloud_reference(
+    ranked,
+    *,
+    top_k: int = 50,
+    width: int = CANVAS_WIDTH,
+    height: int = CANVAS_HEIGHT,
+    color: str | None = None,
+) -> WordCloudSpec:
+    """Word-cloud layout by walking the spiral one position at a time and
+    testing each candidate box against every placed box in turn."""
+    if not ranked:
+        raise ValueError("nothing to lay out: empty ranking")
+    chosen = [(term, weight) for term, weight in list(ranked)[:top_k] if weight > 0.0]
+    if not chosen:
+        raise ValueError("nothing to lay out: all scores are zero")
+    chosen.sort(key=lambda entry: -entry[1])  # stable: ties keep ranking order
+    weights = [w for _, w in chosen]
+    w_min, w_max = min(weights), max(weights)
+    span = w_max - w_min
+
+    center_x, center_y = width / 2.0, height / 2.0
+    max_radius = hypot(width, height) / 2.0
+    max_steps = ceil(max_radius / (_SPIRAL_GROWTH * _SPIRAL_STEP)) + 1
+
+    entries: list[CloudEntry] = []
+    boxes: list[tuple[float, float, float, float]] = []
+    for rank, (term, weight) in enumerate(chosen):
+        if span > 0.0:
+            size = MIN_FONT_PT + (MAX_FONT_PT - MIN_FONT_PT) * (weight - w_min) / span
+        else:
+            size = MAX_FONT_PT
+        box_w = CHAR_ADVANCE * size * len(term)
+        box_h = size
+        if box_w > width or box_h > height:
+            warnings.warn(f"word {term!r} does not fit the canvas; skipped")
+            continue
+        placed = None
+        for step in range(max_steps):
+            theta = step * _SPIRAL_STEP
+            radius = _SPIRAL_GROWTH * theta
+            x = center_x + radius * cos(theta)
+            y = center_y + radius * sin(theta)
+            candidate = (x - box_w / 2.0, y - box_h / 2.0, x + box_w / 2.0, y + box_h / 2.0)
+            if candidate[0] < 0 or candidate[1] < 0 or candidate[2] > width or candidate[3] > height:
+                continue
+            if any(_boxes_overlap(candidate, other) for other in boxes):
+                continue
+            placed = (x, y)
+            boxes.append(candidate)
+            break
+        if placed is None:
+            warnings.warn(f"no free position for word {term!r}; skipped")
+            continue
+        entries.append(
+            CloudEntry(
+                term=term,
+                weight=weight,
+                font_size=size,
+                x=placed[0],
+                y=placed[1],
+                color=color if color is not None else _PALETTE[rank % len(_PALETTE)],
+            )
+        )
+    return WordCloudSpec(entries=tuple(entries), width=width, height=height)

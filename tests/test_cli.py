@@ -1,4 +1,7 @@
+import builtins
 import csv
+import hashlib
+import io
 import json
 import os
 import re
@@ -11,13 +14,15 @@ from pathlib import Path
 import pytest
 
 import relwords
-from relwords import pipeline
-from relwords.cli import CONFIG_FLAGS, build_parser, config_from_args, main
+from relwords import pipeline, report
+from relwords.cli import CONFIG_FLAGS, _load_run, build_parser, config_from_args, main
 from relwords.corpus import Corpus, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary
-from relwords.relevance import build_occurrence_index, compute_relevance, write_relevance_csv
+from relwords.relevance import build_occurrence_index, compute_relevance, rank_terms, write_relevance_csv
+from relwords.report import svg_markup
 
 from corpora import planted_topic_corpus, trending_corpus
+from oracles import layout_wordcloud_reference
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +280,28 @@ class TestRelevant:
         assert "epsilon" in err and "rerun cluster" in err
 
 
+@pytest.mark.parametrize("command", ["cluster", "relevant"])
+def test_corpus_file_read_once(tmp_path, corpus_file, run_dir, monkeypatch, command):
+    # the hash a run records or checks is of the very bytes it parses, so a
+    # file that changes between two reads cannot pass as the hashed one
+    argv = {
+        "cluster": ["cluster", "--corpus", str(corpus_file), "--outdir", str(tmp_path / "run")],
+        "relevant": ["relevant", "--run", str(run_dir), "--out", str(tmp_path / "relevance.csv")],
+    }[command]
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == corpus_file.resolve():
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(argv) == 0
+    assert len(opened) == 1
+
+
 class TestWordcloud:
     def test_single_cluster_svg(self, run_dir, tmp_path):
         out = tmp_path / "cluster0.svg"
@@ -313,6 +340,33 @@ class TestWordcloud:
         assert code != 0
         assert "--top must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+
+# sha256 of the contrast cloud of trending_corpus() at its boundary, as the
+# per-position spiral walk drew it
+CONTRAST_SVG_SHA256 = "1a24474f895b9f4fee2f91b99a072c5635bb9f04f51c27e247dbc40dbaafe550"
+
+
+def test_clouds_byte_identical_to_the_reference_layout(tmp_path, run_dir):
+    # the contrast's 800x300 halves are laid out first, so a spiral cached
+    # for one canvas size would show in the 800x600 clouds drawn after it
+    report._spiral.cache_clear()
+    corpus, _, boundary = trending_corpus()
+    save_jsonl(corpus, tmp_path / "trending.jsonl")
+    contrast = tmp_path / "contrast.svg"
+    assert main(["contrast", "--corpus", str(tmp_path / "trending.jsonl"),
+                 "--boundary", boundary.date().isoformat(), "--out", str(contrast)]) == 0
+    assert hashlib.sha256(contrast.read_bytes()).hexdigest() == CONTRAST_SVG_SHA256
+
+    outdir = tmp_path / "clouds"
+    assert main(["wordcloud", "--run", str(run_dir), "--outdir", str(outdir)]) == 0
+    table = _load_run(run_dir).table
+    for cluster in table.clusters:
+        expected = svg_markup(layout_wordcloud_reference(rank_terms(table, cluster, 50), top_k=50))
+        assert (outdir / f"cluster{cluster}.svg").read_bytes() == expected.encode("utf-8")
+    assert sorted(path.name for path in outdir.glob("cluster*.svg")) == [
+        f"cluster{cluster}.svg" for cluster in table.clusters
+    ]
 
 
 class TestContrast:

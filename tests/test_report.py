@@ -1,5 +1,6 @@
 import html
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from relwords.report import (
     write_trends_csv,
 )
 from relwords.text import TokenStream, apply_bigrams, normalize_tokenize
+
+from oracles import layout_wordcloud_reference
 
 
 def boxes_disjoint(entries):
@@ -83,6 +86,61 @@ class TestLayoutWordcloud:
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError, match="empty ranking"):
             layout_wordcloud([])
+
+    def test_word_without_free_position_skipped_with_warning(self):
+        # "abc" fills the middle of the canvas, no position is left for
+        # "defg" beside it, and the smaller "h" still fits in a corner
+        ranked = [("abc", 1.0), ("defg", 0.6), ("h", 0.0001)]
+        with pytest.warns(UserWarning, match="no free position for word 'defg'") as caught:
+            spec = layout_wordcloud(ranked, width=100, height=60)
+        assert len(caught) == 1
+        assert [e.term for e in spec.entries] == ["abc", "h"]
+        assert boxes_disjoint(spec.entries)
+
+
+def layout_outcome(layout, ranked, **kwargs):
+    """(the spec, or the text of the ValueError raised; the warning messages
+    in the order they were issued) of one layout call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = layout(ranked, **kwargs)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+# 800x600 is the cloud canvas, 800x300 a contrast half; small canvases fill
+# up, so words find no free position there.
+CANVASES = st.one_of(
+    st.sampled_from([(800, 600), (800, 300), (60, 40)]),
+    st.tuples(st.integers(1, 400), st.integers(1, 300)),
+)
+# 28 or more characters at 48 pt are wider than 800; the empty term's box
+# has no width, so it can touch another box's edge exactly.
+RANKED_WORD = st.tuples(
+    st.one_of(st.text(alphabet="abxy", max_size=8), st.text(alphabet="abxy", min_size=28, max_size=40)),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1.0, 1.0)),
+)
+RANKINGS = st.integers(1, 60).flatmap(lambda n: st.lists(RANKED_WORD, min_size=n, max_size=n))
+
+
+@given(ranked=RANKINGS, top_k=st.integers(1, 60), canvas=CANVASES)
+@example(ranked=[("a" * 40, 1.0), ("fits", 0.5)], top_k=50, canvas=(800, 600))  # too wide
+@example(ranked=[("abc", 1.0), ("defg", 0.6), ("h", 0.0001)], top_k=50, canvas=(100, 60))  # no free position
+@example(ranked=[(f"w{i}", 0.5) for i in range(20)], top_k=50, canvas=(800, 300))  # all weights equal
+@example(ranked=[(f"w{i}", 1.0 - 0.1 * i) for i in range(10)], top_k=3, canvas=(800, 600))  # top_k truncates
+@example(ranked=[("a", 0.0), ("b", 1.0), ("c", 0.0)], top_k=50, canvas=(60, 40))  # zero weights
+@example(ranked=[("a", 0.0)], top_k=50, canvas=(800, 600))  # all weights zero
+@example(ranked=[("abcde", 1.0)], top_k=50, canvas=(144, 48))  # box exactly the canvas
+@example(ranked=[("", 1.0), ("", 1.0), ("ab", 0.5)], top_k=50, canvas=(800, 300))  # boxes touch
+@settings(max_examples=60, deadline=None)
+def test_layout_same_as_the_per_position_walk(ranked, top_k, canvas):
+    width, height = canvas
+    kwargs = dict(top_k=top_k, width=width, height=height)
+    assert layout_outcome(layout_wordcloud, ranked, **kwargs) == layout_outcome(
+        layout_wordcloud_reference, ranked, **kwargs
+    )
 
 
 class TestRenderSvg:
