@@ -19,7 +19,7 @@ from .corpus import (
     save_jsonl,
     split_by_period,
 )
-from .embedding import Embedding, KpcaModel, fit_kpca, transform
+from .embedding import Embedding, fit_kpca
 from .features import FeatureMatrix, Vocabulary, build_vocabulary, idf, vectorize
 from .pipeline import PipelineConfig, PipelineResult, prepare_streams, run_clustering, tokenize_corpus
 from .relevance import (
@@ -60,7 +60,6 @@ __all__ = [
     "Document",
     "Embedding",
     "FeatureMatrix",
-    "KpcaModel",
     "OccurrenceIndex",
     "PipelineConfig",
     "PipelineResult",
@@ -99,6 +98,5 @@ __all__ = [
     "split_by_period",
     "term_trends",
     "tokenize_corpus",
-    "transform",
     "vectorize",
 ]

@@ -23,58 +23,13 @@ _DEGENERATE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DualKpca:
-    """Kernel PCA fitted on the N x N Gram matrix (corpora with N <= T).
-
-    ``dual_coef`` columns are eigenvectors of the double-centered Gram matrix
-    scaled so that eigenvalue * ||column||^2 == 1; with that normalization the
-    embedded training points reproduce the centered Gram exactly on the kept
-    eigenspace. ``column_means``/``grand_mean`` center kernel evaluations of
-    new documents against the training corpus.
-    """
+class KernelPca:
+    """Linear kernel PCA of a corpus: the kept eigenvalues of its centered
+    Gram matrix, largest first, and the documents' principal coordinates
+    (N x k), whose dot products reproduce that Gram on the kept eigenspace."""
 
     eigenvalues: np.ndarray
-    dual_coef: np.ndarray
-    column_means: np.ndarray
-    grand_mean: float
-    training: FeatureMatrix
-
-    @property
-    def n_terms(self) -> int:
-        return self.training.matrix.shape[1]
-
-    def project(self, matrix) -> np.ndarray:
-        kernel = np.asarray((matrix @ self.training.matrix.T).todense(), dtype=np.float64)
-        row_means = kernel.mean(axis=1, keepdims=True)
-        centered = kernel - row_means - self.column_means[None, :] + self.grand_mean
-        return centered @ self.dual_coef
-
-
-@dataclass(frozen=True)
-class PrimalKpca:
-    """Kernel PCA fitted on the T x T covariance (corpora with T < N).
-
-    ``axes`` columns are orthonormal eigenvectors of the centered covariance
-    X_c^T X_c, which has the same positive spectrum as the centered Gram
-    X_c X_c^T; a document's coordinates are its centered row times ``axes``.
-    Nothing here grows with the number of training documents.
-    """
-
-    eigenvalues: np.ndarray
-    axes: np.ndarray
-    mean: np.ndarray
-
-    @property
-    def n_terms(self) -> int:
-        return self.mean.shape[0]
-
-    def project(self, matrix) -> np.ndarray:
-        coords = matrix @ self.axes
-        coords -= self.mean @ self.axes
-        return coords
-
-
-KpcaModel = DualKpca | PrimalKpca
+    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,8 +43,8 @@ class Embedding:
         return self.coords.shape[0]
 
 
-def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) -> KpcaModel:
-    """Fit linear kernel PCA on a feature matrix.
+def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) -> KernelPca:
+    """Fit linear kernel PCA on a feature matrix and embed its documents.
 
     The eigenproblem is solved on the short side of the N x T matrix: the
     double-centered N x N Gram when N <= T, the centered T x T covariance
@@ -98,44 +53,43 @@ def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) 
     eigenvalues below 1e-10 of the largest (rank deficiency), so small
     corpora yield fewer dimensions than requested.
     """
-    n, n_terms = features.matrix.shape
+    n, t = features.matrix.shape
     if n < 2:
         raise ValueError("need at least 2 documents")
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
-    if n_terms < n:
+    if t < n:
         return _fit_primal(features.matrix, max_components)
-    return _fit_dual(features, max_components)
+    return _fit_dual(features.matrix, max_components)
 
 
-def _fit_dual(features: FeatureMatrix, max_components: int) -> DualKpca:
-    gram = np.asarray((features.matrix @ features.matrix.T).todense(), dtype=np.float64)
+def _fit_dual(matrix, max_components: int) -> KernelPca:
+    gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
     col_means = gram.mean(axis=0)
-    grand_mean = float(gram.mean())
-    centered = gram - col_means[None, :] - col_means[:, None] + grand_mean
+    centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
     eigenvalues, eigenvectors = _leading_eigenpairs(centered, np.trace(gram), max_components)
+    # Scaled so that eigenvalue * ||column||^2 == 1: the coordinates' dot
+    # products then reproduce the centered Gram on the kept eigenspace.
     dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
     dual_coef *= _pivot_signs(dual_coef)
-    return DualKpca(
-        eigenvalues=eigenvalues,
-        dual_coef=dual_coef,
-        column_means=col_means,
-        grand_mean=grand_mean,
-        training=features,
-    )
+    return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)
 
 
-def _fit_primal(matrix, max_components: int) -> PrimalKpca:
+def _fit_primal(matrix, max_components: int) -> KernelPca:
     mean = np.asarray(matrix.mean(axis=0)).ravel()
     covariance = (matrix.T @ matrix).toarray()
     scale = np.trace(covariance)
     covariance -= matrix.shape[0] * np.outer(mean, mean)
     eigenvalues, axes = _leading_eigenpairs(covariance, scale, max_components)
+    # The columns of ``axes`` are orthonormal eigenvectors of the centered
+    # covariance, so a document's coordinates are its centered row times them.
     axes = np.ascontiguousarray(axes)
-    # The training coordinates are proportional to the Gram eigenvectors, so
-    # this picks the same sign as the dual path's rule on ``dual_coef``.
-    axes *= _pivot_signs(matrix @ axes - mean @ axes)
-    return PrimalKpca(eigenvalues=eigenvalues, axes=axes, mean=mean)
+    coords = matrix @ axes
+    coords -= mean @ axes
+    # The coordinates are proportional to the Gram eigenvectors, so this
+    # picks the same sign as the dual path's rule on its coefficients.
+    coords *= _pivot_signs(coords)
+    return KernelPca(eigenvalues=eigenvalues, coords=coords)
 
 
 def _leading_eigenpairs(
@@ -163,19 +117,14 @@ def _pivot_signs(columns: np.ndarray) -> np.ndarray:
     return np.where(columns[pivots, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
 
 
-def transform(model: KpcaModel, features: FeatureMatrix) -> Embedding:
-    """Project documents into the fitted principal coordinates.
+def transform(model: KernelPca, features: FeatureMatrix) -> Embedding:
+    """The fitted documents' coordinates, labelled with their ids.
 
-    Transforming the training matrix itself reproduces the centered Gram
-    (restricted to the kept eigenspace) as the embedding's pairwise dot
-    products. Each row depends only on its own document's features, so
-    identical documents get bitwise-identical rows.
+    It computes nothing. It exists because the benchmark's tracer
+    (``perfbench/tracing.py``) times the embedding stage as
+    ``pipeline.transform`` and reads the ``Embedding`` it returns.
     """
-    if features.matrix.shape[1] != model.n_terms:
-        raise ValueError(
-            f"vocabulary dimension mismatch: {features.matrix.shape[1]} != {model.n_terms}"
-        )
-    return Embedding(coords=model.project(features.matrix), doc_ids=features.doc_ids)
+    return Embedding(coords=model.coords, doc_ids=features.doc_ids)
 
 
 def write_embedding_csv(embedding: Embedding, path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import Corpus
-from .embedding import DEFAULT_COMPONENTS, Embedding, KpcaModel, fit_kpca, transform
+from .embedding import DEFAULT_COMPONENTS, Embedding, KernelPca, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
 from .text import (
     BigramCandidate,
@@ -55,7 +55,7 @@ class PipelineResult:
     streams: tuple[TokenStream, ...]
     selected_bigrams: dict[tuple[str, str], BigramCandidate]
     features: FeatureMatrix
-    model: KpcaModel
+    model: KernelPca
     embedding: Embedding
     assignment: ClusterAssignment
 

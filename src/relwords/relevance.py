@@ -179,17 +179,26 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     """Full table dump: ``cluster,term,tpr,fpr,r_diff,r_quot,r``.
 
     Rows sorted by cluster, then score descending (ties: TPR descending,
-    term ascending) — the same order used for ranking.
+    term ascending) — the same order used for ranking. Values print as
+    ``.12g``.
     """
     term_ranks = _term_ranks(table.terms)
-    columns = (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
+    # Each distinct value is formatted once. Values are told apart by bit
+    # pattern, since 0.0 and -0.0 are equal as values but print differently,
+    # and found column by column so that no copy of the whole table is made.
+    columns = [
+        column.view(np.uint64) for column in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
+    ]
+    distinct = np.unique(np.concatenate([np.unique(column) for column in columns]))
+    text = np.array([f"{v:.12g}" for v in distinct.view(np.float64).tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
             order = _ranked(table, c, term_ranks)
-            rows = zip(order.tolist(), *(column[c, order].tolist() for column in columns))
-            for i, tpr_value, fpr_value, r_diff, r_quot, r in rows:
-                handle.write(
-                    f"{cluster},{table.terms[i]},{tpr_value:.12g},{fpr_value:.12g},"
-                    f"{r_diff:.12g},{r_quot:.12g},{r:.12g}\n"
-                )
+            cells = np.stack(
+                [text[np.searchsorted(distinct, column[c, order])] for column in columns], axis=1
+            )
+            handle.writelines(
+                f"{cluster},{table.terms[i]},{','.join(row)}\n"
+                for i, row in zip(order.tolist(), cells.tolist())
+            )

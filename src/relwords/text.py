@@ -113,9 +113,19 @@ def select_bigrams(
     unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
     if not candidates or len(unigrams) < 2 or not pairs:
         return {}
-    universe = sorted(pairs)
+    # Each pair as one integer, rank(first) * n + rank(second) over the n
+    # sorted tokens: these sort in the pairs' own order, much faster than
+    # the tuples, and hold no object per pair.
+    tokens = sorted(unigrams)
+    rank = {token: r for r, token in enumerate(tokens)}
+    n = len(tokens)
+    universe = np.fromiter(
+        (rank[a] * n + rank[b] for a, b in pairs), dtype=np.int64, count=len(pairs)
+    )
+    universe.sort()
     rng = np.random.default_rng(seed)
-    sample = [universe[pick] for pick in rng.integers(0, len(universe), size=10 * len(candidates))]
+    picks = universe[rng.integers(0, len(universe), size=10 * len(candidates))]
+    sample = ((tokens[first], tokens[second]) for first, second in zip(*np.divmod(picks, n)))
     baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
     threshold = baseline.mean() + 2.0 * baseline.std()
     return {(c.first, c.second): c for c in candidates if c.score > threshold}

@@ -199,6 +199,34 @@ def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
     return coords
 
 
+def select_bigrams_reference(candidates, counts, *, seed: int = 0):
+    """(selection, threshold) of the bigram selection, with the universe of
+    adjacent pairs sorted as tuples: the cut is mean + 2 std of the
+    undiscounted scores of ``10 * len(candidates)`` seeded uniform draws
+    from it, and the candidates scoring above the cut are kept."""
+    unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
+    universe = sorted(pairs)
+    rng = np.random.default_rng(seed)
+    sample = [universe[pick] for pick in rng.integers(0, len(universe), size=10 * len(candidates))]
+    baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
+    threshold = baseline.mean() + 2.0 * baseline.std()
+    return {(c.first, c.second): c for c in candidates if c.score > threshold}, threshold
+
+
+def write_relevance_csv_reference(table, path) -> None:
+    """The relevance CSV written one row and one value at a time: rows by
+    cluster, then score descending, TPR descending and term ascending; each
+    value printed with ``.12g``."""
+    columns = (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
+        for c, cluster in enumerate(table.clusters):
+            r, tpr = table.r[c].tolist(), table.tpr[c].tolist()
+            for i in sorted(range(len(table.terms)), key=lambda i: (-r[i], -tpr[i], table.terms[i])):
+                values = ",".join(f"{float(column[c, i]):.12g}" for column in columns)
+                handle.write(f"{cluster},{table.terms[i]},{values}\n")
+
+
 def _boxes_overlap(a, b) -> bool:
     return not (a[2] <= b[0] or b[2] <= a[0] or a[3] <= b[1] or b[3] <= a[1])
 

@@ -18,6 +18,7 @@ from relwords import pipeline, report
 from relwords.cli import CONFIG_FLAGS, _load_run, build_parser, config_from_args, main
 from relwords.corpus import Corpus, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary
+from relwords.pipeline import PipelineConfig, run_clustering
 from relwords.relevance import build_occurrence_index, compute_relevance, rank_terms, write_relevance_csv
 from relwords.report import svg_markup
 
@@ -132,8 +133,16 @@ class TestCluster:
         code = main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
                      "--dump-matrix", "--dump-embedding"])
         assert code == 0
-        for name in ("matrix.csv", "embedding.csv"):
-            assert (outdir / name).exists()
+        assert (outdir / "matrix.csv").exists()
+        # the embedding is the fit's own coordinates, in corpus order
+        corpus = load_jsonl(corpus_file)
+        coords = run_clustering(corpus, PipelineConfig()).model.coords
+        with open(outdir / "embedding.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["doc_id"] + [f"c{d}" for d in range(coords.shape[1])]
+        assert rows[1:] == [
+            [doc_id] + [f"{v:.12g}" for v in row] for doc_id, row in zip(corpus.ids(), coords.tolist())
+        ]
 
 
 class TestReadCommandsReuseRunBigrams:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from relwords.embedding import DualKpca, PrimalKpca, fit_kpca, transform, write_embedding_csv
+from relwords import embedding
+from relwords.embedding import fit_kpca, transform, write_embedding_csv
 from relwords.features import FeatureMatrix, Vocabulary
 
 from oracles import kpca_reference
 
 
-def make_feature_matrix(rows: np.ndarray, prefix: str = "d") -> FeatureMatrix:
+def make_feature_matrix(rows: np.ndarray) -> FeatureMatrix:
     rows = np.asarray(rows, dtype=np.float64)
     terms = tuple(f"t{i:03d}" for i in range(rows.shape[1]))
     vocab = Vocabulary(
@@ -21,7 +22,7 @@ def make_feature_matrix(rows: np.ndarray, prefix: str = "d") -> FeatureMatrix:
     return FeatureMatrix(
         matrix=sparse.csr_matrix(rows),
         vocab=vocab,
-        doc_ids=tuple(f"{prefix}{k}" for k in range(rows.shape[0])),
+        doc_ids=tuple(f"d{k}" for k in range(rows.shape[0])),
     )
 
 
@@ -36,6 +37,20 @@ def random_tfidf(rng, n, t):
     rows = rng.random((n, t)) * (rng.random((n, t)) < 0.3)
     rows[rows.sum(axis=1) == 0, 0] = rng.random()  # no all-zero doc
     return rows
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """The eigen-solvers ``fit_kpca`` calls, by name, in call order."""
+    called = []
+    for name in ("_fit_dual", "_fit_primal"):
+
+        def traced(*args, _name=name, _solver=getattr(embedding, name), **kwargs):
+            called.append(_name)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, name, traced)
+    return called
 
 
 class TestFitKpca:
@@ -62,20 +77,21 @@ class TestFitKpca:
         model = fit_kpca(fm)
         assert model.eigenvalues.shape == (2,)
         np.testing.assert_allclose(model.eigenvalues, [1.0, 1.0], atol=1e-12)
-        coords = transform(model, fm).coords
+        coords = model.coords
         for i in range(3):
             for j in range(i + 1, 3):
                 side = np.sum((coords[i] - coords[j]) ** 2)
                 assert side == pytest.approx(2.0, abs=1e-10)
 
-    def test_component_cap_applies(self):
+    def test_component_cap_applies(self, solvers):
         rng = np.random.default_rng(0)
         model = fit_kpca(make_feature_matrix(random_tfidf(rng, 40, 60)), max_components=10)
         assert model.eigenvalues.shape == (10,)
-        assert model.dual_coef.shape == (40, 10)
+        assert model.coords.shape == (40, 10)
         model = fit_kpca(make_feature_matrix(random_tfidf(rng, 60, 40)), max_components=10)
         assert model.eigenvalues.shape == (10,)
-        assert model.axes.shape == (40, 10)
+        assert model.coords.shape == (60, 10)
+        assert solvers == ["_fit_dual", "_fit_primal"]
 
     def test_default_cap_on_large_corpus(self):
         rng = np.random.default_rng(10)
@@ -96,18 +112,15 @@ class TestFitKpca:
         assert np.all(model.eigenvalues > 0)
         assert np.all(np.diff(model.eigenvalues) <= 0)
 
-    def test_dual_coefficient_normalization(self):
-        # N <= T: eigenvalue * ||dual coefficient column||^2 == 1.
+    def test_coordinate_columns_orthogonal_with_eigenvalue_norms(self, solvers):
+        # coords.T @ coords == diag(eigenvalues), on both solver paths.
         rng = np.random.default_rng(3)
-        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 20, 30)))
-        assert isinstance(model, DualKpca)
-        norms = model.eigenvalues * np.sum(model.dual_coef**2, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-        # T < N: the term-space axes are orthonormal.
-        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 30, 20)))
-        assert isinstance(model, PrimalKpca)
-        gram = model.axes.T @ model.axes
-        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
+        for n, t in ((20, 30), (30, 20)):
+            model = fit_kpca(make_feature_matrix(random_tfidf(rng, n, t)))
+            np.testing.assert_allclose(
+                model.coords.T @ model.coords, np.diag(model.eigenvalues), rtol=0, atol=1e-10
+            )
+        assert solvers == ["_fit_dual", "_fit_primal"]
 
     def test_refit_is_bitwise_reproducible(self):
         rng = np.random.default_rng(4)
@@ -121,16 +134,18 @@ class TestFitKpca:
                 if isinstance(value, np.ndarray):
                     assert np.array_equal(value, getattr(second, field.name)), field.name
 
-    def test_primal_model_holds_nothing_per_document(self):
-        # T < N: the fitted model is O(T * k); no array has one row per
-        # training document and the training matrix is not kept.
+    def test_fit_keeps_no_features_and_at_most_k_columns(self, solvers):
+        # Neither path keeps the feature matrix or anything wider than the
+        # k kept components: the fit is the eigenvalues and the coordinates.
         rng = np.random.default_rng(11)
-        n = 90
-        model = fit_kpca(make_feature_matrix(random_tfidf(rng, n, 40)))
-        for field in fields(model):
-            value = getattr(model, field.name)
-            assert not isinstance(value, FeatureMatrix) and not sparse.issparse(value), field.name
-            assert np.shape(value)[:1] != (n,), field.name
+        for n, t in ((40, 90), (90, 40)):
+            model = fit_kpca(make_feature_matrix(random_tfidf(rng, n, t)), max_components=10)
+            k = model.eigenvalues.shape[0]
+            for field in fields(model):
+                value = getattr(model, field.name)
+                assert not isinstance(value, FeatureMatrix) and not sparse.issparse(value), field.name
+                assert isinstance(value, np.ndarray) and value.shape[-1] <= k, field.name
+        assert solvers == ["_fit_dual", "_fit_primal"]
 
 
 class TestShortSide:
@@ -138,26 +153,24 @@ class TestShortSide:
     T x T covariance when T < N; both must give the textbook coordinates."""
 
     @pytest.mark.parametrize("n, t", [(30, 50), (70, 25)])
-    def test_matches_textbook_reference(self, n, t):
+    def test_matches_textbook_reference(self, n, t, solvers):
         rng = np.random.default_rng(n * 1000 + t)
         rows = random_tfidf(rng, n, t)
         fm = make_feature_matrix(rows)
-        model = fit_kpca(fm, max_components=min(n, t))
-        assert isinstance(model, DualKpca if n <= t else PrimalKpca)
-        coords = transform(model, fm).coords
+        coords = fit_kpca(fm, max_components=min(n, t)).coords
+        assert solvers == ["_fit_dual" if n <= t else "_fit_primal"]
         reference = kpca_reference(rows, coords.shape[1])
         assert coords.shape == (n, min(n - 1, t))
         np.testing.assert_allclose(coords, reference, rtol=0, atol=1e-9)
 
-    def test_more_documents_than_terms_reconstruction(self):
+    def test_more_documents_than_terms_reconstruction(self, solvers):
         rng = np.random.default_rng(12)
         n, t = 120, 35
         rows = random_tfidf(rng, n, t)
         rows[n // 2] = rows[n // 3]  # plant a duplicate document
         fm = make_feature_matrix(rows)
-        model = fit_kpca(fm, max_components=n)
-        assert isinstance(model, PrimalKpca)
-        coords = transform(model, fm).coords
+        coords = fit_kpca(fm, max_components=n).coords
+        assert solvers == ["_fit_primal"]
         reference = centered_gram(rows)
         err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
         assert err <= 1e-8
@@ -165,6 +178,8 @@ class TestShortSide:
 
 
 class TestTransform:
+    """The embedding the pipeline clusters, as ``transform`` hands it on."""
+
     def test_training_gram_reconstruction(self):
         rng = np.random.default_rng(5)
         rows = random_tfidf(rng, 30, 50)
@@ -182,23 +197,6 @@ class TestTransform:
         fm = make_feature_matrix(rows)
         coords = transform(fit_kpca(fm), fm).coords
         assert np.array_equal(coords[7], coords[2])
-
-    def test_new_document_equal_to_training_doc(self):
-        rng = np.random.default_rng(7)
-        rows = random_tfidf(rng, 10, 15)
-        fm = make_feature_matrix(rows)
-        model = fit_kpca(fm)
-        training_coords = transform(model, fm).coords
-        single = make_feature_matrix(rows[4:5], prefix="new")
-        new_coords = transform(model, single).coords
-        np.testing.assert_allclose(new_coords[0], training_coords[4], atol=1e-10)
-
-    def test_vocabulary_dimension_mismatch(self):
-        rng = np.random.default_rng(8)
-        model = fit_kpca(make_feature_matrix(random_tfidf(rng, 6, 10)))
-        other = make_feature_matrix(random_tfidf(rng, 3, 11))
-        with pytest.raises(ValueError, match="mismatch"):
-            transform(model, other)
 
     def test_column_sign_flip_leaves_cosines_unchanged(self):
         rng = np.random.default_rng(9)

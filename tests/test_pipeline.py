@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import relwords
 from relwords.clustering import NOISE
 from relwords.corpus import Corpus, Document
 from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
@@ -74,3 +75,9 @@ class TestRunClustering:
         assert ("betsy", "devos") in selected
         assert any("betsy_devos" in s.tokens for s in streams)
         assert not any("betsy" in s.tokens for s in streams)
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # ``from relwords import *``
+    assert [name for name in relwords.__all__ if not hasattr(relwords, name)] == []

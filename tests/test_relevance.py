@@ -14,9 +14,12 @@ from relwords.relevance import (
     score_diff,
     score_final,
     score_quot,
+    RelevanceTable,
     write_relevance_csv,
 )
 from relwords.text import TokenStream
+
+from oracles import write_relevance_csv_reference
 
 
 def stream(doc_id, *tokens):
@@ -290,3 +293,28 @@ def test_relevance_csv_sorted_by_cluster_then_score(tmp_path):
         scores = [float(row[6]) for row in rows if row[0] == cluster]
         assert scores == sorted(scores, reverse=True)
     assert rows[0][:2] == ["0", "devos"]
+
+
+def test_relevance_csv_same_bytes_as_the_per_row_writer(tmp_path):
+    # repeated values, score ties, 0.0 and -0.0 (equal as values but
+    # printed "0" and "-0"), a subnormal, and terms out of order
+    values = np.array([
+        [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
+        [1.0, 0.0, -0.0, 1e-300, 0.5, 0.5, 0.0],
+    ])
+    table = RelevanceTable(
+        terms=("b", "a", "d", "c", "e", "ab", "f"),
+        clusters=(0, 7),
+        tpr=values,
+        fpr=values.copy(),
+        r_diff=values.copy(),
+        r_quot=values.copy(),
+        r=np.array([[0.5, 0.5, -0.0, 0.0, 1 / 3, 0.5, 0.5], [0.0, -0.0, 0.25, 0.25, 1.0, 0.0, 0.25]]),
+    )
+    computed = compute_relevance(make_index({0: [["x", "y"], ["x"], ["z"]], 1: [["y"], ["y", "w"]]}))
+    for name, case in (("made", table), ("computed", computed)):
+        write_relevance_csv(case, tmp_path / f"{name}.csv")
+        write_relevance_csv_reference(case, tmp_path / f"{name}.reference.csv")
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}.reference.csv").read_bytes(), name
+    assert b",-0," in (tmp_path / "made.csv").read_bytes()

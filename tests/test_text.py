@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from relwords.text import (
     token_spans,
     write_bigrams_csv,
 )
+
+from oracles import select_bigrams_reference
 
 
 def stream(*tokens):
@@ -172,6 +176,31 @@ class TestSelectBigrams:
     def test_seed_is_respected(self):
         streams = self.make_planted()
         assert score_and_select(streams, 5, seed=0) == score_and_select(streams, 5, seed=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_selection_and_threshold_as_the_tuple_sorted_universe(self, seed):
+        # tokens that are prefixes of one another, as in ("a", "bc"),
+        # ("ab", "c") and ("a", "b"), a digit and non-ASCII letters: the pair
+        # universe must be sampled in tuple order all the same
+        rng = np.random.default_rng(seed)
+        words = ["a", "ab", "abc", "b", "bc", "c", "a0", "é", "éa", "z", "zz", "0"]
+        streams = [stream("a", "bc", "ab", "c", "a", "b")] + [
+            TokenStream(f"d{d}", tuple(words[i] for i in rng.integers(0, len(words), 10)))
+            for d in range(6)
+        ]
+        counts = count_corpus(streams)
+        candidates = score_bigrams(counts, discount=0)
+        expected, threshold = select_bigrams_reference(candidates, counts, seed=seed)
+        assert select_bigrams(candidates, counts, seed=seed) == expected
+        # rescored to the reference's threshold and to the next float above
+        # it, only the second candidate is kept iff the thresholds are equal
+        at, above = (
+            replace(c, score=score)
+            for c, score in zip(candidates, (threshold, np.nextafter(threshold, np.inf)))
+        )
+        selected = select_bigrams([at, above, *candidates[2:]], counts, seed=seed)
+        assert (at.first, at.second) not in selected
+        assert (above.first, above.second) in selected
 
 
 class TestApplyBigrams:
