@@ -1,9 +1,9 @@
 """Command-line pipeline with persisted, reproducible intermediate artifacts.
 
-``relwords cluster`` writes a labels CSV, the selected bigrams and a manifest
-recording the full config and a hash of the input corpus; downstream commands
-(relevant, wordcloud, highlight) re-tokenize the corpus, merge the run's
-bigrams and score relevance from them, and refuse to run against a corpus
+``relwords cluster`` writes a labels CSV, the selected bigrams, per-cluster
+term occurrence counts and a manifest recording the full config and a hash
+of the input corpus; downstream commands (relevant, wordcloud, highlight)
+score relevance from the recorded counts and refuse to run against a corpus
 that changed since clustering.
 """
 
@@ -14,8 +14,11 @@ import csv
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .clustering import NOISE, write_labels_csv
@@ -31,8 +34,9 @@ from .corpus import (
 )
 from .embedding import write_embedding_csv
 from .features import build_vocabulary, write_matrix_csv
-from .pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_with_bigrams
+from .pipeline import PipelineConfig, prepare_streams, run_clustering
 from .relevance import (
+    OccurrenceIndex,
     RelevanceTable,
     build_occurrence_index,
     compute_relevance,
@@ -50,11 +54,12 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import TokenStream, read_bigrams_csv, write_bigrams_csv
+from .text import apply_bigrams, normalize_tokenize, read_bigrams_csv, write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
 BIGRAMS_NAME = "bigrams.csv"
+OCCURRENCE_NAME = "occurrence.json"
 
 DEFAULT_ENDPOINT = (
     "https://api.nytimes.com/svc/archive/v1/{year}/{month}.json?api-key={key}"
@@ -133,6 +138,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(result.assignment, corpus.ids(), outdir / LABELS_NAME)
     write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
+    index = build_occurrence_index(result.streams, result.features.vocab, result.assignment.labels.tolist())
+    occurrence = json.dumps(vars(index), default=np.ndarray.tolist)  # integers and strings only
+    (outdir / OCCURRENCE_NAME).write_text(occurrence + "\n", encoding="utf-8")
     manifest = {
         "config": config.as_dict(),
         "corpus_path": str(Path(args.corpus).resolve()),
@@ -159,33 +167,22 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class _Run:
-    """A cluster run read back, with its relevance table recomputed."""
+    """A cluster run read back, scored from its recorded occurrence counts."""
 
     corpus: Corpus
     labels: list[int]
-    streams: list[TokenStream]
     table: RelevanceTable
-
-
-def _relevance(
-    streams: list[TokenStream], labels: list[int] | list[str], config: PipelineConfig
-) -> RelevanceTable:
-    """The relevance table of the streams under one label per stream: a
-    cluster run's labels or the contrast's periods."""
-    vocab = build_vocabulary(streams, min_df=config.min_df)
-    index = build_occurrence_index(streams, vocab, labels)
-    return compute_relevance(index)
 
 
 def _load_run(run_dir: str | Path) -> _Run:
     run = Path(run_dir)
     manifest_path = run / MANIFEST_NAME
     labels_path = run / LABELS_NAME
-    bigrams_path = run / BIGRAMS_NAME
     if not manifest_path.exists() or not labels_path.exists():
         raise FileNotFoundError(f"no cluster run in {run} (expected {MANIFEST_NAME} and {LABELS_NAME})")
-    if not bigrams_path.exists():
-        raise ValueError(f"no {BIGRAMS_NAME} in {run}; rerun cluster")
+    for name in (BIGRAMS_NAME, OCCURRENCE_NAME):
+        if not (run / name).exists():
+            raise ValueError(f"no {name} in {run}; rerun cluster")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     differing = set(manifest["config"]) ^ set(PipelineConfig().as_dict())
     if differing:
@@ -196,15 +193,20 @@ def _load_run(run_dir: str | Path) -> _Run:
     if corpus_sha256(data) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
     corpus = load_jsonl(data)
-    del data  # not held through tokenizing and scoring
-    config = PipelineConfig(**manifest["config"])
+    del data  # not held through scoring
     with open(labels_path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))[1:]  # after the header
     if tuple(doc_id for doc_id, _ in rows) != corpus.ids():
         raise ValueError("stale artifacts; rerun cluster")
     labels = [int(label) for _, label in rows]
-    streams = tokenize_with_bigrams(corpus, read_bigrams_csv(bigrams_path))
-    return _Run(corpus, labels, streams, _relevance(streams, labels, config))
+    occurrence = json.loads((run / OCCURRENCE_NAME).read_text(encoding="utf-8"))
+    clusters, terms = tuple(occurrence["clusters"]), tuple(occurrence["terms"])
+    counts = np.array(occurrence["counts"], dtype=np.int64).reshape(len(clusters), len(terms))
+    index = OccurrenceIndex(terms, clusters, counts, np.array(occurrence["sizes"], dtype=np.int64))
+    sizes = Counter(label for label in labels if label != NOISE)
+    if clusters != tuple(sorted(sizes)) or index.sizes.tolist() != [sizes[c] for c in clusters]:
+        raise ValueError("stale artifacts; rerun cluster")
+    return _Run(corpus, labels, compute_relevance(index))
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
@@ -260,7 +262,8 @@ def cmd_contrast(args: argparse.Namespace) -> int:
         if period not in periods:
             raise ValueError(f"no documents {period} {args.boundary}")
     streams, _ = prepare_streams(corpus, config)
-    table = _relevance(streams, periods, config)
+    vocab = build_vocabulary(streams, min_df=config.min_df)
+    table = compute_relevance(build_occurrence_index(streams, vocab, periods))
     ranked_after = rank_terms(table, "after", args.top)
     ranked_before = rank_terms(table, "before", args.top)
     for period, ranked in (("after", ranked_after), ("before", ranked_before)):
@@ -280,7 +283,10 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     label = run.labels[position]
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
-    highlight_html(run.corpus.docs[position], run.streams[position], run.table, label, args.out)
+    doc = run.corpus.docs[position]
+    selected = read_bigrams_csv(Path(args.run) / BIGRAMS_NAME)
+    stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
+    highlight_html(doc, stream, run.table, label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

@@ -65,14 +65,19 @@ def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) 
 
 def _fit_dual(matrix, max_components: int) -> KernelPca:
     gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
-    col_means = gram.mean(axis=0)
-    centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
-    eigenvalues, eigenvectors = _leading_eigenpairs(centered, np.trace(gram), max_components)
+    scale, col_means, grand = np.trace(gram), gram.mean(axis=0), float(gram.mean())
+    # Centred in place, in the order of gram - col - row + grand: the same
+    # bits as that expression, without a second N x N matrix.
+    gram -= col_means[None, :]
+    gram -= col_means[:, None]
+    gram += grand
+    eigenvalues, eigenvectors = _leading_eigenpairs(gram, scale, max_components)
     # Scaled so that eigenvalue * ||column||^2 == 1: the coordinates' dot
     # products then reproduce the centered Gram on the kept eigenspace.
     dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
+    del eigenvectors  # a view that keeps the whole N x N eigenvector matrix alive
     dual_coef *= _pivot_signs(dual_coef)
-    return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)
+    return KernelPca(eigenvalues=eigenvalues, coords=gram @ dual_coef)
 
 
 def _fit_primal(matrix, max_components: int) -> KernelPca:

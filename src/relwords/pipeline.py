@@ -7,7 +7,6 @@ DBSCAN. Every knob, including the bigram sampling seed, lives in
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import asdict, dataclass
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
@@ -62,14 +61,6 @@ class PipelineResult:
 
 def tokenize_corpus(corpus: Corpus) -> list[TokenStream]:
     return [normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
-
-
-def tokenize_with_bigrams(
-    corpus: Corpus, selected: Collection[tuple[str, str]]
-) -> list[TokenStream]:
-    """Tokenize the corpus and merge an already chosen bigram selection, such
-    as the one a cluster run recorded."""
-    return [apply_bigrams(stream, selected) for stream in tokenize_corpus(corpus)]
 
 
 def prepare_streams(

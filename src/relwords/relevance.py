@@ -79,8 +79,6 @@ def build_occurrence_index(
     if len(streams) != len(labels):
         raise ValueError("labels length does not match stream count")
     kept = sorted({label for label in labels if label != NOISE})
-    if not kept:
-        raise ValueError("no clusters to score (all documents are noise)")
     positions = {label: c for c, label in enumerate(kept)}
     groups = np.array([positions.get(label, NOISE) for label in labels], dtype=np.int64)
     counts = group_doc_freq(term_counts(streams, vocab.index), groups, len(kept))
@@ -132,6 +130,8 @@ def score_final(tpr_value, fpr_value):
 
 def compute_relevance(index: OccurrenceIndex) -> RelevanceTable:
     """Score every (cluster, term) pair of an occurrence index."""
+    if not index.clusters:
+        raise ValueError("no clusters to score (all documents are noise)")
     rates = index.counts / index.sizes[:, None]
     fpr_raw = _fpr_raw(rates)
     # In this order no more (clusters, terms) arrays are alive at once than

@@ -167,9 +167,14 @@ def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
 def read_bigrams_csv(path) -> set[tuple[str, str]]:
     """The ``(first, second)`` pairs of a ``write_bigrams_csv`` file.
 
-    Tokens are letters and digits only, so every row splits on ``,``.
+    Tokens are letters and digits only, so every row splits on ``,`` into
+    three fields; any other row is an error naming its line.
     """
     with open(path, "r", encoding="utf-8", newline="\n") as handle:
         if handle.readline() != _BIGRAMS_HEADER:
             raise ValueError(f"{path}: not a bigrams CSV (no first,second,score header)")
-        return {tuple(line.split(",", 2)[:2]) for line in handle}
+        rows = [line.split(",", 2) for line in handle]
+    for number, row in enumerate(rows, start=2):
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {number}: not a first,second,score row: {','.join(row)!r}")
+    return {(first, second) for first, second, _ in rows}

@@ -2,7 +2,10 @@
 
 These deliberately follow the textbook definitions step by step and share no
 code with the library (the word-cloud reference takes only the report's
-constants and result types from it).
+constants and result types from it). The two exceptions keep an earlier
+version's code path on the library's own functions, so that its successor
+can be required to give the very same bits: ``fit_dual_reference`` and
+``relevance_from_corpus``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from math import ceil, cos, hypot, sin
 import numpy as np
 from scipy import sparse
 
+from relwords.embedding import KernelPca, _leading_eigenpairs, _pivot_signs
+from relwords.features import build_vocabulary
+from relwords.relevance import build_occurrence_index, compute_relevance
 from relwords.report import (
     _PALETTE,
     _SPIRAL_GROWTH,
@@ -26,6 +32,7 @@ from relwords.report import (
     CloudEntry,
     WordCloudSpec,
 )
+from relwords.text import apply_bigrams, normalize_tokenize, read_bigrams_csv
 
 NOISE = -1
 
@@ -197,6 +204,29 @@ def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
         if coords[pivot, d] < 0:
             coords[:, d] = -coords[:, d]
     return coords
+
+
+def fit_dual_reference(matrix, max_components: int) -> KernelPca:
+    """The dual kernel-PCA fit with the centred Gram as a second N x N
+    matrix, the uncentred one kept for its trace, and the whole eigenvector
+    matrix alive through the coordinate product."""
+    gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
+    col_means = gram.mean(axis=0)
+    centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
+    eigenvalues, eigenvectors = _leading_eigenpairs(centered, np.trace(gram), max_components)
+    dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
+    dual_coef *= _pivot_signs(dual_coef)
+    return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)
+
+
+def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
+    """The relevance table of a cluster run derived again from the corpus
+    text: tokenize every document, merge the run's ``bigrams.csv``, build the
+    vocabulary at ``min_df`` and count occurrences under the run's labels."""
+    selected = read_bigrams_csv(bigrams_path)
+    streams = [apply_bigrams(normalize_tokenize(doc.text, doc.id), selected) for doc in corpus.docs]
+    vocab = build_vocabulary(streams, min_df=min_df)
+    return compute_relevance(build_occurrence_index(streams, vocab, labels))
 
 
 def select_bigrams_reference(candidates, counts, *, seed: int = 0):

@@ -11,19 +11,27 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relwords
-from relwords import pipeline, report
+from relwords import cli, pipeline, report
+from relwords.clustering import NOISE
 from relwords.cli import CONFIG_FLAGS, _load_run, build_parser, config_from_args, main
-from relwords.corpus import Corpus, load_jsonl, save_jsonl
+from relwords.corpus import Corpus, Document, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary
 from relwords.pipeline import PipelineConfig, run_clustering
-from relwords.relevance import build_occurrence_index, compute_relevance, rank_terms, write_relevance_csv
+from relwords.relevance import (
+    RelevanceTable,
+    build_occurrence_index,
+    compute_relevance,
+    rank_terms,
+    write_relevance_csv,
+)
 from relwords.report import svg_markup
 
 from corpora import planted_topic_corpus, trending_corpus
-from oracles import layout_wordcloud_reference
+from oracles import layout_wordcloud_reference, relevance_from_corpus
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +129,12 @@ class TestCluster:
         lines = (outdir / "labels.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert all(line.endswith(",-1") for line in lines)
         assert "0 clusters" in capsys.readouterr().out
+        occurrence = json.loads((outdir / "occurrence.json").read_text(encoding="utf-8"))
+        assert occurrence["clusters"] == occurrence["counts"] == occurrence["sizes"] == []
+        assert occurrence["terms"]
+        for argv in (["relevant", "--run", str(outdir)], ["wordcloud", "--run", str(outdir)]):
+            assert main(argv) == 1
+            assert "all documents are noise" in capsys.readouterr().err
 
     def test_missing_corpus_nonzero_exit(self, tmp_path, capsys):
         code = main(["cluster", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -156,13 +170,23 @@ class TestReadCommandsReuseRunBigrams:
             assert main(argv) == 0
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the run's bigrams are re-derived")
+            raise AssertionError("the run's bigrams or counts are re-derived")
 
-        for name in ("count_corpus", "score_bigrams", "select_bigrams"):
+        for name in ("tokenize_corpus", "count_corpus", "score_bigrams", "select_bigrams"):
             monkeypatch.setattr(pipeline, name, refuse)
+        for name in ("build_vocabulary", "build_occurrence_index"):
+            monkeypatch.setattr(cli, name, refuse)
+        tokenized = []
+
+        def tokenize(text, doc_id):
+            tokenized.append(doc_id)
+            return relwords.normalize_tokenize(text, doc_id)
+
+        monkeypatch.setattr(cli, "normalize_tokenize", tokenize)
         for argv in read_commands(phrase_run, after):
             assert main(argv) == 0
         assert written(after) == written(before)
+        assert tokenized == ["t0d00"]  # highlight's own document, and no other
 
     def test_relevance_same_as_from_the_clustering_streams(self, phrase_run, tmp_path):
         corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
@@ -178,6 +202,38 @@ class TestReadCommandsReuseRunBigrams:
         assert out.read_bytes() == expected.read_bytes()
         assert "new_york" in vocab.index
 
+    def test_recorded_counts_score_as_the_corpus_derived_again(self, tmp_path):
+        # merged bigrams, non-ASCII terms, terms only noise documents hold,
+        # and words in one document only, which --min-df 2 drops
+        corpus, _, _ = planted_topic_corpus()
+        phrases = {"t0": "New York", "t1": "São Paulo größe"}
+        docs = tuple(
+            replace(doc, text=f"{phrases[doc.id[:2]]} {doc.text} {phrases[doc.id[:2]]}")
+            if doc.id[:2] in phrases else doc
+            for doc in corpus.docs
+        )
+        # two pairs of documents sharing words with each other only: noise
+        shared = [" ".join(f"stray{pair}wörd{j}" for j in range(12)) for pair in (0, 1)]
+        strays = tuple(Document(id=f"stray{k}", text=f"{shared[k // 2]} lone{k}") for k in range(4))
+        corpus = Corpus(docs + strays)
+        save_jsonl(corpus, tmp_path / "corpus.jsonl")
+        outdir = tmp_path / "run"
+        argv = ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(outdir)]
+        assert main(argv + ["--min-df", "2"]) == 0
+        run = _load_run(outdir)
+        expected = relevance_from_corpus(corpus, outdir / "bigrams.csv", run.labels, min_df=2)
+        table = run.table
+        assert run.labels.count(NOISE) == 4
+        assert {"new_york", "são_paulo", "größe", "stray0wörd0"} <= set(table.terms)
+        assert not {"lone0", "york"} & set(table.terms)
+        assert not table.tpr[:, table.terms.index("stray0wörd0")].any()
+        for field in fields(RelevanceTable):
+            value, reference = getattr(table, field.name), getattr(expected, field.name)
+            if isinstance(value, tuple):
+                assert value == reference, field.name
+            else:
+                assert value.dtype == reference.dtype and np.array_equal(value, reference), field.name
+
     def test_run_without_bigrams_csv_rejected(self, tmp_path, corpus_file, capsys):
         outdir = tmp_path / "run"
         assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
@@ -187,6 +243,32 @@ class TestReadCommandsReuseRunBigrams:
             assert main(argv) != 0
             err = capsys.readouterr().err
             assert "bigrams.csv" in err and "rerun cluster" in err
+
+    def test_run_without_occurrence_json_rejected(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+        (outdir / "occurrence.json").unlink()
+        capsys.readouterr()
+        for argv in read_commands(outdir, tmp_path):
+            assert main(argv) != 0
+            err = capsys.readouterr().err
+            assert "occurrence.json" in err and "rerun cluster" in err
+
+    @pytest.mark.parametrize("field, value", [("clusters", [0, 1, 5]), ("sizes", [15, 15, 14])])
+    def test_occurrence_json_disagreeing_with_labels_rejected(
+        self, tmp_path, corpus_file, capsys, field, value
+    ):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+        path = outdir / "occurrence.json"
+        occurrence = json.loads(path.read_text(encoding="utf-8"))
+        assert occurrence[field] != value
+        occurrence[field] = value
+        path.write_text(json.dumps(occurrence), encoding="utf-8")
+        capsys.readouterr()
+        for argv in read_commands(outdir, tmp_path):
+            assert main(argv) != 0
+            assert "stale artifacts; rerun cluster" in capsys.readouterr().err
 
 
 class TestOddDocumentIds:
@@ -247,10 +329,10 @@ def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
                      ["wordcloud", "--run", str(outdir)]):
             subprocess.run([sys.executable, "-m", "relwords.cli", *argv],
                            env=env, check=True, capture_output=True)
-        names = ["labels.csv", "bigrams.csv", "relevance.csv"]
+        names = ["labels.csv", "bigrams.csv", "occurrence.json", "relevance.csv"]
         names += sorted(path.name for path in outdir.glob("*.svg"))
         artifacts[threads] = {name: (outdir / name).read_bytes() for name in names}
-    assert len(artifacts["1"]) == 6
+    assert len(artifacts["1"]) == 7
     assert artifacts["1"] == artifacts["2"]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ from relwords import embedding
 from relwords.embedding import fit_kpca, transform, write_embedding_csv
 from relwords.features import FeatureMatrix, Vocabulary
 
-from oracles import kpca_reference
+from oracles import fit_dual_reference, kpca_reference
 
 
 def make_feature_matrix(rows: np.ndarray) -> FeatureMatrix:
@@ -175,6 +176,40 @@ class TestShortSide:
         err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
         assert err <= 1e-8
         assert np.array_equal(coords[n // 2], coords[n // 3])
+
+
+class TestDualFitMemory:
+    """The dual path centres the Gram in place and lets the full eigenvector
+    matrix go before the coordinate product."""
+
+    @staticmethod
+    def sparse_features(n, t):
+        rng = np.random.default_rng(n + t)
+        matrix = sparse.random(n, t, density=0.01, format="csr", random_state=rng)
+        return make_feature_matrix(matrix.toarray())
+
+    @pytest.mark.parametrize("n, t, k", [(60, 400, 250), (300, 900, 10)])
+    def test_bitwise_equal_to_the_two_copy_fit(self, n, t, k, solvers):
+        fm = self.sparse_features(n, t)
+        model = fit_kpca(fm, max_components=k)
+        reference = fit_dual_reference(fm.matrix, k)
+        assert solvers == ["_fit_dual"]
+        assert np.array_equal(model.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(model.coords, reference.coords)
+
+    def test_peak_below_two_and_a_half_gram_matrices(self, solvers):
+        # The Gram and the eigenvector matrix eigh returns are two N x N
+        # float64 matrices; nothing else of that size may be alive with them.
+        n, k = 300, 10
+        fm = self.sparse_features(n, 900)
+        tracemalloc.start()
+        try:
+            fit_kpca(fm, max_components=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solvers == ["_fit_dual"]
+        assert peak < 2.5 * 8 * n * n
 
 
 class TestTransform:

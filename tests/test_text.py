@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -261,4 +262,12 @@ def test_empty_bigram_selection_round_trip(tmp_path):
     assert read_bigrams_csv(out) == set()
     out.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="not a bigrams CSV"):
+        read_bigrams_csv(out)
+
+
+@pytest.mark.parametrize("row", ["broken\n", "\n", "new,york\n"])
+def test_malformed_bigrams_row_rejected_naming_file_and_line(tmp_path, row):
+    out = tmp_path / "bigrams.csv"
+    out.write_text("first,second,score\nnew,york,12.5\n" + row, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(out))}: line 3: "):
         read_bigrams_csv(out)

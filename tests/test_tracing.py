@@ -7,6 +7,7 @@ they receive, fails here and not only in a traced bench run."""
 import csv
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from relwords.pipeline import PipelineConfig
 
 from corpora import planted_topic_corpus
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING_PATH = ROOT / "perfbench" / "tracing.py"
 
 MODULES = {"cli": relwords.cli, "pipeline": relwords.pipeline}
 
@@ -105,3 +107,34 @@ def test_traced_cluster_run_counts(tracing, tmp_path):
     assert counts["clustering.eps_degree_mean"] == degree.mean()
     assert counts["clustering.eps_degree_max"] == degree.max()
     assert counts["clustering.noise_frac"] == labels.count(NOISE) / len(labels) == 4 / 49
+
+
+def test_traced_round_counts_agree_and_spans_cover_the_declared_timings(tracing, tmp_path):
+    # The bench requires every count two operations both produce to be
+    # equal, and a recorded span behind every per-layer time it declares.
+    corpus, _, _ = planted_topic_corpus()
+    save_jsonl(corpus, tmp_path / "corpus.jsonl")
+    run = str(tmp_path / "run")
+    operations = [
+        ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", run],
+        ["relevant", "--run", run],
+        ["wordcloud", "--run", run, "--cluster", "0"],
+        ["highlight", "--run", run, "--doc-id", "t0d00", "--out", str(tmp_path / "t0d00.html")],
+    ]
+    tracer = tracing.Tracer()
+    seen: dict[str, set] = {}
+    with tracer.installed(MODULES):
+        for argv in operations:
+            assert tracer.operation(relwords.cli.main, argv) == 0, argv
+            for name, value in tracing.op_counts(tracer.take_calls()).items():
+                seen.setdefault(name, set()).add(value)
+    assert {name: values for name, values in seen.items() if len(values) > 1} == {}
+    assert "text.tokens" in seen
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    timings = {
+        metric["name"][: -len("_s")]
+        for metric in declared
+        if metric["name"].endswith("_s") and not metric["name"].endswith(".self_s")
+    }
+    assert timings - {span.name for span in tracer.spans} == set()
