@@ -33,7 +33,7 @@ from .corpus import (
     split_by_period,
 )
 from .embedding import write_embedding_csv
-from .features import build_vocabulary, write_matrix_csv
+from .features import build_vocabulary, term_counts, write_matrix_csv
 from .pipeline import PipelineConfig, prepare_streams, run_clustering
 from .relevance import (
     OccurrenceIndex,
@@ -138,7 +138,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_labels_csv(result.assignment, corpus.ids(), outdir / LABELS_NAME)
     write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
-    index = build_occurrence_index(result.streams, result.features.vocab, result.assignment.labels.tolist())
+    features, labels = result.features, result.assignment.labels.tolist()
+    index = build_occurrence_index(features.counts, features.vocab, labels)
     occurrence = json.dumps(vars(index), default=np.ndarray.tolist)  # integers and strings only
     (outdir / OCCURRENCE_NAME).write_text(occurrence + "\n", encoding="utf-8")
     manifest = {
@@ -263,7 +264,7 @@ def cmd_contrast(args: argparse.Namespace) -> int:
             raise ValueError(f"no documents {period} {args.boundary}")
     streams, _ = prepare_streams(corpus, config)
     vocab = build_vocabulary(streams, min_df=config.min_df)
-    table = compute_relevance(build_occurrence_index(streams, vocab, periods))
+    table = compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, periods))
     ranked_after = rank_terms(table, "after", args.top)
     ranked_before = rank_terms(table, "before", args.top)
     for period, ranked in (("after", ranked_after), ("before", ranked_before)):

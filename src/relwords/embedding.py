@@ -21,6 +21,11 @@ DEFAULT_COMPONENTS = 250
 _EIGENVALUE_RTOL = 1e-10
 _DEGENERATE_RTOL = 1e-12
 
+# From a side of this many times max_components, computing only the kept
+# eigenpairs (LAPACK dsyevr) beats the full decomposition; measured with
+# 250 components on a 2-core host, partial/full was 1.1 at 5x and 0.64 at 9.6x.
+_PARTIAL_SOLVE_RATIO = 6
+
 
 @dataclass(frozen=True)
 class KernelPca:
@@ -104,8 +109,21 @@ def _leading_eigenpairs(
 
     ``scale`` is the trace of the uncentered matrix (the squared Frobenius
     norm of the features), against which an all-zero spectrum is detected.
+    Once the matrix's side reaches ``_PARTIAL_SOLVE_RATIO * max_components``,
+    only the top ``max_components`` eigenpairs are computed; below it, all.
+    Either way the kept pairs are the top ones above the rank cutoff.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(centered)
+    d = centered.shape[0]
+    if d >= _PARTIAL_SOLVE_RATIO * max_components:
+        # Imported only here: scipy.linalg adds ~8 MiB of resident memory,
+        # which the read commands and the smaller fits never need.
+        import scipy.linalg
+
+        eigenvalues, eigenvectors = scipy.linalg.eigh(
+            centered, subset_by_index=[d - max_components, d - 1], driver="evr", check_finite=False
+        )
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(centered)
     eigenvalues = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
     if eigenvalues[0] <= max(float(scale), 0.0) * _DEGENERATE_RTOL:

@@ -28,11 +28,13 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """N x T sparse tf-idf matrix; row k is document k of the source corpus."""
+    """N x T sparse tf-idf matrix and the N x T int64 term counts it was
+    weighted from; row k is document k of the source corpus."""
 
     matrix: sparse.csr_matrix
     vocab: Vocabulary
     doc_ids: tuple[str, ...]
+    counts: sparse.csr_matrix
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -111,9 +113,13 @@ def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
         )
     totals = np.repeat(np.array([len(s.tokens) for s in streams], dtype=np.int64), per_row)
     weights = counts.data / totals * idf(vocab, len(streams))[counts.indices]
-    matrix = sparse.csr_matrix((weights, counts.indices, counts.indptr), shape=counts.shape)
+    # Own index arrays: eliminate_zeros rewrites them in place, and counts is kept.
+    indices, indptr = counts.indices.copy(), counts.indptr.copy()
+    matrix = sparse.csr_matrix((weights, indices, indptr), shape=counts.shape)
     matrix.eliminate_zeros()
-    return FeatureMatrix(matrix=matrix, vocab=vocab, doc_ids=tuple(s.doc_id for s in streams))
+    return FeatureMatrix(
+        matrix=matrix, vocab=vocab, doc_ids=tuple(s.doc_id for s in streams), counts=counts
+    )
 
 
 def write_matrix_csv(features: FeatureMatrix, path) -> None:

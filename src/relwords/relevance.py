@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .clustering import NOISE
-from .features import Vocabulary, group_doc_freq, term_counts
-from .text import TokenStream
+from .features import Vocabulary, group_doc_freq
 
 # FPR floor in the quotient score: it only keeps a zero FPR from dividing.
 # A positive FPR is at least 1/((C-1)·largest cluster), above EPSILON while
@@ -66,25 +66,26 @@ class RelevanceTable:
 
 
 def build_occurrence_index(
-    streams: Sequence[TokenStream],
+    counts: sparse.csr_matrix,
     vocab: Vocabulary,
     labels: Sequence[ClusterKey],
 ) -> OccurrenceIndex:
     """Count, per cluster, how many documents contain each vocabulary term.
 
-    ``labels`` is one cluster id (or period label) per stream, in order.
-    Documents labeled NOISE are excluded entirely: they form neither a target
-    cluster nor a contrast cluster.
+    ``counts`` is the N x T term-count matrix of the documents against
+    ``vocab`` (``features.term_counts``); ``labels`` is one cluster id (or
+    period label) per row, in order. Documents labeled NOISE are excluded
+    entirely: they form neither a target cluster nor a contrast cluster.
     """
-    if len(streams) != len(labels):
-        raise ValueError("labels length does not match stream count")
+    if counts.shape[0] != len(labels):
+        raise ValueError("labels length does not match document count")
     kept = sorted({label for label in labels if label != NOISE})
     positions = {label: c for c, label in enumerate(kept)}
     groups = np.array([positions.get(label, NOISE) for label in labels], dtype=np.int64)
-    counts = group_doc_freq(term_counts(streams, vocab.index), groups, len(kept))
+    doc_freq = group_doc_freq(counts, groups, len(kept))
     sizes = np.bincount(groups[groups != NOISE], minlength=len(kept))
     return OccurrenceIndex(
-        terms=vocab.terms, clusters=tuple(kept), counts=counts, sizes=sizes
+        terms=vocab.terms, clusters=tuple(kept), counts=doc_freq, sizes=sizes
     )
 
 
@@ -190,15 +191,16 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
         column.view(np.uint64) for column in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
     ]
     distinct = np.unique(np.concatenate([np.unique(column) for column in columns]))
-    text = np.array([f"{v:.12g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
+    # The last column's text carries the line end, so each row is one join.
+    lookups = [np.array(text, dtype=object)] * 4 + [np.array([s + "\n" for s in text], dtype=object)]
+    terms = np.array(table.terms, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
             order = _ranked(table, c, term_ranks)
-            cells = np.stack(
-                [text[np.searchsorted(distinct, column[c, order])] for column in columns], axis=1
-            )
-            handle.writelines(
-                f"{cluster},{table.terms[i]},{','.join(row)}\n"
-                for i, row in zip(order.tolist(), cells.tolist())
-            )
+            cells = [
+                lookup[np.searchsorted(distinct, column[c, order])]
+                for lookup, column in zip(lookups, columns)
+            ]
+            handle.writelines(map(",".join, zip([str(cluster)] * order.size, terms[order], *cells)))

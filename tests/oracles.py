@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from relwords.embedding import KernelPca, _leading_eigenpairs, _pivot_signs
-from relwords.features import build_vocabulary
+from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import build_occurrence_index, compute_relevance
 from relwords.report import (
     _PALETTE,
@@ -226,7 +226,7 @@ def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     selected = read_bigrams_csv(bigrams_path)
     streams = [apply_bigrams(normalize_tokenize(doc.text, doc.id), selected) for doc in corpus.docs]
     vocab = build_vocabulary(streams, min_df=min_df)
-    return compute_relevance(build_occurrence_index(streams, vocab, labels))
+    return compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, labels))
 
 
 def select_bigrams_reference(candidates, counts, *, seed: int = 0):

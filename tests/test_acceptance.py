@@ -18,7 +18,7 @@ from relwords.cli import main
 from relwords.clustering import NOISE, dbscan, pairwise_distances
 from relwords.corpus import save_jsonl, split_by_period
 from relwords.embedding import Embedding, fit_kpca, transform
-from relwords.features import build_vocabulary, idf
+from relwords.features import build_vocabulary, idf, term_counts
 from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
 from relwords.relevance import (
     build_occurrence_index,
@@ -125,7 +125,8 @@ def test_planted_topic_recovery():
         assert cluster_of_topic[topic] == int(label), f"{doc.id} misassigned"
     assert len(set(cluster_of_topic.values())) == 3
 
-    index = build_occurrence_index(result.streams, result.features.vocab, list(assignment.labels))
+    features = result.features
+    index = build_occurrence_index(features.counts, features.vocab, list(assignment.labels))
     table = compute_relevance(index)
     for topic, cluster in cluster_of_topic.items():
         top5 = {term for term, _ in rank_terms(table, cluster, 5)}
@@ -140,7 +141,8 @@ def test_contrast_mode():
     corpus, trend_words, boundary = trending_corpus()
     periods = split_by_period(corpus, boundary)
     streams, _ = prepare_streams(corpus, PipelineConfig())
-    table = compute_relevance(build_occurrence_index(streams, build_vocabulary(streams), periods))
+    vocab = build_vocabulary(streams)
+    table = compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, periods))
     top10_after = {term for term, _ in rank_terms(table, "after", 10)}
     top10_before = {term for term, _ in rank_terms(table, "before", 10)}
     assert set(trend_words) <= top10_after
@@ -192,7 +194,7 @@ def _index_with_other_tprs():
         streams.extend(block)
         labels.extend([cluster] * len(block))
     vocab = build_vocabulary(streams)
-    return build_occurrence_index(streams, vocab, labels)
+    return build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
 
 
 @criterion(8, "pipeline determinism (byte-identical artifacts)", time_limit=120.0)

@@ -19,7 +19,7 @@ from relwords import cli, pipeline, report
 from relwords.clustering import NOISE
 from relwords.cli import CONFIG_FLAGS, _load_run, build_parser, config_from_args, main
 from relwords.corpus import Corpus, Document, load_jsonl, save_jsonl
-from relwords.features import build_vocabulary
+from relwords.features import build_vocabulary, term_counts
 from relwords.pipeline import PipelineConfig, run_clustering
 from relwords.relevance import (
     RelevanceTable,
@@ -174,7 +174,7 @@ class TestReadCommandsReuseRunBigrams:
 
         for name in ("tokenize_corpus", "count_corpus", "score_bigrams", "select_bigrams"):
             monkeypatch.setattr(pipeline, name, refuse)
-        for name in ("build_vocabulary", "build_occurrence_index"):
+        for name in ("build_vocabulary", "term_counts", "build_occurrence_index"):
             monkeypatch.setattr(cli, name, refuse)
         tokenized = []
 
@@ -194,7 +194,8 @@ class TestReadCommandsReuseRunBigrams:
         result = pipeline.run_clustering(corpus, config)
         streams = list(result.streams)
         vocab = build_vocabulary(streams, min_df=config.min_df)
-        index = build_occurrence_index(streams, vocab, list(result.assignment.labels))
+        labels = list(result.assignment.labels)
+        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
         expected = tmp_path / "expected.csv"
         write_relevance_csv(compute_relevance(index), expected)
         out = tmp_path / "relevance.csv"
@@ -586,6 +587,30 @@ class TestFetch:
                      "--api-key", "k", "--cache-dir", str(cache_dir), "--out", str(out)])
         assert code == 0
         assert load_jsonl(out).ids() == ("a1", "a2")
+
+
+def test_cli_never_imports_scipy_linalg_below_the_partial_solve(corpus_file, tmp_path):
+    # scipy.linalg costs ~8 MiB of resident memory; only a kernel PCA above
+    # the size rule of embedding._leading_eigenpairs may import it.
+    script = f"""
+import sys
+import numpy as np
+from relwords import embedding
+from relwords.cli import main
+run, out = {str(tmp_path / "run")!r}, {str(tmp_path)!r}
+assert main(["cluster", "--corpus", {str(corpus_file)!r}, "--outdir", run]) == 0
+assert main(["relevant", "--run", run, "--out", out + "/relevance.csv"]) == 0
+assert main(["wordcloud", "--run", run, "--outdir", out]) == 0
+print("scipy.linalg" in sys.modules)
+d = embedding._PARTIAL_SOLVE_RATIO  # one component of a d x d matrix: the partial path
+embedding._leading_eigenpairs(np.diag(np.arange(d, dtype=float)), d * d, 1)
+print("scipy.linalg" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["False", "True"]  # the check sees the import
 
 
 def test_module_entry_point(tmp_path):

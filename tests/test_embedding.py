@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
 from relwords import embedding
@@ -24,6 +25,7 @@ def make_feature_matrix(rows: np.ndarray) -> FeatureMatrix:
         matrix=sparse.csr_matrix(rows),
         vocab=vocab,
         doc_ids=tuple(f"d{k}" for k in range(rows.shape[0])),
+        counts=sparse.csr_matrix((rows != 0).astype(np.int64)),  # unread by kernel PCA
     )
 
 
@@ -149,6 +151,95 @@ class TestFitKpca:
         assert solvers == ["_fit_dual", "_fit_primal"]
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The eigensolvers called, in order: "full" for ``np.linalg.eigh``,
+    "partial" for ``scipy.linalg.eigh``."""
+    called = []
+    full, partial = np.linalg.eigh, scipy.linalg.eigh
+
+    def spy_full(*args, **kwargs):
+        called.append("full")
+        return full(*args, **kwargs)
+
+    def spy_partial(*args, **kwargs):
+        called.append("partial")
+        return partial(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_full)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_partial)
+    return called
+
+
+class TestPartialEigensolve:
+    """From a side of ``_PARTIAL_SOLVE_RATIO * max_components`` on, only the
+    kept eigenpairs are computed; the fit must stay the textbook one."""
+
+    # (n, t): a 90 x 90 Gram and a 90 x 90 covariance, for 10 components
+    SHAPES = [(90, 200), (200, 90)]
+
+    @pytest.mark.parametrize("n, t", SHAPES)
+    def test_matches_textbook_reference(self, n, t, solvers, eigensolves):
+        # Against the independent oracle: a Gram clobbered by the eigensolve
+        # would also corrupt the dual path's coordinates, gram @ dual_coef.
+        rows = random_tfidf(np.random.default_rng(n + 7 * t), n, t)
+        model = fit_kpca(make_feature_matrix(rows), max_components=10)
+        assert solvers == ["_fit_dual" if n <= t else "_fit_primal"]
+        assert eigensolves == ["partial"]
+        assert model.coords.shape == (n, 10)
+        np.testing.assert_allclose(model.coords, kpca_reference(rows, 10), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, t", SHAPES)
+    def test_duplicate_documents_identical_rows(self, n, t, eigensolves):
+        rows = random_tfidf(np.random.default_rng(n + t + 1), n, t)
+        rows[n // 2] = rows[n // 3]
+        coords = fit_kpca(make_feature_matrix(rows), max_components=10).coords
+        assert eigensolves == ["partial"]
+        assert np.array_equal(coords[n // 2], coords[n // 3])
+
+    @pytest.mark.parametrize("n, t", SHAPES)
+    def test_refit_is_bitwise_reproducible(self, n, t, eigensolves):
+        rows = random_tfidf(np.random.default_rng(n * t), n, t)
+        first = fit_kpca(make_feature_matrix(rows), max_components=10)
+        second = fit_kpca(make_feature_matrix(rows), max_components=10)
+        assert eigensolves == ["partial", "partial"]
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.coords, second.coords)
+
+    def test_solver_switches_at_the_size_rule(self, solvers, eigensolves):
+        k = 10
+        threshold = embedding._PARTIAL_SOLVE_RATIO * k
+        rng = np.random.default_rng(13)
+        for d in (threshold - 1, threshold):
+            for n, t in ((d, 3 * d), (3 * d, d)):  # a d x d Gram, a d x d covariance
+                eigensolves.clear()
+                fit_kpca(make_feature_matrix(random_tfidf(rng, n, t)), max_components=k)
+                assert eigensolves == ["full" if d < threshold else "partial"], (n, t)
+        assert solvers == ["_fit_dual", "_fit_primal"] * 2
+
+    def test_spectral_reconstruction_on_the_partial_path(self, monkeypatch, eigensolves):
+        # Criterion 4's loop with the size rule lowered so every fit takes
+        # the partial path. It keeps min(n - 1, t) components, the most the
+        # centred spectrum can hold (criterion 4 asks for n, more than the
+        # d x d matrix has): every positive component is still kept.
+        monkeypatch.setattr(embedding, "_PARTIAL_SOLVE_RATIO", 1)
+        rng = np.random.default_rng(2024)
+        for trial in range(8):
+            n = int(rng.integers(5, 101))
+            t = int(rng.integers(10, 150))
+            rows = random_tfidf(rng, n, t)
+            rows[n // 2] = rows[n // 3]  # plant a duplicate document
+            fm = make_feature_matrix(rows)
+            eigensolves.clear()
+            model = fit_kpca(fm, max_components=min(n - 1, t))
+            assert eigensolves == ["partial"], f"trial {trial}"
+            coords = transform(model, fm).coords
+            reference = centered_gram(rows)
+            err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
+            assert err <= 1e-8, f"trial {trial}: relative error {err:.2e}"
+            assert np.array_equal(coords[n // 2], coords[n // 3]), f"trial {trial}: duplicates differ"
+
+
 class TestShortSide:
     """The eigenproblem is solved on the N x N Gram when N <= T and on the
     T x T covariance when T < N; both must give the textbook coordinates."""
@@ -198,8 +289,9 @@ class TestDualFitMemory:
         assert np.array_equal(model.coords, reference.coords)
 
     def test_peak_below_two_and_a_half_gram_matrices(self, solvers):
-        # The Gram and the eigenvector matrix eigh returns are two N x N
-        # float64 matrices; nothing else of that size may be alive with them.
+        # The Gram and the partial solver's working copy of it are two
+        # N x N float64 matrices; nothing else of that size may be alive
+        # with them (below the size rule, the second is eigh's eigenvectors).
         n, k = 300, 10
         fm = self.sparse_features(n, 900)
         tracemalloc.start()

@@ -162,8 +162,11 @@ class TestCountsMatchReference:
         streams, vocab = streams_and_vocab(docs, min_df)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            matrix = vectorize(streams, vocab).matrix
-        assert csr_arrays(matrix) == csr_arrays(vectorize_reference(streams, vocab))
+            fm = vectorize(streams, vocab)
+        assert csr_arrays(fm.matrix) == csr_arrays(vectorize_reference(streams, vocab))
+        # the counts it keeps are the ones it weighted, even where idf-0
+        # weights were dropped from the tf-idf matrix
+        assert csr_arrays(fm.counts) == csr_arrays(term_counts(streams, vocab.index))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -176,11 +179,16 @@ class TestCountsMatchReference:
         streams, vocab = streams_and_vocab(docs, min_df)
         labels = data.draw(st.lists(st.sampled_from(label_pool), min_size=len(docs), max_size=len(docs)))
         assume(any(label != NOISE for label in labels))
-        index = build_occurrence_index(streams, vocab, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            kept_counts = vectorize(streams, vocab).counts
         clusters, counts, sizes = occurrence_reference(streams, vocab, labels)
-        assert index.clusters == clusters
-        assert index.counts.dtype == counts.dtype and np.array_equal(index.counts, counts)
-        assert index.sizes.dtype == sizes.dtype and np.array_equal(index.sizes, sizes)
+        # from counts taken afresh (contrast) and from vectorize's (cluster)
+        for doc_terms in (term_counts(streams, vocab.index), kept_counts):
+            index = build_occurrence_index(doc_terms, vocab, labels)
+            assert index.clusters == clusters
+            assert index.counts.dtype == counts.dtype and np.array_equal(index.counts, counts)
+            assert index.sizes.dtype == sizes.dtype and np.array_equal(index.sizes, sizes)
 
 
 def test_matrix_csv_dump(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relwords.clustering import NOISE
-from relwords.features import build_vocabulary
+from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import (
     _fpr_raw,
     build_occurrence_index,
@@ -47,7 +47,7 @@ def make_index(cluster_docs):
             streams.append(stream(f"{cluster}-{i}", *tokens))
             labels.append(cluster)
     vocab = build_vocabulary(streams)
-    return build_occurrence_index(streams, vocab, labels)
+    return build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
 
 
 class TestRates:
@@ -94,7 +94,7 @@ class TestRates:
     def test_noise_documents_excluded(self):
         streams = [stream("a", "w"), stream("b", "w"), stream("c", "w"), stream("d", "z")]
         vocab = build_vocabulary(streams)
-        index = build_occurrence_index(streams, vocab, [0, 0, NOISE, 1])
+        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, [0, 0, NOISE, 1])
         assert index.sizes.tolist() == [2, 1]
         assert at(compute_relevance(index), "tpr", 0, "w") == 1.0
 

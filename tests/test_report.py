@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relwords.corpus import Corpus, Document, parse_timestamp
-from relwords.features import build_vocabulary
+from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import build_occurrence_index, compute_relevance
 from relwords.report import (
     GROUP_A_COLOR,
@@ -192,7 +192,7 @@ class TestContrastCloud:
 
 def table_for(streams, labels):
     vocab = build_vocabulary(list(streams))
-    return compute_relevance(build_occurrence_index(streams, vocab, labels))
+    return compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, labels))
 
 
 def highlighted_text(path):
