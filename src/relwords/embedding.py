@@ -87,10 +87,13 @@ def _fit_dual(matrix, max_components: int) -> KernelPca:
 
 def _fit_primal(matrix, max_components: int) -> KernelPca:
     mean = np.asarray(matrix.mean(axis=0)).ravel()
-    covariance = (matrix.T @ matrix).toarray()
+    # Fortran-ordered, as LAPACK wants it: the covariance is dead after the
+    # solve, which may then overwrite it instead of a copy.
+    covariance = (matrix.T @ matrix).toarray(order="F")
     scale = np.trace(covariance)
     covariance -= matrix.shape[0] * np.outer(mean, mean)
-    eigenvalues, axes = _leading_eigenpairs(covariance, scale, max_components)
+    eigenvalues, axes = _leading_eigenpairs(covariance, scale, max_components, overwrite=True)
+    del covariance
     # The columns of ``axes`` are orthonormal eigenvectors of the centered
     # covariance, so a document's coordinates are its centered row times them.
     axes = np.ascontiguousarray(axes)
@@ -103,7 +106,7 @@ def _fit_primal(matrix, max_components: int) -> KernelPca:
 
 
 def _leading_eigenpairs(
-    centered: np.ndarray, scale: float, max_components: int
+    centered: np.ndarray, scale: float, max_components: int, *, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kept eigenpairs of a centered kernel or covariance, largest first.
 
@@ -111,7 +114,9 @@ def _leading_eigenpairs(
     norm of the features), against which an all-zero spectrum is detected.
     Once the matrix's side reaches ``_PARTIAL_SOLVE_RATIO * max_components``,
     only the top ``max_components`` eigenpairs are computed; below it, all.
-    Either way the kept pairs are the top ones above the rank cutoff.
+    Either way the kept pairs are the top ones above the rank cutoff. With
+    ``overwrite``, the partial solve may destroy a Fortran-ordered matrix
+    rather than copy it.
     """
     d = centered.shape[0]
     if d >= _PARTIAL_SOLVE_RATIO * max_components:
@@ -120,7 +125,11 @@ def _leading_eigenpairs(
         import scipy.linalg
 
         eigenvalues, eigenvectors = scipy.linalg.eigh(
-            centered, subset_by_index=[d - max_components, d - 1], driver="evr", check_finite=False
+            centered,
+            subset_by_index=[d - max_components, d - 1],
+            driver="evr",
+            overwrite_a=overwrite,
+            check_finite=False,
         )
     else:
         eigenvalues, eigenvectors = np.linalg.eigh(centered)

@@ -51,7 +51,6 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    streams: tuple[TokenStream, ...]
     selected_bigrams: dict[tuple[str, str], BigramCandidate]
     features: FeatureMatrix
     model: KernelPca
@@ -84,6 +83,7 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     streams, selected = prepare_streams(corpus, config)
     vocab = build_vocabulary(streams, min_df=config.min_df)
     features = vectorize(streams, vocab)
+    del streams  # the features hold all that is needed of them from here on
     try:
         model = fit_kpca(features, max_components=config.kpca_components)
     except ValueError as exc:
@@ -91,7 +91,6 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     emb = transform(model, features)
     assignment = dbscan(pairwise_distances(emb), eps=config.eps, min_pts=config.min_pts)
     return PipelineResult(
-        streams=tuple(streams),
         selected_bigrams=selected,
         features=features,
         model=model,

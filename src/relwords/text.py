@@ -9,9 +9,9 @@ downstream.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from itertools import chain, compress, count
 
 import numpy as np
 
@@ -62,26 +62,48 @@ def token_spans(text: str) -> list[tuple[int, int, str]]:
 
 @dataclass(frozen=True)
 class CorpusCounts:
-    """Corpus-wide unigram counts, adjacent ordered-pair counts, total tokens."""
+    """A corpus counted on interned tokens.
 
-    unigrams: Counter
-    pairs: Counter
+    Token ids rank the sorted distinct ``tokens``; ``unigrams[i]`` counts
+    token i. Each adjacent ordered pair within a document is the key
+    ``first * n + second`` (n tokens), so keys sort in the pairs' tuple
+    order: ``pairs`` holds the distinct keys, sorted, and ``pair_counts``
+    how often each occurs. ``total`` is the corpus token count.
+    """
+
+    tokens: tuple[str, ...]
+    unigrams: np.ndarray
+    pairs: np.ndarray
+    pair_counts: np.ndarray
     total: int
 
 
 def count_corpus(streams: list[TokenStream]) -> CorpusCounts:
-    """Count the unigrams and adjacent pairs of a corpus in one pass."""
+    """Count the unigrams and within-document adjacent pairs of a corpus,
+    interning every token once."""
     if not streams:
         raise ValueError("empty corpus")
-    unigrams: Counter = Counter()
-    pairs: Counter = Counter()
-    total = 0
-    for stream in streams:
-        tokens = stream.tokens
-        unigrams.update(tokens)
-        pairs.update(zip(tokens, tokens[1:]))
-        total += len(tokens)
-    return CorpusCounts(unigrams, pairs, total)
+    flat = list(chain.from_iterable(stream.tokens for stream in streams))
+    tokens = tuple(sorted(dict.fromkeys(flat)))
+    rank = {token: r for r, token in enumerate(tokens)}
+    ids = np.fromiter(map(rank.__getitem__, flat), dtype=np.int64, count=len(flat))
+    n, total = len(tokens), len(flat)
+    keys = ids[:-1] * n + ids[1:]
+    # The pair ending a document and starting the next is no adjacency.
+    ends = np.cumsum(np.fromiter(map(len, streams), dtype=np.int64, count=len(streams)))
+    keys = np.delete(keys, ends[(ends > 0) & (ends < total)] - 1)
+    pairs, pair_counts = np.unique(keys, return_counts=True)
+    return CorpusCounts(tokens, np.bincount(ids, minlength=n), pairs, pair_counts, total)
+
+
+def _phrase_scores(counts: CorpusCounts, keys: np.ndarray, joint: np.ndarray):
+    """(first ids, second ids, joint * W / (count(first) * count(second))).
+
+    Both products are int64 and, below 2**53, exact in float64; the IEEE
+    quotient is then correctly rounded, the same bits as Python's int / int.
+    """
+    first, second = np.divmod(keys, len(counts.tokens))
+    return first, second, joint * counts.total / (counts.unigrams[first] * counts.unigrams[second])
 
 
 def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandidate]:
@@ -90,14 +112,17 @@ def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandida
     score(a, b) = (count(a b) - discount) * W / (count(a) * count(b)) with W
     the corpus token count; pairs adjacent at most ``discount`` times are
     omitted. The discount suppresses one-off co-occurrences of rare words.
+    Scores are exact quotients while W * count(a b) and count(a) * count(b)
+    stay below 2**53.
     """
-    unigrams, total = counts.unigrams, counts.total
-    frequent = ((pair, joint) for pair, joint in counts.pairs.items() if joint > discount)
-    candidates = []
-    for (first, second), joint in sorted(frequent):
-        score = (joint - discount) * total / (unigrams[first] * unigrams[second])
-        candidates.append(BigramCandidate(first, second, joint, score))
-    return candidates
+    frequent = counts.pair_counts > discount
+    joint = counts.pair_counts[frequent]
+    first, second, scores = _phrase_scores(counts, counts.pairs[frequent], joint - discount)
+    tokens = counts.tokens
+    return [
+        BigramCandidate(tokens[a], tokens[b], j, score)
+        for a, b, j, score in zip(first.tolist(), second.tolist(), joint.tolist(), scores.tolist())
+    ]
 
 
 def select_bigrams(
@@ -107,26 +132,14 @@ def select_bigrams(
 
     The baseline is the undiscounted score of ``10 * len(candidates)`` pairs
     sampled uniformly (with replacement, seeded) from all pairs adjacent
-    anywhere in the corpus; the cut is mean + 2 std of those baseline
-    scores. Returns the kept candidates keyed by ``(first, second)``.
+    anywhere in the corpus, in pair order; the cut is mean + 2 std of those
+    baseline scores. Returns the kept candidates keyed by ``(first, second)``.
     """
-    unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
-    if not candidates or len(unigrams) < 2 or not pairs:
+    if not candidates or len(counts.tokens) < 2 or not len(counts.pairs):
         return {}
-    # Each pair as one integer, rank(first) * n + rank(second) over the n
-    # sorted tokens: these sort in the pairs' own order, much faster than
-    # the tuples, and hold no object per pair.
-    tokens = sorted(unigrams)
-    rank = {token: r for r, token in enumerate(tokens)}
-    n = len(tokens)
-    universe = np.fromiter(
-        (rank[a] * n + rank[b] for a, b in pairs), dtype=np.int64, count=len(pairs)
-    )
-    universe.sort()
     rng = np.random.default_rng(seed)
-    picks = universe[rng.integers(0, len(universe), size=10 * len(candidates))]
-    sample = ((tokens[first], tokens[second]) for first, second in zip(*np.divmod(picks, n)))
-    baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
+    picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
+    *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
     threshold = baseline.mean() + 2.0 * baseline.std()
     return {(c.first, c.second): c for c in candidates if c.score > threshold}
 
@@ -140,15 +153,17 @@ def apply_bigrams(stream: TokenStream, selected: Collection[tuple[str, str]]) ->
     if not selected:
         return stream
     tokens = stream.tokens
+    hits = compress(count(), map(selected.__contains__, zip(tokens, tokens[1:])))
     merged: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if i + 1 < len(tokens) and (tokens[i], tokens[i + 1]) in selected:
+    start = 0
+    for i in hits:
+        if i >= start:  # token i is not the second half of the previous merge
+            merged.extend(tokens[start:i])
             merged.append(tokens[i] + JOINER + tokens[i + 1])
-            i += 2
-        else:
-            merged.append(tokens[i])
-            i += 1
+            start = i + 2
+    if not start:
+        return stream
+    merged.extend(tokens[start:])
     return TokenStream(stream.doc_id, tuple(merged))
 
 

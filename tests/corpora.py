@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from relwords import Corpus, Document
@@ -44,6 +46,18 @@ def planted_topic_corpus(
             docs.append(Document(id=doc_id, text=" ".join(tokens)))
             topic_of[doc_id] = topic
     return Corpus(tuple(docs)), topic_of, keywords
+
+
+def phrase_corpus() -> Corpus:
+    """``planted_topic_corpus`` with one distinctive bigram, "new york", at
+    both ends of every topic-0 document."""
+    corpus, _, _ = planted_topic_corpus()
+    return Corpus(
+        tuple(
+            replace(doc, text=f"New York {doc.text} new york") if doc.id.startswith("t0") else doc
+            for doc in corpus.docs
+        )
+    )
 
 
 def trending_corpus(

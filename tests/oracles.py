@@ -1,17 +1,18 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 These deliberately follow the textbook definitions step by step and share no
-code with the library (the word-cloud reference takes only the report's
-constants and result types from it). The two exceptions keep an earlier
+code with the library (the word-cloud and bigram references take only
+constants and result types from it). Three exceptions keep an earlier
 version's code path on the library's own functions, so that its successor
-can be required to give the very same bits: ``fit_dual_reference`` and
-``relevance_from_corpus``.
+can be required to give the very same bits: ``fit_dual_reference``,
+``fit_primal_reference`` and ``relevance_from_corpus``.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter, deque
+from dataclasses import dataclass
 from math import ceil, cos, hypot, sin
 
 import numpy as np
@@ -32,7 +33,14 @@ from relwords.report import (
     CloudEntry,
     WordCloudSpec,
 )
-from relwords.text import apply_bigrams, normalize_tokenize, read_bigrams_csv
+from relwords.text import (
+    JOINER,
+    BigramCandidate,
+    TokenStream,
+    apply_bigrams,
+    normalize_tokenize,
+    read_bigrams_csv,
+)
 
 NOISE = -1
 
@@ -219,6 +227,21 @@ def fit_dual_reference(matrix, max_components: int) -> KernelPca:
     return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)
 
 
+def fit_primal_reference(matrix, max_components: int) -> KernelPca:
+    """The primal kernel-PCA fit that keeps its covariance intact through
+    the eigensolve, which then works on a copy of it."""
+    mean = np.asarray(matrix.mean(axis=0)).ravel()
+    covariance = (matrix.T @ matrix).toarray()
+    scale = np.trace(covariance)
+    covariance -= matrix.shape[0] * np.outer(mean, mean)
+    eigenvalues, axes = _leading_eigenpairs(covariance, scale, max_components)
+    axes = np.ascontiguousarray(axes)
+    coords = matrix @ axes
+    coords -= mean @ axes
+    coords *= _pivot_signs(coords)
+    return KernelPca(eigenvalues=eigenvalues, coords=coords)
+
+
 def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     """The relevance table of a cluster run derived again from the corpus
     text: tokenize every document, merge the run's ``bigrams.csv``, build the
@@ -229,7 +252,44 @@ def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     return compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, labels))
 
 
-def select_bigrams_reference(candidates, counts, *, seed: int = 0):
+@dataclass(frozen=True)
+class CounterCounts:
+    """Corpus-wide unigram counts, adjacent ordered-pair counts, total tokens."""
+
+    unigrams: Counter
+    pairs: Counter
+    total: int
+
+
+def count_corpus_reference(streams) -> CounterCounts:
+    """The unigrams and within-document adjacent pairs of a corpus, counted
+    as strings and string tuples one document at a time."""
+    if not streams:
+        raise ValueError("empty corpus")
+    unigrams: Counter = Counter()
+    pairs: Counter = Counter()
+    total = 0
+    for stream in streams:
+        tokens = stream.tokens
+        unigrams.update(tokens)
+        pairs.update(zip(tokens, tokens[1:]))
+        total += len(tokens)
+    return CounterCounts(unigrams, pairs, total)
+
+
+def score_bigrams_reference(counts: CounterCounts, discount: int = 5) -> list[BigramCandidate]:
+    """Every pair adjacent more than ``discount`` times, in tuple order,
+    scored with Python integers: (joint - discount) * W / (count(a) * count(b))."""
+    unigrams, total = counts.unigrams, counts.total
+    frequent = ((pair, joint) for pair, joint in counts.pairs.items() if joint > discount)
+    candidates = []
+    for (first, second), joint in sorted(frequent):
+        score = (joint - discount) * total / (unigrams[first] * unigrams[second])
+        candidates.append(BigramCandidate(first, second, joint, score))
+    return candidates
+
+
+def select_bigrams_reference(candidates, counts: CounterCounts, *, seed: int = 0):
     """(selection, threshold) of the bigram selection, with the universe of
     adjacent pairs sorted as tuples: the cut is mean + 2 std of the
     undiscounted scores of ``10 * len(candidates)`` seeded uniform draws
@@ -241,6 +301,22 @@ def select_bigrams_reference(candidates, counts, *, seed: int = 0):
     baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
     threshold = baseline.mean() + 2.0 * baseline.std()
     return {(c.first, c.second): c for c in candidates if c.score > threshold}, threshold
+
+
+def apply_bigrams_reference(stream: TokenStream, selected) -> TokenStream:
+    """Selected pairs merged by a left-to-right scan over every position: a
+    selected pair starting at a token not yet consumed becomes one token."""
+    tokens = stream.tokens
+    merged: list[str] = []
+    i = 0
+    while i < len(tokens):
+        if i + 1 < len(tokens) and (tokens[i], tokens[i + 1]) in selected:
+            merged.append(tokens[i] + JOINER + tokens[i + 1])
+            i += 2
+        else:
+            merged.append(tokens[i])
+            i += 1
+    return TokenStream(stream.doc_id, tuple(merged))
 
 
 def write_relevance_csv_reference(table, path) -> None:

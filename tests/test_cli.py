@@ -29,9 +29,16 @@ from relwords.relevance import (
     write_relevance_csv,
 )
 from relwords.report import svg_markup
+from relwords.text import write_bigrams_csv
 
-from corpora import planted_topic_corpus, trending_corpus
-from oracles import layout_wordcloud_reference, relevance_from_corpus
+from corpora import phrase_corpus, planted_topic_corpus, trending_corpus
+from oracles import (
+    count_corpus_reference,
+    layout_wordcloud_reference,
+    relevance_from_corpus,
+    score_bigrams_reference,
+    select_bigrams_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +60,8 @@ def run_dir(tmp_path_factory, corpus_file):
 @pytest.fixture(scope="module")
 def phrase_run(tmp_path_factory):
     """A run whose corpus has one distinctive bigram, "new york", in topic 0."""
-    corpus, _, _ = planted_topic_corpus()
-    docs = tuple(
-        replace(doc, text=f"New York {doc.text} new york") if doc.id.startswith("t0") else doc
-        for doc in corpus.docs
-    )
     base = tmp_path_factory.mktemp("phrase")
-    save_jsonl(Corpus(docs), base / "corpus.jsonl")
+    save_jsonl(phrase_corpus(), base / "corpus.jsonl")
     outdir = base / "run"
     assert main(["cluster", "--corpus", str(base / "corpus.jsonl"), "--outdir", str(outdir)]) == 0
     return outdir
@@ -191,10 +193,9 @@ class TestReadCommandsReuseRunBigrams:
     def test_relevance_same_as_from_the_clustering_streams(self, phrase_run, tmp_path):
         corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
         config = pipeline.PipelineConfig()
-        result = pipeline.run_clustering(corpus, config)
-        streams = list(result.streams)
+        streams, _ = pipeline.prepare_streams(corpus, config)
         vocab = build_vocabulary(streams, min_df=config.min_df)
-        labels = list(result.assignment.labels)
+        labels = list(pipeline.run_clustering(corpus, config).assignment.labels)
         index = build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
         expected = tmp_path / "expected.csv"
         write_relevance_csv(compute_relevance(index), expected)
@@ -234,6 +235,18 @@ class TestReadCommandsReuseRunBigrams:
                 assert value == reference, field.name
             else:
                 assert value.dtype == reference.dtype and np.array_equal(value, reference), field.name
+
+    def test_bigrams_csv_as_written_from_the_oracle_counts(self, phrase_run, tmp_path):
+        corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
+        config = PipelineConfig()
+        streams = [relwords.normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
+        counts = count_corpus_reference(streams)
+        candidates = score_bigrams_reference(counts, discount=config.bigram_discount)
+        selected, _ = select_bigrams_reference(candidates, counts, seed=config.bigram_seed)
+        expected = tmp_path / "bigrams.csv"
+        write_bigrams_csv(selected.values(), expected)
+        assert ("new", "york") in selected
+        assert (phrase_run / "bigrams.csv").read_bytes() == expected.read_bytes()
 
     def test_run_without_bigrams_csv_rejected(self, tmp_path, corpus_file, capsys):
         outdir = tmp_path / "run"

@@ -10,7 +10,7 @@ from relwords import embedding
 from relwords.embedding import fit_kpca, transform, write_embedding_csv
 from relwords.features import FeatureMatrix, Vocabulary
 
-from oracles import fit_dual_reference, kpca_reference
+from oracles import fit_dual_reference, fit_primal_reference, kpca_reference
 
 
 def make_feature_matrix(rows: np.ndarray) -> FeatureMatrix:
@@ -205,6 +205,41 @@ class TestPartialEigensolve:
         assert eigensolves == ["partial", "partial"]
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.coords, second.coords)
+
+    @pytest.mark.parametrize("n, t", [(200, 90), (900, 300)])
+    def test_primal_fit_bitwise_equal_to_the_copying_solve(self, n, t, solvers, eigensolves):
+        # The primal path lets the partial solve overwrite the covariance
+        # instead of a copy of it; not one bit of the fit may move.
+        fm = make_feature_matrix(random_tfidf(np.random.default_rng(n - t), n, t))
+        model = fit_kpca(fm, max_components=10)
+        reference = fit_primal_reference(fm.matrix, 10)
+        assert solvers == ["_fit_primal"]
+        assert eigensolves == ["partial", "partial"]
+        assert np.array_equal(model.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(model.coords, reference.coords)
+
+    def test_primal_partial_solve_makes_no_covariance_copy(self, monkeypatch, solvers):
+        # numpy reports its allocations to tracemalloc: what the solve
+        # allocates beyond what it was given must stay well below a d x d copy
+        n, t, k = 900, 300, 10
+        fm = make_feature_matrix(random_tfidf(np.random.default_rng(5), n, t))
+        partial, grown = scipy.linalg.eigh, []
+
+        def measured(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = partial(*args, **kwargs)
+            grown.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        monkeypatch.setattr(scipy.linalg, "eigh", measured)
+        tracemalloc.start()
+        try:
+            fit_kpca(fm, max_components=k)
+        finally:
+            tracemalloc.stop()
+        assert solvers == ["_fit_primal"]
+        assert len(grown) == 1 and grown[0] < 0.5 * 8 * t * t
 
     def test_solver_switches_at_the_size_rule(self, solvers, eigensolves):
         k = 10

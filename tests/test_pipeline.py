@@ -54,7 +54,8 @@ class TestRunClustering:
         corpus, _, _ = planted_topic_corpus(docs_per_topic=5)
         result = run_clustering(corpus)
         n = len(corpus)
-        assert len(result.streams) == n
+        streams, _ = prepare_streams(corpus, PipelineConfig())
+        assert [stream.doc_id for stream in streams] == list(corpus.ids())
         assert result.features.matrix.shape[0] == n
         assert result.embedding.coords.shape[0] == n
         assert result.assignment.labels.shape == (n,)

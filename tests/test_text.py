@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from relwords.text import (
     BigramCandidate,
+    CorpusCounts,
     TokenStream,
     apply_bigrams,
     count_corpus,
@@ -19,7 +21,13 @@ from relwords.text import (
     write_bigrams_csv,
 )
 
-from oracles import select_bigrams_reference
+from oracles import (
+    CounterCounts,
+    apply_bigrams_reference,
+    count_corpus_reference,
+    score_bigrams_reference,
+    select_bigrams_reference,
+)
 
 
 def stream(*tokens):
@@ -61,12 +69,77 @@ class TestNormalizeTokenize:
         assert [text[a:b].lower() for a, b, _ in spans] == ["hello", "world", "2"]
 
 
+def counts_as_dicts(counts):
+    """(unigrams, pairs, total) of a ``CorpusCounts`` keyed by the strings."""
+    tokens, n = counts.tokens, len(counts.tokens)
+    unigrams = dict(zip(tokens, counts.unigrams.tolist()))
+    pairs = {
+        (tokens[key // n], tokens[key % n]): joint
+        for key, joint in zip(counts.pairs.tolist(), counts.pair_counts.tolist())
+    }
+    return unigrams, pairs, counts.total
+
+
+def as_bits(candidates):
+    """Each candidate's fields, its score by its exact bits."""
+    return [(c.first, c.second, c.joint_count, c.score.hex()) for c in candidates]
+
+
+# Token streams counted the same way by the interned counts and the
+# Counter oracle: empty documents first, between others and throughout,
+# one-token documents, non-ASCII tokens, and tokens that are prefixes of
+# one another, whose pairs must still sort as tuples.
+COUNT_FIXTURES = {
+    "leading-empty": [(), ("a", "b", "a"), ("b",)],
+    "middle-empty": [("a", "b"), (), (), ("b", "a", "b")],
+    "all-empty": [(), (), ()],
+    "one-token-docs": [("a",), ("b",), ("a",), ("c",)],
+    "non-ascii": [("é", "東京", "都", "é"), ("東京", "都", "i̇stanbul"), ("straße", "é", "東京", "都")],
+    "prefixes": [("a", "bc", "ab", "c", "a", "b"), ("a0", "0", "a", "ab", "a", "b")],
+}
+
+WORDS = ["a", "ab", "abc", "b", "bc", "c", "a0", "0", "é", "éa", "東京", "都", "z"]
+random_streams = st.lists(
+    st.lists(st.sampled_from(WORDS), max_size=12).map(lambda tokens: stream(*tokens)),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestCountCorpus:
     def test_unigrams_pairs_and_total(self):
         counts = count_corpus([stream("a", "b", "a"), stream("b")])
-        assert counts.unigrams == {"a": 2, "b": 2}
-        assert counts.pairs == {("a", "b"): 1, ("b", "a"): 1}
-        assert counts.total == 4
+        assert counts.tokens == ("a", "b")
+        assert counts_as_dicts(counts) == ({"a": 2, "b": 2}, {("a", "b"): 1, ("b", "a"): 1}, 4)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_FIXTURES))
+    def test_same_counts_as_the_counter_oracle(self, name):
+        streams = [stream(*tokens) for tokens in COUNT_FIXTURES[name]]
+        counts = count_corpus(streams)
+        reference = count_corpus_reference(streams)
+        assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
+        assert list(counts.tokens) == sorted(reference.unigrams)
+        assert np.all(np.diff(counts.pairs) > 0)  # distinct and sorted
+
+    def test_no_pair_across_a_document_boundary(self):
+        # doc k ends with "y" and doc k + 1 starts with "z", also across an
+        # empty document and after a one-token one
+        streams = [stream("x", "y"), stream("z", "x"), stream(), stream("y"), stream("z")]
+        _, pairs, total = counts_as_dicts(count_corpus(streams))
+        assert pairs == {("x", "y"): 1, ("z", "x"): 1}
+        assert total == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams=random_streams, discount=st.integers(0, 3))
+    def test_counts_and_candidates_as_the_oracle(self, streams, discount):
+        counts = count_corpus(streams)
+        reference = count_corpus_reference(streams)
+        assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
+        candidates = score_bigrams(counts, discount=discount)
+        assert as_bits(candidates) == as_bits(score_bigrams_reference(reference, discount=discount))
+        # the oracle averages an empty baseline when there is nothing to select
+        expected = select_bigrams_reference(candidates, reference, seed=discount)[0] if candidates else {}
+        assert select_bigrams(candidates, counts, seed=discount) == expected
 
 
 class TestScoreBigrams:
@@ -97,6 +170,35 @@ class TestScoreBigrams:
         candidates = score_bigrams(count_corpus(streams), discount=0)
         pairs = [(c.first, c.second) for c in candidates]
         assert pairs == sorted(pairs) == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
+
+    @pytest.mark.parametrize("name", sorted(COUNT_FIXTURES))
+    @pytest.mark.parametrize("discount", [0, 1])
+    def test_bitwise_equal_to_the_counter_oracle(self, name, discount):
+        streams = [stream(*tokens) for tokens in COUNT_FIXTURES[name]]
+        candidates = score_bigrams(count_corpus(streams), discount=discount)
+        reference = score_bigrams_reference(count_corpus_reference(streams), discount=discount)
+        assert as_bits(candidates) == as_bits(reference)
+        assert all(type(c.joint_count) is int and type(c.score) is float for c in candidates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        unigrams=st.tuples(st.integers(1, 2**26), st.integers(1, 2**26)),
+        joint=st.integers(1, 2**21),
+        total=st.integers(1, 2**31),
+        discount=st.integers(0, 5),
+    )
+    def test_large_counts_score_as_python_integers(self, unigrams, joint, total, discount):
+        # both products below 2**53: the float64 quotient is Python's int / int
+        joint += discount
+        counts = CorpusCounts(
+            ("a", "b"), np.array(unigrams), np.array([1]), np.array([joint]), total
+        )
+        reference = CounterCounts(
+            Counter(dict(zip("ab", unigrams))), Counter({("a", "b"): joint}), total
+        )
+        assert as_bits(score_bigrams(counts, discount=discount)) == as_bits(
+            score_bigrams_reference(reference, discount=discount)
+        )
 
     def test_chance_adjacency_scores_low(self):
         # Two frequent words adjacent exactly once score ~ W/(count*count),
@@ -191,7 +293,9 @@ class TestSelectBigrams:
         ]
         counts = count_corpus(streams)
         candidates = score_bigrams(counts, discount=0)
-        expected, threshold = select_bigrams_reference(candidates, counts, seed=seed)
+        expected, threshold = select_bigrams_reference(
+            candidates, count_corpus_reference(streams), seed=seed
+        )
         assert select_bigrams(candidates, counts, seed=seed) == expected
         # rescored to the reference's threshold and to the next float above
         # it, only the second candidate is kept iff the thresholds are equal
@@ -215,8 +319,8 @@ class TestApplyBigrams:
 
     def test_no_selected_pairs_is_identity(self):
         original = stream("just", "plain", "words")
-        assert apply_bigrams(original, {("other", "pair")}).tokens == original.tokens
-        assert apply_bigrams(original, set()).tokens == original.tokens
+        assert apply_bigrams(original, {("other", "pair")}) is original
+        assert apply_bigrams(original, set()) is original
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -227,6 +331,7 @@ class TestApplyBigrams:
     )
     def test_token_count_drops_by_merge_count(self, tokens, pairs):
         merged = apply_bigrams(TokenStream("x", tuple(tokens)), pairs)
+        assert merged == apply_bigrams_reference(TokenStream("x", tuple(tokens)), pairs)
         n_merges = sum(1 for t in merged.tokens if "_" in t)
         assert len(merged.tokens) == len(tokens) - n_merges
         assert len(merged.tokens) <= len(tokens)
