@@ -1,10 +1,11 @@
 """Command-line pipeline with persisted, reproducible intermediate artifacts.
 
 ``relwords cluster`` writes a labels CSV, the selected bigrams, per-cluster
-term occurrence counts and a manifest recording the full config and a hash
-of the input corpus; downstream commands (relevant, wordcloud, highlight)
-score relevance from the recorded counts and refuse to run against a corpus
-that changed since clustering.
+term occurrence counts and, last, a manifest recording the full config and
+the sha256 of the input corpus and of each of those three files. The
+downstream commands (relevant, wordcloud, highlight) score relevance from
+the recorded counts, and run only when the corpus and every artifact still
+hash to the recorded digests; relevant and wordcloud never parse the corpus.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
-from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .clustering import NOISE, write_labels_csv
 from .corpus import (
-    Corpus,
     fetch_archive,
     load_dir,
     load_jsonl,
@@ -60,6 +59,8 @@ MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
 BIGRAMS_NAME = "bigrams.csv"
 OCCURRENCE_NAME = "occurrence.json"
+# What cluster writes besides the manifest, which records each one's sha256.
+ARTIFACT_NAMES = (LABELS_NAME, BIGRAMS_NAME, OCCURRENCE_NAME)
 
 DEFAULT_ENDPOINT = (
     "https://api.nytimes.com/svc/archive/v1/{year}/{month}.json?api-key={key}"
@@ -143,6 +144,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     occurrence = json.dumps(vars(index), default=np.ndarray.tolist)  # integers and strings only
     (outdir / OCCURRENCE_NAME).write_text(occurrence + "\n", encoding="utf-8")
     manifest = {
+        "artifact_sha256": {
+            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES
+        },
         "config": config.as_dict(),
         "corpus_path": str(Path(args.corpus).resolve()),
         "corpus_sha256": digest,
@@ -166,22 +170,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Run:
-    """A cluster run read back, scored from its recorded occurrence counts."""
-
-    corpus: Corpus
-    labels: list[int]
-    table: RelevanceTable
-
-
-def _load_run(run_dir: str | Path) -> _Run:
+def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
+    """The bytes of a cluster run's corpus and of each of its artifacts, all
+    of them as the run's manifest recorded them."""
     run = Path(run_dir)
     manifest_path = run / MANIFEST_NAME
-    labels_path = run / LABELS_NAME
-    if not manifest_path.exists() or not labels_path.exists():
-        raise FileNotFoundError(f"no cluster run in {run} (expected {MANIFEST_NAME} and {LABELS_NAME})")
-    for name in (BIGRAMS_NAME, OCCURRENCE_NAME):
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"no cluster run in {run} (expected {MANIFEST_NAME})")
+    for name in ARTIFACT_NAMES:
         if not (run / name).exists():
             raise ValueError(f"no {name} in {run}; rerun cluster")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -193,25 +189,25 @@ def _load_run(run_dir: str | Path) -> _Run:
     data = Path(manifest["corpus_path"]).read_bytes()  # one read, hashed and parsed
     if corpus_sha256(data) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
-    corpus = load_jsonl(data)
-    del data  # not held through scoring
-    with open(labels_path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))[1:]  # after the header
-    if tuple(doc_id for doc_id, _ in rows) != corpus.ids():
+    artifacts = {name: (run / name).read_bytes() for name in ARTIFACT_NAMES}
+    digests = {name: hashlib.sha256(content).hexdigest() for name, content in artifacts.items()}
+    if digests != manifest.get("artifact_sha256"):  # runs of older versions recorded none
         raise ValueError("stale artifacts; rerun cluster")
-    labels = [int(label) for _, label in rows]
-    occurrence = json.loads((run / OCCURRENCE_NAME).read_text(encoding="utf-8"))
-    clusters, terms = tuple(occurrence["clusters"]), tuple(occurrence["terms"])
-    counts = np.array(occurrence["counts"], dtype=np.int64).reshape(len(clusters), len(terms))
-    index = OccurrenceIndex(terms, clusters, counts, np.array(occurrence["sizes"], dtype=np.int64))
-    sizes = Counter(label for label in labels if label != NOISE)
-    if clusters != tuple(sorted(sizes)) or index.sizes.tolist() != [sizes[c] for c in clusters]:
-        raise ValueError("stale artifacts; rerun cluster")
-    return _Run(corpus, labels, compute_relevance(index))
+    return data, artifacts
+
+
+def _relevance(occurrence: bytes) -> RelevanceTable:
+    """The relevance table of the counts an ``occurrence.json`` records."""
+    recorded = json.loads(occurrence)
+    clusters, terms = tuple(recorded["clusters"]), tuple(recorded["terms"])
+    counts = np.array(recorded["counts"], dtype=np.int64).reshape(len(clusters), len(terms))
+    sizes = np.array(recorded["sizes"], dtype=np.int64)
+    return compute_relevance(OccurrenceIndex(terms, clusters, counts, sizes))
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
-    table = _load_run(args.run).table
+    _, artifacts = _load_run(args.run)
+    table = _relevance(artifacts[OCCURRENCE_NAME])
     out = Path(args.out) if args.out else Path(args.run) / "relevance.csv"
     write_relevance_csv(table, out)
     print(f"wrote relevance table for {len(table.clusters)} clusters to {out}")
@@ -227,7 +223,8 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
     if args.out and args.cluster is None:
         raise ValueError("--out needs --cluster (without it, every cloud goes to --outdir)")
     _check_top(args.top)
-    table = _load_run(args.run).table
+    _, artifacts = _load_run(args.run)
+    table = _relevance(artifacts[OCCURRENCE_NAME])
     if args.cluster is not None:
         clusters = [args.cluster]
         if args.cluster not in table.clusters:
@@ -276,18 +273,20 @@ def cmd_contrast(args: argparse.Namespace) -> int:
 
 
 def cmd_highlight(args: argparse.Namespace) -> int:
-    run = _load_run(args.run)
+    data, artifacts = _load_run(args.run)
+    corpus = load_jsonl(data)
     try:
-        position = run.corpus.ids().index(args.doc_id)
+        position = corpus.ids().index(args.doc_id)
     except ValueError:
         raise ValueError(f"no such document: {args.doc_id!r}") from None
-    label = run.labels[position]
+    rows = list(csv.reader(io.StringIO(artifacts[LABELS_NAME].decode("utf-8"), newline="")))
+    label = int(rows[1 + position][1])  # after the header, one row per document in corpus order
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
-    doc = run.corpus.docs[position]
+    doc = corpus.docs[position]
     selected = read_bigrams_csv(Path(args.run) / BIGRAMS_NAME)
     stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
-    highlight_html(doc, stream, run.table, label, args.out)
+    highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

@@ -18,6 +18,11 @@ DEFAULT_MIN_PTS = 3
 # everything by convention.
 _NORM_FLOOR = 1e-12
 
+# Rows per tile of the similarity product. One ``unit @ unit.T`` goes to BLAS
+# syrk, which kills the process (SIGSEGV) under OpenBLAS 0.3.31 at about 20k
+# rows; the tiles are plain gemm calls.
+_TILE_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -34,9 +39,10 @@ class ClusterAssignment:
 def pairwise_distances(embedding: Embedding) -> np.ndarray:
     """Full symmetric matrix of cosine distances between embedding rows.
 
-    Entries lie in [0, 2] with an exactly-zero diagonal. ``unit @ unit.T``
-    computes each unordered pair once and mirrors it (BLAS ``syrk``), so
-    symmetry is exact.
+    Entries lie in [0, 2] with an exactly-zero diagonal. Each tile of rows
+    is multiplied against the rows from its own first one on, so every
+    unordered pair is computed once, in the upper triangle, and mirrored
+    into the lower: symmetry is exact.
     """
     coords = embedding.coords
     n = coords.shape[0]
@@ -45,7 +51,13 @@ def pairwise_distances(embedding: Embedding) -> np.ndarray:
     norms = np.linalg.norm(coords, axis=1)
     safe = np.where(norms < _NORM_FLOOR, 1.0, norms)
     unit = coords / safe[:, None]
-    sim = unit @ unit.T
+    sim = np.empty((n, n))
+    for a in range(0, n, _TILE_ROWS):
+        b = min(a + _TILE_ROWS, n)
+        np.matmul(unit[a:b], unit[a:].T, out=sim[a:b, a:])
+        for i in range(a, b - 1):  # the diagonal block: upper triangle into lower
+            sim[i + 1:b, i] = sim[i, i + 1:b]
+        sim[b:, a:b] = sim[a:b, b:].T
     sim[norms < _NORM_FLOOR, :] = 0.0
     sim[:, norms < _NORM_FLOOR] = 0.0
     dist = np.subtract(1.0, sim, out=sim)

@@ -9,7 +9,6 @@ by every downstream stage.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import re
@@ -114,49 +113,55 @@ def load_jsonl(
     them to hash (so that what is hashed is what is parsed).
 
     Raises ValueError naming the offending line (and the file, given its
-    path) for malformed JSON, missing, null or empty id/text fields, ids
-    holding a carriage return, and unparseable dates; duplicate ids are
-    rejected with the id in the message.
+    path) for a line that is not UTF-8, malformed JSON, missing, null or
+    empty id/text fields, ids holding a carriage return, and unparseable
+    dates; duplicate ids are rejected with the id in the message.
     """
     if isinstance(source, bytes):
-        where, handle = "", io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
+        where, data = "", source
     else:
-        where, handle = f"{Path(source)}: ", Path(source).open("r", encoding="utf-8")
+        where, data = f"{Path(source)}: ", Path(source).read_bytes()
     docs: list[Document] = []
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    # bytes.splitlines() breaks only at "\n", "\r\n" and "\r", as a text-mode
+    # read does; str.splitlines() would also break inside a JSON string, at
+    # characters such as "\x1c" or "\u2028".
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}line {lineno}: not UTF-8: {exc}") from exc
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}line {lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}line {lineno}: expected a JSON object")
+        for name in (id_field, text_field):
+            if name not in record:
+                raise ValueError(f"{where}line {lineno}: missing {name!r} field")
+        if record[id_field] in (None, ""):
+            raise ValueError(f"{where}line {lineno}: empty {id_field!r} field")
+        doc_id = str(record[id_field])
+        if "\r" in doc_id:
+            # csv.writer leaves a bare "\r" unquoted, which would split
+            # this document's row in labels.csv.
+            raise ValueError(
+                f"{where}line {lineno}: document id holds a carriage return: {doc_id!r}"
+            )
+        text = record[text_field]
+        if not isinstance(text, str) or not text.strip():
+            raise ValueError(f"{where}line {lineno}: empty {text_field!r} field")
+        timestamp = None
+        if record.get(date_field) is not None:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}line {lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}line {lineno}: expected a JSON object")
-            for name in (id_field, text_field):
-                if name not in record:
-                    raise ValueError(f"{where}line {lineno}: missing {name!r} field")
-            if record[id_field] in (None, ""):
-                raise ValueError(f"{where}line {lineno}: empty {id_field!r} field")
-            doc_id = str(record[id_field])
-            if "\r" in doc_id:
-                # csv.writer leaves a bare "\r" unquoted, which would split
-                # this document's row in labels.csv.
+                timestamp = parse_timestamp(str(record[date_field]))
+            except ValueError as exc:
                 raise ValueError(
-                    f"{where}line {lineno}: document id holds a carriage return: {doc_id!r}"
-                )
-            text = record[text_field]
-            if not isinstance(text, str) or not text.strip():
-                raise ValueError(f"{where}line {lineno}: empty {text_field!r} field")
-            timestamp = None
-            if record.get(date_field) is not None:
-                try:
-                    timestamp = parse_timestamp(str(record[date_field]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{where}line {lineno}: bad {date_field!r} value: {exc}"
-                    ) from exc
-            docs.append(Document(id=doc_id, text=text, timestamp=timestamp))
+                    f"{where}line {lineno}: bad {date_field!r} value: {exc}"
+                ) from exc
+        docs.append(Document(id=doc_id, text=text, timestamp=timestamp))
     return Corpus(tuple(docs))
 
 

@@ -240,10 +240,9 @@ def highlight_html(
     untouched, so stripping the spans (and unescaping) restores the original
     text exactly.
     """
-    c = table.cluster_position(cluster)
-    scores = {
-        term: float(table.r[c, i]) for i, term in enumerate(table.terms) if table.r[c, i] > 0.0
-    }
+    row = table.r[table.cluster_position(cluster)]
+    positive = np.flatnonzero(row > 0.0)
+    scores = dict(zip([table.terms[i] for i in positive.tolist()], row[positive].tolist()))
     aligned = _align_raw_tokens(doc.text, stream)
     pieces: list[str] = []
     cursor = 0

@@ -17,7 +17,7 @@ import pytest
 import relwords
 from relwords import cli, pipeline, report
 from relwords.clustering import NOISE
-from relwords.cli import CONFIG_FLAGS, _load_run, build_parser, config_from_args, main
+from relwords.cli import CONFIG_FLAGS, _load_run, _relevance, build_parser, config_from_args, main
 from relwords.corpus import Corpus, Document, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary, term_counts
 from relwords.pipeline import PipelineConfig, run_clustering
@@ -107,6 +107,22 @@ class TestIngest:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    def test_line_not_utf8_cites_file_and_line(self, tmp_path, capsys):
+        src = not_utf8_corpus(tmp_path / "raw.jsonl", bad_line=250)
+        code = main(["ingest", "--jsonl", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert f"{src}: line 250: not UTF-8" in capsys.readouterr().err
+
+
+def not_utf8_corpus(path, bad_line):
+    """A corpus whose line ``bad_line`` holds the Latin-1 byte of "é", past
+    the first 8 KiB of the file."""
+    lines = [json.dumps({"id": f"d{k}", "text": f"document {k} text"}).encode() for k in range(300)]
+    lines[bad_line - 1] = b'{"id": "bad", "text": "caf\xe9"}'
+    assert len(b"\n".join(lines[:bad_line - 1])) > 8192
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
 
 class TestCluster:
     def test_artifacts_and_summary(self, run_dir, capsys, corpus_file):
@@ -143,6 +159,12 @@ class TestCluster:
                      "--outdir", str(tmp_path / "run")])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    def test_corpus_line_not_utf8_cited(self, tmp_path, capsys):
+        corpus = not_utf8_corpus(tmp_path / "corpus.jsonl", bad_line=250)
+        code = main(["cluster", "--corpus", str(corpus), "--outdir", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: line 250: not UTF-8" in capsys.readouterr().err
 
     def test_optional_dumps(self, tmp_path, corpus_file):
         outdir = tmp_path / "run"
@@ -222,10 +244,11 @@ class TestReadCommandsReuseRunBigrams:
         outdir = tmp_path / "run"
         argv = ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(outdir)]
         assert main(argv + ["--min-df", "2"]) == 0
-        run = _load_run(outdir)
-        expected = relevance_from_corpus(corpus, outdir / "bigrams.csv", run.labels, min_df=2)
-        table = run.table
-        assert run.labels.count(NOISE) == 4
+        table = _relevance(_load_run(outdir)[1]["occurrence.json"])
+        with open(outdir / "labels.csv", encoding="utf-8", newline="") as handle:
+            labels = [int(label) for _, label in list(csv.reader(handle))[1:]]
+        expected = relevance_from_corpus(corpus, outdir / "bigrams.csv", labels, min_df=2)
+        assert labels.count(NOISE) == 4
         assert {"new_york", "são_paulo", "größe", "stray0wörd0"} <= set(table.terms)
         assert not {"lone0", "york"} & set(table.terms)
         assert not table.tpr[:, table.terms.index("stray0wörd0")].any()
@@ -283,6 +306,82 @@ class TestReadCommandsReuseRunBigrams:
         for argv in read_commands(outdir, tmp_path):
             assert main(argv) != 0
             assert "stale artifacts; rerun cluster" in capsys.readouterr().err
+
+
+def drop_last_bigram(run):
+    path = run / "bigrams.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 2  # the header and at least one bigram
+    path.write_bytes(b"".join(lines[:-1]))
+
+
+def swap_labels_across_clusters(run):
+    # cluster sizes stay as occurrence.json records them
+    path = run / "labels.csv"
+    rows = [line.rsplit(",", 1) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert rows[1][0] == "t0d00"  # the document read_commands highlights
+    other = next(k for k, (_, label) in enumerate(rows[1:], 1) if label not in (rows[1][1], "-1"))
+    rows[1][1], rows[other][1] = rows[other][1], rows[1][1]
+    path.write_text("".join(f"{doc_id},{label}\n" for doc_id, label in rows), encoding="utf-8")
+
+
+def drop_artifact_digests(run):
+    # as runs written before cluster recorded them
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["artifact_sha256"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("tamper", [drop_last_bigram, swap_labels_across_clusters, drop_artifact_digests])
+def test_run_unlike_its_recorded_digests_rejected(tmp_path, phrase_run, capsys, tamper):
+    outdir = tmp_path / "run"
+    corpus = phrase_run.parent / "corpus.jsonl"
+    assert main(["cluster", "--corpus", str(corpus), "--outdir", str(outdir)]) == 0
+    tamper(outdir)
+    capsys.readouterr()
+    for argv in read_commands(outdir, tmp_path):
+        assert main(argv) == 1
+        assert "stale artifacts; rerun cluster" in capsys.readouterr().err
+
+
+def test_cluster_records_the_digest_of_every_artifact(tmp_path, corpus_file):
+    outdir = tmp_path / "run"
+    assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+    on_disk = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in outdir.iterdir() if path.name != "manifest.json"
+    }
+    assert manifest["artifact_sha256"] == on_disk
+
+
+def test_read_commands_open_only_the_verified_run_files(tmp_path, run_dir, monkeypatch):
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    verified = {"manifest.json", *manifest["artifact_sha256"]}
+    opened = []
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve().parent == run_dir.resolve():
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for argv in read_commands(run_dir, tmp_path):
+        assert main(argv) == 0
+    assert opened and set(opened) <= verified
+
+
+def test_relevant_and_wordcloud_parse_no_corpus(tmp_path, run_dir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus is parsed")
+
+    monkeypatch.setattr(cli, "load_jsonl", refuse)
+    relevant, wordcloud, _ = read_commands(run_dir, tmp_path)
+    assert main(relevant) == 0
+    assert main(wordcloud) == 0
 
 
 class TestOddDocumentIds:
@@ -465,7 +564,7 @@ def test_clouds_byte_identical_to_the_reference_layout(tmp_path, run_dir):
 
     outdir = tmp_path / "clouds"
     assert main(["wordcloud", "--run", str(run_dir), "--outdir", str(outdir)]) == 0
-    table = _load_run(run_dir).table
+    table = _relevance(_load_run(run_dir)[1]["occurrence.json"])
     for cluster in table.clusters:
         expected = svg_markup(layout_wordcloud_reference(rank_terms(table, cluster, 50), top_k=50))
         assert (outdir / f"cluster{cluster}.svg").read_bytes() == expected.encode("utf-8")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relwords import clustering
 from relwords.clustering import (
     NOISE,
     dbscan,
@@ -10,7 +11,9 @@ from relwords.clustering import (
     write_labels_csv,
 )
 from relwords.embedding import Embedding
+from relwords.pipeline import PipelineConfig, run_clustering
 
+from corpora import planted_topic_corpus
 from oracles import dbscan_index_order, dbscan_reference, partition_of, random_distance_matrix
 
 
@@ -92,6 +95,38 @@ class TestPairwiseDistances:
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
         assert dist.min() >= 0.0 and dist.max() <= 2.0
+
+    def test_several_tiles_as_one(self, monkeypatch):
+        result = run_clustering(planted_topic_corpus()[0])
+        embeddings = (result.embedding, embedding_of(clustered_rows(1, 601, 17)))
+        whole = [pairwise_distances(embedding) for embedding in embeddings]
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)  # a ragged last tile for 45 and 601 rows
+        tiled = [pairwise_distances(embedding) for embedding in embeddings]
+        for dist, reference in zip(tiled, whole):
+            assert np.array_equal(dist, dist.T)
+            assert np.all(np.diag(dist) == 0.0)
+            assert np.abs(dist - reference).max() <= 1e-12
+        config = PipelineConfig()
+        labels = dbscan(tiled[0], eps=config.eps, min_pts=config.min_pts).labels
+        assert np.array_equal(labels, result.assignment.labels)
+
+    def test_symmetric_whatever_a_tile_holds_below_its_diagonal(self, monkeypatch):
+        # BLAS need not sum a pair's two products in the same order; the
+        # lower triangle of each diagonal block is overwritten, not trusted
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
+        embedding = embedding_of(clustered_rows(1, 61, 17))
+        reference = pairwise_distances(embedding)
+        matmul = np.matmul
+
+        def skewed(a, b, out):
+            matmul(a, b, out=out)
+            below = np.tril_indices(a.shape[0], -1)
+            out[:, :a.shape[0]][below] += 1e-9
+
+        monkeypatch.setattr(np, "matmul", skewed)
+        dist = pairwise_distances(embedding)
+        monkeypatch.undo()
+        assert np.array_equal(dist, reference)
 
 
 class TestDbscan:
