@@ -19,7 +19,7 @@ from .corpus import (
     save_jsonl,
     split_by_period,
 )
-from .embedding import Embedding, fit_kpca
+from .embedding import fit_kpca
 from .features import FeatureMatrix, Vocabulary, build_vocabulary, idf, vectorize
 from .pipeline import PipelineConfig, PipelineResult, prepare_streams, run_clustering, tokenize_corpus
 from .relevance import (
@@ -58,7 +58,6 @@ __all__ = [
     "ClusterAssignment",
     "Corpus",
     "Document",
-    "Embedding",
     "FeatureMatrix",
     "OccurrenceIndex",
     "PipelineConfig",

@@ -137,7 +137,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     result = run_clustering(corpus, config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_labels_csv(result.assignment, corpus.ids(), outdir / LABELS_NAME)
+    doc_ids = corpus.ids()
+    write_labels_csv(result.assignment, doc_ids, outdir / LABELS_NAME)
     write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
     features, labels = result.features, result.assignment.labels.tolist()
     index = build_occurrence_index(features.counts, features.vocab, labels)
@@ -160,9 +161,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if args.dump_matrix:
-        write_matrix_csv(result.features, outdir / "matrix.csv")
+        write_matrix_csv(result.features, doc_ids, outdir / "matrix.csv")
     if args.dump_embedding:
-        write_embedding_csv(result.embedding, outdir / "embedding.csv")
+        write_embedding_csv(result.model.coords, doc_ids, outdir / "embedding.csv")
     print(
         f"{result.assignment.n_clusters} clusters, {manifest['n_noise']} noise "
         f"documents out of {len(corpus)}; artifacts in {outdir}"
@@ -284,7 +285,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
     doc = corpus.docs[position]
-    selected = read_bigrams_csv(Path(args.run) / BIGRAMS_NAME)
+    selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
     stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
     highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")

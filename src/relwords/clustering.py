@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import Embedding
-
 NOISE = -1
 
 DEFAULT_EPS = 0.45
@@ -36,15 +34,14 @@ class ClusterAssignment:
     n_clusters: int
 
 
-def pairwise_distances(embedding: Embedding) -> np.ndarray:
-    """Full symmetric matrix of cosine distances between embedding rows.
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Full symmetric matrix of cosine distances between the rows of an N x D array.
 
     Entries lie in [0, 2] with an exactly-zero diagonal. Each tile of rows
     is multiplied against the rows from its own first one on, so every
     unordered pair is computed once, in the upper triangle, and mirrored
     into the lower: symmetry is exact.
     """
-    coords = embedding.coords
     n = coords.shape[0]
     if n < 2:
         raise ValueError("need at least 2 documents")

@@ -24,6 +24,12 @@ from pathlib import Path
 
 API_KEY_ENV_VAR = "RELWORDS_API_KEY"
 
+# Archive requests: seconds before a request times out, attempts per month,
+# and the first retry's delay in seconds, doubled after each further failure.
+_FETCH_TIMEOUT = 30.0
+_FETCH_ATTEMPTS = 3
+_FETCH_BACKOFF = 0.5
+
 _TZ_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
 
 
@@ -235,9 +241,6 @@ def fetch_archive(
     *,
     api_key: str | None = None,
     cache_dir: str | Path = "archive_cache",
-    timeout: float = 30.0,
-    max_retries: int = 3,
-    backoff: float = 0.5,
 ) -> Corpus:
     """Fetch article snippets from a monthly archive HTTP API.
 
@@ -253,7 +256,7 @@ def fetch_archive(
     docs: list[Document] = []
     dropped = 0
     for year, month in months:
-        payload = _fetch_month(endpoint, year, month, key, cache_root, timeout, max_retries, backoff)
+        payload = _fetch_month(endpoint, year, month, key, cache_root)
         for item in _archive_docs(payload):
             for name in ("_id", "snippet", "pub_date"):
                 if name not in item:
@@ -300,24 +303,15 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
             return exc.code, exc.read()
 
 
-def _fetch_month(
-    endpoint: str,
-    year: int,
-    month: int,
-    key: str,
-    cache_root: Path,
-    timeout: float,
-    max_retries: int,
-    backoff: float,
-) -> dict:
+def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Path) -> dict:
     cached = _cache_path(cache_root, endpoint, year, month)
     if cached.exists():
         return json.loads(cached.read_text(encoding="utf-8"))
     url = endpoint.format(year=year, month=month, key=key)
     last_error: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(_FETCH_ATTEMPTS):
         try:
-            status, body = _http_get(url, timeout)
+            status, body = _http_get(url, _FETCH_TIMEOUT)
         except (OSError, HTTPException) as exc:
             last_error = exc
         else:
@@ -335,8 +329,8 @@ def _fetch_month(
                     _archive_docs(payload)  # validate before caching
                     _atomic_write(cached, json.dumps(payload, ensure_ascii=False))
                     return payload
-        if attempt < max_retries - 1:
-            time.sleep(backoff * (2**attempt))
+        if attempt < _FETCH_ATTEMPTS - 1:
+            time.sleep(_FETCH_BACKOFF * (2**attempt))
     raise RuntimeError(f"archive fetch failed for {year:04d}-{month:02d}: {last_error}")
 
 

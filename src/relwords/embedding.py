@@ -37,17 +37,6 @@ class KernelPca:
     coords: np.ndarray
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Dense N x D matrix of principal coordinates, row k = document k."""
-
-    coords: np.ndarray
-    doc_ids: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-
 def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) -> KernelPca:
     """Fit linear kernel PCA on a feature matrix and embed its documents.
 
@@ -149,20 +138,24 @@ def _pivot_signs(columns: np.ndarray) -> np.ndarray:
     return np.where(columns[pivots, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
 
 
-def transform(model: KernelPca, features: FeatureMatrix) -> Embedding:
-    """The fitted documents' coordinates, labelled with their ids.
+def transform(model: KernelPca) -> KernelPca:
+    """The fitted model, unchanged.
 
     It computes nothing. It exists because the benchmark's tracer
     (``perfbench/tracing.py``) times the embedding stage as
-    ``pipeline.transform`` and reads the ``Embedding`` it returns.
+    ``pipeline.transform`` and sizes the arrays it returns; ROADMAP item 2
+    deletes it once that span moves to ``fit_kpca``.
     """
-    return Embedding(coords=model.coords, doc_ids=features.doc_ids)
+    return model
 
 
-def write_embedding_csv(embedding: Embedding, path) -> None:
-    """Dump coordinates as CSV: doc_id followed by the D components."""
+def write_embedding_csv(coords: np.ndarray, doc_ids, path) -> None:
+    """Dump coordinates as CSV: doc_id followed by the D components; row k
+    of ``coords`` is document ``doc_ids[k]``."""
+    if len(doc_ids) != coords.shape[0]:
+        raise ValueError("doc_ids length does not match coordinate rows")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["doc_id"] + [f"c{d}" for d in range(embedding.coords.shape[1])])
-        for doc_id, coords in zip(embedding.doc_ids, embedding.coords.tolist()):
-            writer.writerow([doc_id] + [f"{v:.12g}" for v in coords])
+        writer.writerow(["doc_id"] + [f"c{d}" for d in range(coords.shape[1])])
+        for doc_id, row in zip(doc_ids, coords.tolist()):
+            writer.writerow([doc_id] + [f"{v:.12g}" for v in row])

@@ -33,7 +33,6 @@ class FeatureMatrix:
 
     matrix: sparse.csr_matrix
     vocab: Vocabulary
-    doc_ids: tuple[str, ...]
     counts: sparse.csr_matrix
 
     @property
@@ -117,13 +116,14 @@ def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
     indices, indptr = counts.indices.copy(), counts.indptr.copy()
     matrix = sparse.csr_matrix((weights, indices, indptr), shape=counts.shape)
     matrix.eliminate_zeros()
-    return FeatureMatrix(
-        matrix=matrix, vocab=vocab, doc_ids=tuple(s.doc_id for s in streams), counts=counts
-    )
+    return FeatureMatrix(matrix=matrix, vocab=vocab, counts=counts)
 
 
-def write_matrix_csv(features: FeatureMatrix, path) -> None:
-    """Sparse triplet dump: ``doc_id,term,weight``, one row per nonzero."""
+def write_matrix_csv(features: FeatureMatrix, doc_ids, path) -> None:
+    """Sparse triplet dump: ``doc_id,term,weight``, one row per nonzero;
+    row k of the matrix is document ``doc_ids[k]``."""
+    if len(doc_ids) != features.matrix.shape[0]:
+        raise ValueError("doc_ids length does not match matrix rows")
     coo = features.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -131,4 +131,4 @@ def write_matrix_csv(features: FeatureMatrix, path) -> None:
         writer.writerow(("doc_id", "term", "weight"))
         rows = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
         for row, col, weight in rows:
-            writer.writerow((features.doc_ids[row], features.vocab.terms[col], f"{weight:.12g}"))
+            writer.writerow((doc_ids[row], features.vocab.terms[col], f"{weight:.12g}"))

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import Corpus
-from .embedding import DEFAULT_COMPONENTS, Embedding, KernelPca, fit_kpca, transform
+from .embedding import DEFAULT_COMPONENTS, KernelPca, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
 from .text import (
     BigramCandidate,
@@ -54,7 +54,6 @@ class PipelineResult:
     selected_bigrams: dict[tuple[str, str], BigramCandidate]
     features: FeatureMatrix
     model: KernelPca
-    embedding: Embedding
     assignment: ClusterAssignment
 
 
@@ -88,12 +87,8 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
         model = fit_kpca(features, max_components=config.kpca_components)
     except ValueError as exc:
         raise ValueError(f"embedding: {exc}") from exc
-    emb = transform(model, features)
-    assignment = dbscan(pairwise_distances(emb), eps=config.eps, min_pts=config.min_pts)
+    coords = transform(model).coords
+    assignment = dbscan(pairwise_distances(coords), eps=config.eps, min_pts=config.min_pts)
     return PipelineResult(
-        selected_bigrams=selected,
-        features=features,
-        model=model,
-        embedding=emb,
-        assignment=assignment,
+        selected_bigrams=selected, features=features, model=model, assignment=assignment
     )

@@ -176,6 +176,17 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     return [(table.terms[i], score) for i, score in zip(top.tolist(), table.r[c, top].tolist())]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``, by a sort and an adjacent-difference mask: on
+    numpy 2.4, bare ``np.unique`` of integers takes a hash path that was
+    ~25x slower on 600k values."""
+    ordered = np.sort(values, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def write_relevance_csv(table: RelevanceTable, path) -> None:
     """Full table dump: ``cluster,term,tpr,fpr,r_diff,r_quot,r``.
 
@@ -190,7 +201,7 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     columns = [
         column.view(np.uint64) for column in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
     ]
-    distinct = np.unique(np.concatenate([np.unique(column) for column in columns]))
+    distinct = _distinct(np.concatenate([_distinct(column) for column in columns]))
     text = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
     # The last column's text carries the line end, so each row is one join.
     lookups = [np.array(text, dtype=object)] * 4 + [np.array([s + "\n" for s in text], dtype=object)]

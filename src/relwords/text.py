@@ -8,10 +8,12 @@ downstream.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, count
+from pathlib import Path
 
 import numpy as np
 
@@ -179,17 +181,23 @@ def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
             handle.write(f"{cand.first},{cand.second},{cand.score:.12g}\n")
 
 
-def read_bigrams_csv(path) -> set[tuple[str, str]]:
+def read_bigrams_csv(source: str | Path | bytes) -> set[tuple[str, str]]:
     """The ``(first, second)`` pairs of a ``write_bigrams_csv`` file.
 
-    Tokens are letters and digits only, so every row splits on ``,`` into
-    three fields; any other row is an error naming its line.
+    ``source`` is the file's path, or its bytes when the caller has read
+    them to hash (so that what is hashed is what is parsed). Tokens are
+    letters and digits only, so every row splits on ``,`` into three fields;
+    any other row is an error naming its line (and the file, given its path).
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        if handle.readline() != _BIGRAMS_HEADER:
-            raise ValueError(f"{path}: not a bigrams CSV (no first,second,score header)")
-        rows = [line.split(",", 2) for line in handle]
+    if isinstance(source, bytes):
+        where, data = "", source
+    else:
+        where, data = f"{source}: ", Path(source).read_bytes()
+    handle = io.StringIO(data.decode("utf-8"), newline="\n")  # lines end at "\n" only
+    if handle.readline() != _BIGRAMS_HEADER:
+        raise ValueError(f"{where}not a bigrams CSV (no first,second,score header)")
+    rows = [line.split(",", 2) for line in handle]
     for number, row in enumerate(rows, start=2):
         if len(row) != 3:
-            raise ValueError(f"{path}: line {number}: not a first,second,score row: {','.join(row)!r}")
+            raise ValueError(f"{where}line {number}: not a first,second,score row: {','.join(row)!r}")
     return {(first, second) for first, second, _ in rows}

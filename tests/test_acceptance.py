@@ -17,7 +17,7 @@ import pytest
 from relwords.cli import main
 from relwords.clustering import NOISE, dbscan, pairwise_distances
 from relwords.corpus import save_jsonl, split_by_period
-from relwords.embedding import Embedding, fit_kpca, transform
+from relwords.embedding import fit_kpca
 from relwords.features import build_vocabulary, idf, term_counts
 from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
 from relwords.relevance import (
@@ -99,7 +99,7 @@ def test_kpca_spectral_reconstruction():
         rows[n // 2] = rows[n // 3]  # plant a duplicate document
         fm = make_feature_matrix(rows)
         model = fit_kpca(fm, max_components=n)  # keep every positive component
-        coords = transform(model, fm).coords
+        coords = model.coords
         reference = centered_gram(rows)
         err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
         assert err <= 1e-8, f"trial {trial}: relative error {err:.2e}"
@@ -168,7 +168,7 @@ def test_formula_exactness():
 
     v = [3.0, 4.0]
     rows = np.array([v, v, [-4.0, 3.0], [-3.0, -4.0]])  # v, v, orthogonal, -v
-    dist = pairwise_distances(Embedding(coords=rows, doc_ids=("v", "w", "o", "n")))
+    dist = pairwise_distances(rows)
     assert dist[0, 1] == 0.0
     assert dist[0, 2] == 1.0
     assert dist[0, 3] == 2.0

@@ -370,8 +370,11 @@ def test_read_commands_open_only_the_verified_run_files(tmp_path, run_dir, monke
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
     for argv in read_commands(run_dir, tmp_path):
+        opened.clear()
         assert main(argv) == 0
-    assert opened and set(opened) <= verified
+        assert opened and set(opened) <= verified, argv
+        # what a command verified is what it parses: no file is read twice
+        assert sorted(opened) == sorted(set(opened)), argv
 
 
 def test_relevant_and_wordcloud_parse_no_corpus(tmp_path, run_dir, monkeypatch):

@@ -10,7 +10,6 @@ from relwords.clustering import (
     pairwise_distances,
     write_labels_csv,
 )
-from relwords.embedding import Embedding
 from relwords.pipeline import PipelineConfig, run_clustering
 
 from corpora import planted_topic_corpus
@@ -18,8 +17,7 @@ from oracles import dbscan_index_order, dbscan_reference, partition_of, random_d
 
 
 def embedding_of(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return Embedding(coords=rows, doc_ids=tuple(f"d{k}" for k in range(rows.shape[0])))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def clustered_rows(seed, n, dim):
@@ -98,7 +96,7 @@ class TestPairwiseDistances:
 
     def test_several_tiles_as_one(self, monkeypatch):
         result = run_clustering(planted_topic_corpus()[0])
-        embeddings = (result.embedding, embedding_of(clustered_rows(1, 601, 17)))
+        embeddings = (result.model.coords, embedding_of(clustered_rows(1, 601, 17)))
         whole = [pairwise_distances(embedding) for embedding in embeddings]
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)  # a ragged last tile for 45 and 601 rows
         tiled = [pairwise_distances(embedding) for embedding in embeddings]

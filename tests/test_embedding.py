@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy import sparse
 
 from relwords import embedding
-from relwords.embedding import fit_kpca, transform, write_embedding_csv
+from relwords.embedding import fit_kpca, write_embedding_csv
 from relwords.features import FeatureMatrix, Vocabulary
 
 from oracles import fit_dual_reference, fit_primal_reference, kpca_reference
@@ -24,7 +24,6 @@ def make_feature_matrix(rows: np.ndarray) -> FeatureMatrix:
     return FeatureMatrix(
         matrix=sparse.csr_matrix(rows),
         vocab=vocab,
-        doc_ids=tuple(f"d{k}" for k in range(rows.shape[0])),
         counts=sparse.csr_matrix((rows != 0).astype(np.int64)),  # unread by kernel PCA
     )
 
@@ -268,7 +267,7 @@ class TestPartialEigensolve:
             eigensolves.clear()
             model = fit_kpca(fm, max_components=min(n - 1, t))
             assert eigensolves == ["partial"], f"trial {trial}"
-            coords = transform(model, fm).coords
+            coords = model.coords
             reference = centered_gram(rows)
             err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
             assert err <= 1e-8, f"trial {trial}: relative error {err:.2e}"
@@ -340,14 +339,14 @@ class TestDualFitMemory:
 
 
 class TestTransform:
-    """The embedding the pipeline clusters, as ``transform`` hands it on."""
+    """The coordinates the pipeline clusters, as ``fit_kpca`` returns them."""
 
     def test_training_gram_reconstruction(self):
         rng = np.random.default_rng(5)
         rows = random_tfidf(rng, 30, 50)
         fm = make_feature_matrix(rows)
         model = fit_kpca(fm, max_components=250)
-        coords = transform(model, fm).coords
+        coords = model.coords
         reference = centered_gram(rows)
         err = np.linalg.norm(coords @ coords.T - reference) / np.linalg.norm(reference)
         assert err <= 1e-8
@@ -357,14 +356,14 @@ class TestTransform:
         rows = random_tfidf(rng, 12, 20)
         rows[7] = rows[2]
         fm = make_feature_matrix(rows)
-        coords = transform(fit_kpca(fm), fm).coords
+        coords = fit_kpca(fm).coords
         assert np.array_equal(coords[7], coords[2])
 
     def test_column_sign_flip_leaves_cosines_unchanged(self):
         rng = np.random.default_rng(9)
         fm = make_feature_matrix(random_tfidf(rng, 12, 18))
         model = fit_kpca(fm)
-        coords = transform(model, fm).coords
+        coords = model.coords
         flipped = coords.copy()
         flipped[:, 0] = -flipped[:, 0]
 
@@ -380,10 +379,11 @@ class TestTransform:
 def test_embedding_csv_dump(tmp_path):
     fm = make_feature_matrix(np.eye(3))
     model = fit_kpca(fm)
-    emb = transform(model, fm)
     out = tmp_path / "embedding.csv"
-    write_embedding_csv(emb, out)
+    write_embedding_csv(model.coords, ("d0", "d1", "d2"), out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "doc_id,c0,c1"
     assert len(lines) == 4
     assert lines[1].startswith("d0,")
+    with pytest.raises(ValueError, match="doc_ids length"):
+        write_embedding_csv(model.coords, ("d0", "d1"), out)

@@ -195,8 +195,10 @@ def test_matrix_csv_dump(tmp_path):
     streams = [stream("1", "a", "a", "b"), stream("2", "b"), stream("3", "c")]
     fm = vectorize(streams, build_vocabulary(streams))
     out = tmp_path / "matrix.csv"
-    write_matrix_csv(fm, out)
+    write_matrix_csv(fm, ("1", "2", "3"), out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "doc_id,term,weight"
     assert all(line.count(",") == 2 for line in lines[1:])
     assert len(lines) == 1 + fm.matrix.nnz
+    with pytest.raises(ValueError, match="doc_ids length"):
+        write_matrix_csv(fm, ("1", "2"), out)

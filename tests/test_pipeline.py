@@ -57,9 +57,9 @@ class TestRunClustering:
         streams, _ = prepare_streams(corpus, PipelineConfig())
         assert [stream.doc_id for stream in streams] == list(corpus.ids())
         assert result.features.matrix.shape[0] == n
-        assert result.embedding.coords.shape[0] == n
+        assert result.model.coords.shape[0] == n
         assert result.assignment.labels.shape == (n,)
-        assert result.embedding.coords.shape[1] == result.model.eigenvalues.shape[0]
+        assert result.model.coords.shape[1] == result.model.eigenvalues.shape[0]
 
     def test_bigram_merge_feeds_features(self):
         # a collocation planted in every doc becomes one merged feature

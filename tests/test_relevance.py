@@ -7,6 +7,7 @@ import pytest
 from relwords.clustering import NOISE
 from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import (
+    _distinct,
     _fpr_raw,
     build_occurrence_index,
     compute_relevance,
@@ -293,6 +294,20 @@ def test_relevance_csv_sorted_by_cluster_then_score(tmp_path):
         scores = [float(row[6]) for row in rows if row[0] == cluster]
         assert scores == sorted(scores, reverse=True)
     assert rows[0][:2] == ["0", "devos"]
+
+
+def test_distinct_bit_patterns_equal_np_unique():
+    values = np.array([
+        [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
+        [1.0, 0.0, -0.0, 1e-300, 0.5, 5e-324, 0.0],
+    ]).view(np.uint64)
+    rng = np.random.default_rng(3)
+    drawn = rng.choice(rng.random(50), size=(4, 200)).view(np.uint64)  # many repeats
+    for case in (values, drawn, values[:0], values[:1, :1]):
+        distinct = _distinct(case)
+        assert distinct.dtype == np.uint64
+        assert np.array_equal(distinct, np.unique(case))
+    assert _distinct(values).size == 8  # -0.0 and 0.0 stay apart
 
 
 def test_relevance_csv_same_bytes_as_the_per_row_writer(tmp_path):

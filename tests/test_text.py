@@ -376,3 +376,11 @@ def test_malformed_bigrams_row_rejected_naming_file_and_line(tmp_path, row):
     out.write_text("first,second,score\nnew,york,12.5\n" + row, encoding="utf-8")
     with pytest.raises(ValueError, match=rf"{re.escape(str(out))}: line 3: "):
         read_bigrams_csv(out)
+
+
+def test_bigrams_csv_bytes_parse_as_the_file(tmp_path):
+    out = tmp_path / "bigrams.csv"
+    write_bigrams_csv([BigramCandidate("new", "york", 9, 12.5), BigramCandidate("東京", "都", 6, 40.0)], out)
+    assert read_bigrams_csv(out.read_bytes()) == read_bigrams_csv(out) == {("new", "york"), ("東京", "都")}
+    with pytest.raises(ValueError, match=r"^line 4: not a first,second,score row"):
+        read_bigrams_csv(out.read_bytes() + b"broken\n")

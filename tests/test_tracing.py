@@ -98,9 +98,9 @@ def test_traced_cluster_run_counts(tracing, tmp_path):
     counts = tracing.op_counts(calls)
     assert STAGE_COUNTS <= counts.keys()
 
-    (embedding,) = [result for name, _, result in calls if name == "embedding.transform"]
+    (model,) = [result for name, _, result in calls if name == "embedding.transform"]
     config = PipelineConfig()
-    degree = np.count_nonzero(pairwise_distances(embedding) <= config.eps, axis=1)
+    degree = np.count_nonzero(pairwise_distances(model.coords) <= config.eps, axis=1)
     with open(run / "labels.csv", encoding="utf-8", newline="") as handle:
         labels = [int(label) for _, label in list(csv.reader(handle))[1:]]
     assert counts["clustering.core_points"] == np.count_nonzero(degree >= config.min_pts) == 45
