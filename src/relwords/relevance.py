@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -151,10 +152,16 @@ def compute_relevance(index: OccurrenceIndex) -> RelevanceTable:
     )
 
 
-def _term_ranks(terms: Sequence[str]) -> np.ndarray:
-    """Each term's position in ascending term order."""
+@lru_cache(maxsize=1)
+def _term_ranks(terms: tuple[str, ...]) -> np.ndarray:
+    """Each term's position in ascending term order.
+
+    Every cluster of a table ranks against the same terms, so the sort is
+    done once per table; the array is shared, so it is read-only.
+    """
     ranks = np.empty(len(terms), dtype=np.intp)
     ranks[np.argsort(np.array(terms, dtype=str))] = np.arange(len(terms))
+    ranks.flags.writeable = False
     return ranks
 
 
@@ -203,15 +210,20 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     ]
     distinct = _distinct(np.concatenate([_distinct(column) for column in columns]))
     text = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
-    # The last column's text carries the line end, so each row is one join.
-    lookups = [np.array(text, dtype=object)] * 4 + [np.array([s + "\n" for s in text], dtype=object)]
+    # A value's text carries the comma before it and the last column's the
+    # line end, so a cluster's rows are one join of its cells, encoded and
+    # written as one block.
+    lookups = [np.array(["," + s for s in text], dtype=object)] * 4 + [
+        np.array(["," + s + "\n" for s in text], dtype=object)
+    ]
     terms = np.array(table.terms, dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
+    cells = np.empty((len(table.terms), 7), dtype=object)
+    with open(path, "wb") as handle:
+        handle.write(b"cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
             order = _ranked(table, c, term_ranks)
-            cells = [
-                lookup[np.searchsorted(distinct, column[c, order])]
-                for lookup, column in zip(lookups, columns)
-            ]
-            handle.writelines(map(",".join, zip([str(cluster)] * order.size, terms[order], *cells)))
+            cells[:, 0] = f"{cluster},"
+            cells[:, 1] = terms[order]
+            for j, (lookup, column) in enumerate(zip(lookups, columns), start=2):
+                cells[:, j] = lookup[np.searchsorted(distinct, column[c, order])]
+            handle.write("".join(cells.ravel().tolist()).encode("utf-8"))

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from functools import lru_cache
-from math import ceil, cos, hypot, sin
+from math import ceil, cos, hypot, isfinite, sin
 from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape as xml_escape
@@ -51,6 +51,9 @@ _PALETTE = (
 
 _SPIRAL_STEP = 0.1  # radians between candidate positions
 _SPIRAL_GROWTH = 1.0  # radius gained per radian
+# Spiral positions tested together against every placed box: on 50-word
+# clouds 64 was faster than 32, and than 128 in most runs.
+_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,16 @@ def layout_wordcloud(
     first; each takes the first spiral position from the canvas center where
     its bounding box fits inside the canvas without overlapping a placed box
     (touching edges are allowed). Words that fit nowhere are skipped with a
-    warning. No randomness.
+    warning. A NaN or infinite score among the top k is rejected, naming its
+    word. No randomness.
     """
     if not ranked:
         raise ValueError("nothing to lay out: empty ranking")
-    chosen = [(term, weight) for term, weight in list(ranked)[:top_k] if weight > 0.0]
+    head = list(ranked)[:top_k]
+    for term, weight in head:
+        if not isfinite(weight):
+            raise ValueError(f"word {term!r} has a non-finite score: {weight!r}")
+    chosen = [(term, weight) for term, weight in head if weight > 0.0]
     if not chosen:
         raise ValueError("nothing to lay out: all scores are zero")
     chosen.sort(key=lambda entry: -entry[1])  # stable: ties keep ranking order
@@ -127,8 +135,14 @@ def layout_wordcloud(
     span = w_max - w_min
     xs, ys = _spiral(width, height)
 
+    # Per spiral position, the last placed box (x0, y0, x1, y1) found to
+    # cover it, or an empty box at infinity. It only saves work: each word
+    # tests its own box against it, so a position is ruled out only by a box
+    # that covers it there, and taken only once no placed box does.
+    last_box = np.empty((4, xs.size))
+    last_box[:2], last_box[2:] = np.inf, -np.inf
+    placed = np.empty((4, len(chosen)))
     entries: list[CloudEntry] = []
-    boxes: list[tuple[float, float, float, float]] = []
     for rank, (term, weight) in enumerate(chosen):
         if span > 0.0:
             size = MIN_FONT_PT + (MAX_FONT_PT - MIN_FONT_PT) * (weight - w_min) / span
@@ -141,15 +155,27 @@ def layout_wordcloud(
             continue
         x0, y0 = xs - box_w / 2.0, ys - box_h / 2.0
         x1, y1 = xs + box_w / 2.0, ys + box_h / 2.0
-        # "not outside the canvas", which a NaN box passes, where "inside it" would fail it
-        free = ~((x0 < 0) | (y0 < 0) | (x1 > width) | (y1 > height))
-        for b0, b1, b2, b3 in boxes:
-            free &= (x1 <= b0) | (b2 <= x0) | (y1 <= b1) | (b3 <= y0)
-        if not free.any():
+        blocked = (x0 < 0) | (y0 < 0) | (x1 > width) | (y1 > height)
+        l0, l1, l2, l3 = last_box
+        blocked |= ~((x1 <= l0) | (l2 <= x0) | (y1 <= l1) | (l3 <= y0))
+        # The positions left, in order, a group at a time against every box.
+        b0, b1, b2, b3 = placed[:, : len(entries)]
+        candidates = np.flatnonzero(~blocked)
+        step = None
+        for start in range(0, candidates.size, _GROUP):
+            group = candidates[start : start + _GROUP]
+            gx0, gy0, gx1, gy1 = x0[group, None], y0[group, None], x1[group, None], y1[group, None]
+            hits = ~((gx1 <= b0) | (b2 <= gx0) | (gy1 <= b1) | (b3 <= gy0))
+            covered = hits.any(axis=1)
+            if covered.any():
+                last_box[:, group[covered]] = placed[:, hits[covered].argmax(axis=1)]
+            if not covered.all():
+                step = int(group[covered.argmin()])
+                break
+        if step is None:
             warnings.warn(f"no free position for word {term!r}; skipped")
             continue
-        step = int(free.argmax())
-        boxes.append((x0[step], y0[step], x1[step], y1[step]))
+        placed[:, len(entries)] = x0[step], y0[step], x1[step], y1[step]
         entries.append(
             CloudEntry(
                 term=term,

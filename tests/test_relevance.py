@@ -9,6 +9,7 @@ from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import (
     _distinct,
     _fpr_raw,
+    _term_ranks,
     build_occurrence_index,
     compute_relevance,
     rank_terms,
@@ -239,6 +240,28 @@ class TestRankTerms:
         assert ranked == rank_terms(table, 0, 3)
         assert [t for t, _ in ranked] == ["alpha", "mid", "zeta"]
         assert csv_terms(reversed_table, 0, tmp_path) == ["alpha", "mid", "zeta", "x"]
+
+    def test_term_ranks_follow_the_table_and_are_read_only(self, tmp_path):
+        # score and TPR tie, so the order falls to the terms, which the
+        # reversed table holds unsorted; alternating the two tables makes
+        # each call find the other's terms cached
+        table = compute_relevance(
+            make_index({0: [["zeta", "alpha", "mid"]] * 2, 1: [["x"], ["x"]]})
+        )
+        columns = ("tpr", "fpr", "r_diff", "r_quot", "r")
+        reversed_table = replace(
+            table,
+            terms=table.terms[::-1],
+            **{name: getattr(table, name)[:, ::-1] for name in columns},
+        )
+        expected = rank_terms(table, 0, 3)
+        assert [t for t, _ in expected] == ["alpha", "mid", "zeta"]
+        for case in (reversed_table, table, reversed_table):
+            assert rank_terms(case, 0, 3) == expected
+            assert csv_terms(case, 0, tmp_path) == ["alpha", "mid", "zeta", "x"]
+        ranks = _term_ranks(reversed_table.terms)
+        assert not ranks.flags.writeable
+        assert [reversed_table.terms[i] for i in np.argsort(ranks)] == sorted(table.terms)
 
     def test_order_matches_sorted_reference(self, tmp_path):
         # few documents per cluster make many exact score and TPR ties

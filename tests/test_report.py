@@ -87,6 +87,14 @@ class TestLayoutWordcloud:
         with pytest.raises(ValueError, match="empty ranking"):
             layout_wordcloud([])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_weight_rejected_by_word(self, bad):
+        ranked = [("beta", 0.5), ("alpha", bad), ("gamma", 0.2)]
+        with pytest.raises(ValueError, match="'alpha'"):
+            layout_wordcloud(ranked)
+        # only the words the cloud would draw are read
+        assert [e.term for e in layout_wordcloud(ranked, top_k=1).entries] == ["beta"]
+
     def test_word_without_free_position_skipped_with_warning(self):
         # "abc" fills the middle of the canvas, no position is left for
         # "defg" beside it, and the smaller "h" still fits in a corner
@@ -134,6 +142,18 @@ RANKINGS = st.integers(1, 60).flatmap(lambda n: st.lists(RANKED_WORD, min_size=n
 @example(ranked=[("a", 0.0)], top_k=50, canvas=(800, 600))  # all weights zero
 @example(ranked=[("abcde", 1.0)], top_k=50, canvas=(144, 48))  # box exactly the canvas
 @example(ranked=[("", 1.0), ("", 1.0), ("ab", 0.5)], top_k=50, canvas=(800, 300))  # boxes touch
+# "y" takes a position that a box placed before it was found to cover for "abba"
+@example(ranked=[("abba", 1.0), ("abba", 1.0), ("y", 0.1)], top_k=50, canvas=(800, 300))
+# ten tied top scores among 50 words on the cloud canvas
+@example(
+    ranked=[(f"word{i:02d}", 1.0 if i < 10 else 0.9 - 0.015 * i) for i in range(50)],
+    top_k=50,
+    canvas=(800, 600),
+)
+# the last "ab" takes the 64th position the remembered boxes leave open and
+# "xy" the 65th: the last of one group of 64 and the first of the next
+@example(ranked=[("", 1.0), ("ab", 0.6), ("abcd", 0.4), ("ab", 0.1)], top_k=50, canvas=(800, 300))
+@example(ranked=[("a", 0.6), ("b", 0.5), ("xy", 0.4), ("abc", 0.1)], top_k=50, canvas=(200, 100))
 @settings(max_examples=60, deadline=None)
 def test_layout_same_as_the_per_position_walk(ranked, top_k, canvas):
     width, height = canvas
@@ -141,6 +161,16 @@ def test_layout_same_as_the_per_position_walk(ranked, top_k, canvas):
     assert layout_outcome(layout_wordcloud, ranked, **kwargs) == layout_outcome(
         layout_wordcloud_reference, ranked, **kwargs
     )
+
+
+def test_layout_carries_no_state_into_the_next_call():
+    a = [(f"alpha{i}", 1.0 - 0.02 * i) for i in range(40)]
+    b = [("abba", 1.0), ("bbb", 1.0), ("ab", 1.0), ("abxy", 0.5), ("abxy", 0.25)]
+    first = layout_wordcloud(b)
+    layout_wordcloud(a)
+    assert layout_wordcloud(b) == first
+    layout_wordcloud(a, width=800, height=300)
+    assert layout_wordcloud(b) == first
 
 
 class TestRenderSvg:
