@@ -5,7 +5,8 @@ term occurrence counts and, last, a manifest recording the full config and
 the sha256 of the input corpus and of each of those three files. The
 downstream commands (relevant, wordcloud, highlight) score relevance from
 the recorded counts, and run only when the corpus and every artifact still
-hash to the recorded digests; relevant and wordcloud never parse the corpus.
+hash to the recorded digests; relevant and wordcloud never parse the corpus,
+and highlight parses only its document's line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,9 +26,11 @@ from . import __version__
 from .clustering import NOISE, write_labels_csv
 from .corpus import (
     fetch_archive,
+    jsonl_lines,
     load_dir,
     load_jsonl,
     month_range,
+    parse_document,
     parse_timestamp,
     save_jsonl,
     split_by_period,
@@ -59,6 +63,7 @@ MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
 BIGRAMS_NAME = "bigrams.csv"
 OCCURRENCE_NAME = "occurrence.json"
+OCCURRENCE_KEYS = {"terms", "clusters", "sizes", "columns", "counts"}
 # What cluster writes besides the manifest, which records each one's sha256.
 ARTIFACT_NAMES = (LABELS_NAME, BIGRAMS_NAME, OCCURRENCE_NAME)
 
@@ -142,8 +147,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
     features, labels = result.features, result.assignment.labels.tolist()
     index = build_occurrence_index(features.counts, features.vocab, labels)
-    occurrence = json.dumps(vars(index), default=np.ndarray.tolist)  # integers and strings only
-    (outdir / OCCURRENCE_NAME).write_text(occurrence + "\n", encoding="utf-8")
+    (outdir / OCCURRENCE_NAME).write_text(_occurrence_json(index) + "\n", encoding="utf-8")
     manifest = {
         "artifact_sha256": {
             name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES
@@ -171,6 +175,25 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _occurrence_json(index: OccurrenceIndex) -> str:
+    """``index`` as the JSON text of ``occurrence.json``: per cluster, the
+    positions in ``terms`` of its nonzero counts, the first as is and each
+    later one as the gap from the one before (``columns``), and those counts
+    (``counts``), each as one string of space-separated decimal integers."""
+    columns, counts = [], []
+    for row in index.counts:
+        positions = np.flatnonzero(row)
+        columns.append(" ".join(map(str, np.diff(positions, prepend=0).tolist())))
+        counts.append(" ".join(map(str, row[positions].tolist())))
+    return json.dumps({
+        "terms": index.terms,
+        "clusters": index.clusters,
+        "sizes": index.sizes.tolist(),
+        "columns": columns,
+        "counts": counts,
+    })
+
+
 def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
     """The bytes of a cluster run's corpus and of each of its artifacts, all
     of them as the run's manifest recorded them."""
@@ -187,7 +210,13 @@ def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
         raise ValueError(
             f"run config keys differ from this version's: {', '.join(sorted(differing))}; rerun cluster"
         )
-    data = Path(manifest["corpus_path"]).read_bytes()  # one read, hashed and parsed
+    corpus_path = Path(manifest["corpus_path"])
+    try:
+        data = corpus_path.read_bytes()  # one read, hashed and parsed
+    except FileNotFoundError:
+        raise ValueError(
+            f"the corpus this run clustered is missing: {corpus_path}; rerun cluster"
+        ) from None
     if corpus_sha256(data) != manifest["corpus_sha256"]:
         raise ValueError("stale artifacts; rerun cluster")
     artifacts = {name: (run / name).read_bytes() for name in ARTIFACT_NAMES}
@@ -200,8 +229,14 @@ def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
 def _relevance(occurrence: bytes) -> RelevanceTable:
     """The relevance table of the counts an ``occurrence.json`` records."""
     recorded = json.loads(occurrence)
+    if recorded.keys() != OCCURRENCE_KEYS:
+        # older versions wrote every count, as a nested list under "counts"
+        raise ValueError(f"{OCCURRENCE_NAME} is in an older format; rerun cluster")
     clusters, terms = tuple(recorded["clusters"]), tuple(recorded["terms"])
-    counts = np.array(recorded["counts"], dtype=np.int64).reshape(len(clusters), len(terms))
+    counts = np.zeros((len(clusters), len(terms)), dtype=np.int64)
+    for row, columns, values in zip(counts, recorded["columns"], recorded["counts"]):
+        positions = np.cumsum(np.fromstring(columns, dtype=np.int64, sep=" "))
+        row[positions] = np.fromstring(values, dtype=np.int64, sep=" ")
     sizes = np.array(recorded["sizes"], dtype=np.int64)
     return compute_relevance(OccurrenceIndex(terms, clusters, counts, sizes))
 
@@ -275,16 +310,20 @@ def cmd_contrast(args: argparse.Namespace) -> int:
 
 def cmd_highlight(args: argparse.Namespace) -> int:
     data, artifacts = _load_run(args.run)
-    corpus = load_jsonl(data)
-    try:
-        position = corpus.ids().index(args.doc_id)
-    except ValueError:
-        raise ValueError(f"no such document: {args.doc_id!r}") from None
-    rows = list(csv.reader(io.StringIO(artifacts[LABELS_NAME].decode("utf-8"), newline="")))
-    label = int(rows[1 + position][1])  # after the header, one row per document in corpus order
+    rows = csv.reader(io.StringIO(artifacts[LABELS_NAME].decode("utf-8"), newline=""))
+    next(rows)  # the header; then one row per document, in corpus order
+    for position, (doc_id, label) in enumerate(rows):
+        if doc_id == args.doc_id:
+            break
+    else:
+        raise ValueError(f"no such document: {args.doc_id!r}")
+    label = int(label)
     if label == NOISE:
         raise ValueError(f"document {args.doc_id!r} is noise; nothing to highlight")
-    doc = corpus.docs[position]
+    # the corpus and labels.csv hashed to the run's digests, so the document
+    # is on the corpus's position-th non-blank line
+    _, line = next(itertools.islice(jsonl_lines(data), position, None))
+    doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
     stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
     highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME]), label, args.out)

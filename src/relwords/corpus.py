@@ -14,13 +14,11 @@ import os
 import re
 import tempfile
 import time
-import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from http.client import HTTPException
 from pathlib import Path
+from typing import Iterator
 
 API_KEY_ENV_VAR = "RELWORDS_API_KEY"
 
@@ -106,6 +104,66 @@ class Corpus:
         return tuple(doc.timestamp for doc in self.docs)
 
 
+def jsonl_lines(data: bytes, where: str = "") -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a JSON-lines file's bytes that is
+    not blank, numbering lines from 1.
+
+    Raises ValueError naming the line, after ``where`` (the file's name and
+    ": ", or nothing), for a line that is not UTF-8.
+    """
+    # bytes.splitlines() breaks only at "\n", "\r\n" and "\r", as a text-mode
+    # read does; str.splitlines() would also break inside a JSON string, at
+    # characters such as "\x1c" or "\u2028".
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}line {lineno}: not UTF-8: {exc}") from exc
+        if line.strip():
+            yield lineno, line
+
+
+def parse_document(
+    line: str,
+    *,
+    id_field: str = "id",
+    text_field: str = "text",
+    date_field: str = "date",
+) -> Document:
+    """The document one JSON-lines line holds.
+
+    Raises ValueError for malformed JSON, a value that is not an object,
+    missing, null or empty id/text fields, an id holding a carriage return
+    and an unparseable date.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    for name in (id_field, text_field):
+        if name not in record:
+            raise ValueError(f"missing {name!r} field")
+    if record[id_field] in (None, ""):
+        raise ValueError(f"empty {id_field!r} field")
+    doc_id = str(record[id_field])
+    if "\r" in doc_id:
+        # csv.writer leaves a bare "\r" unquoted, which would split
+        # this document's row in labels.csv.
+        raise ValueError(f"document id holds a carriage return: {doc_id!r}")
+    text = record[text_field]
+    if not isinstance(text, str) or not text.strip():
+        raise ValueError(f"empty {text_field!r} field")
+    timestamp = None
+    if record.get(date_field) is not None:
+        try:
+            timestamp = parse_timestamp(str(record[date_field]))
+        except ValueError as exc:
+            raise ValueError(f"bad {date_field!r} value: {exc}") from exc
+    return Document(id=doc_id, text=text, timestamp=timestamp)
+
+
 def load_jsonl(
     source: str | Path | bytes,
     *,
@@ -119,55 +177,20 @@ def load_jsonl(
     them to hash (so that what is hashed is what is parsed).
 
     Raises ValueError naming the offending line (and the file, given its
-    path) for a line that is not UTF-8, malformed JSON, missing, null or
-    empty id/text fields, ids holding a carriage return, and unparseable
-    dates; duplicate ids are rejected with the id in the message.
+    path) for a line that is not UTF-8 or that ``parse_document`` refuses;
+    duplicate ids are rejected with the id in the message.
     """
     if isinstance(source, bytes):
         where, data = "", source
     else:
         where, data = f"{Path(source)}: ", Path(source).read_bytes()
     docs: list[Document] = []
-    # bytes.splitlines() breaks only at "\n", "\r\n" and "\r", as a text-mode
-    # read does; str.splitlines() would also break inside a JSON string, at
-    # characters such as "\x1c" or "\u2028".
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, line in jsonl_lines(data, where):
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{where}line {lineno}: not UTF-8: {exc}") from exc
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}line {lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{where}line {lineno}: expected a JSON object")
-        for name in (id_field, text_field):
-            if name not in record:
-                raise ValueError(f"{where}line {lineno}: missing {name!r} field")
-        if record[id_field] in (None, ""):
-            raise ValueError(f"{where}line {lineno}: empty {id_field!r} field")
-        doc_id = str(record[id_field])
-        if "\r" in doc_id:
-            # csv.writer leaves a bare "\r" unquoted, which would split
-            # this document's row in labels.csv.
-            raise ValueError(
-                f"{where}line {lineno}: document id holds a carriage return: {doc_id!r}"
-            )
-        text = record[text_field]
-        if not isinstance(text, str) or not text.strip():
-            raise ValueError(f"{where}line {lineno}: empty {text_field!r} field")
-        timestamp = None
-        if record.get(date_field) is not None:
-            try:
-                timestamp = parse_timestamp(str(record[date_field]))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{where}line {lineno}: bad {date_field!r} value: {exc}"
-                ) from exc
-        docs.append(Document(id=doc_id, text=text, timestamp=timestamp))
+            doc = parse_document(line, id_field=id_field, text_field=text_field, date_field=date_field)
+        except ValueError as exc:
+            raise ValueError(f"{where}line {lineno}: {exc}") from exc
+        docs.append(doc)
     return Corpus(tuple(docs))
 
 
@@ -295,6 +318,11 @@ def _cache_path(cache_root: Path, endpoint: str, year: int, month: int) -> Path:
 
 def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
     """(status, body) of a GET for every HTTP status; network failures raise OSError."""
+    # Imported here, not at the top: urllib.request loads http.client, email
+    # and ssl, ~36 ms that only fetch needs.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             return resp.status, resp.read()
@@ -304,6 +332,8 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
 
 
 def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Path) -> dict:
+    from http.client import HTTPException  # as urllib.request, only fetch needs it
+
     cached = _cache_path(cache_root, endpoint, year, month)
     if cached.exists():
         return json.loads(cached.read_text(encoding="utf-8"))

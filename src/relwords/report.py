@@ -17,7 +17,6 @@ from functools import lru_cache
 from math import ceil, cos, hypot, isfinite, sin
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def svg_markup(spec: WordCloudSpec, extra: Sequence[str] = ()) -> str:
         lines.append(
             f'<text x="{entry.x:.2f}" y="{entry.y:.2f}" font-size="{entry.font_size:.2f}" '
             f'font-family="sans-serif" text-anchor="middle" dominant-baseline="central" '
-            f'fill="{entry.color}">{xml_escape(entry.term)}</text>'
+            f'fill="{entry.color}">{html.escape(entry.term, quote=False)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

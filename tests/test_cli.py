@@ -29,7 +29,7 @@ from relwords.relevance import (
     write_relevance_csv,
 )
 from relwords.report import svg_markup
-from relwords.text import write_bigrams_csv
+from relwords.text import read_bigrams_csv, write_bigrams_csv
 
 from corpora import phrase_corpus, planted_topic_corpus, trending_corpus
 from oracles import (
@@ -148,7 +148,8 @@ class TestCluster:
         assert all(line.endswith(",-1") for line in lines)
         assert "0 clusters" in capsys.readouterr().out
         occurrence = json.loads((outdir / "occurrence.json").read_text(encoding="utf-8"))
-        assert occurrence["clusters"] == occurrence["counts"] == occurrence["sizes"] == []
+        assert occurrence["clusters"] == occurrence["sizes"] == []
+        assert occurrence["columns"] == occurrence["counts"] == []
         assert occurrence["terms"]
         for argv in (["relevant", "--run", str(outdir)], ["wordcloud", "--run", str(outdir)]):
             assert main(argv) == 1
@@ -308,6 +309,83 @@ class TestReadCommandsReuseRunBigrams:
             assert "stale artifacts; rerun cluster" in capsys.readouterr().err
 
 
+def recorded_index(run, monkeypatch):
+    """The OccurrenceIndex ``_relevance`` rebuilds from the run's ``occurrence.json``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compute_relevance", lambda index: index)
+        return _relevance(_load_run(run)[1]["occurrence.json"])
+
+
+def clustered_index(corpus, config):
+    """The OccurrenceIndex of ``corpus`` clustered under ``config``."""
+    result = run_clustering(corpus, config)
+    labels = result.assignment.labels.tolist()
+    return build_occurrence_index(result.features.counts, result.features.vocab, labels)
+
+
+def assert_same_index(index, expected):
+    assert index.terms == expected.terms and index.clusters == expected.clusters
+    for name in ("counts", "sizes"):
+        value, reference = getattr(index, name), getattr(expected, name)
+        assert value.dtype == np.int64 and np.array_equal(value, reference), name
+
+
+class TestOccurrenceJson:
+    @pytest.mark.filterwarnings("ignore:documents with no in-vocabulary tokens")
+    def test_round_trip_with_a_cluster_counting_no_term(self, tmp_path, monkeypatch):
+        # with --min-pts 1 the lone document is a cluster of its own, and
+        # --min-df 2 drops every one of its words
+        corpus, _, _ = planted_topic_corpus()
+        corpus = Corpus(corpus.docs + (Document(id="lone", text="solitary unmatched wording"),))
+        save_jsonl(corpus, tmp_path / "corpus.jsonl")
+        outdir = tmp_path / "run"
+        argv = ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(outdir)]
+        assert main(argv + ["--min-pts", "1", "--min-df", "2"]) == 0
+        expected = clustered_index(corpus, PipelineConfig(min_pts=1, min_df=2))
+        index = recorded_index(outdir, monkeypatch)
+        assert_same_index(index, expected)
+        lone = index.sizes.tolist().index(1)
+        assert not index.counts[lone].any()
+        recorded = json.loads((outdir / "occurrence.json").read_text(encoding="utf-8"))
+        assert recorded["columns"][lone] == recorded["counts"][lone] == ""
+        # nonzero counts at the first and the last term position
+        assert index.counts[:, 0].any() and index.counts[:, -1].any()
+        table = _relevance(_load_run(outdir)[1]["occurrence.json"])
+        reference = compute_relevance(expected)
+        for field in fields(RelevanceTable):
+            value, wanted = getattr(table, field.name), getattr(reference, field.name)
+            if isinstance(value, tuple):
+                assert value == wanted, field.name
+            else:
+                assert value.dtype == wanted.dtype and np.array_equal(value, wanted), field.name
+
+    def test_round_trip_of_an_all_noise_run(self, tmp_path, corpus_file, monkeypatch):
+        outdir = tmp_path / "run"
+        argv = ["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]
+        assert main(argv + ["--eps", "0.01", "--min-pts", "3"]) == 0
+        expected = clustered_index(load_jsonl(corpus_file), PipelineConfig(eps=0.01, min_pts=3))
+        index = recorded_index(outdir, monkeypatch)
+        assert index.clusters == () and index.counts.shape == (0, len(expected.terms))
+        assert_same_index(index, expected)
+
+    def test_older_format_rejected_though_its_digest_matches(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
+        index = clustered_index(load_jsonl(corpus_file), PipelineConfig())
+        # as versions that stored every count wrote it, with its digest recorded
+        older = json.dumps(vars(index), default=np.ndarray.tolist) + "\n"
+        (outdir / "occurrence.json").write_text(older, encoding="utf-8")
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+        manifest["artifact_sha256"]["occurrence.json"] = hashlib.sha256(older.encode("utf-8")).hexdigest()
+        (outdir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        for argv in read_commands(outdir, tmp_path):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "occurrence.json" in err and "rerun cluster" in err
+            assert "stale" not in err
+
+
 def drop_last_bigram(run):
     path = run / "bigrams.csv"
     lines = path.read_bytes().splitlines(keepends=True)
@@ -381,10 +459,21 @@ def test_relevant_and_wordcloud_parse_no_corpus(tmp_path, run_dir, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the corpus is parsed")
 
+    parsed = []
+
+    def parse_document(line, **fields):
+        parsed.append(line)
+        return relwords.corpus.parse_document(line, **fields)
+
     monkeypatch.setattr(cli, "load_jsonl", refuse)
-    relevant, wordcloud, _ = read_commands(run_dir, tmp_path)
+    monkeypatch.setattr(cli, "parse_document", parse_document)
+    relevant, wordcloud, highlight = read_commands(run_dir, tmp_path)
     assert main(relevant) == 0
     assert main(wordcloud) == 0
+    assert parsed == []
+    # highlight parses its own document's line, and no other
+    assert main(highlight) == 0
+    assert [json.loads(line)["id"] for line in parsed] == ["t0d00"]
 
 
 class TestOddDocumentIds:
@@ -473,6 +562,18 @@ class TestRelevant:
         code = main(["relevant", "--run", str(outdir)])
         assert code != 0
         assert "stale artifacts; rerun cluster" in capsys.readouterr().err
+
+    def test_moved_corpus_named(self, tmp_path, corpus_file, capsys):
+        corpus_copy = tmp_path / "corpus.jsonl"
+        corpus_copy.write_bytes(corpus_file.read_bytes())
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_copy), "--outdir", str(outdir)]) == 0
+        corpus_copy.rename(tmp_path / "elsewhere.jsonl")
+        capsys.readouterr()
+        for argv in read_commands(outdir, tmp_path):
+            assert main(argv) == 1
+            expected = f"the corpus this run clustered is missing: {corpus_copy.resolve()}; rerun cluster"
+            assert expected in capsys.readouterr().err
 
     def test_run_with_a_config_key_this_version_lacks_rejected(self, tmp_path, corpus_file, capsys):
         outdir = tmp_path / "run"
@@ -677,6 +778,34 @@ class TestHighlight:
         assert code != 0
         assert "no such document" in capsys.readouterr().err
 
+    def test_same_bytes_as_from_the_whole_corpus_between_blank_lines(self, tmp_path):
+        # blank and whitespace-only lines, "\r\n" and "\r" endings and no
+        # final newline: the document on a line is the one load_jsonl reads
+        corpus, _, _ = planted_topic_corpus()
+        ends = [b"\n", b"\r\n", b"\n  \t\n", "\r\n\u3000\r\n".encode("utf-8"), b"\r", b"\n\n"]
+        lines = [json.dumps({"id": doc.id, "text": doc.text}).encode("utf-8") for doc in corpus.docs]
+        data = b"\n \n" + b"".join(line + ends[k % len(ends)] for k, line in enumerate(lines[:-1]))
+        data += lines[-1]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_bytes(data)
+        loaded = load_jsonl(data)
+        assert loaded == corpus
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_path), "--outdir", str(outdir)]) == 0
+        _, artifacts = _load_run(outdir)
+        table = _relevance(artifacts["occurrence.json"])
+        selected = read_bigrams_csv(artifacts["bigrams.csv"])
+        with open(outdir / "labels.csv", encoding="utf-8", newline="") as handle:
+            labels = [int(label) for _, label in list(csv.reader(handle))[1:]]
+        for position in (0, len(loaded) // 2, len(loaded) - 1):
+            doc = loaded.docs[position]
+            expected = tmp_path / f"expected{position}.html"
+            stream = relwords.apply_bigrams(relwords.normalize_tokenize(doc.text, doc.id), selected)
+            report.highlight_html(doc, stream, table, labels[position], expected)
+            out = tmp_path / f"{position}.html"
+            assert main(["highlight", "--run", str(outdir), "--doc-id", doc.id, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.read_bytes(), doc.id
+
 
 class TestFetch:
     def test_fetch_from_cache_needs_no_network(self, tmp_path):
@@ -726,6 +855,25 @@ print("scipy.linalg" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["False", "True"]  # the check sees the import
+
+
+def test_read_commands_never_import_urllib_request(corpus_file, tmp_path):
+    # urllib.request loads http.client, email and ssl; only fetch needs them
+    script = f"""
+import sys
+from relwords.cli import main
+run, out = {str(tmp_path / "run")!r}, {str(tmp_path)!r}
+assert main(["cluster", "--corpus", {str(corpus_file)!r}, "--outdir", run]) == 0
+assert main(["relevant", "--run", run, "--out", out + "/relevance.csv"]) == 0
+assert main(["wordcloud", "--run", run, "--outdir", out]) == 0
+assert main(["highlight", "--run", run, "--doc-id", "t0d00", "--out", out + "/t0d00.html"]) == 0
+print(sorted({{"urllib.request", "http.client"}} & set(sys.modules)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point(tmp_path):
