@@ -6,7 +6,8 @@ the sha256 of the input corpus and of each of those three files. The
 downstream commands (relevant, wordcloud, highlight) score relevance from
 the recorded counts, and run only when the corpus and every artifact still
 hash to the recorded digests; relevant and wordcloud never parse the corpus,
-and highlight parses only its document's line.
+and highlight parses only its document's line. highlight and
+``wordcloud --cluster`` score only the one cluster they draw.
 """
 
 from __future__ import annotations
@@ -226,19 +227,24 @@ def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
     return data, artifacts
 
 
-def _relevance(occurrence: bytes) -> RelevanceTable:
-    """The relevance table of the counts an ``occurrence.json`` records."""
+def _relevance(occurrence: bytes, clusters: list[int] | None = None) -> RelevanceTable:
+    """The relevance table of the counts an ``occurrence.json`` records, for
+    the clusters ``clusters`` (default: all)."""
     recorded = json.loads(occurrence)
     if recorded.keys() != OCCURRENCE_KEYS:
         # older versions wrote every count, as a nested list under "counts"
         raise ValueError(f"{OCCURRENCE_NAME} is in an older format; rerun cluster")
-    clusters, terms = tuple(recorded["clusters"]), tuple(recorded["terms"])
-    counts = np.zeros((len(clusters), len(terms)), dtype=np.int64)
+    keys, terms = tuple(recorded["clusters"]), tuple(recorded["terms"])
+    if keys:  # with none, compute_relevance says all documents are noise
+        for cluster in clusters or ():
+            if cluster not in keys:
+                raise ValueError(f"no such cluster: {cluster}")
+    counts = np.zeros((len(keys), len(terms)), dtype=np.int64)
     for row, columns, values in zip(counts, recorded["columns"], recorded["counts"]):
         positions = np.cumsum(np.fromstring(columns, dtype=np.int64, sep=" "))
         row[positions] = np.fromstring(values, dtype=np.int64, sep=" ")
     sizes = np.array(recorded["sizes"], dtype=np.int64)
-    return compute_relevance(OccurrenceIndex(terms, clusters, counts, sizes))
+    return compute_relevance(OccurrenceIndex(terms, keys, counts, sizes), clusters)
 
 
 def cmd_relevant(args: argparse.Namespace) -> int:
@@ -260,17 +266,11 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
         raise ValueError("--out needs --cluster (without it, every cloud goes to --outdir)")
     _check_top(args.top)
     _, artifacts = _load_run(args.run)
-    table = _relevance(artifacts[OCCURRENCE_NAME])
-    if args.cluster is not None:
-        clusters = [args.cluster]
-        if args.cluster not in table.clusters:
-            raise ValueError(f"no such cluster: {args.cluster}")
-    else:
-        clusters = list(table.clusters)
+    table = _relevance(artifacts[OCCURRENCE_NAME], None if args.cluster is None else [args.cluster])
     outdir = Path(args.outdir) if args.outdir else Path(args.run)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for cluster in clusters:
+    for cluster in table.clusters:
         ranked = rank_terms(table, cluster, args.top)
         if args.out:
             out = Path(args.out)
@@ -326,7 +326,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
     stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
-    highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME]), label, args.out)
+    highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

@@ -60,10 +60,14 @@ class RelevanceTable:
     r: np.ndarray
 
     def cluster_position(self, cluster: ClusterKey) -> int:
-        try:
-            return self.clusters.index(cluster)
-        except ValueError:
-            raise ValueError(f"unknown cluster: {cluster!r}") from None
+        return _position(self.clusters, cluster)
+
+
+def _position(clusters: tuple[ClusterKey, ...], cluster: ClusterKey) -> int:
+    try:
+        return clusters.index(cluster)
+    except ValueError:
+        raise ValueError(f"unknown cluster: {cluster!r}") from None
 
 
 def build_occurrence_index(
@@ -90,22 +94,25 @@ def build_occurrence_index(
     )
 
 
-def _fpr_raw(rates: np.ndarray) -> np.ndarray:
+def _fpr_raw(rates: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
     """Per (cluster, term): mean plus population std of the term's rates over
-    all other clusters, from a (clusters, terms) rate matrix.
+    all other clusters, from a (clusters, terms) rate matrix, for the cluster
+    rows ``rows`` in that order (default: all).
 
     Mean-plus-std rather than a maximum keeps one small cluster from
     dominating the estimate. With no other cluster the value is 0 and scores
-    reduce to plain occurrence rates.
+    reduce to plain occurrence rates. Each row costs O(clusters x terms).
     """
     n_clusters = rates.shape[0]
-    fpr_raw = np.zeros_like(rates)
+    if rows is None:
+        rows = range(n_clusters)
+    fpr_raw = np.zeros((len(rows), rates.shape[1]), dtype=rates.dtype)
     if n_clusters == 1:
         warnings.warn("single cluster: FPR is 0 and scores reduce to occurrence rates")
     else:
-        for c in range(n_clusters):
+        for i, c in enumerate(rows):
             others = rates[[l for l in range(n_clusters) if l != c]]
-            fpr_raw[c] = others.mean(axis=0) + others.std(axis=0)
+            fpr_raw[i] = others.mean(axis=0) + others.std(axis=0)
     return fpr_raw
 
 
@@ -130,21 +137,31 @@ def score_final(tpr_value, fpr_value):
     return 0.5 * (score_diff(tpr_value, fpr_value) + score_quot(tpr_value, fpr_value))
 
 
-def compute_relevance(index: OccurrenceIndex) -> RelevanceTable:
-    """Score every (cluster, term) pair of an occurrence index."""
+def compute_relevance(
+    index: OccurrenceIndex, clusters: Sequence[ClusterKey] | None = None
+) -> RelevanceTable:
+    """Score every term for the given clusters of an occurrence index, in the
+    order given (default: every cluster, in index order).
+
+    A cluster's row is the same, bit for bit, whichever clusters are scored
+    with it. Its FPR reads every cluster's rates, so one row costs
+    O(clusters x terms) and the whole table O(clusters^2 x terms).
+    """
     if not index.clusters:
         raise ValueError("no clusters to score (all documents are noise)")
+    rows = None if clusters is None else [_position(index.clusters, key) for key in clusters]
     rates = index.counts / index.sizes[:, None]
-    fpr_raw = _fpr_raw(rates)
-    # In this order no more (clusters, terms) arrays are alive at once than
-    # the five stored ones and fpr_raw.
-    r = score_final(rates, fpr_raw)
-    r_quot = score_quot(rates, fpr_raw)
-    r_diff = score_diff(rates, fpr_raw)
+    fpr_raw = _fpr_raw(rates, rows)
+    tpr = rates if rows is None else rates[rows]
+    # In this order no more (scored clusters, terms) arrays are alive at
+    # once than the five stored ones and fpr_raw.
+    r = score_final(tpr, fpr_raw)
+    r_quot = score_quot(tpr, fpr_raw)
+    r_diff = score_diff(tpr, fpr_raw)
     return RelevanceTable(
         terms=index.terms,
-        clusters=index.clusters,
-        tpr=rates,
+        clusters=index.clusters if clusters is None else tuple(clusters),
+        tpr=tpr,
         fpr=np.minimum(fpr_raw, 1.0),
         r_diff=r_diff,
         r_quot=r_quot,

@@ -312,7 +312,7 @@ class TestReadCommandsReuseRunBigrams:
 def recorded_index(run, monkeypatch):
     """The OccurrenceIndex ``_relevance`` rebuilds from the run's ``occurrence.json``."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "compute_relevance", lambda index: index)
+        patch.setattr(cli, "compute_relevance", lambda index, clusters=None: index)
         return _relevance(_load_run(run)[1]["occurrence.json"])
 
 
@@ -648,6 +648,63 @@ class TestWordcloud:
         assert code != 0
         assert "--top must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+
+    def test_cluster_of_an_all_noise_run_names_the_cause(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
+                     "--eps", "0.01", "--min-pts", "3"]) == 0
+        capsys.readouterr()
+        code = main(["wordcloud", "--run", str(outdir), "--cluster", "0",
+                     "--out", str(tmp_path / "x.svg")])
+        assert code == 1
+        assert "no clusters to score (all documents are noise)" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+
+def rows_scored(monkeypatch):
+    """The number of cluster rows each ``cli.compute_relevance`` call scores,
+    in call order, from the calls made after it is patched."""
+    scored = []
+
+    def counting(index, clusters=None):
+        table = compute_relevance(index, clusters)
+        scored.append(table.r.shape[0])
+        return table
+
+    monkeypatch.setattr(cli, "compute_relevance", counting)
+    return scored
+
+
+def test_one_cluster_cloud_scores_one_row_and_is_the_all_cluster_cloud(tmp_path, run_dir, monkeypatch):
+    scored = rows_scored(monkeypatch)
+    assert main(["wordcloud", "--run", str(run_dir), "--outdir", str(tmp_path / "all")]) == 0
+    assert scored == [3]
+    for cluster in range(3):
+        out = tmp_path / f"one{cluster}.svg"
+        assert main(["wordcloud", "--run", str(run_dir), "--cluster", str(cluster), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "all" / f"cluster{cluster}.svg").read_bytes(), cluster
+    assert scored == [3, 1, 1, 1]
+
+
+def test_highlight_scores_one_row_and_marks_as_the_whole_table(tmp_path, run_dir, corpus_file, monkeypatch):
+    _, artifacts = _load_run(run_dir)
+    table = _relevance(artifacts["occurrence.json"])
+    selected = read_bigrams_csv(artifacts["bigrams.csv"])
+    labels = [int(label) for _, label in list(csv.reader(io.StringIO(artifacts["labels.csv"].decode())))[1:]]
+    corpus = load_jsonl(corpus_file)
+    positions = (0, len(corpus) // 2, len(corpus) - 1)
+    assert sorted(labels[position] for position in positions) == [0, 1, 2]
+    scored = rows_scored(monkeypatch)
+    for position in positions:
+        doc = corpus.docs[position]
+        expected = tmp_path / f"expected{position}.html"
+        stream = relwords.apply_bigrams(relwords.normalize_tokenize(doc.text, doc.id), selected)
+        report.highlight_html(doc, stream, table, labels[position], expected)
+        out = tmp_path / f"{position}.html"
+        assert main(["highlight", "--run", str(run_dir), "--doc-id", doc.id, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes(), doc.id
+    assert scored == [1, 1, 1]
 
 
 # sha256 of the contrast cloud of trending_corpus() at its boundary, as the

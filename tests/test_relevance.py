@@ -16,6 +16,7 @@ from relwords.relevance import (
     score_diff,
     score_final,
     score_quot,
+    OccurrenceIndex,
     RelevanceTable,
     write_relevance_csv,
 )
@@ -190,6 +191,86 @@ class TestRelevanceTable:
         table = compute_relevance(index)
         assert at(table, "fpr", "t", "w") == 1.0
         assert at(table, "r_diff", "t", "w") == score_diff(1.0, raw)
+
+
+SCORES = ("tpr", "fpr", "r_diff", "r_quot", "r")
+
+
+def assert_rows_of(table, full, rows):
+    """``table`` holds rows ``rows`` of ``full``, bit for bit (so -0.0 is
+    not 0.0)."""
+    assert table.terms == full.terms
+    assert table.clusters == tuple(full.clusters[row] for row in rows)
+    for name in SCORES:
+        value, wanted = getattr(table, name), getattr(full, name)[rows]
+        assert value.dtype == wanted.dtype == np.float64, name
+        assert np.array_equal(value.view(np.uint64), wanted.view(np.uint64)), name
+
+
+def random_index(n_clusters, n_terms, seed):
+    """Random counts, most of them zero, over clusters of 1 to 60 documents."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 61, size=n_clusters)
+    counts = rng.integers(0, sizes[:, None] + 1, size=(n_clusters, n_terms))
+    counts[rng.random(counts.shape) < 0.7] = 0
+    terms = tuple(f"t{i:04d}" for i in range(n_terms))
+    return OccurrenceIndex(terms, tuple(range(n_clusters)), counts, sizes)
+
+
+class TestScoreSomeClusters:
+    """compute_relevance(index, clusters) holds the given clusters' rows of
+    the whole table, in the order given."""
+
+    @pytest.mark.parametrize("cluster_docs", [
+        {0: [["x"], ["x"], ["x"], ["y"]], 1: [["y"]]},
+        {
+            "target": [["w"]],
+            "a": [["w"], ["w"]] + [["z"]] * 8,
+            "b": [["z"], ["z"]],
+            "c": [["w"]] + [["z"]] * 9,
+        },
+        {"t": [["w"]], "a": [["w"]], "b": [["w"]], "c": [["z"]]},  # raw FPR above 1
+        {0: [["w"]], 1: [["w"], ["w"], ["w"], ["z"], ["z"]]},
+        {"after": [["inauguration", "x"], ["inauguration", "y"]], "before": [["x"], ["y"]]},
+        {0: [["the", "a"], ["the"]], 1: [["the", "b"], ["the"]], 2: [["c"]]},
+    ])
+    def test_each_row_of_the_small_fixtures(self, cluster_docs):
+        index = make_index(cluster_docs)
+        full = compute_relevance(index)
+        for row, cluster in enumerate(index.clusters):
+            assert_rows_of(compute_relevance(index, [cluster]), full, [row])
+
+    def test_each_row_of_200_clusters_by_2000_terms(self):
+        index = random_index(200, 2000, seed=11)
+        full = compute_relevance(index)
+        for row, cluster in enumerate(index.clusters):
+            assert_rows_of(compute_relevance(index, [cluster]), full, [row])
+
+    def test_clusters_in_the_order_given(self):
+        index = make_index({"a": [["x"], ["y"]], "b": [["y"]], "c": [["x", "z"]]})
+        full = compute_relevance(index)
+        table = compute_relevance(index, ["c", "a"])
+        assert_rows_of(table, full, [2, 0])
+        assert table.cluster_position("c") == 0 and table.cluster_position("a") == 1
+        assert rank_terms(table, "a", 3) == rank_terms(full, "a", 3)
+
+    def test_single_cluster_still_warns(self):
+        index = make_index({0: [["w"], ["z"]]})
+        with pytest.warns(UserWarning, match="single cluster: FPR is 0"):
+            table = compute_relevance(index, [0])
+        assert at(table, "fpr", 0, "w") == 0.0
+
+    def test_all_noise_still_raises(self):
+        streams = [stream("a", "w"), stream("b", "z")]
+        vocab = build_vocabulary(streams)
+        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, [NOISE, NOISE])
+        with pytest.raises(ValueError, match=r"no clusters to score \(all documents are noise\)"):
+            compute_relevance(index, [0])
+
+    def test_unknown_cluster_rejected(self):
+        index = make_index({0: [["x"]], 1: [["y"]]})
+        with pytest.raises(ValueError, match="unknown cluster: 9"):
+            compute_relevance(index, [0, 9])
 
 
 class TestRankTerms:
