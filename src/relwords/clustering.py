@@ -16,9 +16,10 @@ DEFAULT_MIN_PTS = 3
 # everything by convention.
 _NORM_FLOOR = 1e-12
 
-# Rows per tile of the similarity product. One ``unit @ unit.T`` goes to BLAS
-# syrk, which kills the process (SIGSEGV) under OpenBLAS 0.3.31 at about 20k
-# rows; the tiles are plain gemm calls.
+# Rows per tile of the similarity product and of DBSCAN's neighbourhood
+# scan. One ``unit @ unit.T`` goes to BLAS syrk, which kills the process
+# (SIGSEGV) under OpenBLAS 0.3.31 at about 20k rows; the tiles are plain
+# gemm calls.
 _TILE_ROWS = 1024
 
 
@@ -85,10 +86,21 @@ def dbscan(
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = dist.shape[0]
-    within = dist <= eps
-    core = np.count_nonzero(within, axis=1) >= min_pts
-    within &= core
-    point, neighbour = np.nonzero(within)
+    # Over row tiles, so no N x N boolean is made: the eps-degrees first,
+    # then the (point, core neighbour) pairs in row-major order.
+    starts = range(0, max(n, 1), _TILE_ROWS)  # one empty tile when n = 0
+    degree = np.concatenate(
+        [np.count_nonzero(dist[a:a + _TILE_ROWS] <= eps, axis=1) for a in starts]
+    )
+    core = degree >= min_pts
+    point, neighbour = [], []
+    for a in starts:
+        within = dist[a:a + _TILE_ROWS] <= eps
+        within &= core
+        rows, columns = np.nonzero(within)
+        point.append(rows + a)
+        neighbour.append(columns)
+    point, neighbour = np.concatenate(point), np.concatenate(neighbour)
     # root[p]: the smallest core index found so far in p's cluster (for a
     # border point, in any cluster that reaches it), or the sentinel n, its
     # own root, while none is found. Each round takes the minimum over the

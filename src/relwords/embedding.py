@@ -26,6 +26,12 @@ _DEGENERATE_RTOL = 1e-12
 # 250 components on a 2-core host, partial/full was 1.1 at 5x and 0.64 at 9.6x.
 _PARTIAL_SOLVE_RATIO = 6
 
+# Rows per block of a sparse product written into its dense result: the
+# whole sparse product would cost ~12 B per nonzero, up to 1.5x the dense
+# matrix. On a 2-core host, of 64, 128, 256 and 512 rows only 128 kept the
+# 1k-document bench run at the whole product's peak RSS (256 rows: +0.8 MiB).
+_PRODUCT_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class KernelPca:
@@ -58,7 +64,7 @@ def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) 
 
 
 def _fit_dual(matrix, max_components: int) -> KernelPca:
-    gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
+    gram = _dense_product(matrix, matrix.T)
     scale, col_means, grand = np.trace(gram), gram.mean(axis=0), float(gram.mean())
     # Centred in place, in the order of gram - col - row + grand: the same
     # bits as that expression, without a second N x N matrix.
@@ -75,13 +81,17 @@ def _fit_dual(matrix, max_components: int) -> KernelPca:
 
 
 def _fit_primal(matrix, max_components: int) -> KernelPca:
+    n, t = matrix.shape
     mean = np.asarray(matrix.mean(axis=0)).ravel()
-    # Fortran-ordered, as LAPACK wants it: the covariance is dead after the
-    # solve, which may then overwrite it instead of a copy.
-    covariance = (matrix.T @ matrix).toarray(order="F")
+    covariance = _dense_product(matrix.T, matrix)
     scale = np.trace(covariance)
-    covariance -= matrix.shape[0] * np.outer(mean, mean)
-    eigenvalues, axes = _leading_eigenpairs(covariance, scale, max_components, overwrite=True)
+    for a in range(0, t, _PRODUCT_BLOCK_ROWS):
+        rows = slice(a, a + _PRODUCT_BLOCK_ROWS)
+        covariance[rows] -= n * np.outer(mean[rows], mean)
+    # The transpose is the same symmetric matrix, Fortran-ordered as LAPACK
+    # wants it: the covariance is dead after the solve, which may then
+    # overwrite it instead of a copy.
+    eigenvalues, axes = _leading_eigenpairs(covariance.T, scale, max_components, overwrite=True)
     del covariance
     # The columns of ``axes`` are orthonormal eigenvectors of the centered
     # covariance, so a document's coordinates are its centered row times them.
@@ -92,6 +102,21 @@ def _fit_primal(matrix, max_components: int) -> KernelPca:
     # picks the same sign as the dual path's rule on its coefficients.
     coords *= _pivot_signs(coords)
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
+
+
+def _dense_product(left, right) -> np.ndarray:
+    """``left @ right`` of two sparse matrices as a dense float64 array,
+    written into it one block of ``_PRODUCT_BLOCK_ROWS`` rows at a time.
+
+    Each block's rows are the whole product's, bit for bit: both are
+    computed row by row from the same CSR operands.
+    """
+    left, right = left.tocsr(), right.tocsr()
+    out = np.empty((left.shape[0], right.shape[1]))
+    for a in range(0, out.shape[0], _PRODUCT_BLOCK_ROWS):
+        rows = slice(a, a + _PRODUCT_BLOCK_ROWS)
+        (left[rows] @ right).toarray(out=out[rows])
+    return out
 
 
 def _leading_eigenpairs(

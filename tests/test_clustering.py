@@ -228,6 +228,14 @@ class TestDbscanIndexOrder:
         for seed in range(100):
             self.assert_index_order(random_distance_matrix(seed), eps, min_pts)
 
+    @pytest.mark.parametrize("tile", [1, 7])
+    def test_criterion_3_matrices_in_small_tiles(self, tile, monkeypatch):
+        # The eps-degrees and core-neighbour pairs are gathered per row tile.
+        monkeypatch.setattr(clustering, "_TILE_ROWS", tile)
+        for eps, min_pts in [(0.45, 3), (0.45, 1), (0.2, 2), (0.8, 5), (1.2, 4)]:
+            for seed in range(100):
+                self.assert_index_order(random_distance_matrix(seed), eps, min_pts)
+
     def test_random_embeddings_with_zero_and_duplicate_rows(self):
         for seed in range(60):
             rng = np.random.default_rng(seed)

@@ -240,6 +240,26 @@ class TestPartialEigensolve:
         assert solvers == ["_fit_primal"]
         assert len(grown) == 1 and grown[0] < 0.5 * 8 * t * t
 
+    def test_primal_peak_below_one_and_a_half_covariances(self, monkeypatch, solvers):
+        # The covariance is the one t x t matrix: neither the whole sparse
+        # product nor the centring term may be alive beside it. (scipy.linalg
+        # is imported at the top of this module, so its import allocates
+        # nothing under the trace.)
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
+        n, t, k = 900, 300, 10
+        rng = np.random.default_rng(8)
+        fm = make_feature_matrix(
+            sparse.random(n, t, density=0.05, format="csr", random_state=rng).toarray()
+        )
+        tracemalloc.start()
+        try:
+            fit_kpca(fm, max_components=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solvers == ["_fit_primal"]
+        assert peak < 1.5 * 8 * t * t
+
     def test_solver_switches_at_the_size_rule(self, solvers, eigensolves):
         k = 10
         threshold = embedding._PARTIAL_SOLVE_RATIO * k
@@ -308,9 +328,9 @@ class TestDualFitMemory:
     matrix go before the coordinate product."""
 
     @staticmethod
-    def sparse_features(n, t):
+    def sparse_features(n, t, density=0.01):
         rng = np.random.default_rng(n + t)
-        matrix = sparse.random(n, t, density=0.01, format="csr", random_state=rng)
+        matrix = sparse.random(n, t, density=density, format="csr", random_state=rng)
         return make_feature_matrix(matrix.toarray())
 
     @pytest.mark.parametrize("n, t, k", [(60, 400, 250), (300, 900, 10)])
@@ -336,6 +356,59 @@ class TestDualFitMemory:
             tracemalloc.stop()
         assert solvers == ["_fit_dual"]
         assert peak < 2.5 * 8 * n * n
+
+    def test_dense_gram_peak_below_two_and_a_quarter_gram_matrices(self, monkeypatch, solvers):
+        # Every entry of this Gram is nonzero, so a whole sparse product of
+        # it would cost 1.5 Gram matrices more: beside the Gram and the
+        # solver's copy there may be only a block of it.
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
+        n, k = 300, 10
+        fm = self.sparse_features(n, 900, density=0.1)
+        tracemalloc.start()
+        try:
+            fit_kpca(fm, max_components=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solvers == ["_fit_dual"]
+        assert peak < 2.25 * 8 * n * n
+
+
+class TestProductBlocks:
+    """The d x d matrix is written one block of ``_PRODUCT_BLOCK_ROWS`` rows
+    at a time; at any block height the fit is the whole product's, bit for
+    bit."""
+
+    @staticmethod
+    def features(n, t):
+        rows = random_tfidf(np.random.default_rng(n * t), n, t)
+        rows[n // 2] = 0.0  # an all-zero document
+        rows[:, t // 3] = 0.0  # a term no document uses
+        return make_feature_matrix(rows)
+
+    # 43 and 101 are multiples of none of the block heights; k = 5 takes the
+    # partial solve, k = 40 the full one
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("k", [5, 40])
+    def test_dual_fit_bitwise_equal_to_the_whole_product(self, block, k, monkeypatch, solvers):
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", block)
+        fm = self.features(43, 101)
+        model = fit_kpca(fm, max_components=k)
+        reference = fit_dual_reference(fm.matrix, k)
+        assert solvers == ["_fit_dual"]
+        for got, want in ((model.eigenvalues, reference.eigenvalues), (model.coords, reference.coords)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("k", [5, 40])
+    def test_primal_fit_bitwise_equal_to_the_whole_product(self, block, k, monkeypatch, solvers):
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", block)
+        fm = self.features(101, 43)
+        model = fit_kpca(fm, max_components=k)
+        reference = fit_primal_reference(fm.matrix, k)
+        assert solvers == ["_fit_primal"]
+        for got, want in ((model.eigenvalues, reference.eigenvalues), (model.coords, reference.coords)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTransform:
