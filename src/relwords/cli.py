@@ -332,10 +332,11 @@ def cmd_highlight(args: argparse.Namespace) -> int:
 
 
 def cmd_trends(args: argparse.Namespace) -> int:
-    corpus = load_jsonl(args.corpus)
-    config = config_from_args(args)
-    streams, _ = prepare_streams(corpus, config)
     terms = [t.strip() for t in args.terms.split(",") if t.strip()]
+    if not terms:
+        raise ValueError(f"--terms names no term: {args.terms!r}")
+    corpus = load_jsonl(args.corpus)
+    streams, _ = prepare_streams(corpus, config_from_args(args))
     table = term_trends(corpus, streams, terms, bucket=args.by)
     write_trends_csv(table, args.out)
     print(f"wrote {len(terms)} term trend(s) over {len(table.starts)} bucket(s) to {args.out}")

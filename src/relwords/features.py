@@ -35,10 +35,6 @@ class FeatureMatrix:
     vocab: Vocabulary
     counts: sparse.csr_matrix
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
 
 def build_vocabulary(streams: list[TokenStream], min_df: int = 1) -> Vocabulary:
     """Collect terms appearing in at least ``min_df`` documents.

@@ -989,6 +989,17 @@ class TestTrends:
         assert code == 1
         assert f"duplicate trend term: {word!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terms", [",", "", " , "])
+    def test_empty_term_list_fails_naming_the_flag(self, tmp_path, capsys, terms):
+        corpus, _, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        out = tmp_path / "t.csv"
+        code = main(["trends", "--corpus", str(corpus_path), "--terms", terms, "--out", str(out)])
+        assert code == 1
+        assert "--terms" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Each command takes only the config flags it reads: contrast scores with
 # min_df 1 and never clusters, trends only tokenizes and merges bigrams. The

@@ -254,6 +254,35 @@ class TestDbscanIndexOrder:
         assert assignment.labels.tolist() == [0] * 400
         self.assert_index_order(dist, 1.0, 3)
 
+    @pytest.mark.parametrize("order", ["random", "zigzag"])
+    def test_chain_rounds_grow_with_log_n(self, order, monkeypatch):
+        # Each round scatters minima with one np.minimum.at, so counting
+        # those calls counts rounds. Propagating the smallest label along
+        # these chains takes 1077 (random) and 1510 (zigzag) rounds.
+        n = 3000
+        index = np.arange(n)
+        positions = {
+            "random": np.random.default_rng(5).permutation(n),
+            "zigzag": np.where(index % 2 == 0, index // 2, n - 1 - index // 2),  # from both ends in
+        }[order].astype(np.float64)
+        dist = np.abs(positions[:, None] - positions[None, :])
+        calls = []
+
+        class CountingMinimum:
+            def at(self, *args):
+                calls.append(None)
+                return np.minimum.at(*args)
+
+        class CountingNumpy:
+            minimum = CountingMinimum()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(clustering, "np", CountingNumpy())
+        self.assert_index_order(dist, 1.0, 3)
+        assert 0 < len(calls) <= 2 * int(np.ceil(np.log2(n)))
+
     def test_no_core_point_all_noise(self):
         dist = np.full((6, 6), 1.0)
         np.fill_diagonal(dist, 0.0)
