@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,6 @@ def corpus_sha256(data: bytes) -> str:
 CONFIG_FLAGS = {
     "--min-df": ("min_df", int, "drop terms in fewer documents than this"),
     "--delta": ("bigram_discount", int, "bigram count discount"),
-    "--seed": ("bigram_seed", int, "seed for the bigram baseline sampling"),
     "--components": ("kpca_components", int, "max kernel-PCA components"),
     "--eps": ("eps", float, "DBSCAN cosine-distance threshold"),
     "--min-pts": ("min_pts", int, "DBSCAN minimum neighborhood size (point included)"),
@@ -99,11 +99,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     """The config of the flags ``args`` holds; fields without a flag keep
     their defaults."""
-    config = PipelineConfig(**{
+    return PipelineConfig(**{
         field: getattr(args, field) for field, _, _ in CONFIG_FLAGS.values() if hasattr(args, field)
     })
-    config.validate()
-    return config
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -153,7 +151,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "artifact_sha256": {
             name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES
         },
-        "config": config.as_dict(),
+        "config": asdict(config),
         "corpus_path": str(Path(args.corpus).resolve()),
         "corpus_sha256": digest,
         "n_docs": len(corpus),
@@ -206,7 +204,7 @@ def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
         if not (run / name).exists():
             raise ValueError(f"no {name} in {run}; rerun cluster")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    differing = set(manifest["config"]) ^ set(PipelineConfig().as_dict())
+    differing = set(manifest["config"]) ^ set(asdict(PipelineConfig()))
     if differing:
         raise ValueError(
             f"run config keys differ from this version's: {', '.join(sorted(differing))}; rerun cluster"
@@ -396,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--boundary", required=True, help="ISO date; documents on/after it are 'after'")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "--delta", "--seed")
+    _add_config_flags(p, "--delta")
     p.add_argument("--top", type=int, default=50, help="words per half")
     p.set_defaults(func=cmd_contrast)
 
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True, help="comma-separated terms")
     p.add_argument("--by", choices=("day", "week"), default="day")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "--delta", "--seed")
+    _add_config_flags(p, "--delta")
     p.set_defaults(func=cmd_trends)
 
     return parser

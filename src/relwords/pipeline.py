@@ -1,13 +1,13 @@
 """Orchestration of the clustering pipeline with a single config object.
 
 Stages: tokenize -> distinctive bigrams -> tf-idf -> kernel PCA -> cosine
-DBSCAN. Every knob, including the bigram sampling seed, lives in
-``PipelineConfig`` so a run is fully reproducible from its recorded config.
+DBSCAN. Every knob lives in ``PipelineConfig``, which is checked when it is
+made, so a run is fully reproducible from its recorded config.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import Corpus
@@ -28,12 +28,11 @@ from .text import (
 class PipelineConfig:
     min_df: int = 1
     bigram_discount: int = 5
-    bigram_seed: int = 0
     kpca_components: int = DEFAULT_COMPONENTS
     eps: float = DEFAULT_EPS
     min_pts: int = DEFAULT_MIN_PTS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.eps < 2.0:
             raise ValueError(f"eps must be in (0, 2), got {self.eps}")
         if self.min_pts < 1:
@@ -44,9 +43,6 @@ class PipelineConfig:
             raise ValueError(f"min_df must be >= 1, got {self.min_df}")
         if self.bigram_discount < 0:
             raise ValueError(f"bigram_discount must be >= 0, got {self.bigram_discount}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ def prepare_streams(
     streams = tokenize_corpus(corpus)
     counts = count_corpus(streams)
     candidates = score_bigrams(counts, discount=config.bigram_discount)
-    selected = select_bigrams(candidates, counts, seed=config.bigram_seed)
+    selected = select_bigrams(candidates, counts)
     merged = [apply_bigrams(stream, selected) for stream in streams]
     return merged, selected
 
@@ -78,7 +74,6 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     """Run the full pipeline and return every intermediate artifact."""
     if config is None:
         config = PipelineConfig()
-    config.validate()
     streams, selected = prepare_streams(corpus, config)
     vocab = build_vocabulary(streams, min_df=config.min_df)
     features = vectorize(streams, vocab)

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
 from .relevance import ClusterKey, RelevanceTable
-from .text import JOINER, TokenStream, token_spans
+from .text import JOINER, TokenStream, normalize_tokenize, token_spans
 
 MIN_FONT_PT = 10.0
 MAX_FONT_PT = 48.0
@@ -301,7 +301,6 @@ class TrendTable:
     """Per (term, time bucket): document count and rate within the bucket."""
 
     terms: tuple[str, ...]
-    bucket: str
     starts: tuple[date, ...]
     totals: np.ndarray
     counts: np.ndarray
@@ -324,13 +323,18 @@ def term_trends(
 ) -> TrendTable:
     """Document-occurrence counts of selected terms per day or week.
 
-    Terms are lowercased as tokens are, and a term given twice is rejected.
+    A term is one token, or two joined by ``_`` as a merged bigram is; any
+    other term is rejected, since no token can equal it. Terms are
+    lowercased as tokens are, and a term given twice is rejected.
     Buckets cover the corpus time span contiguously, including empty ones;
     the rate is the fraction of that bucket's documents containing the term
     (0 for empty buckets).
     """
     term_rows: dict[str, int] = {}
     for term in terms:
+        parts = term.split(JOINER)
+        if len(parts) > 2 or any(normalize_tokenize(part).tokens != (part.lower(),) for part in parts):
+            raise ValueError(f"trend term is neither a token nor a merged bigram: {term!r}")
         term = term.lower()
         if term in term_rows:
             raise ValueError(f"duplicate trend term: {term!r}")
@@ -350,7 +354,6 @@ def term_trends(
     rates = counts / safe_totals
     return TrendTable(
         terms=tuple(term_rows),
-        bucket=bucket,
         starts=tuple(starts),
         totals=totals,
         counts=counts,

@@ -128,18 +128,20 @@ def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandida
 
 
 def select_bigrams(
-    candidates: list[BigramCandidate], counts: CorpusCounts, *, seed: int = 0
+    candidates: list[BigramCandidate], counts: CorpusCounts
 ) -> dict[tuple[str, str], BigramCandidate]:
     """Keep the candidates scoring far above randomly chosen adjacent pairs.
 
     The baseline is the undiscounted score of ``10 * len(candidates)`` pairs
-    sampled uniformly (with replacement, seeded) from all pairs adjacent
-    anywhere in the corpus, in pair order; the cut is mean + 2 std of those
-    baseline scores. Returns the kept candidates keyed by ``(first, second)``.
+    sampled uniformly (with replacement) from all pairs adjacent anywhere in
+    the corpus, in pair order; the cut is mean + 2 std of those baseline
+    scores. The draw is fixed (``np.random.default_rng(0)``), so the same
+    corpus always gets the same cut. Returns the kept candidates keyed by
+    ``(first, second)``.
     """
     if not candidates or len(counts.tokens) < 2 or not len(counts.pairs):
         return {}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
     *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
     threshold = baseline.mean() + 2.0 * baseline.std()

@@ -289,14 +289,15 @@ def score_bigrams_reference(counts: CounterCounts, discount: int = 5) -> list[Bi
     return candidates
 
 
-def select_bigrams_reference(candidates, counts: CounterCounts, *, seed: int = 0):
+def select_bigrams_reference(candidates, counts: CounterCounts):
     """(selection, threshold) of the bigram selection, with the universe of
     adjacent pairs sorted as tuples: the cut is mean + 2 std of the
-    undiscounted scores of ``10 * len(candidates)`` seeded uniform draws
-    from it, and the candidates scoring above the cut are kept."""
+    undiscounted scores of ``10 * len(candidates)`` uniform draws from it
+    by ``np.random.default_rng(0)``, and the candidates scoring above the
+    cut are kept."""
     unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
     universe = sorted(pairs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sample = [universe[pick] for pick in rng.integers(0, len(universe), size=10 * len(candidates))]
     baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
     threshold = baseline.mean() + 2.0 * baseline.std()

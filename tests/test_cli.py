@@ -266,7 +266,7 @@ class TestReadCommandsReuseRunBigrams:
         streams = [relwords.normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
         counts = count_corpus_reference(streams)
         candidates = score_bigrams_reference(counts, discount=config.bigram_discount)
-        selected, _ = select_bigrams_reference(candidates, counts, seed=config.bigram_seed)
+        selected, _ = select_bigrams_reference(candidates, counts)
         expected = tmp_path / "bigrams.csv"
         write_bigrams_csv(selected.values(), expected)
         assert ("new", "york") in selected
@@ -575,17 +575,19 @@ class TestRelevant:
             expected = f"the corpus this run clustered is missing: {corpus_copy.resolve()}; rerun cluster"
             assert expected in capsys.readouterr().err
 
-    def test_run_with_a_config_key_this_version_lacks_rejected(self, tmp_path, corpus_file, capsys):
+    # epsilon and bigram_seed: recorded by runs of older versions
+    @pytest.mark.parametrize("key", ["epsilon", "bigram_seed"])
+    def test_run_with_a_config_key_this_version_lacks_rejected(self, tmp_path, corpus_file, capsys, key):
         outdir = tmp_path / "run"
         assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)]) == 0
         manifest_path = outdir / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["config"]["epsilon"] = 1e-8  # recorded by runs of older versions
+        manifest["config"][key] = 0
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["relevant", "--run", str(outdir)]) == 1
         err = capsys.readouterr().err
-        assert "epsilon" in err and "rerun cluster" in err
+        assert f"run config keys differ from this version's: {key}; rerun cluster" in err
 
 
 @pytest.mark.parametrize("command", ["cluster", "relevant"])
@@ -989,6 +991,17 @@ class TestTrends:
         assert code == 1
         assert f"duplicate trend term: {word!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("term", ["new york", "alpha-beta", "a__b", "a_b_c"])
+    def test_term_no_token_can_equal_fails_naming_it(self, tmp_path, capsys, term):
+        corpus, _, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        out = tmp_path / "t.csv"
+        code = main(["trends", "--corpus", str(corpus_path), "--terms", term, "--out", str(out)])
+        assert code == 1
+        assert repr(term) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("terms", [",", "", " , "])
     def test_empty_term_list_fails_naming_the_flag(self, tmp_path, capsys, terms):
         corpus, _, _ = trending_corpus()
@@ -1003,7 +1016,8 @@ class TestTrends:
 
 # Each command takes only the config flags it reads: contrast scores with
 # min_df 1 and never clusters, trends only tokenizes and merges bigrams. The
-# relevance floor and the number of words drawn are no config fields at all.
+# relevance floor, the number of words drawn and the seed of the bigram
+# baseline draw are no config fields at all.
 UNREAD_FLAGS = [
     ("contrast", flag, value)
     for flag, value in (("--min-df", "2"), ("--components", "5"), ("--eps", "0.3"), ("--min-pts", "4"))
@@ -1015,7 +1029,7 @@ UNREAD_FLAGS = [
     (command, flag, value)
     for command in ("cluster", "contrast")
     for flag, value in (("--epsilon", "0.01"), ("--top-k", "10"))
-]
+] + [(command, "--seed", "0") for command in ("cluster", "contrast", "trends")]
 
 
 @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)

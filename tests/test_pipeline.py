@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ class TestPipelineConfig:
         assert config.min_pts == 3
         assert config.kpca_components == 250
         assert config.bigram_discount == 5
-        config.validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -31,11 +32,16 @@ class TestPipelineConfig:
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            PipelineConfig(**kwargs).validate()
+            PipelineConfig(**kwargs)
+
+    def test_invalid_replacement_rejected(self):
+        # a config is checked wherever it is made, also by dataclasses.replace
+        with pytest.raises(ValueError, match="eps"):
+            replace(PipelineConfig(), eps=0.0)
 
     def test_round_trips_through_dict(self):
-        config = PipelineConfig(eps=0.3, bigram_seed=11)
-        assert PipelineConfig(**config.as_dict()) == config
+        config = PipelineConfig(eps=0.3)
+        assert PipelineConfig(**asdict(config)) == config
 
 
 class TestRunClustering:

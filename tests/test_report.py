@@ -399,6 +399,33 @@ class TestTermTrends:
         with pytest.raises(ValueError, match="duplicate trend term: 'trump'"):
             term_trends(corpus, streams, terms)
 
+    @pytest.mark.parametrize("term", ["new york", "alpha-beta", "a__b", "a_b_c", "_york", "new_"])
+    def test_term_no_token_can_equal_rejected_by_name(self, term):
+        # the corpus holds every word of these terms, yet no token (nor a
+        # merged bigram) can be any of them: no all-zero row for them
+        corpus = Corpus((dated_doc("a", "new york alpha beta a b c", "2017-01-20"),))
+        streams = [
+            apply_bigrams(normalize_tokenize(d.text, d.id), {("new", "york")}) for d in corpus.docs
+        ]
+        with pytest.raises(ValueError, match=re.escape(repr(term))):
+            term_trends(corpus, streams, [term])
+
+    def test_tokens_and_merged_bigrams_counted_as_given(self):
+        # each part of a term is checked before lowercasing, so "İstanbul"
+        # counts the token "i̇stanbul" that the tokenizer makes of it
+        corpus = Corpus(
+            (
+                dated_doc("a", "İstanbul and New York", "2017-01-20"),
+                dated_doc("b", "york", "2017-01-21"),
+            )
+        )
+        streams = [
+            apply_bigrams(normalize_tokenize(d.text, d.id), {("new", "york")}) for d in corpus.docs
+        ]
+        table = term_trends(corpus, streams, ["İstanbul", "New_York", "york"], bucket="day")
+        assert table.terms == ("i̇stanbul", "new_york", "york")
+        assert table.counts.tolist() == [[1, 0], [1, 0], [0, 1]]
+
     def test_csv_dump(self, tmp_path):
         corpus = Corpus(
             (dated_doc("a", "trump", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))

@@ -138,8 +138,8 @@ class TestCountCorpus:
         candidates = score_bigrams(counts, discount=discount)
         assert as_bits(candidates) == as_bits(score_bigrams_reference(reference, discount=discount))
         # the oracle averages an empty baseline when there is nothing to select
-        expected = select_bigrams_reference(candidates, reference, seed=discount)[0] if candidates else {}
-        assert select_bigrams(candidates, counts, seed=discount) == expected
+        expected = select_bigrams_reference(candidates, reference)[0] if candidates else {}
+        assert select_bigrams(candidates, counts) == expected
 
 
 class TestScoreBigrams:
@@ -219,10 +219,10 @@ class TestScoreBigrams:
         assert candidates[("liquid", "nitrogen")] > 10 * candidates[("alpha", "beta")]
 
 
-def score_and_select(streams, discount, seed=0):
+def score_and_select(streams, discount):
     counts = count_corpus(streams)
     candidates = score_bigrams(counts, discount=discount)
-    return candidates, select_bigrams(candidates, counts, seed=seed)
+    return candidates, select_bigrams(candidates, counts)
 
 
 class TestSelectBigrams:
@@ -272,13 +272,9 @@ class TestSelectBigrams:
     def test_threshold_invariant_to_candidate_order(self):
         counts = count_corpus(self.make_planted())
         candidates = score_bigrams(counts, discount=0)
-        forward = select_bigrams(candidates, counts, seed=0)
-        backward = select_bigrams(list(reversed(candidates)), counts, seed=0)
+        forward = select_bigrams(candidates, counts)
+        backward = select_bigrams(list(reversed(candidates)), counts)
         assert forward == backward
-
-    def test_seed_is_respected(self):
-        streams = self.make_planted()
-        assert score_and_select(streams, 5, seed=0) == score_and_select(streams, 5, seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_selection_and_threshold_as_the_tuple_sorted_universe(self, seed):
@@ -294,16 +290,16 @@ class TestSelectBigrams:
         counts = count_corpus(streams)
         candidates = score_bigrams(counts, discount=0)
         expected, threshold = select_bigrams_reference(
-            candidates, count_corpus_reference(streams), seed=seed
+            candidates, count_corpus_reference(streams)
         )
-        assert select_bigrams(candidates, counts, seed=seed) == expected
+        assert select_bigrams(candidates, counts) == expected
         # rescored to the reference's threshold and to the next float above
         # it, only the second candidate is kept iff the thresholds are equal
         at, above = (
             replace(c, score=score)
             for c, score in zip(candidates, (threshold, np.nextafter(threshold, np.inf)))
         )
-        selected = select_bigrams([at, above, *candidates[2:]], counts, seed=seed)
+        selected = select_bigrams([at, above, *candidates[2:]], counts)
         assert (at.first, at.second) not in selected
         assert (above.first, above.second) in selected
 
