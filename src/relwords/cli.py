@@ -287,9 +287,15 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
 
 def cmd_contrast(args: argparse.Namespace) -> int:
     _check_top(args.top)
+    try:
+        boundary = parse_timestamp(args.boundary)
+    except ValueError:
+        raise ValueError(
+            f"bad --boundary (expected YYYY-MM-DD or an ISO datetime): {args.boundary!r}"
+        ) from None
     corpus = load_jsonl(args.corpus)
     config = config_from_args(args)
-    periods = split_by_period(corpus, parse_timestamp(args.boundary))
+    periods = split_by_period(corpus, boundary)
     for period in ("before", "after"):
         if period not in periods:
             raise ValueError(f"no documents {period} {args.boundary}")

@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import sparse
@@ -68,7 +69,8 @@ def idf(vocab: Vocabulary, n_docs: int) -> np.ndarray:
 def term_counts(streams: Sequence[TokenStream], index: Mapping[str, int]) -> sparse.csr_matrix:
     """N x len(index) int64 counts of the tokens found in ``index``; row k is ``streams[k]``."""
     lengths = [len(stream.tokens) for stream in streams]
-    cols = np.fromiter((index.get(t, -1) for s in streams for t in s.tokens), np.int32, sum(lengths))
+    tokens = chain.from_iterable(stream.tokens for stream in streams)
+    cols = np.fromiter(map(index.get, tokens, repeat(-1)), np.int32, sum(lengths))
     kept = cols >= 0
     # Tokens come in row order, so a row starts after the kept tokens of the rows before it.
     kept_before = np.zeros(cols.size + 1, dtype=np.int64)

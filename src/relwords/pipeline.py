@@ -54,7 +54,20 @@ class PipelineResult:
 
 
 def tokenize_corpus(corpus: Corpus) -> list[TokenStream]:
-    return [normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
+    """``normalize_tokenize`` of every document, in corpus order.
+
+    Equal tokens share one string object across the corpus: each token is
+    mapped through a dict that lives only for this call. The later stages
+    then hash and compare one string per distinct token, with its hash
+    cached and equal keys pointer-equal, not a copy per occurrence.
+    """
+    shared: dict[str, str] = {}
+    intern = shared.setdefault
+    streams = []
+    for doc in corpus.docs:
+        tokens = normalize_tokenize(doc.text).tokens
+        streams.append(TokenStream(doc.id, tuple(map(intern, tokens, tokens))))
+    return streams
 
 
 def prepare_streams(

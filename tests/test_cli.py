@@ -764,6 +764,18 @@ class TestContrast:
         assert f"no documents {empty} {boundary}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparseable_boundary_names_the_flag(self, tmp_path, capsys):
+        corpus, _, _ = trending_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_jsonl(corpus, corpus_path)
+        out = tmp_path / "contrast.svg"
+        code = main(["contrast", "--corpus", str(corpus_path),
+                     "--boundary", "notadate", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad --boundary (expected YYYY-MM-DD or an ISO datetime): 'notadate'" in err
+        assert not out.exists()
+
     def test_period_without_scored_terms_drawn_empty(self, tmp_path, capsys):
         # every "before" document holds both words, each "after" one only
         # one of them: nothing scores above zero after the boundary

@@ -6,7 +6,8 @@ import pytest
 import relwords
 from relwords.clustering import NOISE
 from relwords.corpus import Corpus, Document
-from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering
+from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_corpus
+from relwords.text import normalize_tokenize
 
 from corpora import planted_topic_corpus
 
@@ -42,6 +43,28 @@ class TestPipelineConfig:
     def test_round_trips_through_dict(self):
         config = PipelineConfig(eps=0.3)
         assert PipelineConfig(**asdict(config)) == config
+
+
+class TestTokenizeCorpus:
+    # "İ" lowercases to two code points; the punctuation-only document has
+    # no tokens
+    CORPUS = Corpus((
+        Document(id="a", text="İstanbul und Straße; the café-bar, THE Café 42"),
+        Document(id="b", text="the İSTANBUL café... straße 42 zürich"),
+        Document(id="c", text="-- !"),
+        Document(id="d", text="Zürich the the"),
+    ))
+
+    def test_streams_as_each_document_tokenized_alone(self):
+        streams = tokenize_corpus(self.CORPUS)
+        assert streams == [normalize_tokenize(doc.text, doc.id) for doc in self.CORPUS.docs]
+        assert "i\u0307stanbul" in streams[0].tokens
+
+    def test_equal_tokens_are_one_object_within_a_call(self):
+        tokens = [t for stream in tokenize_corpus(self.CORPUS) for t in stream.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+        # no table outlives a call: a second call shares nothing with the first
+        assert tokenize_corpus(self.CORPUS)[0].tokens[0] is not tokens[0]
 
 
 class TestRunClustering:

@@ -19,9 +19,11 @@ import relwords.pipeline
 from relwords import Corpus, Document
 from relwords.clustering import NOISE, pairwise_distances
 from relwords.corpus import save_jsonl
+from relwords.features import build_vocabulary, vectorize
 from relwords.pipeline import PipelineConfig
+from relwords.text import apply_bigrams, count_corpus, normalize_tokenize, score_bigrams, select_bigrams
 
-from corpora import planted_topic_corpus
+from corpora import phrase_corpus, planted_topic_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING_PATH = ROOT / "perfbench" / "tracing.py"
@@ -107,6 +109,50 @@ def test_traced_cluster_run_counts(tracing, tmp_path):
     assert counts["clustering.eps_degree_mean"] == degree.mean()
     assert counts["clustering.eps_degree_max"] == degree.max()
     assert counts["clustering.noise_frac"] == labels.count(NOISE) / len(labels) == 4 / 49
+
+
+def test_traced_text_counts_as_the_documents_tokenized_one_by_one(tracing, tmp_path):
+    # the text and feature counts of a traced run, derived again from each
+    # document tokenized on its own; the corpus merges "new york" and holds
+    # words whose lowercase form is longer
+    docs = phrase_corpus().docs
+    docs = docs[:-3] + tuple(
+        Document(id=doc.id, text=f"İstanbul Straße CAFÉ {doc.text} café") for doc in docs[-3:]
+    )
+    save_jsonl(Corpus(docs), tmp_path / "corpus.jsonl")
+    tracer = tracing.Tracer()
+    with tracer.installed(MODULES):
+        code = tracer.operation(
+            relwords.cli.main,
+            ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(tmp_path / "run")],
+        )
+    assert code == 0
+    counts = tracing.op_counts(tracer.take_calls())
+
+    streams = [normalize_tokenize(doc.text, doc.id) for doc in docs]
+    corpus_counts = count_corpus(streams)
+    candidates = score_bigrams(corpus_counts)
+    selected = select_bigrams(candidates, corpus_counts)
+    merged = [apply_bigrams(stream, selected) for stream in streams]
+    vocab = build_vocabulary(merged)
+    features = vectorize(merged, vocab)
+    expected = {
+        "text.tokens": sum(map(len, streams)),
+        "text.bigram_candidates": len(candidates),
+        "text.bigrams_kept": len(selected),
+        "features.vocab_size": len(vocab),
+        "features.nnz": features.matrix.nnz,
+        "features.empty_docs": 0,
+    }
+    assert {name: counts[name] for name in expected} == expected == {
+        "text.tokens": 3222,
+        "text.bigram_candidates": 1,
+        "text.bigrams_kept": 1,
+        "features.vocab_size": 74,
+        "features.nnz": 1757,
+        "features.empty_docs": 0,
+    }
+    assert "i\u0307stanbul" in vocab.index and ("new", "york") in selected
 
 
 def test_traced_round_counts_agree_and_spans_cover_the_declared_timings(tracing, tmp_path):
