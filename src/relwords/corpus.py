@@ -58,6 +58,10 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if "\r" in self.id:
+            # csv.writer leaves a bare "\r" unquoted, which would split
+            # this document's row in labels.csv.
+            raise ValueError(f"document id holds a carriage return: {self.id!r}")
         if not self.text.strip():
             raise ValueError(f"document {self.id!r}: empty text")
 
@@ -133,8 +137,8 @@ def parse_document(
     """The document one JSON-lines line holds.
 
     Raises ValueError for malformed JSON, a value that is not an object,
-    missing, null or empty id/text fields, an id holding a carriage return
-    and an unparseable date.
+    missing, null or empty id/text fields, an unparseable date, and
+    whatever ``Document`` refuses.
     """
     try:
         record = json.loads(line)
@@ -148,10 +152,6 @@ def parse_document(
     if record[id_field] in (None, ""):
         raise ValueError(f"empty {id_field!r} field")
     doc_id = str(record[id_field])
-    if "\r" in doc_id:
-        # csv.writer leaves a bare "\r" unquoted, which would split
-        # this document's row in labels.csv.
-        raise ValueError(f"document id holds a carriage return: {doc_id!r}")
     text = record[text_field]
     if not isinstance(text, str) or not text.strip():
         raise ValueError(f"empty {text_field!r} field")

@@ -1,9 +1,8 @@
 """Tokenization and distinctive-bigram detection.
 
-Texts are split on every non-alphanumeric character, then each token is
-lowercased. Word pairs that co-occur adjacently far more often than chance
-are merged into single ``first_second`` tokens so they act as one feature
-downstream.
+Tokens are the runs of alphanumeric characters, lowercased. Word pairs
+that co-occur adjacently far more often than chance are merged into single
+``first_second`` tokens so they act as one feature downstream.
 """
 
 from __future__ import annotations
@@ -19,9 +18,20 @@ import numpy as np
 
 JOINER = "_"
 
-# Letters and digits only; underscore is a separator in raw text but is the
-# joiner of merged bigrams.
-_TOKEN = re.compile(r"[^\W_]+")
+
+class _Separators(dict):
+    """A ``str.translate`` table: a space for each character that is not
+    ``str.isalnum`` (underscore included: it joins merged bigrams), else the
+    character itself. Filled on first sight of each character, so it holds
+    the characters tokenized so far, not all of Unicode.
+    """
+
+    def __missing__(self, code: int) -> int | str:
+        self[code] = value = code if chr(code).isalnum() else " "
+        return value
+
+
+_SEPARATORS = _Separators()
 
 
 @dataclass(frozen=True)
@@ -44,22 +54,27 @@ class BigramCandidate:
 
 
 def normalize_tokenize(text: str, doc_id: str = "") -> TokenStream:
-    """Split a text into alphanumeric tokens, then lowercase each token.
+    """The runs of alphanumeric (``str.isalnum``) characters, lowercased.
 
-    Every character that is not a letter or digit separates tokens; empty
-    tokens are dropped and order is preserved. Splitting comes before
-    lowercasing, so the tokens are exactly those of ``token_spans``.
+    Every other character becomes a space (``_SEPARATORS``), and the spaced
+    text is lowercased and split, in order. Lowercasing the spaced text
+    equals lowercasing each token on its own: spaces are neither cased nor
+    case-ignorable, so context rules such as the final sigma see the same
+    token boundaries, and no letter or digit lowercases to whitespace.
     """
-    return TokenStream(doc_id, tuple(map(str.lower, _TOKEN.findall(text))))
+    return TokenStream(doc_id, tuple(text.translate(_SEPARATORS).lower().split()))
 
 
 def token_spans(text: str) -> list[tuple[int, int, str]]:
     """The tokens of ``normalize_tokenize`` with their (start, end) positions.
 
-    Positions refer to the original string, which lets renderers wrap tokens
-    in place without touching other characters.
+    ``_SEPARATORS`` maps each character to one character, so the non-space
+    runs of the spaced text sit where the tokens sit in the original string,
+    which lets renderers wrap tokens in place without touching other
+    characters.
     """
-    return [(m.start(), m.end(), m.group().lower()) for m in _TOKEN.finditer(text)]
+    spaced = text.translate(_SEPARATORS)
+    return [(m.start(), m.end(), m.group().lower()) for m in re.finditer(r"\S+", spaced)]
 
 
 @dataclass(frozen=True)

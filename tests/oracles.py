@@ -10,6 +10,7 @@ can be required to give the very same bits: ``fit_dual_reference``,
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -43,6 +44,15 @@ from relwords.text import (
 )
 
 NOISE = -1
+
+# The token rule as a regex: letters and digits only; underscore separates.
+TOKEN = re.compile(r"[^\W_]+")
+
+
+def token_spans_reference(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, lowercased token) of each match of ``TOKEN``: split
+    first, then lowercase each token on its own."""
+    return [(m.start(), m.end(), m.group().lower()) for m in TOKEN.finditer(text)]
 
 
 def dbscan_reference(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:

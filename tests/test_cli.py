@@ -90,6 +90,16 @@ class TestIngest:
         assert corpus.ids() == ("a.txt", "b.txt")
         assert "2 documents" in capsys.readouterr().out
 
+    def test_file_name_with_carriage_return_refused(self, tmp_path, capsys):
+        # The id would be written to the corpus, and cluster would refuse it.
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a\rb.txt").write_text("some text", encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        assert main(["ingest", "--dir", str(docs), "--out", str(out)]) != 0
+        assert "document id holds a carriage return: 'a\\rb.txt'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_from_jsonl_with_custom_fields(self, tmp_path):
         src = tmp_path / "raw.jsonl"
         src.write_text('{"key": "x", "body": "some text"}\n', encoding="utf-8")
@@ -503,11 +513,16 @@ class TestOddDocumentIds:
     def test_id_with_carriage_return_rejected_at_load(self, tmp_path, capsys):
         # A bare "\r" would be written unquoted to labels.csv and split the
         # row on reading, so such an id is refused before anything is written.
+        # Document refuses such an id too, so the line is written by hand.
         corpus, _, _ = planted_topic_corpus()
-        docs = tuple(replace(doc, id="a\rb") if doc.id == "t1d03" else doc for doc in corpus.docs)
-        line = 1 + [doc.id for doc in docs].index("a\rb")
+        line = 1 + corpus.ids().index("t1d03")
         corpus_path = tmp_path / "corpus.jsonl"
-        save_jsonl(Corpus(docs), corpus_path)
+        save_jsonl(corpus, corpus_path)
+        lines = corpus_path.read_text(encoding="utf-8").split("\n")
+        record = json.loads(lines[line - 1])
+        record["id"] = "a\rb"
+        lines[line - 1] = json.dumps(record, ensure_ascii=False)
+        corpus_path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
         outdir = tmp_path / "run"
         code = main(["cluster", "--corpus", str(corpus_path), "--outdir", str(outdir)])
         assert code != 0
@@ -902,6 +917,22 @@ class TestFetch:
                      "--api-key", "k", "--cache-dir", str(cache_dir), "--out", str(out)])
         assert code == 0
         assert load_jsonl(out).ids() == ("a1", "a2")
+
+    def test_id_with_carriage_return_refused(self, tmp_path, capsys):
+        import relwords.corpus as corpus_mod
+
+        endpoint = "https://archive.example/{year}/{month}.json?api-key={key}"
+        item = {"_id": "a\rb", "snippet": "a cached snippet", "pub_date": "2017-01-03T00:00:00+0000"}
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cache_file = corpus_mod._cache_path(cache_dir, endpoint, 2017, 1)
+        cache_file.write_text(json.dumps({"response": {"docs": [item]}}), encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        code = main(["fetch", "--months", "2017-01", "--endpoint", endpoint,
+                     "--api-key", "k", "--cache-dir", str(cache_dir), "--out", str(out)])
+        assert code != 0
+        assert "document id holds a carriage return: 'a\\rb'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_never_imports_scipy_linalg_below_the_partial_solve(corpus_file, tmp_path):

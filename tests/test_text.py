@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from oracles import (
     count_corpus_reference,
     score_bigrams_reference,
     select_bigrams_reference,
+    token_spans_reference,
 )
 
 
@@ -61,6 +63,44 @@ class TestNormalizeTokenize:
     @example("ΟΔΟΣ.Α")
     def test_same_tokens_as_token_spans(self, text):
         assert normalize_tokenize(text).tokens == tuple(t for *_, t in token_spans(text))
+
+    def test_final_sigma_per_token(self):
+        assert normalize_tokenize("ΣΑΣ-ΣΑΣ").tokens == ("σας", "σας")
+        assert normalize_tokenize("ΑΣ'Β").tokens == ("ας", "β")
+
+    # Lowercasing the whole spaced text must equal lowercasing each token.
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(alphabet=st.sampled_from("aZ9_-.' ΑΣσςİiI\u0301\u0307ʰ²Ⅷ１\u0085\u2028\u3000\u001c"), max_size=40)
+        | st.text(max_size=200)
+    )
+    # Σ lowers to final ς only before a non-cased character, looking past
+    # case-ignorable ones such as "'" (but not "_" or "-").
+    @example("ΑΣ'Β")
+    @example("ΑΣ_Β")
+    @example("ΣΑΣ-ΣΑΣ")
+    @example("x.ΟΔΟΣ")
+    # İ lowers to two characters, the second a combining mark; U+0301 is a
+    # case-ignorable separator.
+    @example("a İstanbul")
+    @example("ΑΣ \u0301Β")
+    @example("ΑΣ\u0301Β")
+    # Separators str.split splits on (U+00A0 too), and one it does not.
+    @example("ΑΣ\u0085Β a\u2028b c\u3000d e\u001cf")
+    @example("ΑΣ\u00a0Β\u200bΣΑ")
+    # Alphanumeric beyond ASCII letters and digits.
+    @example("１２３ x² Ⅷ ⅷ ΑⅧΣ")
+    def test_matches_the_regex_oracle(self, text):
+        spans = token_spans_reference(text)
+        assert normalize_tokenize(text).tokens == tuple(token for *_, token in spans)
+        assert token_spans(text) == spans
+
+    def test_isalnum_is_the_token_rule_over_all_of_unicode(self):
+        # The library separates on "not str.isalnum", the oracle on [\W_]:
+        # they must agree on every code point. (Checked on one string, not
+        # through the library's table, which would then hold all of Unicode.)
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.sub(r"[\W_]", " ", everything) == "".join(c if c.isalnum() else " " for c in everything)
 
     def test_token_spans_match_tokens(self):
         text = "Hello, World-2"
