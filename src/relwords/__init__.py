@@ -43,18 +43,22 @@ from .report import (
 )
 from .text import (
     BigramCandidate,
+    BigramCandidates,
+    TokenIds,
     TokenStream,
     apply_bigrams,
     count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
+    token_ids,
 )
 
 __all__ = [
     "__version__",
     "NOISE",
     "BigramCandidate",
+    "BigramCandidates",
     "ClusterAssignment",
     "Corpus",
     "Document",
@@ -63,6 +67,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "RelevanceTable",
+    "TokenIds",
     "TokenStream",
     "TrendTable",
     "Vocabulary",
@@ -96,6 +101,7 @@ __all__ = [
     "select_bigrams",
     "split_by_period",
     "term_trends",
+    "token_ids",
     "tokenize_corpus",
     "vectorize",
 ]

@@ -59,7 +59,7 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import apply_bigrams, normalize_tokenize, read_bigrams_csv, write_bigrams_csv
+from .text import apply_bigrams, normalize_tokenize, read_bigrams_csv, token_ids, write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
@@ -299,9 +299,9 @@ def cmd_contrast(args: argparse.Namespace) -> int:
     for period in ("before", "after"):
         if period not in periods:
             raise ValueError(f"no documents {period} {args.boundary}")
-    streams, _ = prepare_streams(corpus, config)
-    vocab = build_vocabulary(streams, min_df=config.min_df)
-    table = compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, periods))
+    merged, _ = prepare_streams(corpus, config)
+    vocab = build_vocabulary(merged, min_df=config.min_df)
+    table = compute_relevance(build_occurrence_index(term_counts(merged, vocab.index), vocab, periods))
     ranked_after = rank_terms(table, "after", args.top)
     ranked_before = rank_terms(table, "before", args.top)
     for period, ranked in (("after", ranked_after), ("before", ranked_before)):
@@ -329,7 +329,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     _, line = next(itertools.islice(jsonl_lines(data), position, None))
     doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
-    stream = apply_bigrams(normalize_tokenize(doc.text, doc.id), selected)
+    stream = apply_bigrams(token_ids([normalize_tokenize(doc.text, doc.id)]), selected)[0]
     highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
@@ -340,8 +340,8 @@ def cmd_trends(args: argparse.Namespace) -> int:
     if not terms:
         raise ValueError(f"--terms names no term: {args.terms!r}")
     corpus = load_jsonl(args.corpus)
-    streams, _ = prepare_streams(corpus, config_from_args(args))
-    table = term_trends(corpus, streams, terms, bucket=args.by)
+    merged, _ = prepare_streams(corpus, config_from_args(args))
+    table = term_trends(corpus, merged, terms, bucket=args.by)
     write_trends_csv(table, args.out)
     print(f"wrote {len(terms)} term trend(s) over {len(table.starts)} bucket(s) to {args.out}")
     return 0

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
 
-from .text import TokenStream
+from .text import TokenIds
 
 
 @dataclass(frozen=True)
@@ -37,24 +36,22 @@ class FeatureMatrix:
     counts: sparse.csr_matrix
 
 
-def build_vocabulary(streams: list[TokenStream], min_df: int = 1) -> Vocabulary:
+def build_vocabulary(corpus: TokenIds, min_df: int = 1) -> Vocabulary:
     """Collect terms appearing in at least ``min_df`` documents.
 
     Terms are ordered lexicographically so column indices are deterministic.
+    Token ids already follow that order, so the terms are the ids with
+    enough documents, in id order, and no string is sorted here. A term's
+    document frequency is the number of rows of ``corpus.counts`` holding it.
     """
-    if not streams:
+    if not len(corpus):
         raise ValueError("empty corpus")
-    doc_freq: Counter = Counter()
-    for stream in streams:
-        doc_freq.update(set(stream.tokens))
-    terms = tuple(sorted(t for t, n in doc_freq.items() if n >= min_df))
-    if not terms:
+    doc_freq = np.bincount(corpus.counts.indices, minlength=len(corpus.tokens))
+    kept = np.flatnonzero(doc_freq >= min_df)
+    if not kept.size:
         raise ValueError("empty vocabulary")
-    return Vocabulary(
-        terms=terms,
-        index={t: i for i, t in enumerate(terms)},
-        doc_freq=np.array([doc_freq[t] for t in terms], dtype=np.int64),
-    )
+    terms = tuple(map(corpus.tokens.__getitem__, kept.tolist()))
+    return Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, doc_freq=doc_freq[kept])
 
 
 def idf(vocab: Vocabulary, n_docs: int) -> np.ndarray:
@@ -66,19 +63,20 @@ def idf(vocab: Vocabulary, n_docs: int) -> np.ndarray:
     return np.log(float(n_docs) / vocab.doc_freq)
 
 
-def term_counts(streams: Sequence[TokenStream], index: Mapping[str, int]) -> sparse.csr_matrix:
-    """N x len(index) int64 counts of the tokens found in ``index``; row k is ``streams[k]``."""
-    lengths = [len(stream.tokens) for stream in streams]
-    tokens = chain.from_iterable(stream.tokens for stream in streams)
-    cols = np.fromiter(map(index.get, tokens, repeat(-1)), np.int32, sum(lengths))
+def term_counts(corpus: TokenIds, index: Mapping[str, int]) -> sparse.csr_matrix:
+    """N x len(index) int64 counts of the tokens found in ``index``; row k is
+    document k. Read from ``corpus.counts``: each token id is looked up once."""
+    columns = np.fromiter(map(index.get, corpus.tokens, repeat(-1)), np.int32, len(corpus.tokens))
+    by_id = corpus.counts
+    cols = columns[by_id.indices]
     kept = cols >= 0
-    # Tokens come in row order, so a row starts after the kept tokens of the rows before it.
+    # Entries come in row order, so a row starts after the kept entries of the rows before it.
     kept_before = np.zeros(cols.size + 1, dtype=np.int64)
     np.cumsum(kept, out=kept_before[1:])
-    indptr = kept_before[np.cumsum([0] + lengths)]
-    ones = np.ones(indptr[-1], dtype=np.int64)
-    counts = sparse.csr_matrix((ones, cols[kept], indptr), shape=(len(streams), len(index)))
-    counts.sum_duplicates()
+    counts = sparse.csr_matrix(
+        (by_id.data[kept], cols[kept], kept_before[by_id.indptr]), shape=(len(corpus), len(index))
+    )
+    counts.sort_indices()  # the index need not order its terms as the ids
     return counts
 
 
@@ -92,24 +90,29 @@ def group_doc_freq(counts: sparse.csr_matrix, groups: np.ndarray, n_groups: int)
     return (members @ counts.sign()).toarray()
 
 
-def vectorize(streams: list[TokenStream], vocab: Vocabulary) -> FeatureMatrix:
+def vectorize(corpus: TokenIds, vocab: Vocabulary) -> FeatureMatrix:
     """Build the tf-idf matrix for a corpus against a vocabulary.
 
     tf is the term count divided by the document's total token count (all
-    tokens, so out-of-vocabulary tokens still shrink tf of the rest).
+    tokens, so out-of-vocabulary tokens still shrink tf of the rest). The
+    counts are ``term_counts``, read from ``corpus.counts``, the one sort
+    ``build_vocabulary`` of the same corpus made. A document with no in-vocabulary token gets a zero row,
+    and one warning names how many there are and the first five.
     """
-    if not streams:
+    if not len(corpus):
         raise ValueError("empty corpus")
-    counts = term_counts(streams, vocab.index)
+    counts = term_counts(corpus, vocab.index)
     per_row = np.diff(counts.indptr)
-    empty_docs = [streams[k].doc_id for k in np.flatnonzero(per_row == 0).tolist()]
-    if empty_docs:
+    empty = np.flatnonzero(per_row == 0).tolist()
+    if empty:
+        more = ", ..." if len(empty) > 5 else ""
         warnings.warn(
-            "documents with no in-vocabulary tokens (zero feature vectors): "
-            + ", ".join(empty_docs)
+            f"{len(empty)} document(s) with no in-vocabulary tokens (zero feature vectors): "
+            + ", ".join(corpus.doc_ids[k] for k in empty[:5])
+            + more
         )
-    totals = np.repeat(np.array([len(s.tokens) for s in streams], dtype=np.int64), per_row)
-    weights = counts.data / totals * idf(vocab, len(streams))[counts.indices]
+    totals = np.repeat(corpus.lengths, per_row)
+    weights = counts.data / totals * idf(vocab, len(corpus))[counts.indices]
     # Own index arrays: eliminate_zeros rewrites them in place, and counts is kept.
     indices, indptr = counts.indices.copy(), counts.indptr.copy()
     matrix = sparse.csr_matrix((weights, indices, indptr), shape=counts.shape)

@@ -15,6 +15,7 @@ from .embedding import DEFAULT_COMPONENTS, KernelPca, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
 from .text import (
     BigramCandidate,
+    TokenIds,
     TokenStream,
     apply_bigrams,
     count_corpus,
@@ -72,25 +73,25 @@ def tokenize_corpus(corpus: Corpus) -> list[TokenStream]:
 
 def prepare_streams(
     corpus: Corpus, config: PipelineConfig
-) -> tuple[list[TokenStream], dict[tuple[str, str], BigramCandidate]]:
+) -> tuple[TokenIds, dict[tuple[str, str], BigramCandidate]]:
     """Tokenize the corpus, count it once, and merge its distinctive bigrams
-    (returned with the merged streams, keyed by pair)."""
+    (returned with the merged token ids, keyed by pair)."""
     streams = tokenize_corpus(corpus)
     counts = count_corpus(streams)
+    del streams  # the counts hold the corpus as token ids
     candidates = score_bigrams(counts, discount=config.bigram_discount)
     selected = select_bigrams(candidates, counts)
-    merged = [apply_bigrams(stream, selected) for stream in streams]
-    return merged, selected
+    return apply_bigrams(counts.corpus, selected), selected
 
 
 def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> PipelineResult:
     """Run the full pipeline and return every intermediate artifact."""
     if config is None:
         config = PipelineConfig()
-    streams, selected = prepare_streams(corpus, config)
-    vocab = build_vocabulary(streams, min_df=config.min_df)
-    features = vectorize(streams, vocab)
-    del streams  # the features hold all that is needed of them from here on
+    merged, selected = prepare_streams(corpus, config)
+    vocab = build_vocabulary(merged, min_df=config.min_df)
+    features = vectorize(merged, vocab)
+    del merged  # the features hold all that is needed of it from here on
     try:
         model = fit_kpca(features, max_components=config.kpca_components)
     except ValueError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
 from .relevance import ClusterKey, RelevanceTable
-from .text import JOINER, TokenStream, normalize_tokenize, token_spans
+from .text import JOINER, TokenIds, TokenStream, normalize_tokenize, token_spans
 
 MIN_FONT_PT = 10.0
 MAX_FONT_PT = 48.0
@@ -317,7 +317,7 @@ def _bucket_start(when: date, bucket: str) -> date:
 
 def term_trends(
     corpus: Corpus,
-    streams: Sequence[TokenStream],
+    merged: TokenIds,
     terms: Sequence[str],
     bucket: str = "day",
 ) -> TrendTable:
@@ -349,7 +349,7 @@ def term_trends(
         cursor += step
     bucket_of = np.array([(b - first) // step for b in doc_buckets], dtype=np.int64)
     totals = np.bincount(bucket_of, minlength=len(starts))
-    counts = group_doc_freq(term_counts(streams, term_rows), bucket_of, len(starts)).T
+    counts = group_doc_freq(term_counts(merged, term_rows), bucket_of, len(starts)).T
     safe_totals = np.where(totals == 0, 1, totals)
     rates = counts / safe_totals
     return TrendTable(

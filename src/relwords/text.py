@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import io
 import re
-from collections.abc import Collection, Iterable
+from bisect import bisect_left
+from collections import defaultdict
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from functools import cached_property
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 JOINER = "_"
 
@@ -77,40 +81,97 @@ def token_spans(text: str) -> list[tuple[int, int, str]]:
     return [(m.start(), m.end(), m.group().lower()) for m in re.finditer(r"\S+", spaced)]
 
 
-@dataclass(frozen=True)
-class CorpusCounts:
-    """A corpus counted on interned tokens.
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """The token streams of a corpus as integer ids.
 
-    Token ids rank the sorted distinct ``tokens``; ``unigrams[i]`` counts
-    token i. Each adjacent ordered pair within a document is the key
-    ``first * n + second`` (n tokens), so keys sort in the pairs' tuple
-    order: ``pairs`` holds the distinct keys, sorted, and ``pair_counts``
-    how often each occurs. ``total`` is the corpus token count.
+    ``tokens`` are distinct and sorted, so ids order as their strings do.
+    ``ids`` (int32) holds every document's token ids in corpus order, and
+    document k (``doc_ids[k]``) is the next ``lengths[k]`` of them. An id
+    need not occur: a merge leaves the ids of the tokens it consumed.
+    Strings are built back one document at a time, by ``corpus[k]``.
     """
 
+    doc_ids: tuple[str, ...]
     tokens: tuple[str, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, k: int) -> TokenStream:
+        """Document k as a token stream."""
+        k = range(len(self))[k]
+        start = int(self.lengths[:k].sum())
+        ids = self.ids[start : start + int(self.lengths[k])]
+        return TokenStream(self.doc_ids[k], tuple(map(self.tokens.__getitem__, ids.tolist())))
+
+    @cached_property
+    def counts(self) -> sparse.csr_matrix:
+        """N x len(tokens) int64: row k counts each id of document k, in id
+        order. Made on first use, by one sort of the (document, id) keys,
+        and shared by the vocabulary and the count matrix."""
+        n = len(self.tokens)
+        keys = np.repeat(np.arange(len(self), dtype=np.int64) * n, self.lengths)
+        keys += self.ids
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, ids = np.divmod(keys, n)
+        indptr = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self)), out=indptr[1:])
+        return sparse.csr_matrix((counts, ids, indptr), shape=(len(self), n))
+
+
+def token_ids(streams: Sequence[TokenStream]) -> TokenIds:
+    """Intern a corpus: one dict lookup per token numbers it by first sight,
+    and ranking the distinct tokens once turns those numbers into ids."""
+    first_seen = defaultdict(count().__next__)
+    lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
+    flat = chain.from_iterable(stream.tokens for stream in streams)
+    seen = np.fromiter(map(first_seen.__getitem__, flat), dtype=np.int32, count=int(lengths.sum()))
+    distinct = list(first_seen)
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    rank = np.empty(len(distinct), dtype=np.int32)
+    rank[order] = np.arange(len(distinct), dtype=np.int32)
+    tokens = tuple(map(distinct.__getitem__, order))
+    return TokenIds(tuple(stream.doc_id for stream in streams), tokens, rank[seen], lengths)
+
+
+@dataclass(frozen=True)
+class CorpusCounts:
+    """The unigrams and within-document adjacent pairs of a corpus.
+
+    ``corpus`` is the corpus as token ids, which the merge
+    (``apply_bigrams``), the vocabulary and the count matrix carry on from,
+    so no later stage hashes a token occurrence again.
+    ``unigrams[i]`` counts token id i of ``corpus``. Each adjacent ordered
+    pair within a document is the key ``first * n + second`` (n tokens), so
+    keys sort in the pairs' tuple order: ``pairs`` holds the distinct keys,
+    sorted, and ``pair_counts`` how often each occurs. ``total`` is the
+    corpus token count.
+    """
+
+    corpus: TokenIds
     unigrams: np.ndarray
     pairs: np.ndarray
     pair_counts: np.ndarray
     total: int
 
 
-def count_corpus(streams: list[TokenStream]) -> CorpusCounts:
-    """Count the unigrams and within-document adjacent pairs of a corpus,
-    interning every token once."""
+def count_corpus(streams: Sequence[TokenStream]) -> CorpusCounts:
+    """Intern a corpus (``token_ids``) and count its unigrams and
+    within-document adjacent pairs."""
     if not streams:
         raise ValueError("empty corpus")
-    flat = list(chain.from_iterable(stream.tokens for stream in streams))
-    tokens = tuple(sorted(dict.fromkeys(flat)))
-    rank = {token: r for r, token in enumerate(tokens)}
-    ids = np.fromiter(map(rank.__getitem__, flat), dtype=np.int64, count=len(flat))
-    n, total = len(tokens), len(flat)
-    keys = ids[:-1] * n + ids[1:]
+    corpus = token_ids(streams)
+    ids, n, total = corpus.ids, len(corpus.tokens), corpus.ids.size
+    keys = ids[:-1] * np.int64(n)
+    keys += ids[1:]
     # The pair ending a document and starting the next is no adjacency.
-    ends = np.cumsum(np.fromiter(map(len, streams), dtype=np.int64, count=len(streams)))
+    ends = np.cumsum(corpus.lengths)
     keys = np.delete(keys, ends[(ends > 0) & (ends < total)] - 1)
     pairs, pair_counts = np.unique(keys, return_counts=True)
-    return CorpusCounts(tokens, np.bincount(ids, minlength=n), pairs, pair_counts, total)
+    return CorpusCounts(corpus, np.bincount(ids, minlength=n), pairs, pair_counts, total)
 
 
 def _phrase_scores(counts: CorpusCounts, keys: np.ndarray, joint: np.ndarray):
@@ -119,11 +180,31 @@ def _phrase_scores(counts: CorpusCounts, keys: np.ndarray, joint: np.ndarray):
     Both products are int64 and, below 2**53, exact in float64; the IEEE
     quotient is then correctly rounded, the same bits as Python's int / int.
     """
-    first, second = np.divmod(keys, len(counts.tokens))
+    first, second = np.divmod(keys, len(counts.corpus.tokens))
     return first, second, joint * counts.total / (counts.unigrams[first] * counts.unigrams[second])
 
 
-def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandidate]:
+@dataclass(frozen=True, eq=False)
+class BigramCandidates:
+    """Scored adjacent pairs in pair order, as arrays: the ids ``first`` and
+    ``second`` into ``tokens``, the pair's adjacent count ``joint`` and its
+    score. ``candidates[i]`` builds candidate i as a ``BigramCandidate``."""
+
+    tokens: tuple[str, ...]
+    first: np.ndarray
+    second: np.ndarray
+    joint: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+    def __getitem__(self, i: int) -> BigramCandidate:
+        first, second = self.tokens[self.first[i]], self.tokens[self.second[i]]
+        return BigramCandidate(first, second, int(self.joint[i]), float(self.scores[i]))
+
+
+def score_bigrams(counts: CorpusCounts, discount: int = 5) -> BigramCandidates:
     """Score every adjacent word pair in the corpus, in pair order.
 
     score(a, b) = (count(a b) - discount) * W / (count(a) * count(b)) with W
@@ -135,15 +216,11 @@ def score_bigrams(counts: CorpusCounts, discount: int = 5) -> list[BigramCandida
     frequent = counts.pair_counts > discount
     joint = counts.pair_counts[frequent]
     first, second, scores = _phrase_scores(counts, counts.pairs[frequent], joint - discount)
-    tokens = counts.tokens
-    return [
-        BigramCandidate(tokens[a], tokens[b], j, score)
-        for a, b, j, score in zip(first.tolist(), second.tolist(), joint.tolist(), scores.tolist())
-    ]
+    return BigramCandidates(counts.corpus.tokens, first, second, joint, scores)
 
 
 def select_bigrams(
-    candidates: list[BigramCandidate], counts: CorpusCounts
+    candidates: BigramCandidates, counts: CorpusCounts
 ) -> dict[tuple[str, str], BigramCandidate]:
     """Keep the candidates scoring far above randomly chosen adjacent pairs.
 
@@ -154,36 +231,58 @@ def select_bigrams(
     corpus always gets the same cut. Returns the kept candidates keyed by
     ``(first, second)``.
     """
-    if not candidates or len(counts.tokens) < 2 or not len(counts.pairs):
+    if not len(candidates) or len(counts.corpus.tokens) < 2 or not len(counts.pairs):
         return {}
     rng = np.random.default_rng(0)
     picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
     *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
     threshold = baseline.mean() + 2.0 * baseline.std()
-    return {(c.first, c.second): c for c in candidates if c.score > threshold}
+    kept = map(candidates.__getitem__, np.flatnonzero(candidates.scores > threshold).tolist())
+    return {(c.first, c.second): c for c in kept}
 
 
-def apply_bigrams(stream: TokenStream, selected: Collection[tuple[str, str]]) -> TokenStream:
+def apply_bigrams(corpus: TokenIds, selected: Collection[tuple[str, str]]) -> TokenIds:
     """Merge selected adjacent pairs into single joined tokens.
 
-    Greedy left-to-right scan; a token consumed by a merge cannot start
-    another merge.
+    Greedy left-to-right within each document: a token consumed by a merge
+    cannot start another merge. A position whose pair is selected is a hit,
+    and in each run of consecutive hits the first, third, ... merge, each
+    consuming the next. The joined tokens take their places in string order
+    among the others, whose ids move up to make room. Returns ``corpus``
+    itself when nothing merges.
     """
-    if not selected:
-        return stream
-    tokens = stream.tokens
-    hits = compress(count(), map(selected.__contains__, zip(tokens, tokens[1:])))
-    merged: list[str] = []
-    start = 0
-    for i in hits:
-        if i >= start:  # token i is not the second half of the previous merge
-            merged.extend(tokens[start:i])
-            merged.append(tokens[i] + JOINER + tokens[i + 1])
-            start = i + 2
-    if not start:
-        return stream
-    merged.extend(tokens[start:])
-    return TokenStream(stream.doc_id, tuple(merged))
+    tokens, ids, n = corpus.tokens, corpus.ids, len(corpus.tokens)
+    rank = dict(zip(tokens, count()))
+    wanted = np.array(
+        sorted({rank[a] * n + rank[b] for a, b in selected if a in rank and b in rank}), dtype=np.int64
+    )
+    if not wanted.size:
+        return corpus
+    first = np.zeros(n, dtype=bool)
+    first[wanted // n] = True
+    at = np.flatnonzero(first[ids[:-1]])  # positions whose token starts a selected pair
+    keys = ids[at] * np.int64(n) + ids[at + 1]
+    pair = np.minimum(np.searchsorted(wanted, keys), wanted.size - 1)
+    ends = np.cumsum(corpus.lengths)
+    doc = np.searchsorted(ends, at, side="right")
+    hit = (wanted[pair] == keys) & (at + 1 < ends[doc])  # selected, and within one document
+    hits, pair, doc = at[hit], pair[hit], doc[hit]
+    if not hits.size:
+        return corpus
+    # each hit's run starts at the last hit not one after the hit before it
+    run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, np.arange(hits.size), 0))
+    merging = (np.arange(hits.size) - run_start) % 2 == 0
+
+    joined = [tokens[key // n] + JOINER + tokens[key % n] for key in wanted.tolist()]
+    table = tuple(sorted((*tokens, *joined)))  # tokens are one sorted run, so this merges
+    joined_ids = np.array([bisect_left(table, token) for token in joined])
+    is_old = np.ones(len(table), dtype=bool)
+    is_old[joined_ids] = False
+    merged = np.flatnonzero(is_old).astype(np.int32)[ids]  # each old id's place in the table
+    merged[hits[merging]] = joined_ids[pair[merging]]
+    merged = np.delete(merged, hits[merging] + 1)
+    lengths = corpus.lengths - np.bincount(doc[merging], minlength=len(corpus))
+    return TokenIds(corpus.doc_ids, table, merged, lengths)
 
 
 _BIGRAMS_HEADER = "first,second,score\n"

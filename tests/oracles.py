@@ -41,6 +41,7 @@ from relwords.text import (
     apply_bigrams,
     normalize_tokenize,
     read_bigrams_csv,
+    token_ids,
 )
 
 NOISE = -1
@@ -143,6 +144,16 @@ def vectorize_reference(streams, vocab) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(streams), len(vocab.terms)), dtype=np.float64
     )
+
+
+def build_vocabulary_reference(streams, min_df: int) -> tuple[list[str], list[int]]:
+    """(terms, document frequencies) from a Counter of each document's set
+    of tokens: the tokens in at least ``min_df`` documents, sorted."""
+    doc_freq: Counter = Counter()
+    for stream in streams:
+        doc_freq.update(set(stream.tokens))
+    terms = sorted(term for term, n in doc_freq.items() if n >= min_df)
+    return terms, [doc_freq[term] for term in terms]
 
 
 def occurrence_reference(streams, vocab, labels):
@@ -257,9 +268,10 @@ def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     text: tokenize every document, merge the run's ``bigrams.csv``, build the
     vocabulary at ``min_df`` and count occurrences under the run's labels."""
     selected = read_bigrams_csv(bigrams_path)
-    streams = [apply_bigrams(normalize_tokenize(doc.text, doc.id), selected) for doc in corpus.docs]
-    vocab = build_vocabulary(streams, min_df=min_df)
-    return compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, labels))
+    streams = [normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
+    merged = apply_bigrams(token_ids(streams), selected)
+    vocab = build_vocabulary(merged, min_df=min_df)
+    return compute_relevance(build_occurrence_index(term_counts(merged, vocab.index), vocab, labels))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from relwords.relevance import (
     score_final,
     score_quot,
 )
-from relwords.text import TokenStream
+from relwords.text import TokenStream, token_ids
 
 from corpora import planted_topic_corpus, trending_corpus
 from oracles import dbscan_reference, partition_of, random_distance_matrix
@@ -140,9 +140,9 @@ def test_planted_topic_recovery():
 def test_contrast_mode():
     corpus, trend_words, boundary = trending_corpus()
     periods = split_by_period(corpus, boundary)
-    streams, _ = prepare_streams(corpus, PipelineConfig())
-    vocab = build_vocabulary(streams)
-    table = compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, periods))
+    merged, _ = prepare_streams(corpus, PipelineConfig())
+    vocab = build_vocabulary(merged)
+    table = compute_relevance(build_occurrence_index(term_counts(merged, vocab.index), vocab, periods))
     top10_after = {term for term, _ in rank_terms(table, "after", 10)}
     top10_before = {term for term, _ in rank_terms(table, "before", 10)}
     assert set(trend_words) <= top10_after
@@ -157,7 +157,7 @@ def test_formula_exactness():
         TokenStream("3", ("all",)),
         TokenStream("4", ("half", "all")),
     ]
-    vocab = build_vocabulary(streams)
+    vocab = build_vocabulary(token_ids(streams))
     assert abs(idf(vocab, 4)[vocab.index["half"]] - math.log(2)) <= 1e-12
 
     # other-cluster TPRs {0.2, 0.0, 0.1} -> 0.1 + sqrt(0.02/3)
@@ -193,8 +193,9 @@ def _index_with_other_tprs():
         block = docs(with_w, total, cluster)
         streams.extend(block)
         labels.extend([cluster] * len(block))
-    vocab = build_vocabulary(streams)
-    return build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
+    corpus = token_ids(streams)
+    vocab = build_vocabulary(corpus)
+    return build_occurrence_index(term_counts(corpus, vocab.index), vocab, labels)
 
 
 @criterion(8, "pipeline determinism (byte-identical artifacts)", time_limit=120.0)

@@ -226,10 +226,10 @@ class TestReadCommandsReuseRunBigrams:
     def test_relevance_same_as_from_the_clustering_streams(self, phrase_run, tmp_path):
         corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
         config = pipeline.PipelineConfig()
-        streams, _ = pipeline.prepare_streams(corpus, config)
-        vocab = build_vocabulary(streams, min_df=config.min_df)
+        merged, _ = pipeline.prepare_streams(corpus, config)
+        vocab = build_vocabulary(merged, min_df=config.min_df)
         labels = list(pipeline.run_clustering(corpus, config).assignment.labels)
-        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
+        index = build_occurrence_index(term_counts(merged, vocab.index), vocab, labels)
         expected = tmp_path / "expected.csv"
         write_relevance_csv(compute_relevance(index), expected)
         out = tmp_path / "relevance.csv"
@@ -341,7 +341,7 @@ def assert_same_index(index, expected):
 
 
 class TestOccurrenceJson:
-    @pytest.mark.filterwarnings("ignore:documents with no in-vocabulary tokens")
+    @pytest.mark.filterwarnings(r"ignore:1 document\(s\) with no in-vocabulary tokens")
     def test_round_trip_with_a_cluster_counting_no_term(self, tmp_path, monkeypatch):
         # with --min-pts 1 the lone document is a cluster of its own, and
         # --min-df 2 drops every one of its words
@@ -716,7 +716,7 @@ def test_highlight_scores_one_row_and_marks_as_the_whole_table(tmp_path, run_dir
     for position in positions:
         doc = corpus.docs[position]
         expected = tmp_path / f"expected{position}.html"
-        stream = relwords.apply_bigrams(relwords.normalize_tokenize(doc.text, doc.id), selected)
+        stream = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text, doc.id)]), selected)[0]
         report.highlight_html(doc, stream, table, labels[position], expected)
         out = tmp_path / f"{position}.html"
         assert main(["highlight", "--run", str(run_dir), "--doc-id", doc.id, "--out", str(out)]) == 0
@@ -886,7 +886,7 @@ class TestHighlight:
         for position in (0, len(loaded) // 2, len(loaded) - 1):
             doc = loaded.docs[position]
             expected = tmp_path / f"expected{position}.html"
-            stream = relwords.apply_bigrams(relwords.normalize_tokenize(doc.text, doc.id), selected)
+            stream = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text, doc.id)]), selected)[0]
             report.highlight_html(doc, stream, table, labels[position], expected)
             out = tmp_path / f"{position}.html"
             assert main(["highlight", "--run", str(outdir), "--doc-id", doc.id, "--out", str(out)]) == 0

@@ -3,15 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relwords.clustering import NOISE
 from relwords.features import build_vocabulary, idf, term_counts, vectorize, write_matrix_csv
 from relwords.relevance import build_occurrence_index
-from relwords.text import TokenStream
+from relwords.text import TokenStream, apply_bigrams, count_corpus, token_ids
 
-from oracles import occurrence_reference, vectorize_reference
+from oracles import (
+    apply_bigrams_reference,
+    build_vocabulary_reference,
+    count_corpus_reference,
+    occurrence_reference,
+    vectorize_reference,
+)
 
 
 def stream(doc_id, *tokens):
@@ -20,28 +26,28 @@ def stream(doc_id, *tokens):
 
 class TestBuildVocabulary:
     def test_counts_and_order(self):
-        vocab = build_vocabulary([stream("1", "a", "b"), stream("2", "b", "c")])
+        vocab = build_vocabulary(token_ids([stream("1", "a", "b"), stream("2", "b", "c")]))
         assert vocab.terms == ("a", "b", "c")
         assert vocab.doc_freq.tolist() == [1, 2, 1]
         assert vocab.index == {"a": 0, "b": 1, "c": 2}
 
     def test_min_df_cutoff(self):
-        vocab = build_vocabulary([stream("1", "a", "b"), stream("2", "b", "c")], min_df=2)
+        vocab = build_vocabulary(token_ids([stream("1", "a", "b"), stream("2", "b", "c")]), min_df=2)
         assert vocab.terms == ("b",)
 
     def test_min_df_above_corpus_size_rejected(self):
         with pytest.raises(ValueError, match="empty vocabulary"):
-            build_vocabulary([stream("1", "a"), stream("2", "a")], min_df=3)
+            build_vocabulary(token_ids([stream("1", "a"), stream("2", "a")]), min_df=3)
 
     def test_repeated_token_counts_once_per_doc(self):
-        vocab = build_vocabulary([stream("1", "a", "a", "a"), stream("2", "b")])
+        vocab = build_vocabulary(token_ids([stream("1", "a", "a", "a"), stream("2", "b")]))
         assert vocab.doc_freq.tolist() == [1, 1]
 
 
 class TestIdf:
     def test_formula_values(self):
         vocab = build_vocabulary(
-            [stream("1", "half", "all"), stream("2", "all"), stream("3", "all"), stream("4", "half", "all")]
+            token_ids([stream("1", "half", "all"), stream("2", "all"), stream("3", "all"), stream("4", "half", "all")])
         )
         values = idf(vocab, 4)
         by_term = dict(zip(vocab.terms, values))
@@ -49,39 +55,47 @@ class TestIdf:
         assert by_term["all"] == 0.0
 
     def test_rare_term_large_idf(self):
-        vocab = build_vocabulary([stream("1", "rare")])
+        vocab = build_vocabulary(token_ids([stream("1", "rare")]))
         assert idf(vocab, 1000)[0] == pytest.approx(math.log(1000), abs=1e-12)
 
 
 class TestVectorize:
     def test_hand_computed_weights(self):
-        streams = [stream("1", "a", "a", "b"), stream("2", "b")]
-        vocab = build_vocabulary(streams)
-        fm = vectorize(streams, vocab)
+        corpus = token_ids([stream("1", "a", "a", "b"), stream("2", "b")])
+        fm = vectorize(corpus, build_vocabulary(corpus))
         dense = fm.matrix.toarray()
         assert dense[0, 0] == pytest.approx(2 / 3 * math.log(2))
         assert dense[0, 1] == 0.0  # b occurs everywhere -> idf 0
         assert dense[1].tolist() == [0.0, 0.0]
 
     def test_exclusive_term_weight(self):
-        streams = [stream("1", "only"), stream("2", "other"), stream("3", "other")]
-        vocab = build_vocabulary(streams)
-        fm = vectorize(streams, vocab)
+        corpus = token_ids([stream("1", "only"), stream("2", "other"), stream("3", "other")])
+        vocab = build_vocabulary(corpus)
+        fm = vectorize(corpus, vocab)
         assert fm.matrix[0, vocab.index["only"]] == pytest.approx(math.log(3))
 
     def test_out_of_vocabulary_doc_warns_and_zeroes(self):
         streams = [stream("known", "a", "a"), stream("unknown", "zzz")]
-        vocab = build_vocabulary([streams[0]])
+        vocab = build_vocabulary(token_ids([streams[0]]))
         with pytest.warns(UserWarning, match="unknown"):
-            fm = vectorize(streams, vocab)
+            fm = vectorize(token_ids(streams), vocab)
         assert fm.matrix[1].nnz == 0
 
     def test_empty_stream_zero_vector(self):
         streams = [stream("full", "a"), stream("empty")]
-        vocab = build_vocabulary([streams[0]])
+        vocab = build_vocabulary(token_ids([streams[0]]))
         with pytest.warns(UserWarning, match="empty"):
-            fm = vectorize(streams, vocab)
+            fm = vectorize(token_ids(streams), vocab)
         assert fm.matrix[1].nnz == 0
+
+    def test_empty_documents_warned_by_count_and_first_five(self):
+        streams = [stream("full", "a")] + [stream(f"empty{k}") for k in range(8)]
+        with pytest.warns(UserWarning) as caught:
+            vectorize(token_ids(streams), build_vocabulary(token_ids(streams[:1])))
+        assert [str(w.message) for w in caught] == [
+            "8 document(s) with no in-vocabulary tokens (zero feature vectors): "
+            "empty0, empty1, empty2, empty3, empty4, ..."
+        ]
 
     def test_tf_sums_to_at_most_one(self):
         rng = np.random.default_rng(5)
@@ -90,9 +104,10 @@ class TestVectorize:
             stream(f"d{k}", *rng.choice(words, size=rng.integers(1, 40)))
             for k in range(15)
         ]
-        vocab = build_vocabulary(streams, min_df=2)
+        corpus = token_ids(streams)
+        vocab = build_vocabulary(corpus, min_df=2)
         raw_idf = idf(vocab, len(streams))
-        fm = vectorize(streams, vocab)
+        fm = vectorize(corpus, vocab)
         for k, s in enumerate(streams):
             row = fm.matrix[k].toarray().ravel()
             tf_sum = sum(
@@ -111,8 +126,9 @@ class TestVectorize:
 
     def test_nonzero_iff_present_and_df_below_n(self):
         streams = [stream("1", "a", "b"), stream("2", "b", "c"), stream("3", "b")]
-        vocab = build_vocabulary(streams)
-        fm = vectorize(streams, vocab)
+        corpus = token_ids(streams)
+        vocab = build_vocabulary(corpus)
+        fm = vectorize(corpus, vocab)
         dense = fm.matrix.toarray()
         for k, s in enumerate(streams):
             for term, i in vocab.index.items():
@@ -122,16 +138,16 @@ class TestVectorize:
 
     def test_row_permutation_equivariance(self):
         streams = [stream("1", "a", "b"), stream("2", "b", "c"), stream("3", "c", "a")]
-        vocab = build_vocabulary(streams)
-        forward = vectorize(streams, vocab).matrix.toarray()
-        backward = vectorize(list(reversed(streams)), vocab).matrix.toarray()
+        vocab = build_vocabulary(token_ids(streams))
+        forward = vectorize(token_ids(streams), vocab).matrix.toarray()
+        backward = vectorize(token_ids(streams[::-1]), vocab).matrix.toarray()
         assert np.array_equal(backward, forward[::-1])
 
 
 class TestTermCounts:
     def test_counts_in_stream_order(self):
         streams = [stream("1", "b", "a", "b"), stream("2"), stream("3", "x", "a")]
-        counts = term_counts(streams, {"a": 0, "b": 1})
+        counts = term_counts(token_ids(streams), {"a": 0, "b": 1})
         assert counts.shape == (3, 2)
         assert counts.dtype == np.int64
         assert counts.toarray().tolist() == [[1, 2], [0, 0], [1, 0]]
@@ -149,8 +165,9 @@ token_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=
 
 def streams_and_vocab(docs, min_df):
     streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
+    corpus = token_ids(streams)
     try:
-        return streams, build_vocabulary(streams, min_df=min_df)
+        return streams, corpus, build_vocabulary(corpus, min_df=min_df)
     except ValueError:
         assume(False)
 
@@ -159,14 +176,14 @@ class TestCountsMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(docs=token_lists, min_df=st.integers(1, 3))
     def test_vectorize_bitwise(self, docs, min_df):
-        streams, vocab = streams_and_vocab(docs, min_df)
+        streams, corpus, vocab = streams_and_vocab(docs, min_df)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fm = vectorize(streams, vocab)
+            fm = vectorize(corpus, vocab)
         assert csr_arrays(fm.matrix) == csr_arrays(vectorize_reference(streams, vocab))
         # the counts it keeps are the ones it weighted, even where idf-0
         # weights were dropped from the tf-idf matrix
-        assert csr_arrays(fm.counts) == csr_arrays(term_counts(streams, vocab.index))
+        assert csr_arrays(fm.counts) == csr_arrays(term_counts(corpus, vocab.index))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -176,24 +193,79 @@ class TestCountsMatchReference:
         data=st.data(),
     )
     def test_occurrence_index_exact(self, docs, min_df, label_pool, data):
-        streams, vocab = streams_and_vocab(docs, min_df)
+        streams, corpus, vocab = streams_and_vocab(docs, min_df)
         labels = data.draw(st.lists(st.sampled_from(label_pool), min_size=len(docs), max_size=len(docs)))
         assume(any(label != NOISE for label in labels))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            kept_counts = vectorize(streams, vocab).counts
+            kept_counts = vectorize(corpus, vocab).counts
         clusters, counts, sizes = occurrence_reference(streams, vocab, labels)
         # from counts taken afresh (contrast) and from vectorize's (cluster)
-        for doc_terms in (term_counts(streams, vocab.index), kept_counts):
+        for doc_terms in (term_counts(corpus, vocab.index), kept_counts):
             index = build_occurrence_index(doc_terms, vocab, labels)
             assert index.clusters == clusters
             assert index.counts.dtype == counts.dtype and np.array_equal(index.counts, counts)
             assert index.sizes.dtype == sizes.dtype and np.array_equal(index.sizes, sizes)
 
 
+# Non-ASCII tokens, one a prefix of another, and a pair that is never
+# adjacent (or names a token the corpus lacks) among the selected ones.
+ORACLE_WORDS = ["a", "b", "ab", "é", "東京", "i̇stanbul"]
+oracle_docs = st.lists(st.lists(st.sampled_from(ORACLE_WORDS), max_size=10), min_size=1, max_size=6)
+oracle_pairs = st.sets(
+    st.tuples(st.sampled_from(ORACLE_WORDS + ["absent"]), st.sampled_from(ORACLE_WORDS)), max_size=8
+)
+
+
+class TestIdPathAsTheStringOracles:
+    """count_corpus -> apply_bigrams -> build_vocabulary -> vectorize on
+    token ids, against the same stages on strings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=oracle_docs, selected=oracle_pairs, min_df=st.integers(1, 3))
+    # overlapping runs: a a a, and a b a b a with both orders selected
+    @example(docs=[["a", "a", "a"], ["a", "a", "a", "a"]], selected={("a", "a")}, min_df=1)
+    @example(docs=[["a", "b", "a", "b", "a"]], selected={("a", "b"), ("b", "a")}, min_df=1)
+    # a selected pair only ever across a document boundary, and empty documents
+    @example(docs=[["b", "a"], [], ["b", "é"], []], selected={("a", "b")}, min_df=1)
+    # min_df > 1 with merged and non-ASCII terms
+    @example(
+        docs=[["東京", "i̇stanbul", "a"], ["東京", "i̇stanbul"], ["a", "b", "é"]],
+        selected={("東京", "i̇stanbul"), ("absent", "a")},
+        min_df=2,
+    )
+    def test_same_streams_vocabulary_and_matrix(self, docs, selected, min_df):
+        streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
+        counts = count_corpus(streams)
+        reference_counts = count_corpus_reference(streams)
+        assert dict(zip(counts.corpus.tokens, counts.unigrams.tolist())) == reference_counts.unigrams
+        assert counts.total == reference_counts.total
+
+        merged = apply_bigrams(counts.corpus, selected)
+        reference = [apply_bigrams_reference(stream, selected) for stream in streams]
+        assert list(merged) == reference
+        assert list(merged.tokens) == sorted(set(merged.tokens))
+
+        terms, doc_freq = build_vocabulary_reference(reference, min_df)
+        if not terms:
+            with pytest.raises(ValueError, match="empty vocabulary"):
+                build_vocabulary(merged, min_df=min_df)
+            return
+        vocab = build_vocabulary(merged, min_df=min_df)
+        assert list(vocab.terms) == terms
+        assert vocab.doc_freq.dtype == np.int64 and vocab.doc_freq.tolist() == doc_freq
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fm = vectorize(merged, vocab)
+        assert csr_arrays(fm.matrix) == csr_arrays(vectorize_reference(reference, vocab))
+        expected = [[stream.tokens.count(term) for term in terms] for stream in reference]
+        assert fm.counts.dtype == np.int64 and fm.counts.toarray().tolist() == expected
+
+
 def test_matrix_csv_dump(tmp_path):
-    streams = [stream("1", "a", "a", "b"), stream("2", "b"), stream("3", "c")]
-    fm = vectorize(streams, build_vocabulary(streams))
+    corpus = token_ids([stream("1", "a", "a", "b"), stream("2", "b"), stream("3", "c")])
+    fm = vectorize(corpus, build_vocabulary(corpus))
     out = tmp_path / "matrix.csv"
     write_matrix_csv(fm, ("1", "2", "3"), out)
     lines = out.read_text(encoding="utf-8").splitlines()

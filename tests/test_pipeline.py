@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import relwords
 from relwords.clustering import NOISE
 from relwords.corpus import Corpus, Document
+from relwords.features import build_vocabulary, vectorize
 from relwords.pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_corpus
 from relwords.text import normalize_tokenize
 
@@ -67,6 +69,44 @@ class TestTokenizeCorpus:
         assert tokenize_corpus(self.CORPUS)[0].tokens[0] is not tokens[0]
 
 
+class TestTextStageMemory:
+    # The bound is the traced peak of prepare_streams -> build_vocabulary ->
+    # vectorize on the corpus below, per token, of the stages that held a
+    # string per token (61.6 B). The id path peaks at ~47 B; a per-token
+    # int64 temporary alive across a stage adds 8 B.
+    PEAK_BYTES_PER_TOKEN = 61
+
+    @staticmethod
+    def long_corpus(n_docs=100, doc_tokens=1000, seed=5):
+        """100 documents of 1,000 tokens: Zipf-drawn from 5,000 words, with
+        ten two-word phrases planted in each, so that bigrams merge."""
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}x" for i in range(5000)]
+        p = 1.0 / np.arange(1, len(words) + 1)
+        p /= p.sum()
+        phrases = [(f"p{i}a", f"p{i}b") for i in range(40)]
+        docs = []
+        for d in range(n_docs):
+            tokens = [words[i] for i in rng.choice(len(words), doc_tokens - 20, p=p)]
+            for i in rng.integers(0, len(phrases), 10):
+                pos = int(rng.integers(0, len(tokens) + 1))
+                tokens[pos:pos] = phrases[i]
+            docs.append(Document(id=f"d{d}", text=" ".join(tokens)))
+        return Corpus(tuple(docs))
+
+    def test_peak_per_token_bounded(self):
+        corpus = self.long_corpus()
+        tracemalloc.start()
+        try:
+            merged, selected = prepare_streams(corpus, PipelineConfig())
+            vectorize(merged, build_vocabulary(merged))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert selected and len(merged.ids) < 100_000  # bigrams merged
+        assert peak / 100_000 <= self.PEAK_BYTES_PER_TOKEN
+
+
 class TestRunClustering:
     def test_tiny_eps_marks_everything_noise(self):
         corpus, _, _ = planted_topic_corpus()
@@ -83,8 +123,8 @@ class TestRunClustering:
         corpus, _, _ = planted_topic_corpus(docs_per_topic=5)
         result = run_clustering(corpus)
         n = len(corpus)
-        streams, _ = prepare_streams(corpus, PipelineConfig())
-        assert [stream.doc_id for stream in streams] == list(corpus.ids())
+        merged, _ = prepare_streams(corpus, PipelineConfig())
+        assert merged.doc_ids == corpus.ids()
         assert result.features.matrix.shape[0] == n
         assert result.model.coords.shape[0] == n
         assert result.assignment.labels.shape == (n,)
@@ -101,10 +141,10 @@ class TestRunClustering:
             tokens[pos:pos] = ["betsy", "devos"]
             docs.append(Document(id=f"d{d}", text=" ".join(tokens)))
         corpus = Corpus(tuple(docs))
-        streams, selected = prepare_streams(corpus, PipelineConfig())
+        merged, selected = prepare_streams(corpus, PipelineConfig())
         assert ("betsy", "devos") in selected
-        assert any("betsy_devos" in s.tokens for s in streams)
-        assert not any("betsy" in s.tokens for s in streams)
+        assert any("betsy_devos" in s.tokens for s in merged)
+        assert not any("betsy" in s.tokens for s in merged)
 
 
 def test_every_exported_name_resolves():

@@ -20,7 +20,7 @@ from relwords.relevance import (
     RelevanceTable,
     write_relevance_csv,
 )
-from relwords.text import TokenStream
+from relwords.text import TokenStream, token_ids
 
 from oracles import write_relevance_csv_reference
 
@@ -49,8 +49,9 @@ def make_index(cluster_docs):
         for i, tokens in enumerate(docs):
             streams.append(stream(f"{cluster}-{i}", *tokens))
             labels.append(cluster)
-    vocab = build_vocabulary(streams)
-    return build_occurrence_index(term_counts(streams, vocab.index), vocab, labels)
+    corpus = token_ids(streams)
+    vocab = build_vocabulary(corpus)
+    return build_occurrence_index(term_counts(corpus, vocab.index), vocab, labels)
 
 
 class TestRates:
@@ -96,8 +97,9 @@ class TestRates:
 
     def test_noise_documents_excluded(self):
         streams = [stream("a", "w"), stream("b", "w"), stream("c", "w"), stream("d", "z")]
-        vocab = build_vocabulary(streams)
-        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, [0, 0, NOISE, 1])
+        corpus = token_ids(streams)
+        vocab = build_vocabulary(corpus)
+        index = build_occurrence_index(term_counts(corpus, vocab.index), vocab, [0, 0, NOISE, 1])
         assert index.sizes.tolist() == [2, 1]
         assert at(compute_relevance(index), "tpr", 0, "w") == 1.0
 
@@ -262,8 +264,9 @@ class TestScoreSomeClusters:
 
     def test_all_noise_still_raises(self):
         streams = [stream("a", "w"), stream("b", "z")]
-        vocab = build_vocabulary(streams)
-        index = build_occurrence_index(term_counts(streams, vocab.index), vocab, [NOISE, NOISE])
+        corpus = token_ids(streams)
+        vocab = build_vocabulary(corpus)
+        index = build_occurrence_index(term_counts(corpus, vocab.index), vocab, [NOISE, NOISE])
         with pytest.raises(ValueError, match=r"no clusters to score \(all documents are noise\)"):
             compute_relevance(index, [0])
 

@@ -25,7 +25,7 @@ from relwords.report import (
     term_trends,
     write_trends_csv,
 )
-from relwords.text import TokenStream, apply_bigrams, normalize_tokenize
+from relwords.text import TokenStream, apply_bigrams, normalize_tokenize, token_ids
 
 from oracles import layout_wordcloud_reference
 
@@ -221,8 +221,9 @@ class TestContrastCloud:
 
 
 def table_for(streams, labels):
-    vocab = build_vocabulary(list(streams))
-    return compute_relevance(build_occurrence_index(term_counts(streams, vocab.index), vocab, labels))
+    corpus = token_ids(streams)
+    vocab = build_vocabulary(corpus)
+    return compute_relevance(build_occurrence_index(term_counts(corpus, vocab.index), vocab, labels))
 
 
 def highlighted_text(path):
@@ -295,7 +296,7 @@ class TestHighlightHtml:
     def test_merged_bigram_tokens_highlighted(self, tmp_path):
         doc = Document(id="d0", text="betsy devos spoke")
         raw = normalize_tokenize(doc.text, doc.id)
-        merged = apply_bigrams(raw, {("betsy", "devos")})
+        merged = apply_bigrams(token_ids([raw]), {("betsy", "devos")})[0]
         other = TokenStream("d1", ("spoke", "again"))
         table = table_for([merged, other], [0, 1])
         out = tmp_path / "doc.html"
@@ -325,7 +326,7 @@ class TestTermTrends:
                 dated_doc("c", "weather report", "2017-01-21"),
             )
         )
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["trump"], bucket="day")
         assert [s.isoformat() for s in table.starts] == ["2017-01-20", "2017-01-21"]
         assert table.counts.tolist() == [[2, 0]]
@@ -338,7 +339,7 @@ class TestTermTrends:
                 dated_doc("b", "end there", "2017-01-05"),
             )
         )
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["start"], bucket="day")
         assert len(table.starts) == 5
         assert table.totals.tolist() == [1, 0, 0, 0, 1]
@@ -353,7 +354,7 @@ class TestTermTrends:
             word = "tuesday" if ts.weekday() == 1 else "plain"
             docs.append(dated_doc(f"d{day}", f"{word} news", when))
         corpus = Corpus(tuple(docs))
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["tuesday"], bucket="day")
         rates = table.rates[0]
         spike_days = {table.starts[i].weekday() for i in np.flatnonzero(rates == 1.0)}
@@ -367,13 +368,13 @@ class TestTermTrends:
                 dated_doc("b", "two", "2017-01-27"),  # next week's Friday
             )
         )
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["one"], bucket="week")
         assert [s.isoformat() for s in table.starts] == ["2017-01-16", "2017-01-23"]
 
     def test_empty_term_list_empty_table(self):
         corpus = Corpus((dated_doc("a", "text", "2017-01-01"),))
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, [])
         assert table.terms == ()
         assert table.counts.shape == (0, 1)
@@ -381,13 +382,13 @@ class TestTermTrends:
     def test_missing_timestamps_listed(self):
         corpus = Corpus((Document(id="undated", text="x"),))
         with pytest.raises(ValueError, match="undated"):
-            term_trends(corpus, [normalize_tokenize("x", "undated")], ["x"])
+            term_trends(corpus, token_ids([normalize_tokenize("x", "undated")]), ["x"])
 
     def test_terms_are_lowercased_like_tokens(self):
         corpus = Corpus(
             (dated_doc("a", "Trump speech", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["Trump", "CALM"], bucket="day")
         assert table.terms == ("trump", "calm")
         assert table.counts.tolist() == [[1, 0], [0, 1]]
@@ -395,7 +396,7 @@ class TestTermTrends:
     @pytest.mark.parametrize("terms", [["trump", "trump"], ["trump", "Trump"]])
     def test_duplicate_term_rejected_by_name(self, terms):
         corpus = Corpus((dated_doc("a", "trump", "2017-01-20"),))
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         with pytest.raises(ValueError, match="duplicate trend term: 'trump'"):
             term_trends(corpus, streams, terms)
 
@@ -404,9 +405,9 @@ class TestTermTrends:
         # the corpus holds every word of these terms, yet no token (nor a
         # merged bigram) can be any of them: no all-zero row for them
         corpus = Corpus((dated_doc("a", "new york alpha beta a b c", "2017-01-20"),))
-        streams = [
-            apply_bigrams(normalize_tokenize(d.text, d.id), {("new", "york")}) for d in corpus.docs
-        ]
+        streams = apply_bigrams(
+            token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs]), {("new", "york")}
+        )
         with pytest.raises(ValueError, match=re.escape(repr(term))):
             term_trends(corpus, streams, [term])
 
@@ -419,9 +420,9 @@ class TestTermTrends:
                 dated_doc("b", "york", "2017-01-21"),
             )
         )
-        streams = [
-            apply_bigrams(normalize_tokenize(d.text, d.id), {("new", "york")}) for d in corpus.docs
-        ]
+        streams = apply_bigrams(
+            token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs]), {("new", "york")}
+        )
         table = term_trends(corpus, streams, ["İstanbul", "New_York", "york"], bucket="day")
         assert table.terms == ("i̇stanbul", "new_york", "york")
         assert table.counts.tolist() == [[1, 0], [1, 0], [0, 1]]
@@ -430,7 +431,7 @@ class TestTermTrends:
         corpus = Corpus(
             (dated_doc("a", "trump", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
-        streams = [normalize_tokenize(d.text, d.id) for d in corpus.docs]
+        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
         table = term_trends(corpus, streams, ["trump", "calm"], bucket="day")
         out = tmp_path / "trends.csv"
         write_trends_csv(table, out)

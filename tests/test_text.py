@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from relwords.text import (
     BigramCandidate,
     CorpusCounts,
+    TokenIds,
     TokenStream,
     apply_bigrams,
     count_corpus,
@@ -18,6 +19,7 @@ from relwords.text import (
     read_bigrams_csv,
     score_bigrams,
     select_bigrams,
+    token_ids,
     token_spans,
     write_bigrams_csv,
 )
@@ -111,7 +113,7 @@ class TestNormalizeTokenize:
 
 def counts_as_dicts(counts):
     """(unigrams, pairs, total) of a ``CorpusCounts`` keyed by the strings."""
-    tokens, n = counts.tokens, len(counts.tokens)
+    tokens, n = counts.corpus.tokens, len(counts.corpus.tokens)
     unigrams = dict(zip(tokens, counts.unigrams.tolist()))
     pairs = {
         (tokens[key // n], tokens[key % n]): joint
@@ -149,7 +151,7 @@ random_streams = st.lists(
 class TestCountCorpus:
     def test_unigrams_pairs_and_total(self):
         counts = count_corpus([stream("a", "b", "a"), stream("b")])
-        assert counts.tokens == ("a", "b")
+        assert counts.corpus.tokens == ("a", "b")
         assert counts_as_dicts(counts) == ({"a": 2, "b": 2}, {("a", "b"): 1, ("b", "a"): 1}, 4)
 
     @pytest.mark.parametrize("name", sorted(COUNT_FIXTURES))
@@ -158,7 +160,7 @@ class TestCountCorpus:
         counts = count_corpus(streams)
         reference = count_corpus_reference(streams)
         assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
-        assert list(counts.tokens) == sorted(reference.unigrams)
+        assert list(counts.corpus.tokens) == sorted(reference.unigrams)
         assert np.all(np.diff(counts.pairs) > 0)  # distinct and sorted
 
     def test_no_pair_across_a_document_boundary(self):
@@ -196,7 +198,7 @@ class TestScoreBigrams:
 
     def test_pair_at_discount_count_omitted(self):
         streams = [stream("a", "b") for _ in range(5)]
-        assert score_bigrams(count_corpus(streams), discount=5) == []
+        assert len(score_bigrams(count_corpus(streams), discount=5)) == 0
         streams.append(stream("a", "b"))
         kept = score_bigrams(count_corpus(streams), discount=5)
         assert [(c.first, c.second) for c in kept] == [("a", "b")]
@@ -230,9 +232,8 @@ class TestScoreBigrams:
     def test_large_counts_score_as_python_integers(self, unigrams, joint, total, discount):
         # both products below 2**53: the float64 quotient is Python's int / int
         joint += discount
-        counts = CorpusCounts(
-            ("a", "b"), np.array(unigrams), np.array([1]), np.array([joint]), total
-        )
+        corpus = TokenIds((), ("a", "b"), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+        counts = CorpusCounts(corpus, np.array(unigrams), np.array([1]), np.array([joint]), total)
         reference = CounterCounts(
             Counter(dict(zip("ab", unigrams))), Counter({("a", "b"): joint}), total
         )
@@ -313,7 +314,8 @@ class TestSelectBigrams:
         counts = count_corpus(self.make_planted())
         candidates = score_bigrams(counts, discount=0)
         forward = select_bigrams(candidates, counts)
-        backward = select_bigrams(list(reversed(candidates)), counts)
+        reverse = {name: getattr(candidates, name)[::-1] for name in ("first", "second", "joint", "scores")}
+        backward = select_bigrams(replace(candidates, **reverse), counts)
         assert forward == backward
 
     @pytest.mark.parametrize("seed", range(5))
@@ -335,27 +337,33 @@ class TestSelectBigrams:
         assert select_bigrams(candidates, counts) == expected
         # rescored to the reference's threshold and to the next float above
         # it, only the second candidate is kept iff the thresholds are equal
-        at, above = (
-            replace(c, score=score)
-            for c, score in zip(candidates, (threshold, np.nextafter(threshold, np.inf)))
-        )
-        selected = select_bigrams([at, above, *candidates[2:]], counts)
+        scores = candidates.scores.copy()
+        scores[:2] = threshold, np.nextafter(threshold, np.inf)
+        rescored = replace(candidates, scores=scores)
+        at, above = rescored[0], rescored[1]
+        selected = select_bigrams(rescored, counts)
         assert (at.first, at.second) not in selected
         assert (above.first, above.second) in selected
 
 
+def merge_one(stream, selected):
+    """``stream`` merged as the one document of a corpus."""
+    return apply_bigrams(token_ids([stream]), selected)[0]
+
+
 class TestApplyBigrams:
     def test_single_merge(self):
-        merged = apply_bigrams(stream("new", "york", "times"), {("new", "york")})
+        merged = merge_one(stream("new", "york", "times"), {("new", "york")})
         assert merged.tokens == ("new_york", "times")
 
     def test_greedy_non_overlap(self):
-        merged = apply_bigrams(stream("a", "a", "a"), {("a", "a")})
+        merged = merge_one(stream("a", "a", "a"), {("a", "a")})
         assert merged.tokens == ("a_a", "a")
 
     def test_no_selected_pairs_is_identity(self):
-        original = stream("just", "plain", "words")
+        original = token_ids([stream("just", "plain", "words")])
         assert apply_bigrams(original, {("other", "pair")}) is original
+        assert apply_bigrams(original, {("just", "words")}) is original
         assert apply_bigrams(original, set()) is original
 
     @settings(max_examples=100, deadline=None)
@@ -366,7 +374,7 @@ class TestApplyBigrams:
         ),
     )
     def test_token_count_drops_by_merge_count(self, tokens, pairs):
-        merged = apply_bigrams(TokenStream("x", tuple(tokens)), pairs)
+        merged = merge_one(TokenStream("x", tuple(tokens)), pairs)
         assert merged == apply_bigrams_reference(TokenStream("x", tuple(tokens)), pairs)
         n_merges = sum(1 for t in merged.tokens if "_" in t)
         assert len(merged.tokens) == len(tokens) - n_merges

@@ -133,7 +133,7 @@ def test_traced_text_counts_as_the_documents_tokenized_one_by_one(tracing, tmp_p
     corpus_counts = count_corpus(streams)
     candidates = score_bigrams(corpus_counts)
     selected = select_bigrams(candidates, corpus_counts)
-    merged = [apply_bigrams(stream, selected) for stream in streams]
+    merged = apply_bigrams(corpus_counts.corpus, selected)
     vocab = build_vocabulary(merged)
     features = vectorize(merged, vocab)
     expected = {
