@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .clustering import NOISE, write_labels_csv
 from .corpus import (
+    Corpus,
     fetch_archive,
     jsonl_lines,
     load_dir,
@@ -39,7 +40,7 @@ from .corpus import (
 )
 from .embedding import write_embedding_csv
 from .features import build_vocabulary, term_counts, write_matrix_csv
-from .pipeline import PipelineConfig, prepare_streams, run_clustering
+from .pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_corpus
 from .relevance import (
     OccurrenceIndex,
     RelevanceTable,
@@ -59,7 +60,7 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import apply_bigrams, normalize_tokenize, read_bigrams_csv, token_ids, write_bigrams_csv
+from .text import apply_bigrams, read_bigrams_csv, write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
@@ -203,7 +204,16 @@ def _load_run(run_dir: str | Path) -> tuple[bytes, dict[str, bytes]]:
     for name in ARTIFACT_NAMES:
         if not (run / name).exists():
             raise ValueError(f"no {name} in {run}; rerun cluster")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{MANIFEST_NAME} is not JSON ({exc}); rerun cluster") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{MANIFEST_NAME} is not a JSON object; rerun cluster")
+    kinds = {"config": dict, "corpus_path": str, "corpus_sha256": str}
+    wrong = [key for key, kind in kinds.items() if not isinstance(manifest.get(key), kind)]
+    if wrong:
+        raise ValueError(f"{MANIFEST_NAME}: {', '.join(wrong)} missing or of the wrong type; rerun cluster")
     differing = set(manifest["config"]) ^ set(asdict(PipelineConfig()))
     if differing:
         raise ValueError(
@@ -329,7 +339,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     _, line = next(itertools.islice(jsonl_lines(data), position, None))
     doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
-    stream = apply_bigrams(token_ids([normalize_tokenize(doc.text, doc.id)]), selected)[0]
+    stream = apply_bigrams(tokenize_corpus(Corpus((doc,))), selected)[0]
     highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0

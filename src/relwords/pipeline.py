@@ -16,12 +16,12 @@ from .features import FeatureMatrix, build_vocabulary, vectorize
 from .text import (
     BigramCandidate,
     TokenIds,
-    TokenStream,
     apply_bigrams,
     count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
+    token_ids,
 )
 
 
@@ -54,21 +54,11 @@ class PipelineResult:
     assignment: ClusterAssignment
 
 
-def tokenize_corpus(corpus: Corpus) -> list[TokenStream]:
-    """``normalize_tokenize`` of every document, in corpus order.
-
-    Equal tokens share one string object across the corpus: each token is
-    mapped through a dict that lives only for this call. The later stages
-    then hash and compare one string per distinct token, with its hash
-    cached and equal keys pointer-equal, not a copy per occurrence.
-    """
-    shared: dict[str, str] = {}
-    intern = shared.setdefault
-    streams = []
-    for doc in corpus.docs:
-        tokens = normalize_tokenize(doc.text).tokens
-        streams.append(TokenStream(doc.id, tuple(map(intern, tokens, tokens))))
-    return streams
+def tokenize_corpus(corpus: Corpus) -> TokenIds:
+    """The corpus as token ids: ``normalize_tokenize`` of every document, in
+    corpus order, each numbered by ``token_ids`` as it is split, so no string
+    tuple outlives its document."""
+    return token_ids(normalize_tokenize(doc.text, doc.id) for doc in corpus.docs)
 
 
 def prepare_streams(
@@ -76,9 +66,7 @@ def prepare_streams(
 ) -> tuple[TokenIds, dict[tuple[str, str], BigramCandidate]]:
     """Tokenize the corpus, count it once, and merge its distinctive bigrams
     (returned with the merged token ids, keyed by pair)."""
-    streams = tokenize_corpus(corpus)
-    counts = count_corpus(streams)
-    del streams  # the counts hold the corpus as token ids
+    counts = count_corpus(tokenize_corpus(corpus))
     candidates = score_bigrams(counts, discount=config.bigram_discount)
     selected = select_bigrams(candidates, counts)
     return apply_bigrams(counts.corpus, selected), selected

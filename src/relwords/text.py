@@ -11,11 +11,10 @@ import io
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
-from pathlib import Path
+from itertools import count
 
 import numpy as np
 from scipy import sparse
@@ -122,19 +121,24 @@ class TokenIds:
         return sparse.csr_matrix((counts, ids, indptr), shape=(len(self), n))
 
 
-def token_ids(streams: Sequence[TokenStream]) -> TokenIds:
-    """Intern a corpus: one dict lookup per token numbers it by first sight,
-    and ranking the distinct tokens once turns those numbers into ids."""
+def token_ids(streams: Iterable[TokenStream]) -> TokenIds:
+    """Intern a corpus in one pass over its streams: one dict lookup per
+    token numbers it by first sight, a document at a time, and ranking the
+    distinct tokens once turns those numbers into ids. ``streams`` may be a
+    generator, so no stream need outlive its numbering."""
     first_seen = defaultdict(count().__next__)
-    lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
-    flat = chain.from_iterable(stream.tokens for stream in streams)
-    seen = np.fromiter(map(first_seen.__getitem__, flat), dtype=np.int32, count=int(lengths.sum()))
+    doc_ids, seen = [], []
+    for stream in streams:
+        doc_ids.append(stream.doc_id)
+        numbers = map(first_seen.__getitem__, stream.tokens)
+        seen.append(np.fromiter(numbers, dtype=np.int32, count=len(stream)))
+    lengths = np.fromiter(map(len, seen), dtype=np.int64, count=len(seen))
     distinct = list(first_seen)
     order = sorted(range(len(distinct)), key=distinct.__getitem__)
     rank = np.empty(len(distinct), dtype=np.int32)
     rank[order] = np.arange(len(distinct), dtype=np.int32)
-    tokens = tuple(map(distinct.__getitem__, order))
-    return TokenIds(tuple(stream.doc_id for stream in streams), tokens, rank[seen], lengths)
+    ids = rank[np.concatenate(seen)] if seen else rank  # no documents: rank is empty
+    return TokenIds(tuple(doc_ids), tuple(map(distinct.__getitem__, order)), ids, lengths)
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ class CorpusCounts:
     """The unigrams and within-document adjacent pairs of a corpus.
 
     ``corpus`` is the corpus as token ids, which the merge
-    (``apply_bigrams``), the vocabulary and the count matrix carry on from,
-    so no later stage hashes a token occurrence again.
+    (``apply_bigrams``), the vocabulary and the count matrix carry on from;
+    no stage after ``token_ids`` hashes a token occurrence.
     ``unigrams[i]`` counts token id i of ``corpus``. Each adjacent ordered
     pair within a document is the key ``first * n + second`` (n tokens), so
     keys sort in the pairs' tuple order: ``pairs`` holds the distinct keys,
@@ -158,12 +162,11 @@ class CorpusCounts:
     total: int
 
 
-def count_corpus(streams: Sequence[TokenStream]) -> CorpusCounts:
-    """Intern a corpus (``token_ids``) and count its unigrams and
-    within-document adjacent pairs."""
-    if not streams:
+def count_corpus(corpus: TokenIds) -> CorpusCounts:
+    """Count the unigrams and within-document adjacent pairs of a corpus of
+    token ids, from its ids alone."""
+    if not len(corpus):
         raise ValueError("empty corpus")
-    corpus = token_ids(streams)
     ids, n, total = corpus.ids, len(corpus.tokens), corpus.ids.size
     keys = ids[:-1] * np.int64(n)
     keys += ids[1:]
@@ -297,23 +300,18 @@ def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
             handle.write(f"{cand.first},{cand.second},{cand.score:.12g}\n")
 
 
-def read_bigrams_csv(source: str | Path | bytes) -> set[tuple[str, str]]:
-    """The ``(first, second)`` pairs of a ``write_bigrams_csv`` file.
+def read_bigrams_csv(data: bytes) -> set[tuple[str, str]]:
+    """The ``(first, second)`` pairs of a ``write_bigrams_csv`` file's bytes.
 
-    ``source`` is the file's path, or its bytes when the caller has read
-    them to hash (so that what is hashed is what is parsed). Tokens are
-    letters and digits only, so every row splits on ``,`` into three fields;
-    any other row is an error naming its line (and the file, given its path).
+    The caller reads the bytes to hash them, so what is hashed is what is
+    parsed. Tokens are letters and digits only, so every row splits on ``,``
+    into three fields; any other row is an error naming its line.
     """
-    if isinstance(source, bytes):
-        where, data = "", source
-    else:
-        where, data = f"{source}: ", Path(source).read_bytes()
     handle = io.StringIO(data.decode("utf-8"), newline="\n")  # lines end at "\n" only
     if handle.readline() != _BIGRAMS_HEADER:
-        raise ValueError(f"{where}not a bigrams CSV (no first,second,score header)")
+        raise ValueError("not a bigrams CSV (no first,second,score header)")
     rows = [line.split(",", 2) for line in handle]
     for number, row in enumerate(rows, start=2):
         if len(row) != 3:
-            raise ValueError(f"{where}line {number}: not a first,second,score row: {','.join(row)!r}")
+            raise ValueError(f"line {number}: not a first,second,score row: {','.join(row)!r}")
     return {(first, second) for first, second, _ in rows}

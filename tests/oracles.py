@@ -267,7 +267,7 @@ def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     """The relevance table of a cluster run derived again from the corpus
     text: tokenize every document, merge the run's ``bigrams.csv``, build the
     vocabulary at ``min_df`` and count occurrences under the run's labels."""
-    selected = read_bigrams_csv(bigrams_path)
+    selected = read_bigrams_csv(bigrams_path.read_bytes())
     streams = [normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
     merged = apply_bigrams(token_ids(streams), selected)
     vocab = build_vocabulary(merged, min_df=min_df)

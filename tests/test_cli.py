@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -207,17 +208,18 @@ class TestReadCommandsReuseRunBigrams:
         def refuse(*args, **kwargs):
             raise AssertionError("the run's bigrams or counts are re-derived")
 
+        tokenize_corpus = cli.tokenize_corpus
         for name in ("tokenize_corpus", "count_corpus", "score_bigrams", "select_bigrams"):
             monkeypatch.setattr(pipeline, name, refuse)
         for name in ("build_vocabulary", "term_counts", "build_occurrence_index"):
             monkeypatch.setattr(cli, name, refuse)
         tokenized = []
 
-        def tokenize(text, doc_id):
-            tokenized.append(doc_id)
-            return relwords.normalize_tokenize(text, doc_id)
+        def tokenize(corpus):
+            tokenized.extend(corpus.ids())
+            return tokenize_corpus(corpus)
 
-        monkeypatch.setattr(cli, "normalize_tokenize", tokenize)
+        monkeypatch.setattr(cli, "tokenize_corpus", tokenize)
         for argv in read_commands(phrase_run, after):
             assert main(argv) == 0
         assert written(after) == written(before)
@@ -556,6 +558,16 @@ def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
     assert artifacts["1"] == artifacts["2"]
 
 
+def without_key(key):
+    """A manifest damage: the manifest without ``key``."""
+    return lambda data: json.dumps({k: v for k, v in json.loads(data).items() if k != key}).encode()
+
+
+def with_value(key, value):
+    """A manifest damage: the manifest with ``key`` set to ``value``."""
+    return lambda data: json.dumps({**json.loads(data), key: value}).encode()
+
+
 class TestRelevant:
     def test_writes_relevance_csv(self, run_dir, tmp_path):
         out = tmp_path / "relevance.csv"
@@ -603,6 +615,32 @@ class TestRelevant:
         assert main(["relevant", "--run", str(outdir)]) == 1
         err = capsys.readouterr().err
         assert f"run config keys differ from this version's: {key}; rerun cluster" in err
+
+    @pytest.mark.parametrize(
+        "damage, cause",
+        [
+            *(
+                pytest.param(without_key(key), f": {key} missing", id=f"no-{key}")
+                for key in ("config", "corpus_path", "corpus_sha256")
+            ),
+            pytest.param(with_value("config", 5), ": config missing or of the wrong type", id="config-5"),
+            pytest.param(with_value("corpus_path", None), ": corpus_path missing", id="corpus_path-null"),
+            pytest.param(lambda data: data[: len(data) // 2], " is not JSON", id="truncated"),
+            pytest.param(lambda data: b"\xff" + data, " is not JSON", id="not-utf8"),
+            pytest.param(lambda data: json.dumps([json.loads(data)]).encode(), " is not a JSON object", id="list"),
+        ],
+    )
+    def test_damaged_manifest_named_with_its_cause(self, tmp_path, run_dir, capsys, damage, cause):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        manifest_path = run / "manifest.json"
+        manifest_path.write_bytes(damage(manifest_path.read_bytes()))
+        capsys.readouterr()
+        for argv in read_commands(run, tmp_path):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"relwords {argv[0]}: error: manifest.json{cause}"), err
+            assert err.endswith("; rerun cluster\n"), err
 
 
 @pytest.mark.parametrize("command", ["cluster", "relevant"])

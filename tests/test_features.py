@@ -236,7 +236,7 @@ class TestIdPathAsTheStringOracles:
     )
     def test_same_streams_vocabulary_and_matrix(self, docs, selected, min_df):
         streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
-        counts = count_corpus(streams)
+        counts = count_corpus(token_ids(streams))
         reference_counts = count_corpus_reference(streams)
         assert dict(zip(counts.corpus.tokens, counts.unigrams.tolist())) == reference_counts.unigrams
         assert counts.total == reference_counts.total

@@ -58,7 +58,7 @@ class TestTokenizeCorpus:
     ))
 
     def test_streams_as_each_document_tokenized_alone(self):
-        streams = tokenize_corpus(self.CORPUS)
+        streams = list(tokenize_corpus(self.CORPUS))
         assert streams == [normalize_tokenize(doc.text, doc.id) for doc in self.CORPUS.docs]
         assert "i\u0307stanbul" in streams[0].tokens
 
@@ -71,10 +71,11 @@ class TestTokenizeCorpus:
 
 class TestTextStageMemory:
     # The bound is the traced peak of prepare_streams -> build_vocabulary ->
-    # vectorize on the corpus below, per token, of the stages that held a
-    # string per token (61.6 B). The id path peaks at ~47 B; a per-token
-    # int64 temporary alive across a stage adds 8 B.
-    PEAK_BYTES_PER_TOKEN = 61
+    # vectorize on the corpus below, per token, of the stages that held the
+    # whole corpus as string tuples until it was counted (47.3 B). Numbering
+    # each document's tokens as it is split peaks at ~39 B; a per-token int64
+    # temporary alive across a stage adds 8 B.
+    PEAK_BYTES_PER_TOKEN = 47
 
     @staticmethod
     def long_corpus(n_docs=100, doc_tokens=1000, seed=5):

@@ -148,16 +148,29 @@ random_streams = st.lists(
 )
 
 
+class TestTokenIds:
+    @settings(max_examples=100, deadline=None)
+    @given(streams=random_streams)
+    def test_ids_of_a_one_shot_generator_as_of_the_list(self, streams):
+        # token_ids makes one pass, so the streams may be made as it numbers them
+        once, listed = token_ids(s for s in streams), token_ids(streams)
+        assert once.doc_ids == listed.doc_ids and once.tokens == listed.tokens
+        for name in ("ids", "lengths"):
+            value, reference = getattr(once, name), getattr(listed, name)
+            assert value.dtype == reference.dtype and np.array_equal(value, reference), name
+        assert list(once) == streams
+
+
 class TestCountCorpus:
     def test_unigrams_pairs_and_total(self):
-        counts = count_corpus([stream("a", "b", "a"), stream("b")])
+        counts = count_corpus(token_ids([stream("a", "b", "a"), stream("b")]))
         assert counts.corpus.tokens == ("a", "b")
         assert counts_as_dicts(counts) == ({"a": 2, "b": 2}, {("a", "b"): 1, ("b", "a"): 1}, 4)
 
     @pytest.mark.parametrize("name", sorted(COUNT_FIXTURES))
     def test_same_counts_as_the_counter_oracle(self, name):
         streams = [stream(*tokens) for tokens in COUNT_FIXTURES[name]]
-        counts = count_corpus(streams)
+        counts = count_corpus(token_ids(streams))
         reference = count_corpus_reference(streams)
         assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
         assert list(counts.corpus.tokens) == sorted(reference.unigrams)
@@ -167,14 +180,14 @@ class TestCountCorpus:
         # doc k ends with "y" and doc k + 1 starts with "z", also across an
         # empty document and after a one-token one
         streams = [stream("x", "y"), stream("z", "x"), stream(), stream("y"), stream("z")]
-        _, pairs, total = counts_as_dicts(count_corpus(streams))
+        _, pairs, total = counts_as_dicts(count_corpus(token_ids(streams)))
         assert pairs == {("x", "y"): 1, ("z", "x"): 1}
         assert total == 6
 
     @settings(max_examples=200, deadline=None)
     @given(streams=random_streams, discount=st.integers(0, 3))
     def test_counts_and_candidates_as_the_oracle(self, streams, discount):
-        counts = count_corpus(streams)
+        counts = count_corpus(token_ids(streams))
         reference = count_corpus_reference(streams)
         assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
         candidates = score_bigrams(counts, discount=discount)
@@ -190,7 +203,7 @@ class TestScoreBigrams:
         # 1000 tokens, discount 5 -> (10-5)*1000/(10*10) = 50.
         streams = [stream("new", "york") for _ in range(10)]
         streams.append(TokenStream("filler", tuple(f"f{i}" for i in range(980))))
-        candidates = score_bigrams(count_corpus(streams), discount=5)
+        candidates = score_bigrams(count_corpus(token_ids(streams)), discount=5)
         by_pair = {(c.first, c.second): c for c in candidates}
         assert ("new", "york") in by_pair
         assert by_pair[("new", "york")].score == pytest.approx(50.0)
@@ -198,18 +211,18 @@ class TestScoreBigrams:
 
     def test_pair_at_discount_count_omitted(self):
         streams = [stream("a", "b") for _ in range(5)]
-        assert len(score_bigrams(count_corpus(streams), discount=5)) == 0
+        assert len(score_bigrams(count_corpus(token_ids(streams)), discount=5)) == 0
         streams.append(stream("a", "b"))
-        kept = score_bigrams(count_corpus(streams), discount=5)
+        kept = score_bigrams(count_corpus(token_ids(streams)), discount=5)
         assert [(c.first, c.second) for c in kept] == [("a", "b")]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            score_bigrams(count_corpus([]))
+            score_bigrams(count_corpus(token_ids([])))
 
     def test_candidates_in_pair_order(self):
         streams = [stream("b", "a", "b", "a", "c", "a")]
-        candidates = score_bigrams(count_corpus(streams), discount=0)
+        candidates = score_bigrams(count_corpus(token_ids(streams)), discount=0)
         pairs = [(c.first, c.second) for c in candidates]
         assert pairs == sorted(pairs) == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
 
@@ -217,7 +230,7 @@ class TestScoreBigrams:
     @pytest.mark.parametrize("discount", [0, 1])
     def test_bitwise_equal_to_the_counter_oracle(self, name, discount):
         streams = [stream(*tokens) for tokens in COUNT_FIXTURES[name]]
-        candidates = score_bigrams(count_corpus(streams), discount=discount)
+        candidates = score_bigrams(count_corpus(token_ids(streams)), discount=discount)
         reference = score_bigrams_reference(count_corpus_reference(streams), discount=discount)
         assert as_bits(candidates) == as_bits(reference)
         assert all(type(c.joint_count) is int and type(c.score) is float for c in candidates)
@@ -254,14 +267,15 @@ class TestScoreBigrams:
         ]
         total = sum(len(s.tokens) for s in streams)
         candidates = {
-            (c.first, c.second): c.score for c in score_bigrams(count_corpus(streams), discount=0)
+            (c.first, c.second): c.score
+            for c in score_bigrams(count_corpus(token_ids(streams)), discount=0)
         }
         assert candidates[("alpha", "beta")] == pytest.approx(total / (51 * 51))
         assert candidates[("liquid", "nitrogen")] > 10 * candidates[("alpha", "beta")]
 
 
 def score_and_select(streams, discount):
-    counts = count_corpus(streams)
+    counts = count_corpus(token_ids(streams))
     candidates = score_bigrams(counts, discount=discount)
     return candidates, select_bigrams(candidates, counts)
 
@@ -311,7 +325,7 @@ class TestSelectBigrams:
         assert selected == {}
 
     def test_threshold_invariant_to_candidate_order(self):
-        counts = count_corpus(self.make_planted())
+        counts = count_corpus(token_ids(self.make_planted()))
         candidates = score_bigrams(counts, discount=0)
         forward = select_bigrams(candidates, counts)
         reverse = {name: getattr(candidates, name)[::-1] for name in ("first", "second", "joint", "scores")}
@@ -329,7 +343,7 @@ class TestSelectBigrams:
             TokenStream(f"d{d}", tuple(words[i] for i in rng.integers(0, len(words), 10)))
             for d in range(6)
         ]
-        counts = count_corpus(streams)
+        counts = count_corpus(token_ids(streams))
         candidates = score_bigrams(counts, discount=0)
         expected, threshold = select_bigrams_reference(
             candidates, count_corpus_reference(streams)
@@ -383,7 +397,7 @@ class TestApplyBigrams:
 
 def test_bigrams_csv_dump(tmp_path):
     streams = [stream("new", "york")] * 8 + [stream("other", "words")]
-    candidates = score_bigrams(count_corpus(streams), discount=5)
+    candidates = score_bigrams(count_corpus(token_ids(streams)), discount=5)
     out = tmp_path / "bigrams.csv"
     write_bigrams_csv([c for c in candidates if (c.first, c.second) == ("new", "york")], out)
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -401,30 +415,28 @@ def test_bigrams_csv_round_trip(tmp_path):
     ]
     out = tmp_path / "bigrams.csv"
     write_bigrams_csv(selected, out)
-    assert read_bigrams_csv(out) == {(c.first, c.second) for c in selected}
+    assert read_bigrams_csv(out.read_bytes()) == {(c.first, c.second) for c in selected}
 
 
 def test_empty_bigram_selection_round_trip(tmp_path):
     out = tmp_path / "bigrams.csv"
     write_bigrams_csv([], out)
     assert out.read_text(encoding="utf-8") == "first,second,score\n"
-    assert read_bigrams_csv(out) == set()
-    out.write_text("", encoding="utf-8")
+    assert read_bigrams_csv(out.read_bytes()) == set()
     with pytest.raises(ValueError, match="not a bigrams CSV"):
-        read_bigrams_csv(out)
+        read_bigrams_csv(b"")
 
 
 @pytest.mark.parametrize("row", ["broken\n", "\n", "new,york\n"])
-def test_malformed_bigrams_row_rejected_naming_file_and_line(tmp_path, row):
-    out = tmp_path / "bigrams.csv"
-    out.write_text("first,second,score\nnew,york,12.5\n" + row, encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"{re.escape(str(out))}: line 3: "):
-        read_bigrams_csv(out)
+def test_malformed_bigrams_row_rejected_naming_line(row):
+    data = ("first,second,score\nnew,york,12.5\n" + row).encode("utf-8")
+    with pytest.raises(ValueError, match=r"^line 3: not a first,second,score row"):
+        read_bigrams_csv(data)
 
 
 def test_bigrams_csv_bytes_parse_as_the_file(tmp_path):
     out = tmp_path / "bigrams.csv"
     write_bigrams_csv([BigramCandidate("new", "york", 9, 12.5), BigramCandidate("東京", "都", 6, 40.0)], out)
-    assert read_bigrams_csv(out.read_bytes()) == read_bigrams_csv(out) == {("new", "york"), ("東京", "都")}
+    assert read_bigrams_csv(out.read_bytes()) == {("new", "york"), ("東京", "都")}
     with pytest.raises(ValueError, match=r"^line 4: not a first,second,score row"):
         read_bigrams_csv(out.read_bytes() + b"broken\n")

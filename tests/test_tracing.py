@@ -21,7 +21,7 @@ from relwords.clustering import NOISE, pairwise_distances
 from relwords.corpus import save_jsonl
 from relwords.features import build_vocabulary, vectorize
 from relwords.pipeline import PipelineConfig
-from relwords.text import apply_bigrams, count_corpus, normalize_tokenize, score_bigrams, select_bigrams
+from relwords.text import apply_bigrams, count_corpus, normalize_tokenize, score_bigrams, select_bigrams, token_ids
 
 from corpora import phrase_corpus, planted_topic_corpus
 
@@ -130,7 +130,7 @@ def test_traced_text_counts_as_the_documents_tokenized_one_by_one(tracing, tmp_p
     counts = tracing.op_counts(tracer.take_calls())
 
     streams = [normalize_tokenize(doc.text, doc.id) for doc in docs]
-    corpus_counts = count_corpus(streams)
+    corpus_counts = count_corpus(token_ids(streams))
     candidates = score_bigrams(corpus_counts)
     selected = select_bigrams(candidates, corpus_counts)
     merged = apply_bigrams(corpus_counts.corpus, selected)
