@@ -42,7 +42,6 @@ from .report import (
     term_trends,
 )
 from .text import (
-    BigramCandidate,
     BigramCandidates,
     TokenIds,
     TokenStream,
@@ -57,7 +56,6 @@ from .text import (
 __all__ = [
     "__version__",
     "NOISE",
-    "BigramCandidate",
     "BigramCandidates",
     "ClusterAssignment",
     "Corpus",

@@ -144,7 +144,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     doc_ids = corpus.ids()
     write_labels_csv(result.assignment, doc_ids, outdir / LABELS_NAME)
-    write_bigrams_csv(result.selected_bigrams.values(), outdir / BIGRAMS_NAME)
+    write_bigrams_csv(result.selected_bigrams, outdir / BIGRAMS_NAME)
     features, labels = result.features, result.assignment.labels.tolist()
     index = build_occurrence_index(features.counts, features.vocab, labels)
     (outdir / OCCURRENCE_NAME).write_text(_occurrence_json(index) + "\n", encoding="utf-8")

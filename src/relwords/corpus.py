@@ -233,19 +233,21 @@ def load_dir(path: str | Path) -> Corpus:
 
 def month_range(spec: str) -> list[tuple[int, int]]:
     """Parse a month list like ``2017-01``, ``2016-12..2017-02``, or a
-    comma-separated mix of both, into (year, month) pairs."""
+    comma-separated mix of both, into (year, month) pairs in the order given.
+    A range running backwards, or a month given twice (directly or by
+    overlapping ranges), is an error naming it."""
     months: list[tuple[int, int]] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            year, month = _parse_month(lo)
-            end = _parse_month(hi)
-            while (year, month) <= end:
-                months.append((year, month))
-                year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-        elif part:
-            months.append(_parse_month(part))
+    for part in filter(None, map(str.strip, spec.split(","))):
+        lo, dots, hi = part.partition("..")
+        year, month = start = _parse_month(lo)
+        end = _parse_month(hi) if dots else start
+        if start > end:
+            raise ValueError(f"reversed month range: {part!r} (start after end)")
+        while (year, month) <= end:
+            if (year, month) in months:
+                raise ValueError(f"month given twice: {year:04d}-{month:02d} (again in {part!r})")
+            months.append((year, month))
+            year, month = (year + 1, 1) if month == 12 else (year, month + 1)
     if not months:
         raise ValueError(f"no months in range spec: {spec!r}")
     return months
@@ -279,8 +281,7 @@ def fetch_archive(
     docs: list[Document] = []
     dropped = 0
     for year, month in months:
-        payload = _fetch_month(endpoint, year, month, key, cache_root)
-        for item in _archive_docs(payload):
+        for item in _fetch_month(endpoint, year, month, key, cache_root):
             for name in ("_id", "snippet", "pub_date"):
                 if name not in item:
                     raise ValueError(f"archive response missing field {name!r}")
@@ -301,8 +302,8 @@ def fetch_archive(
     return Corpus(tuple(docs))
 
 
-def _archive_docs(payload: dict) -> list[dict]:
-    response = payload.get("response")
+def _archive_docs(payload) -> list[dict]:
+    response = payload.get("response") if isinstance(payload, dict) else None
     if not isinstance(response, dict):
         raise ValueError("archive response missing field 'response'")
     items = response.get("docs")
@@ -331,12 +332,16 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
             return exc.code, exc.read()
 
 
-def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Path) -> dict:
+def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Path) -> list[dict]:
     from http.client import HTTPException  # as urllib.request, only fetch needs it
 
     cached = _cache_path(cache_root, endpoint, year, month)
     if cached.exists():
-        return json.loads(cached.read_text(encoding="utf-8"))
+        try:
+            return _archive_docs(json.loads(cached.read_text(encoding="utf-8")))
+        except ValueError as exc:  # not UTF-8, not JSON, or not an archive response
+            where = f"archive cache file for {year:04d}-{month:02d}: {cached}"
+            raise ValueError(f"damaged {where}: {exc}; delete it to fetch again") from exc
     url = endpoint.format(year=year, month=month, key=key)
     last_error: Exception | None = None
     for attempt in range(_FETCH_ATTEMPTS):
@@ -356,9 +361,9 @@ def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Pat
                 except ValueError as exc:
                     last_error = ValueError(f"HTTP 200 with a non-JSON body ({exc})")
                 else:
-                    _archive_docs(payload)  # validate before caching
+                    items = _archive_docs(payload)  # validate before caching
                     _atomic_write(cached, json.dumps(payload, ensure_ascii=False))
-                    return payload
+                    return items
         if attempt < _FETCH_ATTEMPTS - 1:
             time.sleep(_FETCH_BACKOFF * (2**attempt))
     raise RuntimeError(f"archive fetch failed for {year:04d}-{month:02d}: {last_error}")

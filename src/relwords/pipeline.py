@@ -14,7 +14,7 @@ from .corpus import Corpus
 from .embedding import DEFAULT_COMPONENTS, KernelPca, fit_kpca, transform
 from .features import FeatureMatrix, build_vocabulary, vectorize
 from .text import (
-    BigramCandidate,
+    BigramCandidates,
     TokenIds,
     apply_bigrams,
     count_corpus,
@@ -48,7 +48,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    selected_bigrams: dict[tuple[str, str], BigramCandidate]
+    selected_bigrams: BigramCandidates
     features: FeatureMatrix
     model: KernelPca
     assignment: ClusterAssignment
@@ -61,11 +61,9 @@ def tokenize_corpus(corpus: Corpus) -> TokenIds:
     return token_ids(normalize_tokenize(doc.text, doc.id) for doc in corpus.docs)
 
 
-def prepare_streams(
-    corpus: Corpus, config: PipelineConfig
-) -> tuple[TokenIds, dict[tuple[str, str], BigramCandidate]]:
+def prepare_streams(corpus: Corpus, config: PipelineConfig) -> tuple[TokenIds, BigramCandidates]:
     """Tokenize the corpus, count it once, and merge its distinctive bigrams
-    (returned with the merged token ids, keyed by pair)."""
+    (returned with the merged token ids)."""
     counts = count_corpus(tokenize_corpus(corpus))
     candidates = score_bigrams(counts, discount=config.bigram_discount)
     selected = select_bigrams(candidates, counts)

@@ -11,7 +11,7 @@ import io
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -46,14 +46,6 @@ class TokenStream:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-@dataclass(frozen=True)
-class BigramCandidate:
-    first: str
-    second: str
-    joint_count: int
-    score: float
 
 
 def normalize_tokenize(text: str, doc_id: str = "") -> TokenStream:
@@ -102,9 +94,14 @@ class TokenIds:
     def __getitem__(self, k: int) -> TokenStream:
         """Document k as a token stream."""
         k = range(len(self))[k]
-        start = int(self.lengths[:k].sum())
-        ids = self.ids[start : start + int(self.lengths[k])]
+        end = int(self.ends[k])
+        ids = self.ids[end - int(self.lengths[k]) : end]
         return TokenStream(self.doc_ids[k], tuple(map(self.tokens.__getitem__, ids.tolist())))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """int64: document k is ``ids[ends[k] - lengths[k] : ends[k]]``. Made on first use."""
+        return np.cumsum(self.lengths)
 
     @cached_property
     def counts(self) -> sparse.csr_matrix:
@@ -171,7 +168,7 @@ def count_corpus(corpus: TokenIds) -> CorpusCounts:
     keys = ids[:-1] * np.int64(n)
     keys += ids[1:]
     # The pair ending a document and starting the next is no adjacency.
-    ends = np.cumsum(corpus.lengths)
+    ends = corpus.ends
     keys = np.delete(keys, ends[(ends > 0) & (ends < total)] - 1)
     pairs, pair_counts = np.unique(keys, return_counts=True)
     return CorpusCounts(corpus, np.bincount(ids, minlength=n), pairs, pair_counts, total)
@@ -190,21 +187,20 @@ def _phrase_scores(counts: CorpusCounts, keys: np.ndarray, joint: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class BigramCandidates:
     """Scored adjacent pairs in pair order, as arrays: the ids ``first`` and
-    ``second`` into ``tokens``, the pair's adjacent count ``joint`` and its
-    score. ``candidates[i]`` builds candidate i as a ``BigramCandidate``."""
+    ``second`` into ``tokens``, and each pair's score. Iterating yields each
+    pair's ``(first, second)`` strings, in pair order."""
 
     tokens: tuple[str, ...]
     first: np.ndarray
     second: np.ndarray
-    joint: np.ndarray
     scores: np.ndarray
 
     def __len__(self) -> int:
         return self.scores.size
 
-    def __getitem__(self, i: int) -> BigramCandidate:
-        first, second = self.tokens[self.first[i]], self.tokens[self.second[i]]
-        return BigramCandidate(first, second, int(self.joint[i]), float(self.scores[i]))
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        token = self.tokens.__getitem__
+        return zip(map(token, self.first.tolist()), map(token, self.second.tolist()))
 
 
 def score_bigrams(counts: CorpusCounts, discount: int = 5) -> BigramCandidates:
@@ -217,34 +213,33 @@ def score_bigrams(counts: CorpusCounts, discount: int = 5) -> BigramCandidates:
     stay below 2**53.
     """
     frequent = counts.pair_counts > discount
-    joint = counts.pair_counts[frequent]
-    first, second, scores = _phrase_scores(counts, counts.pairs[frequent], joint - discount)
-    return BigramCandidates(counts.corpus.tokens, first, second, joint, scores)
+    joint = counts.pair_counts[frequent] - discount
+    return BigramCandidates(counts.corpus.tokens, *_phrase_scores(counts, counts.pairs[frequent], joint))
 
 
-def select_bigrams(
-    candidates: BigramCandidates, counts: CorpusCounts
-) -> dict[tuple[str, str], BigramCandidate]:
+def select_bigrams(candidates: BigramCandidates, counts: CorpusCounts) -> BigramCandidates:
     """Keep the candidates scoring far above randomly chosen adjacent pairs.
 
     The baseline is the undiscounted score of ``10 * len(candidates)`` pairs
     sampled uniformly (with replacement) from all pairs adjacent anywhere in
     the corpus, in pair order; the cut is mean + 2 std of those baseline
     scores. The draw is fixed (``np.random.default_rng(0)``), so the same
-    corpus always gets the same cut. Returns the kept candidates keyed by
-    ``(first, second)``.
+    corpus always gets the same cut. Returns the kept candidates, in pair
+    order: none when there are no candidates, fewer than two distinct
+    tokens or no adjacent pairs.
     """
-    if not len(candidates) or len(counts.corpus.tokens) < 2 or not len(counts.pairs):
-        return {}
-    rng = np.random.default_rng(0)
-    picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
-    *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
-    threshold = baseline.mean() + 2.0 * baseline.std()
-    kept = map(candidates.__getitem__, np.flatnonzero(candidates.scores > threshold).tolist())
-    return {(c.first, c.second): c for c in kept}
+    threshold = np.inf
+    if len(candidates) and len(counts.corpus.tokens) >= 2 and len(counts.pairs):
+        rng = np.random.default_rng(0)
+        picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
+        *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
+        threshold = baseline.mean() + 2.0 * baseline.std()
+    keep = candidates.scores > threshold
+    first, second, scores = candidates.first[keep], candidates.second[keep], candidates.scores[keep]
+    return BigramCandidates(candidates.tokens, first, second, scores)
 
 
-def apply_bigrams(corpus: TokenIds, selected: Collection[tuple[str, str]]) -> TokenIds:
+def apply_bigrams(corpus: TokenIds, selected: Iterable[tuple[str, str]]) -> TokenIds:
     """Merge selected adjacent pairs into single joined tokens.
 
     Greedy left-to-right within each document: a token consumed by a merge
@@ -266,9 +261,8 @@ def apply_bigrams(corpus: TokenIds, selected: Collection[tuple[str, str]]) -> To
     at = np.flatnonzero(first[ids[:-1]])  # positions whose token starts a selected pair
     keys = ids[at] * np.int64(n) + ids[at + 1]
     pair = np.minimum(np.searchsorted(wanted, keys), wanted.size - 1)
-    ends = np.cumsum(corpus.lengths)
-    doc = np.searchsorted(ends, at, side="right")
-    hit = (wanted[pair] == keys) & (at + 1 < ends[doc])  # selected, and within one document
+    doc = np.searchsorted(corpus.ends, at, side="right")
+    hit = (wanted[pair] == keys) & (at + 1 < corpus.ends[doc])  # selected, and within one document
     hits, pair, doc = at[hit], pair[hit], doc[hit]
     if not hits.size:
         return corpus
@@ -291,13 +285,16 @@ def apply_bigrams(corpus: TokenIds, selected: Collection[tuple[str, str]]) -> To
 _BIGRAMS_HEADER = "first,second,score\n"
 
 
-def write_bigrams_csv(selected: Iterable[BigramCandidate], path) -> None:
-    """The selected bigrams as ``first,second,score`` CSV, best first."""
-    rows = sorted(selected, key=lambda c: (-c.score, c.first, c.second))
+def write_bigrams_csv(selected: BigramCandidates, path) -> None:
+    """The selected bigrams as ``first,second,score`` CSV, best first, then
+    by first and second token (ids order as their strings)."""
+    order = np.lexsort((selected.second, selected.first, -selected.scores))
+    tokens = selected.tokens
+    rows = zip(*(column[order].tolist() for column in (selected.first, selected.second, selected.scores)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_BIGRAMS_HEADER)
-        for cand in rows:
-            handle.write(f"{cand.first},{cand.second},{cand.score:.12g}\n")
+        for first, second, score in rows:
+            handle.write(f"{tokens[first]},{tokens[second]},{score:.12g}\n")
 
 
 def read_bigrams_csv(data: bytes) -> set[tuple[str, str]]:

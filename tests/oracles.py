@@ -36,7 +36,6 @@ from relwords.report import (
 )
 from relwords.text import (
     JOINER,
-    BigramCandidate,
     TokenStream,
     apply_bigrams,
     normalize_tokenize,
@@ -299,7 +298,16 @@ def count_corpus_reference(streams) -> CounterCounts:
     return CounterCounts(unigrams, pairs, total)
 
 
-def score_bigrams_reference(counts: CounterCounts, discount: int = 5) -> list[BigramCandidate]:
+@dataclass(frozen=True)
+class ScoredPair:
+    """One bigram candidate of the references: a word pair and its score."""
+
+    first: str
+    second: str
+    score: float
+
+
+def score_bigrams_reference(counts: CounterCounts, discount: int = 5) -> list[ScoredPair]:
     """Every pair adjacent more than ``discount`` times, in tuple order,
     scored with Python integers: (joint - discount) * W / (count(a) * count(b))."""
     unigrams, total = counts.unigrams, counts.total
@@ -307,23 +315,33 @@ def score_bigrams_reference(counts: CounterCounts, discount: int = 5) -> list[Bi
     candidates = []
     for (first, second), joint in sorted(frequent):
         score = (joint - discount) * total / (unigrams[first] * unigrams[second])
-        candidates.append(BigramCandidate(first, second, joint, score))
+        candidates.append(ScoredPair(first, second, score))
     return candidates
 
 
-def select_bigrams_reference(candidates, counts: CounterCounts):
+def select_bigrams_reference(candidates: list[ScoredPair], counts: CounterCounts):
     """(selection, threshold) of the bigram selection, with the universe of
     adjacent pairs sorted as tuples: the cut is mean + 2 std of the
     undiscounted scores of ``10 * len(candidates)`` uniform draws from it
     by ``np.random.default_rng(0)``, and the candidates scoring above the
-    cut are kept."""
+    cut are kept, in their order."""
     unigrams, pairs, total = counts.unigrams, counts.pairs, counts.total
     universe = sorted(pairs)
     rng = np.random.default_rng(0)
     sample = [universe[pick] for pick in rng.integers(0, len(universe), size=10 * len(candidates))]
     baseline = np.array([pairs[(a, b)] * total / (unigrams[a] * unigrams[b]) for a, b in sample])
     threshold = baseline.mean() + 2.0 * baseline.std()
-    return {(c.first, c.second): c for c in candidates if c.score > threshold}, threshold
+    return [c for c in candidates if c.score > threshold], threshold
+
+
+def write_bigrams_csv_reference(selected: list[ScoredPair], path) -> None:
+    """The bigrams CSV written one row at a time: rows by score descending,
+    then by first and second token as Python strings compare; each score
+    printed with ``.12g``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("first,second,score\n")
+        for c in sorted(selected, key=lambda c: (-c.score, c.first, c.second)):
+            handle.write(f"{c.first},{c.second},{c.score:.12g}\n")
 
 
 def apply_bigrams_reference(stream: TokenStream, selected) -> TokenStream:

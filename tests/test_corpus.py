@@ -314,6 +314,26 @@ class TestFetchArchive:
         corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
         assert corpus.docs[0].text == "reconnected"
 
+    @pytest.mark.parametrize(
+        "content,cause",
+        [
+            ('{"response": {"docs": [', "Expecting value: line 1 column 24"),
+            ("", "Expecting value: line 1 column 1"),
+            ('{"response": {"notdocs": []}}', "missing field 'response.docs'"),
+            ("[1, 2]", "missing field 'response'"),
+        ],
+    )
+    def test_damaged_cache_file_named_not_refetched(self, tmp_path, monkeypatch, content, cause):
+        cache = corpus_mod._cache_path(tmp_path, self.ENDPOINT, 2017, 1)
+        cache.write_text(content, encoding="utf-8")
+        monkeypatch.setattr(corpus_mod, "_http_get", lambda *a, **k: pytest.fail("refetched"))
+        with pytest.raises(ValueError) as caught:
+            fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
+        message = str(caught.value)
+        assert str(cache) in message and "2017-01" in message and cause in message
+        assert message.endswith("delete it to fetch again")
+        assert cache.read_text(encoding="utf-8") == content  # left as it was
+
     def test_schema_mismatch_names_missing_field(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             corpus_mod,
@@ -398,6 +418,24 @@ class TestParseHelpers:
         assert month_range("2016-12,2017-02") == [(2016, 12), (2017, 2)]
         with pytest.raises(ValueError):
             month_range("2017-13")
+
+    def test_month_range_rejects_a_reversed_range_naming_it(self):
+        with pytest.raises(ValueError, match=r"reversed month range: '2017-03\.\.2017-01'"):
+            month_range("2017-03..2017-01,2017-05")
+        assert month_range("2017-03..2017-03") == [(2017, 3)]
+
+    @pytest.mark.parametrize(
+        "spec,month",
+        [
+            ("2017-01..2017-02,2017-02", "2017-02"),  # a month and a range holding it
+            ("2017-02,2017-2", "2017-02"),  # one month, spelled twice
+            ("2016-11..2017-01,2016-12..2017-03", "2016-12"),  # overlapping ranges
+            ("2017-05,2017-01..2017-06", "2017-05"),  # a month, then a range holding it
+        ],
+    )
+    def test_month_range_rejects_a_month_given_twice_naming_it(self, spec, month):
+        with pytest.raises(ValueError, match=f"month given twice: {month}"):
+            month_range(spec)
 
     def test_corpus_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="dup"):

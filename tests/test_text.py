@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relwords.text import (
-    BigramCandidate,
+    BigramCandidates,
     CorpusCounts,
     TokenIds,
     TokenStream,
@@ -26,11 +26,13 @@ from relwords.text import (
 
 from oracles import (
     CounterCounts,
+    ScoredPair,
     apply_bigrams_reference,
     count_corpus_reference,
     score_bigrams_reference,
     select_bigrams_reference,
     token_spans_reference,
+    write_bigrams_csv_reference,
 )
 
 
@@ -123,8 +125,15 @@ def counts_as_dicts(counts):
 
 
 def as_bits(candidates):
-    """Each candidate's fields, its score by its exact bits."""
-    return [(c.first, c.second, c.joint_count, c.score.hex()) for c in candidates]
+    """(first, second, score by its exact bits) of each candidate, of the
+    library's arrays or of the oracle's records."""
+    if isinstance(candidates, BigramCandidates):
+        return [(a, b, score.hex()) for (a, b), score in zip(candidates, candidates.scores.tolist())]
+    return [(c.first, c.second, c.score.hex()) for c in candidates]
+
+
+def scores_by_pair(candidates):
+    return dict(zip(candidates, candidates.scores.tolist()))
 
 
 # Token streams counted the same way by the interned counts and the
@@ -160,6 +169,16 @@ class TestTokenIds:
             assert value.dtype == reference.dtype and np.array_equal(value, reference), name
         assert list(once) == streams
 
+    def test_iterating_equals_indexing_around_empty_documents(self):
+        # "!!!" has no tokens: an empty document first, in the middle and last
+        texts = ["!!!", "a b", "!!!", "c a b", "b", "!!!"]
+        streams = [normalize_tokenize(text, f"d{k}") for k, text in enumerate(texts)]
+        corpus = token_ids(streams)
+        assert list(corpus) == [corpus[k] for k in range(len(corpus))] == streams
+        assert corpus[-1] == streams[-1] and corpus[-5] == streams[1]
+        with pytest.raises(IndexError):
+            corpus[len(texts)]
+
 
 class TestCountCorpus:
     def test_unigrams_pairs_and_total(self):
@@ -191,10 +210,11 @@ class TestCountCorpus:
         reference = count_corpus_reference(streams)
         assert counts_as_dicts(counts) == (reference.unigrams, reference.pairs, reference.total)
         candidates = score_bigrams(counts, discount=discount)
-        assert as_bits(candidates) == as_bits(score_bigrams_reference(reference, discount=discount))
+        reference_candidates = score_bigrams_reference(reference, discount=discount)
+        assert as_bits(candidates) == as_bits(reference_candidates)
         # the oracle averages an empty baseline when there is nothing to select
-        expected = select_bigrams_reference(candidates, reference)[0] if candidates else {}
-        assert select_bigrams(candidates, counts) == expected
+        expected = select_bigrams_reference(reference_candidates, reference)[0] if candidates else []
+        assert as_bits(select_bigrams(candidates, counts)) == as_bits(expected)
 
 
 class TestScoreBigrams:
@@ -204,17 +224,15 @@ class TestScoreBigrams:
         streams = [stream("new", "york") for _ in range(10)]
         streams.append(TokenStream("filler", tuple(f"f{i}" for i in range(980))))
         candidates = score_bigrams(count_corpus(token_ids(streams)), discount=5)
-        by_pair = {(c.first, c.second): c for c in candidates}
-        assert ("new", "york") in by_pair
-        assert by_pair[("new", "york")].score == pytest.approx(50.0)
-        assert by_pair[("new", "york")].joint_count == 10
+        assert ("new", "york") in candidates
+        assert scores_by_pair(candidates)[("new", "york")] == pytest.approx(50.0)
 
     def test_pair_at_discount_count_omitted(self):
         streams = [stream("a", "b") for _ in range(5)]
         assert len(score_bigrams(count_corpus(token_ids(streams)), discount=5)) == 0
         streams.append(stream("a", "b"))
         kept = score_bigrams(count_corpus(token_ids(streams)), discount=5)
-        assert [(c.first, c.second) for c in kept] == [("a", "b")]
+        assert list(kept) == [("a", "b")]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -223,7 +241,7 @@ class TestScoreBigrams:
     def test_candidates_in_pair_order(self):
         streams = [stream("b", "a", "b", "a", "c", "a")]
         candidates = score_bigrams(count_corpus(token_ids(streams)), discount=0)
-        pairs = [(c.first, c.second) for c in candidates]
+        pairs = list(candidates)
         assert pairs == sorted(pairs) == [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
 
     @pytest.mark.parametrize("name", sorted(COUNT_FIXTURES))
@@ -233,7 +251,7 @@ class TestScoreBigrams:
         candidates = score_bigrams(count_corpus(token_ids(streams)), discount=discount)
         reference = score_bigrams_reference(count_corpus_reference(streams), discount=discount)
         assert as_bits(candidates) == as_bits(reference)
-        assert all(type(c.joint_count) is int and type(c.score) is float for c in candidates)
+        assert candidates.scores.dtype == np.float64
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -266,10 +284,7 @@ class TestScoreBigrams:
             *[stream("liquid", "nitrogen")] * 30,
         ]
         total = sum(len(s.tokens) for s in streams)
-        candidates = {
-            (c.first, c.second): c.score
-            for c in score_bigrams(count_corpus(token_ids(streams)), discount=0)
-        }
+        candidates = scores_by_pair(score_bigrams(count_corpus(token_ids(streams)), discount=0))
         assert candidates[("alpha", "beta")] == pytest.approx(total / (51 * 51))
         assert candidates[("liquid", "nitrogen")] > 10 * candidates[("alpha", "beta")]
 
@@ -295,9 +310,10 @@ class TestSelectBigrams:
     def test_planted_collocation_selected(self):
         candidates, selected = score_and_select(self.make_planted(), discount=5)
         assert ("betsy", "devos") in selected
-        # the kept candidates are handed back, keyed by their pair
-        assert all(selected[pair] in candidates for pair in selected)
-        assert all((c.first, c.second) == pair for pair, c in selected.items())
+        # the kept candidates are handed back as rows of the candidates, in pair order
+        kept = set(selected)
+        assert selected.tokens is candidates.tokens
+        assert as_bits(selected) == [row for row in as_bits(candidates) if row[:2] in kept]
 
     def test_shuffled_corpus_selects_almost_nothing(self):
         rng = np.random.default_rng(11)
@@ -317,20 +333,33 @@ class TestSelectBigrams:
         # "a b a b a b": score(a,b)=2, score(b,a)=4/3; any baseline sample
         # containing both pairs puts mean+2std above 2, so nothing passes.
         candidates, selected = score_and_select([stream(*"ababab")], discount=0)
-        assert {(c.first, c.second) for c in candidates} == {("a", "b"), ("b", "a")}
-        assert selected == {}
+        assert set(candidates) == {("a", "b"), ("b", "a")}
+        assert len(selected) == 0
 
     def test_single_term_corpus_yields_empty_set(self):
         _, selected = score_and_select([stream("a", "a", "a")], discount=0)
-        assert selected == {}
+        assert len(selected) == 0
+
+    @pytest.mark.parametrize(
+        "text,discount,n_candidates",
+        [("a a a a a a a a", 5, 1), ("new york times", 5, 0)],
+    )
+    def test_nothing_to_select_is_an_empty_selection(self, text, discount, n_candidates):
+        # one distinct token (its pair a candidate all the same), or no
+        # candidates: the selection is empty, not the candidates handed back
+        candidates, selected = score_and_select([normalize_tokenize(text)], discount)
+        assert len(candidates) == n_candidates
+        assert isinstance(selected, BigramCandidates) and selected is not candidates
+        assert len(selected) == 0 and list(selected) == []
+        assert selected.first.size == selected.second.size == 0
 
     def test_threshold_invariant_to_candidate_order(self):
         counts = count_corpus(token_ids(self.make_planted()))
         candidates = score_bigrams(counts, discount=0)
         forward = select_bigrams(candidates, counts)
-        reverse = {name: getattr(candidates, name)[::-1] for name in ("first", "second", "joint", "scores")}
+        reverse = {name: getattr(candidates, name)[::-1] for name in ("first", "second", "scores")}
         backward = select_bigrams(replace(candidates, **reverse), counts)
-        assert forward == backward
+        assert len(forward) and as_bits(forward) == as_bits(backward)[::-1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_selection_and_threshold_as_the_tuple_sorted_universe(self, seed):
@@ -345,19 +374,18 @@ class TestSelectBigrams:
         ]
         counts = count_corpus(token_ids(streams))
         candidates = score_bigrams(counts, discount=0)
-        expected, threshold = select_bigrams_reference(
-            candidates, count_corpus_reference(streams)
-        )
-        assert select_bigrams(candidates, counts) == expected
+        reference = count_corpus_reference(streams)
+        expected, threshold = select_bigrams_reference(score_bigrams_reference(reference, 0), reference)
+        assert as_bits(select_bigrams(candidates, counts)) == as_bits(expected)
         # rescored to the reference's threshold and to the next float above
         # it, only the second candidate is kept iff the thresholds are equal
         scores = candidates.scores.copy()
         scores[:2] = threshold, np.nextafter(threshold, np.inf)
         rescored = replace(candidates, scores=scores)
-        at, above = rescored[0], rescored[1]
+        at, above, *_ = rescored
         selected = select_bigrams(rescored, counts)
-        assert (at.first, at.second) not in selected
-        assert (above.first, above.second) in selected
+        assert at not in selected
+        assert above in selected
 
 
 def merge_one(stream, selected):
@@ -395,11 +423,20 @@ class TestApplyBigrams:
         assert len(merged.tokens) <= len(tokens)
 
 
+def selection(*rows):
+    """A ``BigramCandidates`` of (first, second, score) rows, in the given
+    order, over the sorted tokens they name."""
+    tokens = tuple(sorted({token for first, second, _ in rows for token in (first, second)}))
+    first, second, scores = zip(*rows) if rows else ((), (), ())
+    ids = [np.array([tokens.index(t) for t in column], dtype=np.int64) for column in (first, second)]
+    return BigramCandidates(tokens, *ids, np.array(scores, dtype=np.float64))
+
+
 def test_bigrams_csv_dump(tmp_path):
     streams = [stream("new", "york")] * 8 + [stream("other", "words")]
     candidates = score_bigrams(count_corpus(token_ids(streams)), discount=5)
     out = tmp_path / "bigrams.csv"
-    write_bigrams_csv([c for c in candidates if (c.first, c.second) == ("new", "york")], out)
+    write_bigrams_csv(candidates, out)  # "other words" is adjacent once: no candidate
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "first,second,score"
     assert lines[1].startswith("new,york,")
@@ -407,20 +444,51 @@ def test_bigrams_csv_dump(tmp_path):
 
 
 def test_bigrams_csv_round_trip(tmp_path):
-    selected = [
-        BigramCandidate("new", "york", 9, 12.5),
-        BigramCandidate("são", "paulo", 7, 3.25),
-        BigramCandidate("i̇stanbul", "şehir", 6, 1e-7),
-        BigramCandidate("東京", "都", 6, 40.0),
-    ]
+    selected = selection(
+        ("new", "york", 12.5),
+        ("são", "paulo", 3.25),
+        ("i̇stanbul", "şehir", 1e-7),
+        ("東京", "都", 40.0),
+    )
     out = tmp_path / "bigrams.csv"
     write_bigrams_csv(selected, out)
-    assert read_bigrams_csv(out.read_bytes()) == {(c.first, c.second) for c in selected}
+    assert read_bigrams_csv(out.read_bytes()) == set(selected)
+
+
+def test_bigrams_csv_ties_ordered_by_first_then_second_token(tmp_path):
+    # equal scores fall back to the tokens in code-point order: "sao" before
+    # "são", and "zebra" before "é" (U+00E9) before "東京"
+    rows = [
+        ("東京", "都", 3.0),
+        ("são", "paulo", 3.0),
+        ("é", "a", 3.0),
+        ("new", "york", 3.0),
+        ("sao", "paulo", 3.0),
+        ("zebra", "z", 5.5),
+        ("new", "jersey", 3.0),
+        ("zebra", "a", 3.0),
+        ("são", "bento", 3.0),
+    ]
+    out, expected = tmp_path / "bigrams.csv", tmp_path / "expected.csv"
+    write_bigrams_csv(selection(*rows), out)
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+        "zebra,z,5.5",
+        "new,jersey,3",
+        "new,york,3",
+        "sao,paulo,3",
+        "são,bento,3",
+        "são,paulo,3",
+        "zebra,a,3",
+        "é,a,3",
+        "東京,都,3",
+    ]
+    write_bigrams_csv_reference([ScoredPair(*row) for row in rows], expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_empty_bigram_selection_round_trip(tmp_path):
     out = tmp_path / "bigrams.csv"
-    write_bigrams_csv([], out)
+    write_bigrams_csv(selection(), out)
     assert out.read_text(encoding="utf-8") == "first,second,score\n"
     assert read_bigrams_csv(out.read_bytes()) == set()
     with pytest.raises(ValueError, match="not a bigrams CSV"):
@@ -436,7 +504,7 @@ def test_malformed_bigrams_row_rejected_naming_line(row):
 
 def test_bigrams_csv_bytes_parse_as_the_file(tmp_path):
     out = tmp_path / "bigrams.csv"
-    write_bigrams_csv([BigramCandidate("new", "york", 9, 12.5), BigramCandidate("東京", "都", 6, 40.0)], out)
+    write_bigrams_csv(selection(("new", "york", 12.5), ("東京", "都", 40.0)), out)
     assert read_bigrams_csv(out.read_bytes()) == {("new", "york"), ("東京", "都")}
     with pytest.raises(ValueError, match=r"^line 4: not a first,second,score row"):
         read_bigrams_csv(out.read_bytes() + b"broken\n")
