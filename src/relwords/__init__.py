@@ -44,7 +44,6 @@ from .report import (
 from .text import (
     BigramCandidates,
     TokenIds,
-    TokenStream,
     apply_bigrams,
     count_corpus,
     normalize_tokenize,
@@ -66,7 +65,6 @@ __all__ = [
     "PipelineResult",
     "RelevanceTable",
     "TokenIds",
-    "TokenStream",
     "TrendTable",
     "Vocabulary",
     "WordCloudSpec",

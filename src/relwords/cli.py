@@ -339,8 +339,8 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     _, line = next(itertools.islice(jsonl_lines(data), position, None))
     doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
-    stream = apply_bigrams(tokenize_corpus(Corpus((doc,))), selected)[0]
-    highlight_html(doc, stream, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
+    tokens = apply_bigrams(tokenize_corpus(Corpus((doc,))), selected)[0]
+    highlight_html(doc, tokens, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

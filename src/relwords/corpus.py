@@ -281,35 +281,42 @@ def fetch_archive(
     docs: list[Document] = []
     dropped = 0
     for year, month in months:
-        for item in _fetch_month(endpoint, year, month, key, cache_root):
-            for name in ("_id", "snippet", "pub_date"):
-                if name not in item:
-                    raise ValueError(f"archive response missing field {name!r}")
-            snippet = item["snippet"]
-            if not isinstance(snippet, str) or not snippet.strip():
-                dropped += 1
-                continue
-            docs.append(
-                Document(
-                    id=str(item["_id"]),
-                    text=snippet,
-                    timestamp=parse_timestamp(str(item["pub_date"])),
-                )
-            )
+        month_docs, month_dropped = _fetch_month(endpoint, year, month, key, cache_root)
+        docs += month_docs
+        dropped += month_dropped
     if dropped:
         warnings.warn(f"dropped {dropped} archive items with empty snippets")
     docs.sort(key=lambda d: (d.timestamp, d.id))
     return Corpus(tuple(docs))
 
 
-def _archive_docs(payload) -> list[dict]:
+def _month_documents(payload) -> tuple[list[Document], int]:
+    """The documents of one month's archive response, and how many of its
+    items have an empty snippet and are dropped. Raises ValueError for a
+    response without its ``response.docs`` list, or an item that lacks a
+    field or holds no valid document."""
     response = payload.get("response") if isinstance(payload, dict) else None
     if not isinstance(response, dict):
         raise ValueError("archive response missing field 'response'")
     items = response.get("docs")
     if not isinstance(items, list):
         raise ValueError("archive response missing field 'response.docs'")
-    return items
+    docs: list[Document] = []
+    dropped = 0
+    for item in items:
+        for name in ("_id", "snippet", "pub_date"):
+            if not isinstance(item, dict) or name not in item:
+                raise ValueError(f"archive response missing field {name!r}")
+        snippet = item["snippet"]
+        if not isinstance(snippet, str) or not snippet.strip():
+            dropped += 1
+            continue
+        try:
+            timestamp = parse_timestamp(str(item["pub_date"]))
+        except ValueError as exc:
+            raise ValueError(f"archive item {item['_id']!r}: bad 'pub_date' value: {exc}") from exc
+        docs.append(Document(id=str(item["_id"]), text=snippet, timestamp=timestamp))
+    return docs, dropped
 
 
 def _cache_path(cache_root: Path, endpoint: str, year: int, month: int) -> Path:
@@ -332,13 +339,17 @@ def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
             return exc.code, exc.read()
 
 
-def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Path) -> list[dict]:
+def _fetch_month(
+    endpoint: str, year: int, month: int, key: str, cache_root: Path
+) -> tuple[list[Document], int]:
+    """``_month_documents`` of the month's cache file, or of its response,
+    which is cached only once they are made."""
     from http.client import HTTPException  # as urllib.request, only fetch needs it
 
     cached = _cache_path(cache_root, endpoint, year, month)
     if cached.exists():
         try:
-            return _archive_docs(json.loads(cached.read_text(encoding="utf-8")))
+            return _month_documents(json.loads(cached.read_text(encoding="utf-8")))
         except ValueError as exc:  # not UTF-8, not JSON, or not an archive response
             where = f"archive cache file for {year:04d}-{month:02d}: {cached}"
             raise ValueError(f"damaged {where}: {exc}; delete it to fetch again") from exc
@@ -361,9 +372,12 @@ def _fetch_month(endpoint: str, year: int, month: int, key: str, cache_root: Pat
                 except ValueError as exc:
                     last_error = ValueError(f"HTTP 200 with a non-JSON body ({exc})")
                 else:
-                    items = _archive_docs(payload)  # validate before caching
+                    try:
+                        month_docs = _month_documents(payload)  # validate before caching
+                    except ValueError as exc:
+                        raise ValueError(f"archive response for {year:04d}-{month:02d}: {exc}") from exc
                     _atomic_write(cached, json.dumps(payload, ensure_ascii=False))
-                    return items
+                    return month_docs
         if attempt < _FETCH_ATTEMPTS - 1:
             time.sleep(_FETCH_BACKOFF * (2**attempt))
     raise RuntimeError(f"archive fetch failed for {year:04d}-{month:02d}: {last_error}")

@@ -168,7 +168,7 @@ def transform(model: KernelPca) -> KernelPca:
 
     It computes nothing. It exists because the benchmark's tracer
     (``perfbench/tracing.py``) times the embedding stage as
-    ``pipeline.transform`` and sizes the arrays it returns; ROADMAP item 2
+    ``pipeline.transform`` and sizes the arrays it returns; ROADMAP item 2b
     deletes it once that span moves to ``fit_kpca``.
     """
     return model

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
@@ -96,21 +95,14 @@ def vectorize(corpus: TokenIds, vocab: Vocabulary) -> FeatureMatrix:
     tf is the term count divided by the document's total token count (all
     tokens, so out-of-vocabulary tokens still shrink tf of the rest). The
     counts are ``term_counts``, read from ``corpus.counts``, the one sort
-    ``build_vocabulary`` of the same corpus made. A document with no in-vocabulary token gets a zero row,
-    and one warning names how many there are and the first five.
+    ``build_vocabulary`` of the same corpus made. A document with no
+    in-vocabulary token gets a zero row and no counts; ``run_clustering``,
+    which has the documents' ids, warns of them.
     """
     if not len(corpus):
         raise ValueError("empty corpus")
     counts = term_counts(corpus, vocab.index)
     per_row = np.diff(counts.indptr)
-    empty = np.flatnonzero(per_row == 0).tolist()
-    if empty:
-        more = ", ..." if len(empty) > 5 else ""
-        warnings.warn(
-            f"{len(empty)} document(s) with no in-vocabulary tokens (zero feature vectors): "
-            + ", ".join(corpus.doc_ids[k] for k in empty[:5])
-            + more
-        )
     totals = np.repeat(corpus.lengths, per_row)
     weights = counts.data / totals * idf(vocab, len(corpus))[counts.indices]
     # Own index arrays: eliminate_zeros rewrites them in place, and counts is kept.

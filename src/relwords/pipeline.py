@@ -7,7 +7,10 @@ made, so a run is fully reproducible from its recorded config.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .clustering import DEFAULT_EPS, DEFAULT_MIN_PTS, ClusterAssignment, dbscan, pairwise_distances
 from .corpus import Corpus
@@ -58,7 +61,7 @@ def tokenize_corpus(corpus: Corpus) -> TokenIds:
     """The corpus as token ids: ``normalize_tokenize`` of every document, in
     corpus order, each numbered by ``token_ids`` as it is split, so no string
     tuple outlives its document."""
-    return token_ids(normalize_tokenize(doc.text, doc.id) for doc in corpus.docs)
+    return token_ids(normalize_tokenize(doc.text) for doc in corpus.docs)
 
 
 def prepare_streams(corpus: Corpus, config: PipelineConfig) -> tuple[TokenIds, BigramCandidates]:
@@ -71,13 +74,25 @@ def prepare_streams(corpus: Corpus, config: PipelineConfig) -> tuple[TokenIds, B
 
 
 def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> PipelineResult:
-    """Run the full pipeline and return every intermediate artifact."""
+    """Run the full pipeline and return every intermediate artifact.
+
+    Documents with no in-vocabulary token (zero feature vectors) get one
+    warning naming how many there are and the first five, by ``corpus`` id.
+    """
     if config is None:
         config = PipelineConfig()
     merged, selected = prepare_streams(corpus, config)
     vocab = build_vocabulary(merged, min_df=config.min_df)
     features = vectorize(merged, vocab)
     del merged  # the features hold all that is needed of it from here on
+    empty = np.flatnonzero(np.diff(features.counts.indptr) == 0).tolist()
+    if empty:
+        more = ", ..." if len(empty) > 5 else ""
+        warnings.warn(
+            f"{len(empty)} document(s) with no in-vocabulary tokens (zero feature vectors): "
+            + ", ".join(corpus.docs[k].id for k in empty[:5])
+            + more
+        )
     try:
         model = fit_kpca(features, max_components=config.kpca_components)
     except ValueError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -35,6 +34,8 @@ class OccurrenceIndex:
 
     ``counts[c, i]`` is the number of documents in cluster c that contain
     term i at least once; ``sizes[c]`` the cluster's document count.
+    ``terms`` are a vocabulary's, so in ascending string order (token ids
+    keep it): ranking breaks its last ties by column, which is term order.
     """
 
     terms: tuple[str, ...]
@@ -49,6 +50,8 @@ class RelevanceTable:
 
     ``fpr`` is clamped at 1 for storage; the raw value (mean + std can exceed
     1) is what the difference and quotient scores were computed from.
+    ``terms`` are the occurrence index's, in ascending string order, so a
+    column's position is its term's rank.
     """
 
     terms: tuple[str, ...]
@@ -169,23 +172,11 @@ def compute_relevance(
     )
 
 
-@lru_cache(maxsize=1)
-def _term_ranks(terms: tuple[str, ...]) -> np.ndarray:
-    """Each term's position in ascending term order.
-
-    Every cluster of a table ranks against the same terms, so the sort is
-    done once per table; the array is shared, so it is read-only.
-    """
-    ranks = np.empty(len(terms), dtype=np.intp)
-    ranks[np.argsort(np.array(terms, dtype=str))] = np.arange(len(terms))
-    ranks.flags.writeable = False
-    return ranks
-
-
-def _ranked(table: RelevanceTable, c: int, term_ranks: np.ndarray) -> np.ndarray:
+def _ranked(table: RelevanceTable, c: int) -> np.ndarray:
     """Term positions of cluster row ``c`` by score descending, ties by TPR
-    descending, then term ascending."""
-    return np.lexsort((term_ranks, -table.tpr[c], -table.r[c]))
+    descending, then term ascending: ``lexsort`` is stable and the terms are
+    in ascending order, so the last ties keep column order."""
+    return np.lexsort((-table.tpr[c], -table.r[c]))
 
 
 def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple[str, float]]:
@@ -196,7 +187,7 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     """
     c = table.cluster_position(cluster)
     n_positive = int(np.count_nonzero(table.r[c] > 0.0))
-    top = _ranked(table, c, _term_ranks(table.terms))[:n_positive][:k]
+    top = _ranked(table, c)[:n_positive][:k]
     return [(table.terms[i], score) for i, score in zip(top.tolist(), table.r[c, top].tolist())]
 
 
@@ -218,7 +209,6 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     term ascending) — the same order used for ranking. Values print as
     ``.12g``.
     """
-    term_ranks = _term_ranks(table.terms)
     # Each distinct value is formatted once. Values are told apart by bit
     # pattern, since 0.0 and -0.0 are equal as values but print differently,
     # and found column by column so that no copy of the whole table is made.
@@ -238,7 +228,7 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     with open(path, "wb") as handle:
         handle.write(b"cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
-            order = _ranked(table, c, term_ranks)
+            order = _ranked(table, c)
             cells[:, 0] = f"{cluster},"
             cells[:, 1] = terms[order]
             for j, (lookup, column) in enumerate(zip(lookups, columns), start=2):

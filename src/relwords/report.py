@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
 from .relevance import ClusterKey, RelevanceTable
-from .text import JOINER, TokenIds, TokenStream, normalize_tokenize, token_spans
+from .text import JOINER, TokenIds, normalize_tokenize, token_spans
 
 MIN_FONT_PT = 10.0
 MAX_FONT_PT = 48.0
@@ -237,15 +237,15 @@ def render_contrast_cloud(
     return spec
 
 
-def _align_raw_tokens(text: str, stream: TokenStream) -> list[tuple[int, int, str]]:
-    """Match the document's raw token positions to the (possibly merged)
-    stream terms.
+def _align_raw_tokens(text: str, tokens: tuple[str, ...]) -> list[tuple[int, int, str]]:
+    """Match the document's raw token positions to its (possibly merged)
+    tokens.
 
-    Returns (start, end, stream term) per raw token; a merged ``a_b`` term
-    covers two consecutive raw tokens, each mapped to the merged term.
+    Returns (start, end, token) per raw token; a merged ``a_b`` token
+    covers two consecutive raw tokens, each mapped to the merged token.
     """
     raw = token_spans(text)
-    parts = [(part, term) for term in stream.tokens for part in term.split(JOINER)]
+    parts = [(part, term) for term in tokens for part in term.split(JOINER)]
     if [token for *_, token in raw] != [part for part, _ in parts]:
         raise ValueError("token stream does not match document text")
     return [(start, end, term) for (start, end, _), (_, term) in zip(raw, parts)]
@@ -253,14 +253,15 @@ def _align_raw_tokens(text: str, stream: TokenStream) -> list[tuple[int, int, st
 
 def highlight_html(
     doc: Document,
-    stream: TokenStream,
+    tokens: tuple[str, ...],
     table: RelevanceTable,
     cluster: ClusterKey,
     path,
 ) -> None:
     """Write the document as HTML with its cluster's relevant words marked.
 
-    Each token whose term scores above zero is wrapped in a span whose
+    ``tokens`` are its tokens with bigrams merged, as ``apply_bigrams`` gives
+    them. Each token whose term scores above zero is wrapped in a span whose
     background opacity is the score; all other characters pass through
     untouched, so stripping the spans (and unescaping) restores the original
     text exactly.
@@ -268,7 +269,7 @@ def highlight_html(
     row = table.r[table.cluster_position(cluster)]
     positive = np.flatnonzero(row > 0.0)
     scores = dict(zip([table.terms[i] for i in positive.tolist()], row[positive].tolist()))
-    aligned = _align_raw_tokens(doc.text, stream)
+    aligned = _align_raw_tokens(doc.text, tokens)
     pieces: list[str] = []
     cursor = 0
     for start, end, term in aligned:
@@ -333,7 +334,7 @@ def term_trends(
     term_rows: dict[str, int] = {}
     for term in terms:
         parts = term.split(JOINER)
-        if len(parts) > 2 or any(normalize_tokenize(part).tokens != (part.lower(),) for part in parts):
+        if len(parts) > 2 or any(normalize_tokenize(part) != (part.lower(),) for part in parts):
             raise ValueError(f"trend term is neither a token nor a merged bigram: {term!r}")
         term = term.lower()
         if term in term_rows:

@@ -37,18 +37,7 @@ class _Separators(dict):
 _SEPARATORS = _Separators()
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    """The ordered tokens of one document."""
-
-    doc_id: str
-    tokens: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def normalize_tokenize(text: str, doc_id: str = "") -> TokenStream:
+def normalize_tokenize(text: str) -> tuple[str, ...]:
     """The runs of alphanumeric (``str.isalnum``) characters, lowercased.
 
     Every other character becomes a space (``_SEPARATORS``), and the spaced
@@ -57,7 +46,7 @@ def normalize_tokenize(text: str, doc_id: str = "") -> TokenStream:
     case-ignorable, so context rules such as the final sigma see the same
     token boundaries, and no letter or digit lowercases to whitespace.
     """
-    return TokenStream(doc_id, tuple(text.translate(_SEPARATORS).lower().split()))
+    return tuple(text.translate(_SEPARATORS).lower().split())
 
 
 def token_spans(text: str) -> list[tuple[int, int, str]]:
@@ -74,29 +63,29 @@ def token_spans(text: str) -> list[tuple[int, int, str]]:
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
-    """The token streams of a corpus as integer ids.
+    """The token streams of a corpus as integer ids, in corpus order.
 
     ``tokens`` are distinct and sorted, so ids order as their strings do.
     ``ids`` (int32) holds every document's token ids in corpus order, and
-    document k (``doc_ids[k]``) is the next ``lengths[k]`` of them. An id
-    need not occur: a merge leaves the ids of the tokens it consumed.
-    Strings are built back one document at a time, by ``corpus[k]``.
+    document k is the next ``lengths[k]`` of them. An id need not occur: a
+    merge leaves the ids of the tokens it consumed. Documents are rows, not
+    names: the ``Corpus`` the ids were made from names them. Strings are
+    built back one document at a time, by ``corpus[k]``.
     """
 
-    doc_ids: tuple[str, ...]
     tokens: tuple[str, ...]
     ids: np.ndarray
     lengths: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return self.lengths.size
 
-    def __getitem__(self, k: int) -> TokenStream:
-        """Document k as a token stream."""
+    def __getitem__(self, k: int) -> tuple[str, ...]:
+        """Document k's tokens."""
         k = range(len(self))[k]
         end = int(self.ends[k])
         ids = self.ids[end - int(self.lengths[k]) : end]
-        return TokenStream(self.doc_ids[k], tuple(map(self.tokens.__getitem__, ids.tolist())))
+        return tuple(map(self.tokens.__getitem__, ids.tolist()))
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -118,24 +107,24 @@ class TokenIds:
         return sparse.csr_matrix((counts, ids, indptr), shape=(len(self), n))
 
 
-def token_ids(streams: Iterable[TokenStream]) -> TokenIds:
-    """Intern a corpus in one pass over its streams: one dict lookup per
-    token numbers it by first sight, a document at a time, and ranking the
-    distinct tokens once turns those numbers into ids. ``streams`` may be a
-    generator, so no stream need outlive its numbering."""
+def token_ids(documents: Iterable[tuple[str, ...]]) -> TokenIds:
+    """Intern a corpus in one pass over its documents' token tuples: one
+    dict lookup per token numbers it by first sight, a document at a time,
+    and ranking the distinct tokens once turns those numbers into ids.
+    ``documents`` may be a generator, so no tuple need outlive its
+    numbering."""
     first_seen = defaultdict(count().__next__)
-    doc_ids, seen = [], []
-    for stream in streams:
-        doc_ids.append(stream.doc_id)
-        numbers = map(first_seen.__getitem__, stream.tokens)
-        seen.append(np.fromiter(numbers, dtype=np.int32, count=len(stream)))
+    seen = []
+    for tokens in documents:
+        numbers = map(first_seen.__getitem__, tokens)
+        seen.append(np.fromiter(numbers, dtype=np.int32, count=len(tokens)))
     lengths = np.fromiter(map(len, seen), dtype=np.int64, count=len(seen))
     distinct = list(first_seen)
     order = sorted(range(len(distinct)), key=distinct.__getitem__)
     rank = np.empty(len(distinct), dtype=np.int32)
     rank[order] = np.arange(len(distinct), dtype=np.int32)
     ids = rank[np.concatenate(seen)] if seen else rank  # no documents: rank is empty
-    return TokenIds(tuple(doc_ids), tuple(map(distinct.__getitem__, order)), ids, lengths)
+    return TokenIds(tuple(map(distinct.__getitem__, order)), ids, lengths)
 
 
 @dataclass(frozen=True)
@@ -279,7 +268,7 @@ def apply_bigrams(corpus: TokenIds, selected: Iterable[tuple[str, str]]) -> Toke
     merged[hits[merging]] = joined_ids[pair[merging]]
     merged = np.delete(merged, hits[merging] + 1)
     lengths = corpus.lengths - np.bincount(doc[merging], minlength=len(corpus))
-    return TokenIds(corpus.doc_ids, table, merged, lengths)
+    return TokenIds(table, merged, lengths)
 
 
 _BIGRAMS_HEADER = "first,second,score\n"

@@ -60,6 +60,25 @@ def phrase_corpus() -> Corpus:
     )
 
 
+def phrase_and_stray_corpus() -> Corpus:
+    """``planted_topic_corpus`` with merged bigrams and non-ASCII terms: "New
+    York" at both ends of every topic-0 document and "São Paulo größe" at
+    both ends of every topic-1 document. Four stray documents follow, two
+    pairs that share ``stray{pair}wörd{j}`` words with each other only
+    (noise), each with one word of its own, ``lone{k}``, that ``--min-df 2``
+    drops."""
+    corpus, _, _ = planted_topic_corpus()
+    phrases = {"t0": "New York", "t1": "São Paulo größe"}
+    docs = tuple(
+        replace(doc, text=f"{phrases[doc.id[:2]]} {doc.text} {phrases[doc.id[:2]]}")
+        if doc.id[:2] in phrases else doc
+        for doc in corpus.docs
+    )
+    shared = [" ".join(f"stray{pair}wörd{j}" for j in range(12)) for pair in (0, 1)]
+    strays = tuple(Document(id=f"stray{k}", text=f"{shared[k // 2]} lone{k}") for k in range(4))
+    return Corpus(docs + strays)
+
+
 def trending_corpus(
     n_before: int = 30,
     n_after: int = 30,

@@ -36,7 +36,6 @@ from relwords.report import (
 )
 from relwords.text import (
     JOINER,
-    TokenStream,
     apply_bigrams,
     normalize_tokenize,
     read_bigrams_csv,
@@ -130,9 +129,9 @@ def vectorize_reference(streams, vocab) -> sparse.csr_matrix:
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    for k, stream in enumerate(streams):
-        total = len(stream.tokens)
-        counts = Counter(t for t in stream.tokens if t in vocab.index)
+    for k, tokens in enumerate(streams):
+        total = len(tokens)
+        counts = Counter(t for t in tokens if t in vocab.index)
         for term in sorted(counts):
             col = vocab.index[term]
             weight = (counts[term] / total) * idf[col]
@@ -149,8 +148,8 @@ def build_vocabulary_reference(streams, min_df: int) -> tuple[list[str], list[in
     """(terms, document frequencies) from a Counter of each document's set
     of tokens: the tokens in at least ``min_df`` documents, sorted."""
     doc_freq: Counter = Counter()
-    for stream in streams:
-        doc_freq.update(set(stream.tokens))
+    for tokens in streams:
+        doc_freq.update(set(tokens))
     terms = sorted(term for term, n in doc_freq.items() if n >= min_df)
     return terms, [doc_freq[term] for term in terms]
 
@@ -162,12 +161,12 @@ def occurrence_reference(streams, vocab, labels):
     positions = {label: c for c, label in enumerate(kept)}
     counts = np.zeros((len(kept), len(vocab.terms)), dtype=np.int64)
     sizes = np.zeros(len(kept), dtype=np.int64)
-    for stream, label in zip(streams, labels):
+    for tokens, label in zip(streams, labels):
         if label == NOISE:
             continue
         c = positions[label]
         sizes[c] += 1
-        for term in set(stream.tokens):
+        for term in set(tokens):
             col = vocab.index.get(term)
             if col is not None:
                 counts[c, col] += 1
@@ -267,7 +266,7 @@ def relevance_from_corpus(corpus, bigrams_path, labels, min_df: int):
     text: tokenize every document, merge the run's ``bigrams.csv``, build the
     vocabulary at ``min_df`` and count occurrences under the run's labels."""
     selected = read_bigrams_csv(bigrams_path.read_bytes())
-    streams = [normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
+    streams = [normalize_tokenize(doc.text) for doc in corpus.docs]
     merged = apply_bigrams(token_ids(streams), selected)
     vocab = build_vocabulary(merged, min_df=min_df)
     return compute_relevance(build_occurrence_index(term_counts(merged, vocab.index), vocab, labels))
@@ -290,8 +289,7 @@ def count_corpus_reference(streams) -> CounterCounts:
     unigrams: Counter = Counter()
     pairs: Counter = Counter()
     total = 0
-    for stream in streams:
-        tokens = stream.tokens
+    for tokens in streams:
         unigrams.update(tokens)
         pairs.update(zip(tokens, tokens[1:]))
         total += len(tokens)
@@ -344,10 +342,9 @@ def write_bigrams_csv_reference(selected: list[ScoredPair], path) -> None:
             handle.write(f"{c.first},{c.second},{c.score:.12g}\n")
 
 
-def apply_bigrams_reference(stream: TokenStream, selected) -> TokenStream:
+def apply_bigrams_reference(tokens: tuple[str, ...], selected) -> tuple[str, ...]:
     """Selected pairs merged by a left-to-right scan over every position: a
     selected pair starting at a token not yet consumed becomes one token."""
-    tokens = stream.tokens
     merged: list[str] = []
     i = 0
     while i < len(tokens):
@@ -357,7 +354,7 @@ def apply_bigrams_reference(stream: TokenStream, selected) -> TokenStream:
         else:
             merged.append(tokens[i])
             i += 1
-    return TokenStream(stream.doc_id, tuple(merged))
+    return tuple(merged)
 
 
 def write_relevance_csv_reference(table, path) -> None:

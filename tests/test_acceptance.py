@@ -27,7 +27,7 @@ from relwords.relevance import (
     score_final,
     score_quot,
 )
-from relwords.text import TokenStream, token_ids
+from relwords.text import token_ids
 
 from corpora import planted_topic_corpus, trending_corpus
 from oracles import dbscan_reference, partition_of, random_distance_matrix
@@ -151,12 +151,7 @@ def test_contrast_mode():
 
 @criterion(7, "formula exactness", time_limit=1.0)
 def test_formula_exactness():
-    streams = [
-        TokenStream("1", ("half", "all")),
-        TokenStream("2", ("all",)),
-        TokenStream("3", ("all",)),
-        TokenStream("4", ("half", "all")),
-    ]
+    streams = [("half", "all"), ("all",), ("all",), ("half", "all")]
     vocab = build_vocabulary(token_ids(streams))
     assert abs(idf(vocab, 4)[vocab.index["half"]] - math.log(2)) <= 1e-12
 
@@ -178,10 +173,7 @@ def _index_with_other_tprs():
     """Occurrence index where 'w' has TPRs 0.2, 0.0, 0.1 outside the target."""
 
     def docs(with_w, total, cluster):
-        return [
-            TokenStream(f"{cluster}{i}", ("w", "pad") if i < with_w else ("pad",))
-            for i in range(total)
-        ]
+        return [("w", "pad") if i < with_w else ("pad",) for i in range(total)]
 
     streams, labels = [], []
     for cluster, (with_w, total) in {

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import csv
 import hashlib
@@ -32,7 +33,7 @@ from relwords.relevance import (
 from relwords.report import svg_markup
 from relwords.text import read_bigrams_csv
 
-from corpora import phrase_corpus, planted_topic_corpus, trending_corpus
+from corpora import phrase_and_stray_corpus, phrase_corpus, planted_topic_corpus, trending_corpus
 from oracles import (
     count_corpus_reference,
     layout_wordcloud_reference,
@@ -243,17 +244,7 @@ class TestReadCommandsReuseRunBigrams:
     def test_recorded_counts_score_as_the_corpus_derived_again(self, tmp_path):
         # merged bigrams, non-ASCII terms, terms only noise documents hold,
         # and words in one document only, which --min-df 2 drops
-        corpus, _, _ = planted_topic_corpus()
-        phrases = {"t0": "New York", "t1": "São Paulo größe"}
-        docs = tuple(
-            replace(doc, text=f"{phrases[doc.id[:2]]} {doc.text} {phrases[doc.id[:2]]}")
-            if doc.id[:2] in phrases else doc
-            for doc in corpus.docs
-        )
-        # two pairs of documents sharing words with each other only: noise
-        shared = [" ".join(f"stray{pair}wörd{j}" for j in range(12)) for pair in (0, 1)]
-        strays = tuple(Document(id=f"stray{k}", text=f"{shared[k // 2]} lone{k}") for k in range(4))
-        corpus = Corpus(docs + strays)
+        corpus = phrase_and_stray_corpus()
         save_jsonl(corpus, tmp_path / "corpus.jsonl")
         outdir = tmp_path / "run"
         argv = ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(outdir)]
@@ -273,10 +264,31 @@ class TestReadCommandsReuseRunBigrams:
             else:
                 assert value.dtype == reference.dtype and np.array_equal(value, reference), field.name
 
+    def test_ties_fall_to_term_order_on_a_merged_non_ascii_vocabulary(self, tmp_path):
+        # ranking breaks its last ties by column, so it holds only while the
+        # merged vocabulary keeps its terms in ascending string order
+        save_jsonl(phrase_and_stray_corpus(), tmp_path / "corpus.jsonl")
+        outdir = tmp_path / "run"
+        argv = ["cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--outdir", str(outdir)]
+        assert main(argv + ["--min-df", "2"]) == 0
+        assert main(["relevant", "--run", str(outdir)]) == 0
+        table = _relevance(_load_run(outdir)[1]["occurrence.json"])
+        assert {"new_york", "são_paulo", "größe", "stray0wörd0"} <= set(table.terms)
+        with open(outdir / "relevance.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        for c, cluster in enumerate(table.clusters):
+            r, tpr = table.r[c].tolist(), table.tpr[c].tolist()
+            expected = sorted(range(len(table.terms)), key=lambda i: (-r[i], -tpr[i], table.terms[i]))
+            assert [term for key, term, *_ in rows if key == str(cluster)] == [
+                table.terms[i] for i in expected
+            ]
+            ranked = rank_terms(table, cluster, len(table.terms))
+            assert ranked == [(table.terms[i], r[i]) for i in expected if r[i] > 0.0]
+
     def test_bigrams_csv_as_written_from_the_oracle_counts(self, phrase_run, tmp_path):
         corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
         config = PipelineConfig()
-        streams = [relwords.normalize_tokenize(doc.text, doc.id) for doc in corpus.docs]
+        streams = [relwords.normalize_tokenize(doc.text) for doc in corpus.docs]
         counts = count_corpus_reference(streams)
         candidates = score_bigrams_reference(counts, discount=config.bigram_discount)
         selected, _ = select_bigrams_reference(candidates, counts)
@@ -755,8 +767,8 @@ def test_highlight_scores_one_row_and_marks_as_the_whole_table(tmp_path, run_dir
     for position in positions:
         doc = corpus.docs[position]
         expected = tmp_path / f"expected{position}.html"
-        stream = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text, doc.id)]), selected)[0]
-        report.highlight_html(doc, stream, table, labels[position], expected)
+        tokens = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text)]), selected)[0]
+        report.highlight_html(doc, tokens, table, labels[position], expected)
         out = tmp_path / f"{position}.html"
         assert main(["highlight", "--run", str(run_dir), "--doc-id", doc.id, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes(), doc.id
@@ -925,8 +937,8 @@ class TestHighlight:
         for position in (0, len(loaded) // 2, len(loaded) - 1):
             doc = loaded.docs[position]
             expected = tmp_path / f"expected{position}.html"
-            stream = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text, doc.id)]), selected)[0]
-            report.highlight_html(doc, stream, table, labels[position], expected)
+            tokens = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text)]), selected)[0]
+            report.highlight_html(doc, tokens, table, labels[position], expected)
             out = tmp_path / f"{position}.html"
             assert main(["highlight", "--run", str(outdir), "--doc-id", doc.id, "--out", str(out)]) == 0
             assert out.read_bytes() == expected.read_bytes(), doc.id
@@ -1045,6 +1057,18 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    corpus, _, _ = planted_topic_corpus()
+    save_jsonl(corpus, tmp_path / "corpus.jsonl")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    whole, one = map(ast.literal_eval, capsys.readouterr().out.splitlines())
+    # the one-row table gives the same scores as the whole one
+    assert whole and whole == one
 
 
 class TestTrends:

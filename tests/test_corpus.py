@@ -321,6 +321,11 @@ class TestFetchArchive:
             ("", "Expecting value: line 1 column 1"),
             ('{"response": {"notdocs": []}}', "missing field 'response.docs'"),
             ("[1, 2]", "missing field 'response'"),
+            ('{"response": {"docs": [{"_id": "a1", "snippet": "text"}]}}', "missing field 'pub_date'"),
+            (
+                '{"response": {"docs": [{"_id": "a1", "snippet": "text", "pub_date": "soon"}]}}',
+                "archive item 'a1': bad 'pub_date' value",
+            ),
         ],
     )
     def test_damaged_cache_file_named_not_refetched(self, tmp_path, monkeypatch, content, cause):
@@ -348,8 +353,10 @@ class TestFetchArchive:
         monkeypatch.setattr(
             corpus_mod, "_http_get", lambda url, timeout: response(payload=payload)
         )
-        with pytest.raises(ValueError, match="pub_date"):
+        with pytest.raises(ValueError, match="pub_date") as caught:
             fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
+        assert "2017-01" in str(caught.value)
+        assert not corpus_mod._cache_path(tmp_path, self.ENDPOINT, 2017, 1).exists()
 
     def test_credential_from_environment(self, tmp_path, monkeypatch):
         seen_urls = []
@@ -377,6 +384,18 @@ class TestFetchArchive:
         with pytest.warns(UserWarning, match="empty snippets"):
             corpus = fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="k", cache_dir=tmp_path)
         assert corpus.ids() == ("a1",)
+
+    def test_empty_snippets_warned_once_over_cached_and_fetched_months(self, tmp_path, monkeypatch):
+        cached = archive_payload([archive_item("dec", " ", "2016-12-20T10:00:00+0000")])
+        corpus_mod._cache_path(tmp_path, self.ENDPOINT, 2016, 12).write_text(json.dumps(cached))
+        fetched = archive_payload(
+            [archive_item("jan", "kept", "2017-01-05T10:00:00+0000"), archive_item("x", "", "2017-01-06")]
+        )
+        monkeypatch.setattr(corpus_mod, "_http_get", lambda url, timeout: response(payload=fetched))
+        with pytest.warns(UserWarning) as caught:
+            corpus = fetch_archive(self.ENDPOINT, [(2016, 12), (2017, 1)], api_key="k", cache_dir=tmp_path)
+        assert [str(w.message) for w in caught] == ["dropped 2 archive items with empty snippets"]
+        assert corpus.ids() == ("jan",)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -7,10 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relwords.clustering import NOISE
+from relwords.corpus import Corpus, Document
 from relwords.features import build_vocabulary, idf, term_counts, vectorize, write_matrix_csv
+from relwords.pipeline import PipelineConfig, run_clustering
 from relwords.relevance import build_occurrence_index
-from relwords.text import TokenStream, apply_bigrams, count_corpus, token_ids
+from relwords.text import apply_bigrams, count_corpus, token_ids
 
+from corpora import planted_topic_corpus
 from oracles import (
     apply_bigrams_reference,
     build_vocabulary_reference,
@@ -20,34 +23,40 @@ from oracles import (
 )
 
 
-def stream(doc_id, *tokens):
-    return TokenStream(doc_id, tuple(tokens))
+def stream(*tokens):
+    return tuple(tokens)
+
+
+def with_documents(*extra):
+    """``planted_topic_corpus`` with ``extra`` documents after it."""
+    corpus, _, _ = planted_topic_corpus()
+    return Corpus(corpus.docs + extra)
 
 
 class TestBuildVocabulary:
     def test_counts_and_order(self):
-        vocab = build_vocabulary(token_ids([stream("1", "a", "b"), stream("2", "b", "c")]))
+        vocab = build_vocabulary(token_ids([stream("a", "b"), stream("b", "c")]))
         assert vocab.terms == ("a", "b", "c")
         assert vocab.doc_freq.tolist() == [1, 2, 1]
         assert vocab.index == {"a": 0, "b": 1, "c": 2}
 
     def test_min_df_cutoff(self):
-        vocab = build_vocabulary(token_ids([stream("1", "a", "b"), stream("2", "b", "c")]), min_df=2)
+        vocab = build_vocabulary(token_ids([stream("a", "b"), stream("b", "c")]), min_df=2)
         assert vocab.terms == ("b",)
 
     def test_min_df_above_corpus_size_rejected(self):
         with pytest.raises(ValueError, match="empty vocabulary"):
-            build_vocabulary(token_ids([stream("1", "a"), stream("2", "a")]), min_df=3)
+            build_vocabulary(token_ids([stream("a"), stream("a")]), min_df=3)
 
     def test_repeated_token_counts_once_per_doc(self):
-        vocab = build_vocabulary(token_ids([stream("1", "a", "a", "a"), stream("2", "b")]))
+        vocab = build_vocabulary(token_ids([stream("a", "a", "a"), stream("b")]))
         assert vocab.doc_freq.tolist() == [1, 1]
 
 
 class TestIdf:
     def test_formula_values(self):
         vocab = build_vocabulary(
-            token_ids([stream("1", "half", "all"), stream("2", "all"), stream("3", "all"), stream("4", "half", "all")])
+            token_ids([stream("half", "all"), stream("all"), stream("all"), stream("half", "all")])
         )
         values = idf(vocab, 4)
         by_term = dict(zip(vocab.terms, values))
@@ -55,13 +64,13 @@ class TestIdf:
         assert by_term["all"] == 0.0
 
     def test_rare_term_large_idf(self):
-        vocab = build_vocabulary(token_ids([stream("1", "rare")]))
+        vocab = build_vocabulary(token_ids([stream("rare")]))
         assert idf(vocab, 1000)[0] == pytest.approx(math.log(1000), abs=1e-12)
 
 
 class TestVectorize:
     def test_hand_computed_weights(self):
-        corpus = token_ids([stream("1", "a", "a", "b"), stream("2", "b")])
+        corpus = token_ids([stream("a", "a", "b"), stream("b")])
         fm = vectorize(corpus, build_vocabulary(corpus))
         dense = fm.matrix.toarray()
         assert dense[0, 0] == pytest.approx(2 / 3 * math.log(2))
@@ -69,29 +78,36 @@ class TestVectorize:
         assert dense[1].tolist() == [0.0, 0.0]
 
     def test_exclusive_term_weight(self):
-        corpus = token_ids([stream("1", "only"), stream("2", "other"), stream("3", "other")])
+        corpus = token_ids([stream("only"), stream("other"), stream("other")])
         vocab = build_vocabulary(corpus)
         fm = vectorize(corpus, vocab)
         assert fm.matrix[0, vocab.index["only"]] == pytest.approx(math.log(3))
 
     def test_out_of_vocabulary_doc_warns_and_zeroes(self):
-        streams = [stream("known", "a", "a"), stream("unknown", "zzz")]
+        streams = [stream("a", "a"), stream("zzz")]
         vocab = build_vocabulary(token_ids([streams[0]]))
-        with pytest.warns(UserWarning, match="unknown"):
-            fm = vectorize(token_ids(streams), vocab)
+        fm = vectorize(token_ids(streams), vocab)
         assert fm.matrix[1].nnz == 0
+        # the one program caller names it: its words occur in no other document
+        corpus = with_documents(Document(id="unknown", text="zzz"))
+        with pytest.warns(UserWarning, match="unknown"):
+            run_clustering(corpus, PipelineConfig(min_df=2))
 
     def test_empty_stream_zero_vector(self):
-        streams = [stream("full", "a"), stream("empty")]
+        streams = [stream("a"), stream()]
         vocab = build_vocabulary(token_ids([streams[0]]))
-        with pytest.warns(UserWarning, match="empty"):
-            fm = vectorize(token_ids(streams), vocab)
+        fm = vectorize(token_ids(streams), vocab)
         assert fm.matrix[1].nnz == 0
+        with pytest.warns(UserWarning, match="empty"):
+            run_clustering(with_documents(Document(id="empty", text="-- !")))
 
     def test_empty_documents_warned_by_count_and_first_five(self):
-        streams = [stream("full", "a")] + [stream(f"empty{k}") for k in range(8)]
+        streams = [stream("a")] + [stream() for _ in range(8)]
+        fm = vectorize(token_ids(streams), build_vocabulary(token_ids(streams[:1])))
+        assert np.diff(fm.matrix.indptr).tolist() == [1] + [0] * 8
+        punctuation = [Document(id=f"empty{k}", text="... !") for k in range(8)]
         with pytest.warns(UserWarning) as caught:
-            vectorize(token_ids(streams), build_vocabulary(token_ids(streams[:1])))
+            run_clustering(with_documents(*punctuation))
         assert [str(w.message) for w in caught] == [
             "8 document(s) with no in-vocabulary tokens (zero feature vectors): "
             "empty0, empty1, empty2, empty3, empty4, ..."
@@ -101,7 +117,7 @@ class TestVectorize:
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(30)]
         streams = [
-            stream(f"d{k}", *rng.choice(words, size=rng.integers(1, 40)))
+            stream(*rng.choice(words, size=rng.integers(1, 40)))
             for k in range(15)
         ]
         corpus = token_ids(streams)
@@ -113,31 +129,31 @@ class TestVectorize:
             tf_sum = sum(
                 row[i] / raw_idf[i] for i in np.flatnonzero(row) if raw_idf[i] > 0
             )
-            in_vocab = sum(1 for t in s.tokens if t in vocab.index)
+            in_vocab = sum(1 for t in s if t in vocab.index)
             assert tf_sum <= 1.0 + 1e-12
-            if in_vocab == len(s.tokens):
+            if in_vocab == len(s):
                 # equality only when every token is in-vocabulary and none has
                 # idf 0 (those weights vanish from the stored row)
                 zero_idf_tokens = any(
-                    t in vocab.index and raw_idf[vocab.index[t]] == 0 for t in s.tokens
+                    t in vocab.index and raw_idf[vocab.index[t]] == 0 for t in s
                 )
                 if not zero_idf_tokens:
                     assert tf_sum == pytest.approx(1.0, abs=1e-12)
 
     def test_nonzero_iff_present_and_df_below_n(self):
-        streams = [stream("1", "a", "b"), stream("2", "b", "c"), stream("3", "b")]
+        streams = [stream("a", "b"), stream("b", "c"), stream("b")]
         corpus = token_ids(streams)
         vocab = build_vocabulary(corpus)
         fm = vectorize(corpus, vocab)
         dense = fm.matrix.toarray()
         for k, s in enumerate(streams):
             for term, i in vocab.index.items():
-                present = term in s.tokens
+                present = term in s
                 ubiquitous = vocab.doc_freq[i] == len(streams)
                 assert (dense[k, i] != 0) == (present and not ubiquitous)
 
     def test_row_permutation_equivariance(self):
-        streams = [stream("1", "a", "b"), stream("2", "b", "c"), stream("3", "c", "a")]
+        streams = [stream("a", "b"), stream("b", "c"), stream("c", "a")]
         vocab = build_vocabulary(token_ids(streams))
         forward = vectorize(token_ids(streams), vocab).matrix.toarray()
         backward = vectorize(token_ids(streams[::-1]), vocab).matrix.toarray()
@@ -146,7 +162,7 @@ class TestVectorize:
 
 class TestTermCounts:
     def test_counts_in_stream_order(self):
-        streams = [stream("1", "b", "a", "b"), stream("2"), stream("3", "x", "a")]
+        streams = [stream("b", "a", "b"), stream(), stream("x", "a")]
         counts = term_counts(token_ids(streams), {"a": 0, "b": 1})
         assert counts.shape == (3, 2)
         assert counts.dtype == np.int64
@@ -164,7 +180,7 @@ token_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=
 
 
 def streams_and_vocab(docs, min_df):
-    streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
+    streams = [tuple(tokens) for tokens in docs]
     corpus = token_ids(streams)
     try:
         return streams, corpus, build_vocabulary(corpus, min_df=min_df)
@@ -235,7 +251,7 @@ class TestIdPathAsTheStringOracles:
         min_df=2,
     )
     def test_same_streams_vocabulary_and_matrix(self, docs, selected, min_df):
-        streams = [TokenStream(f"d{k}", tuple(tokens)) for k, tokens in enumerate(docs)]
+        streams = [tuple(tokens) for tokens in docs]
         counts = count_corpus(token_ids(streams))
         reference_counts = count_corpus_reference(streams)
         assert dict(zip(counts.corpus.tokens, counts.unigrams.tolist())) == reference_counts.unigrams
@@ -259,12 +275,12 @@ class TestIdPathAsTheStringOracles:
             warnings.simplefilter("ignore")
             fm = vectorize(merged, vocab)
         assert csr_arrays(fm.matrix) == csr_arrays(vectorize_reference(reference, vocab))
-        expected = [[stream.tokens.count(term) for term in terms] for stream in reference]
+        expected = [[tokens.count(term) for term in terms] for tokens in reference]
         assert fm.counts.dtype == np.int64 and fm.counts.toarray().tolist() == expected
 
 
 def test_matrix_csv_dump(tmp_path):
-    corpus = token_ids([stream("1", "a", "a", "b"), stream("2", "b"), stream("3", "c")])
+    corpus = token_ids([stream("a", "a", "b"), stream("b"), stream("c")])
     fm = vectorize(corpus, build_vocabulary(corpus))
     out = tmp_path / "matrix.csv"
     write_matrix_csv(fm, ("1", "2", "3"), out)

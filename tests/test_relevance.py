@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import (
     _distinct,
     _fpr_raw,
-    _term_ranks,
     build_occurrence_index,
     compute_relevance,
     rank_terms,
@@ -20,13 +18,9 @@ from relwords.relevance import (
     RelevanceTable,
     write_relevance_csv,
 )
-from relwords.text import TokenStream, token_ids
+from relwords.text import token_ids
 
 from oracles import write_relevance_csv_reference
-
-
-def stream(doc_id, *tokens):
-    return TokenStream(doc_id, tuple(tokens))
 
 
 def at(table, column, cluster, term):
@@ -46,8 +40,8 @@ def make_index(cluster_docs):
     """cluster_docs: {cluster: [token lists]} -> OccurrenceIndex over all terms."""
     streams, labels = [], []
     for cluster, docs in cluster_docs.items():
-        for i, tokens in enumerate(docs):
-            streams.append(stream(f"{cluster}-{i}", *tokens))
+        for tokens in docs:
+            streams.append(tuple(tokens))
             labels.append(cluster)
     corpus = token_ids(streams)
     vocab = build_vocabulary(corpus)
@@ -96,7 +90,7 @@ class TestRates:
         assert at(table, "fpr", 0, "w") == 0.0
 
     def test_noise_documents_excluded(self):
-        streams = [stream("a", "w"), stream("b", "w"), stream("c", "w"), stream("d", "z")]
+        streams = [("w",), ("w",), ("w",), ("z",)]
         corpus = token_ids(streams)
         vocab = build_vocabulary(corpus)
         index = build_occurrence_index(term_counts(corpus, vocab.index), vocab, [0, 0, NOISE, 1])
@@ -263,7 +257,7 @@ class TestScoreSomeClusters:
         assert at(table, "fpr", 0, "w") == 0.0
 
     def test_all_noise_still_raises(self):
-        streams = [stream("a", "w"), stream("b", "z")]
+        streams = [("w",), ("z",)]
         corpus = token_ids(streams)
         vocab = build_vocabulary(corpus)
         index = build_occurrence_index(term_counts(corpus, vocab.index), vocab, [NOISE, NOISE])
@@ -309,43 +303,6 @@ class TestRankTerms:
         ranked = rank_terms(table, 0, 2)
         assert [t for t, _ in ranked] == ["alpha", "zeta"]
         assert csv_terms(table, 0, tmp_path)[:2] == ["alpha", "zeta"]
-
-    def test_tiebreak_by_term_when_terms_unsorted(self, tmp_path):
-        table = compute_relevance(
-            make_index({0: [["zeta", "alpha", "mid"]] * 2, 1: [["x"], ["x"]]})
-        )
-        columns = ("tpr", "fpr", "r_diff", "r_quot", "r")
-        reversed_table = replace(
-            table,
-            terms=table.terms[::-1],
-            **{name: getattr(table, name)[:, ::-1] for name in columns},
-        )
-        ranked = rank_terms(reversed_table, 0, 3)
-        assert ranked == rank_terms(table, 0, 3)
-        assert [t for t, _ in ranked] == ["alpha", "mid", "zeta"]
-        assert csv_terms(reversed_table, 0, tmp_path) == ["alpha", "mid", "zeta", "x"]
-
-    def test_term_ranks_follow_the_table_and_are_read_only(self, tmp_path):
-        # score and TPR tie, so the order falls to the terms, which the
-        # reversed table holds unsorted; alternating the two tables makes
-        # each call find the other's terms cached
-        table = compute_relevance(
-            make_index({0: [["zeta", "alpha", "mid"]] * 2, 1: [["x"], ["x"]]})
-        )
-        columns = ("tpr", "fpr", "r_diff", "r_quot", "r")
-        reversed_table = replace(
-            table,
-            terms=table.terms[::-1],
-            **{name: getattr(table, name)[:, ::-1] for name in columns},
-        )
-        expected = rank_terms(table, 0, 3)
-        assert [t for t, _ in expected] == ["alpha", "mid", "zeta"]
-        for case in (reversed_table, table, reversed_table):
-            assert rank_terms(case, 0, 3) == expected
-            assert csv_terms(case, 0, tmp_path) == ["alpha", "mid", "zeta", "x"]
-        ranks = _term_ranks(reversed_table.terms)
-        assert not ranks.flags.writeable
-        assert [reversed_table.terms[i] for i in np.argsort(ranks)] == sorted(table.terms)
 
     def test_order_matches_sorted_reference(self, tmp_path):
         # few documents per cluster make many exact score and TPR ties

@@ -25,7 +25,7 @@ from relwords.report import (
     term_trends,
     write_trends_csv,
 )
-from relwords.text import TokenStream, apply_bigrams, normalize_tokenize, token_ids
+from relwords.text import apply_bigrams, normalize_tokenize, token_ids
 
 from oracles import layout_wordcloud_reference
 
@@ -236,9 +236,9 @@ def highlighted_text(path):
 class TestHighlightHtml:
     def make_fixture(self):
         doc = Document(id="d0", text="DeVos hearing: the DeVos vote looms!")
-        stream = normalize_tokenize(doc.text, doc.id)
-        other = TokenStream("d1", ("the", "weather", "looms"))
-        other2 = TokenStream("d2", ("the", "weather", "vote"))
+        stream = normalize_tokenize(doc.text)
+        other = ("the", "weather", "looms")
+        other2 = ("the", "weather", "vote")
         table = table_for([stream, other, other2], [0, 1, 1])
         return doc, stream, table
 
@@ -248,7 +248,7 @@ class TestHighlightHtml:
         highlight_html(doc, stream, table, 0, out)
         content = out.read_text(encoding="utf-8")
         positive = {t for i, t in enumerate(table.terms) if table.r[0][i] > 0}
-        expected_spans = sum(1 for t in stream.tokens if t in positive)
+        expected_spans = sum(1 for t in stream if t in positive)
         assert content.count("<span") == expected_spans
         # devos twice + hearing, vote, looms once each ("the" is everywhere)
         assert expected_spans == 5
@@ -261,7 +261,7 @@ class TestHighlightHtml:
         assert "rgba(255, 200, 0, 1.0000)" in content
 
     def test_no_positive_terms_no_spans(self, tmp_path):
-        streams = [TokenStream("d0", ("same", "words")), TokenStream("d1", ("same", "words"))]
+        streams = [("same", "words"), ("same", "words")]
         table = table_for(streams, [0, 1])
         doc = Document(id="d0", text="same words")
         out = tmp_path / "doc.html"
@@ -270,8 +270,8 @@ class TestHighlightHtml:
 
     def test_round_trip_strips_to_original_text(self, tmp_path):
         doc = Document(id="d0", text="A <b>tricky</b> text & DeVos,\nwith newline.")
-        stream = normalize_tokenize(doc.text, doc.id)
-        other = TokenStream("d1", ("text", "with", "a"))
+        stream = normalize_tokenize(doc.text)
+        other = ("text", "with", "a")
         table = table_for([stream, other], [0, 1])
         out = tmp_path / "doc.html"
         highlight_html(doc, stream, table, 0, out)
@@ -287,17 +287,17 @@ class TestHighlightHtml:
     @example("ΟΔΟΣ.Α")
     def test_round_trip_on_any_text(self, tmp_path, text):
         doc = Document(id="d0", text=text)
-        stream = normalize_tokenize(doc.text, doc.id)
-        table = table_for([stream, TokenStream("d1", ("other",))], [0, 1])
+        stream = normalize_tokenize(doc.text)
+        table = table_for([stream, ("other",)], [0, 1])
         out = tmp_path / "doc.html"
         highlight_html(doc, stream, table, 0, out)
         assert highlighted_text(out) == doc.text
 
     def test_merged_bigram_tokens_highlighted(self, tmp_path):
         doc = Document(id="d0", text="betsy devos spoke")
-        raw = normalize_tokenize(doc.text, doc.id)
+        raw = normalize_tokenize(doc.text)
         merged = apply_bigrams(token_ids([raw]), {("betsy", "devos")})[0]
-        other = TokenStream("d1", ("spoke", "again"))
+        other = ("spoke", "again")
         table = table_for([merged, other], [0, 1])
         out = tmp_path / "doc.html"
         highlight_html(doc, merged, table, 0, out)
@@ -308,7 +308,7 @@ class TestHighlightHtml:
 
     def test_stream_document_mismatch_rejected(self, tmp_path):
         doc, _, table = self.make_fixture()
-        wrong = TokenStream("d0", ("entirely", "different"))
+        wrong = ("entirely", "different")
         with pytest.raises(ValueError, match="does not match"):
             highlight_html(doc, wrong, table, 0, tmp_path / "x.html")
 
@@ -326,7 +326,7 @@ class TestTermTrends:
                 dated_doc("c", "weather report", "2017-01-21"),
             )
         )
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["trump"], bucket="day")
         assert [s.isoformat() for s in table.starts] == ["2017-01-20", "2017-01-21"]
         assert table.counts.tolist() == [[2, 0]]
@@ -339,7 +339,7 @@ class TestTermTrends:
                 dated_doc("b", "end there", "2017-01-05"),
             )
         )
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["start"], bucket="day")
         assert len(table.starts) == 5
         assert table.totals.tolist() == [1, 0, 0, 0, 1]
@@ -354,7 +354,7 @@ class TestTermTrends:
             word = "tuesday" if ts.weekday() == 1 else "plain"
             docs.append(dated_doc(f"d{day}", f"{word} news", when))
         corpus = Corpus(tuple(docs))
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["tuesday"], bucket="day")
         rates = table.rates[0]
         spike_days = {table.starts[i].weekday() for i in np.flatnonzero(rates == 1.0)}
@@ -368,13 +368,13 @@ class TestTermTrends:
                 dated_doc("b", "two", "2017-01-27"),  # next week's Friday
             )
         )
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["one"], bucket="week")
         assert [s.isoformat() for s in table.starts] == ["2017-01-16", "2017-01-23"]
 
     def test_empty_term_list_empty_table(self):
         corpus = Corpus((dated_doc("a", "text", "2017-01-01"),))
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, [])
         assert table.terms == ()
         assert table.counts.shape == (0, 1)
@@ -382,13 +382,13 @@ class TestTermTrends:
     def test_missing_timestamps_listed(self):
         corpus = Corpus((Document(id="undated", text="x"),))
         with pytest.raises(ValueError, match="undated"):
-            term_trends(corpus, token_ids([normalize_tokenize("x", "undated")]), ["x"])
+            term_trends(corpus, token_ids([normalize_tokenize("x")]), ["x"])
 
     def test_terms_are_lowercased_like_tokens(self):
         corpus = Corpus(
             (dated_doc("a", "Trump speech", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["Trump", "CALM"], bucket="day")
         assert table.terms == ("trump", "calm")
         assert table.counts.tolist() == [[1, 0], [0, 1]]
@@ -396,7 +396,7 @@ class TestTermTrends:
     @pytest.mark.parametrize("terms", [["trump", "trump"], ["trump", "Trump"]])
     def test_duplicate_term_rejected_by_name(self, terms):
         corpus = Corpus((dated_doc("a", "trump", "2017-01-20"),))
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         with pytest.raises(ValueError, match="duplicate trend term: 'trump'"):
             term_trends(corpus, streams, terms)
 
@@ -406,7 +406,7 @@ class TestTermTrends:
         # merged bigram) can be any of them: no all-zero row for them
         corpus = Corpus((dated_doc("a", "new york alpha beta a b c", "2017-01-20"),))
         streams = apply_bigrams(
-            token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs]), {("new", "york")}
+            token_ids([normalize_tokenize(d.text) for d in corpus.docs]), {("new", "york")}
         )
         with pytest.raises(ValueError, match=re.escape(repr(term))):
             term_trends(corpus, streams, [term])
@@ -421,7 +421,7 @@ class TestTermTrends:
             )
         )
         streams = apply_bigrams(
-            token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs]), {("new", "york")}
+            token_ids([normalize_tokenize(d.text) for d in corpus.docs]), {("new", "york")}
         )
         table = term_trends(corpus, streams, ["İstanbul", "New_York", "york"], bucket="day")
         assert table.terms == ("i̇stanbul", "new_york", "york")
@@ -431,7 +431,7 @@ class TestTermTrends:
         corpus = Corpus(
             (dated_doc("a", "trump", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
-        streams = token_ids([normalize_tokenize(d.text, d.id) for d in corpus.docs])
+        streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
         table = term_trends(corpus, streams, ["trump", "calm"], bucket="day")
         out = tmp_path / "trends.csv"
         write_trends_csv(table, out)

@@ -12,7 +12,6 @@ from relwords.text import (
     BigramCandidates,
     CorpusCounts,
     TokenIds,
-    TokenStream,
     apply_bigrams,
     count_corpus,
     normalize_tokenize,
@@ -37,7 +36,7 @@ from oracles import (
 
 
 def stream(*tokens):
-    return TokenStream("doc", tuple(tokens))
+    return tuple(tokens)
 
 
 class TestNormalizeTokenize:
@@ -52,25 +51,25 @@ class TestNormalizeTokenize:
         ],
     )
     def test_examples(self, text, expected):
-        assert normalize_tokenize(text).tokens == expected
+        assert normalize_tokenize(text) == expected
 
     def test_split_before_lowercasing(self):
         # "İ" lowers to "i" + U+0307, which is not alphanumeric; and "Σ" lowers
         # to "σ" or final "ς" depending on the characters around it. Splitting
         # first keeps "İstanbul" one token and lowercases "ΟΔΟΣ" as a word.
-        assert normalize_tokenize("İstanbul").tokens == ("i\u0307stanbul",)
-        assert normalize_tokenize("ΟΔΟΣ.Α").tokens == ("οδος", "α")
+        assert normalize_tokenize("İstanbul") == ("i\u0307stanbul",)
+        assert normalize_tokenize("ΟΔΟΣ.Α") == ("οδος", "α")
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
     @example("İstanbul")
     @example("ΟΔΟΣ.Α")
     def test_same_tokens_as_token_spans(self, text):
-        assert normalize_tokenize(text).tokens == tuple(t for *_, t in token_spans(text))
+        assert normalize_tokenize(text) == tuple(t for *_, t in token_spans(text))
 
     def test_final_sigma_per_token(self):
-        assert normalize_tokenize("ΣΑΣ-ΣΑΣ").tokens == ("σας", "σας")
-        assert normalize_tokenize("ΑΣ'Β").tokens == ("ας", "β")
+        assert normalize_tokenize("ΣΑΣ-ΣΑΣ") == ("σας", "σας")
+        assert normalize_tokenize("ΑΣ'Β") == ("ας", "β")
 
     # Lowercasing the whole spaced text must equal lowercasing each token.
     @settings(max_examples=500, deadline=None)
@@ -96,7 +95,7 @@ class TestNormalizeTokenize:
     @example("１２３ x² Ⅷ ⅷ ΑⅧΣ")
     def test_matches_the_regex_oracle(self, text):
         spans = token_spans_reference(text)
-        assert normalize_tokenize(text).tokens == tuple(token for *_, token in spans)
+        assert normalize_tokenize(text) == tuple(token for *_, token in spans)
         assert token_spans(text) == spans
 
     def test_isalnum_is_the_token_rule_over_all_of_unicode(self):
@@ -163,7 +162,7 @@ class TestTokenIds:
     def test_ids_of_a_one_shot_generator_as_of_the_list(self, streams):
         # token_ids makes one pass, so the streams may be made as it numbers them
         once, listed = token_ids(s for s in streams), token_ids(streams)
-        assert once.doc_ids == listed.doc_ids and once.tokens == listed.tokens
+        assert len(once) == len(listed) and once.tokens == listed.tokens
         for name in ("ids", "lengths"):
             value, reference = getattr(once, name), getattr(listed, name)
             assert value.dtype == reference.dtype and np.array_equal(value, reference), name
@@ -172,7 +171,7 @@ class TestTokenIds:
     def test_iterating_equals_indexing_around_empty_documents(self):
         # "!!!" has no tokens: an empty document first, in the middle and last
         texts = ["!!!", "a b", "!!!", "c a b", "b", "!!!"]
-        streams = [normalize_tokenize(text, f"d{k}") for k, text in enumerate(texts)]
+        streams = [normalize_tokenize(text) for text in texts]
         corpus = token_ids(streams)
         assert list(corpus) == [corpus[k] for k in range(len(corpus))] == streams
         assert corpus[-1] == streams[-1] and corpus[-5] == streams[1]
@@ -222,7 +221,7 @@ class TestScoreBigrams:
         # "new york" adjacent 10 times, each word counted 10 times, corpus of
         # 1000 tokens, discount 5 -> (10-5)*1000/(10*10) = 50.
         streams = [stream("new", "york") for _ in range(10)]
-        streams.append(TokenStream("filler", tuple(f"f{i}" for i in range(980))))
+        streams.append(tuple(f"f{i}" for i in range(980)))
         candidates = score_bigrams(count_corpus(token_ids(streams)), discount=5)
         assert ("new", "york") in candidates
         assert scores_by_pair(candidates)[("new", "york")] == pytest.approx(50.0)
@@ -263,7 +262,7 @@ class TestScoreBigrams:
     def test_large_counts_score_as_python_integers(self, unigrams, joint, total, discount):
         # both products below 2**53: the float64 quotient is Python's int / int
         joint += discount
-        corpus = TokenIds((), ("a", "b"), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+        corpus = TokenIds(("a", "b"), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
         counts = CorpusCounts(corpus, np.array(unigrams), np.array([1]), np.array([joint]), total)
         reference = CounterCounts(
             Counter(dict(zip("ab", unigrams))), Counter({("a", "b"): joint}), total
@@ -283,7 +282,7 @@ class TestScoreBigrams:
             stream("alpha", "beta"),
             *[stream("liquid", "nitrogen")] * 30,
         ]
-        total = sum(len(s.tokens) for s in streams)
+        total = sum(len(s) for s in streams)
         candidates = scores_by_pair(score_bigrams(count_corpus(token_ids(streams)), discount=0))
         assert candidates[("alpha", "beta")] == pytest.approx(total / (51 * 51))
         assert candidates[("liquid", "nitrogen")] > 10 * candidates[("alpha", "beta")]
@@ -304,7 +303,7 @@ class TestSelectBigrams:
             tokens = [pool[i] for i in rng.integers(0, 30, 20)]
             pos = int(rng.integers(0, len(tokens) + 1))
             tokens[pos:pos] = ["betsy", "devos"]
-            streams.append(TokenStream(f"d{d}", tuple(tokens)))
+            streams.append(tuple(tokens))
         return streams
 
     def test_planted_collocation_selected(self):
@@ -323,7 +322,7 @@ class TestSelectBigrams:
         tokens = rng.choice(words, size=5000, p=probs)
         rng.shuffle(tokens)
         streams = [
-            TokenStream(f"d{i}", tuple(tokens[i * 100 : (i + 1) * 100])) for i in range(50)
+            tuple(tokens[i * 100 : (i + 1) * 100]) for i in range(50)
         ]
         candidates, selected = score_and_select(streams, discount=5)
         assert len(candidates) > 20  # the corpus does produce frequent pairs
@@ -369,7 +368,7 @@ class TestSelectBigrams:
         rng = np.random.default_rng(seed)
         words = ["a", "ab", "abc", "b", "bc", "c", "a0", "é", "éa", "z", "zz", "0"]
         streams = [stream("a", "bc", "ab", "c", "a", "b")] + [
-            TokenStream(f"d{d}", tuple(words[i] for i in rng.integers(0, len(words), 10)))
+            tuple(words[i] for i in rng.integers(0, len(words), 10))
             for d in range(6)
         ]
         counts = count_corpus(token_ids(streams))
@@ -396,11 +395,11 @@ def merge_one(stream, selected):
 class TestApplyBigrams:
     def test_single_merge(self):
         merged = merge_one(stream("new", "york", "times"), {("new", "york")})
-        assert merged.tokens == ("new_york", "times")
+        assert merged == ("new_york", "times")
 
     def test_greedy_non_overlap(self):
         merged = merge_one(stream("a", "a", "a"), {("a", "a")})
-        assert merged.tokens == ("a_a", "a")
+        assert merged == ("a_a", "a")
 
     def test_no_selected_pairs_is_identity(self):
         original = token_ids([stream("just", "plain", "words")])
@@ -416,11 +415,11 @@ class TestApplyBigrams:
         ),
     )
     def test_token_count_drops_by_merge_count(self, tokens, pairs):
-        merged = merge_one(TokenStream("x", tuple(tokens)), pairs)
-        assert merged == apply_bigrams_reference(TokenStream("x", tuple(tokens)), pairs)
-        n_merges = sum(1 for t in merged.tokens if "_" in t)
-        assert len(merged.tokens) == len(tokens) - n_merges
-        assert len(merged.tokens) <= len(tokens)
+        merged = merge_one(tuple(tokens), pairs)
+        assert merged == apply_bigrams_reference(tuple(tokens), pairs)
+        n_merges = sum(1 for t in merged if "_" in t)
+        assert len(merged) == len(tokens) - n_merges
+        assert len(merged) <= len(tokens)
 
 
 def selection(*rows):

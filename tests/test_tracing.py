@@ -129,7 +129,7 @@ def test_traced_text_counts_as_the_documents_tokenized_one_by_one(tracing, tmp_p
     assert code == 0
     counts = tracing.op_counts(tracer.take_calls())
 
-    streams = [normalize_tokenize(doc.text, doc.id) for doc in docs]
+    streams = [normalize_tokenize(doc.text) for doc in docs]
     corpus_counts = count_corpus(token_ids(streams))
     candidates = score_bigrams(corpus_counts)
     selected = select_bigrams(candidates, corpus_counts)
