@@ -45,7 +45,6 @@ from .text import (
     BigramCandidates,
     TokenIds,
     apply_bigrams,
-    count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
@@ -72,7 +71,6 @@ __all__ = [
     "build_occurrence_index",
     "build_vocabulary",
     "compute_relevance",
-    "count_corpus",
     "dbscan",
     "fetch_archive",
     "fit_kpca",

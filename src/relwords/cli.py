@@ -50,9 +50,6 @@ from .relevance import (
     write_relevance_csv,
 )
 from .report import (
-    CANVAS_HEIGHT,
-    CANVAS_WIDTH,
-    WordCloudSpec,
     highlight_html,
     layout_wordcloud,
     render_contrast_cloud,
@@ -243,10 +240,6 @@ def _relevance(occurrence: bytes, clusters: list[int] | None = None) -> Relevanc
         # older versions wrote every count, as a nested list under "counts"
         raise ValueError(f"{OCCURRENCE_NAME} is in an older format; rerun cluster")
     keys, terms = tuple(recorded["clusters"]), tuple(recorded["terms"])
-    if keys:  # with none, compute_relevance says all documents are noise
-        for cluster in clusters or ():
-            if cluster not in keys:
-                raise ValueError(f"no such cluster: {cluster}")
     counts = np.zeros((len(keys), len(terms)), dtype=np.int64)
     for row, columns, values in zip(counts, recorded["columns"], recorded["counts"]):
         positions = np.cumsum(np.fromstring(columns, dtype=np.int64, sep=" "))
@@ -284,12 +277,9 @@ def cmd_wordcloud(args: argparse.Namespace) -> int:
             out = Path(args.out)
         else:
             out = outdir / f"cluster{cluster}.svg"
-        if ranked:
-            spec = layout_wordcloud(ranked, top_k=args.top)
-        else:
+        if not ranked:
             print(f"cluster {cluster}: no positively scored terms; empty cloud", file=sys.stderr)
-            spec = WordCloudSpec(entries=(), width=CANVAS_WIDTH, height=CANVAS_HEIGHT)
-        render_svg(spec, out)
+        render_svg(layout_wordcloud(ranked, top_k=args.top), out)
         written.append(out)
     print(f"wrote {len(written)} word cloud(s): " + ", ".join(str(p) for p in written))
     return 0

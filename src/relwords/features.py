@@ -96,8 +96,9 @@ def vectorize(corpus: TokenIds, vocab: Vocabulary) -> FeatureMatrix:
     tokens, so out-of-vocabulary tokens still shrink tf of the rest). The
     counts are ``term_counts``, read from ``corpus.counts``, the one sort
     ``build_vocabulary`` of the same corpus made. A document with no
-    in-vocabulary token gets a zero row and no counts; ``run_clustering``,
-    which has the documents' ids, warns of them.
+    in-vocabulary token gets a zero row and no counts, and one whose terms
+    all occur in every document (idf 0) a zero row; ``run_clustering``,
+    which has the documents' ids, warns of both.
     """
     if not len(corpus):
         raise ValueError("empty corpus")

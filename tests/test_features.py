@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from relwords.corpus import Corpus, Document
 from relwords.features import build_vocabulary, idf, term_counts, vectorize, write_matrix_csv
 from relwords.pipeline import PipelineConfig, run_clustering
 from relwords.relevance import build_occurrence_index
-from relwords.text import apply_bigrams, count_corpus, token_ids
+from relwords.text import apply_bigrams, token_ids
 
 from corpora import planted_topic_corpus
 from oracles import (
@@ -109,8 +110,22 @@ class TestVectorize:
         with pytest.warns(UserWarning) as caught:
             run_clustering(with_documents(*punctuation))
         assert [str(w.message) for w in caught] == [
-            "8 document(s) with no in-vocabulary tokens (zero feature vectors): "
-            "empty0, empty1, empty2, empty3, empty4, ..."
+            "8 document(s) with zero feature vectors (no in-vocabulary token, "
+            "or only terms found in every document): empty0, empty1, empty2, empty3, empty4, ..."
+        ]
+
+    def test_document_of_only_ubiquitous_terms_warned(self):
+        # "common" is in every document, so its idf is 0: the last document
+        # counts one term and still has a zero feature vector
+        corpus, _, _ = planted_topic_corpus()
+        docs = [replace(doc, text=f"common {doc.text}") for doc in corpus.docs]
+        docs.append(Document(id="only-common", text="Common common"))
+        with pytest.warns(UserWarning) as caught:
+            result = run_clustering(Corpus(tuple(docs)))
+        assert result.features.counts[-1].nnz == 1 and result.features.matrix[-1].nnz == 0
+        assert [str(w.message) for w in caught] == [
+            "1 document(s) with zero feature vectors (no in-vocabulary token, "
+            "or only terms found in every document): only-common"
         ]
 
     def test_tf_sums_to_at_most_one(self):
@@ -234,8 +249,8 @@ oracle_pairs = st.sets(
 
 
 class TestIdPathAsTheStringOracles:
-    """count_corpus -> apply_bigrams -> build_vocabulary -> vectorize on
-    token ids, against the same stages on strings."""
+    """token_ids -> apply_bigrams -> build_vocabulary -> vectorize on token
+    ids, against the same stages on strings."""
 
     @settings(max_examples=300, deadline=None)
     @given(docs=oracle_docs, selected=oracle_pairs, min_df=st.integers(1, 3))
@@ -252,12 +267,13 @@ class TestIdPathAsTheStringOracles:
     )
     def test_same_streams_vocabulary_and_matrix(self, docs, selected, min_df):
         streams = [tuple(tokens) for tokens in docs]
-        counts = count_corpus(token_ids(streams))
+        corpus = token_ids(streams)
         reference_counts = count_corpus_reference(streams)
-        assert dict(zip(counts.corpus.tokens, counts.unigrams.tolist())) == reference_counts.unigrams
-        assert counts.total == reference_counts.total
+        unigrams = np.bincount(corpus.ids, minlength=len(corpus.tokens))
+        assert dict(zip(corpus.tokens, unigrams.tolist())) == reference_counts.unigrams
+        assert corpus.ids.size == reference_counts.total
 
-        merged = apply_bigrams(counts.corpus, selected)
+        merged = apply_bigrams(corpus, selected)
         reference = [apply_bigrams_reference(stream, selected) for stream in streams]
         assert list(merged) == reference
         assert list(merged.tokens) == sorted(set(merged.tokens))

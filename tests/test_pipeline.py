@@ -117,8 +117,10 @@ class TestRunClustering:
 
     def test_degenerate_corpus_error_carries_stage(self):
         docs = tuple(Document(id=f"d{i}", text="same words here") for i in range(4))
-        with pytest.raises(ValueError, match="embedding: degenerate corpus"):
-            run_clustering(Corpus(docs))
+        # every word is in every document, so every feature vector is zero
+        with pytest.warns(UserWarning, match="4 document"):
+            with pytest.raises(ValueError, match="embedding: degenerate corpus"):
+                run_clustering(Corpus(docs))
 
     def test_intermediate_shapes_consistent(self):
         corpus, _, _ = planted_topic_corpus(docs_per_topic=5)
