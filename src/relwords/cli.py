@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .clustering import NOISE, write_labels_csv
 from .corpus import (
-    Corpus,
     fetch_archive,
     jsonl_lines,
     load_dir,
@@ -40,7 +39,7 @@ from .corpus import (
 )
 from .embedding import write_embedding_csv
 from .features import build_vocabulary, term_counts, write_matrix_csv
-from .pipeline import PipelineConfig, prepare_streams, run_clustering, tokenize_corpus
+from .pipeline import PipelineConfig, prepare_streams, run_clustering
 from .relevance import (
     OccurrenceIndex,
     RelevanceTable,
@@ -57,7 +56,7 @@ from .report import (
     term_trends,
     write_trends_csv,
 )
-from .text import apply_bigrams, read_bigrams_csv, write_bigrams_csv
+from .text import read_bigrams_csv, write_bigrams_csv
 
 MANIFEST_NAME = "manifest.json"
 LABELS_NAME = "labels.csv"
@@ -329,8 +328,7 @@ def cmd_highlight(args: argparse.Namespace) -> int:
     _, line = next(itertools.islice(jsonl_lines(data), position, None))
     doc = parse_document(line)
     selected = read_bigrams_csv(artifacts[BIGRAMS_NAME])
-    tokens = apply_bigrams(tokenize_corpus(Corpus((doc,))), selected)[0]
-    highlight_html(doc, tokens, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
+    highlight_html(doc, selected, _relevance(artifacts[OCCURRENCE_NAME], [label]), label, args.out)
     print(f"wrote highlighted document {args.doc_id!r} (cluster {label}) to {args.out}")
     return 0
 

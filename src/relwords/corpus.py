@@ -365,7 +365,8 @@ def _fetch_month(
                 detail = body.decode("utf-8", errors="replace")
                 raise RuntimeError(f"archive authentication failed ({status}): {detail}")
             if status != 200:
-                last_error = RuntimeError(f"HTTP {status} from {url}")
+                shown = endpoint.format(year=year, month=month, key="***")  # no credential in messages
+                last_error = RuntimeError(f"HTTP {status} from {shown}")
             else:
                 try:
                     payload = json.loads(body)

@@ -97,18 +97,16 @@ def build_occurrence_index(
     )
 
 
-def _fpr_raw(rates: np.ndarray, rows: Sequence[int] | None = None) -> np.ndarray:
+def _fpr_raw(rates: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """Per (cluster, term): mean plus population std of the term's rates over
     all other clusters, from a (clusters, terms) rate matrix, for the cluster
-    rows ``rows`` in that order (default: all).
+    rows ``rows`` in that order.
 
     Mean-plus-std rather than a maximum keeps one small cluster from
     dominating the estimate. With no other cluster the value is 0 and scores
     reduce to plain occurrence rates. Each row costs O(clusters x terms).
     """
     n_clusters = rates.shape[0]
-    if rows is None:
-        rows = range(n_clusters)
     fpr_raw = np.zeros((len(rows), rates.shape[1]), dtype=rates.dtype)
     if n_clusters == 1:
         warnings.warn("single cluster: FPR is 0 and scores reduce to occurrence rates")
@@ -152,18 +150,20 @@ def compute_relevance(
     """
     if not index.clusters:
         raise ValueError("no clusters to score (all documents are noise)")
-    rows = None if clusters is None else [_position(index.clusters, key) for key in clusters]
+    clusters = index.clusters if clusters is None else tuple(clusters)
+    rows = [_position(index.clusters, key) for key in clusters]
     rates = index.counts / index.sizes[:, None]
     fpr_raw = _fpr_raw(rates, rows)
-    tpr = rates if rows is None else rates[rows]
-    # In this order no more (scored clusters, terms) arrays are alive at
-    # once than the five stored ones and fpr_raw.
+    tpr = rates[rows]
+    del rates, rows
+    # With rates freed and in this order, no more (scored clusters, terms)
+    # arrays are alive at once than the five stored ones and fpr_raw.
     r = score_final(tpr, fpr_raw)
     r_quot = score_quot(tpr, fpr_raw)
     r_diff = score_diff(tpr, fpr_raw)
     return RelevanceTable(
         terms=index.terms,
-        clusters=index.clusters if clusters is None else tuple(clusters),
+        clusters=clusters,
         tpr=tpr,
         fpr=np.minimum(fpr_raw, 1.0),
         r_diff=r_diff,

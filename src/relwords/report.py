@@ -16,14 +16,14 @@ from datetime import date, timedelta
 from functools import lru_cache
 from math import ceil, cos, hypot, isfinite, sin
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
 from .relevance import ClusterKey, RelevanceTable
-from .text import JOINER, TokenIds, normalize_tokenize, token_spans
+from .text import TokenIds, token_spans
 
 MIN_FONT_PT = 10.0
 MAX_FONT_PT = 48.0
@@ -234,31 +234,18 @@ def render_contrast_cloud(
     return spec
 
 
-def _align_raw_tokens(text: str, tokens: tuple[str, ...]) -> list[tuple[int, int, str]]:
-    """Match the document's raw token positions to its (possibly merged)
-    tokens.
-
-    Returns (start, end, token) per raw token; a merged ``a_b`` token
-    covers two consecutive raw tokens, each mapped to the merged token.
-    """
-    raw = token_spans(text)
-    parts = [(part, term) for term in tokens for part in term.split(JOINER)]
-    if [token for *_, token in raw] != [part for part, _ in parts]:
-        raise ValueError("token stream does not match document text")
-    return [(start, end, term) for (start, end, _), (_, term) in zip(raw, parts)]
-
-
 def highlight_html(
     doc: Document,
-    tokens: tuple[str, ...],
+    selected: Iterable[tuple[str, str]],
     table: RelevanceTable,
     cluster: ClusterKey,
     path,
 ) -> None:
     """Write the document as HTML with its cluster's relevant words marked.
 
-    ``tokens`` are its tokens with bigrams merged, as ``apply_bigrams`` gives
-    them. Each token whose term scores above zero is wrapped in a span whose
+    ``selected`` are the run's bigrams: each token counts as the term
+    ``token_spans`` gives it, a merged pair's two tokens as their joined
+    term. Each token whose term scores above zero is wrapped in a span whose
     background opacity is the score; all other characters pass through
     untouched, so stripping the spans (and unescaping) restores the original
     text exactly.
@@ -266,20 +253,14 @@ def highlight_html(
     row = table.r[table.cluster_position(cluster)]
     positive = np.flatnonzero(row > 0.0)
     scores = dict(zip([table.terms[i] for i in positive.tolist()], row[positive].tolist()))
-    aligned = _align_raw_tokens(doc.text, tokens)
     pieces: list[str] = []
     cursor = 0
-    for start, end, term in aligned:
-        pieces.append(html.escape(doc.text[cursor:start]))
+    for start, end, term in token_spans(doc.text, selected):
         token_markup = html.escape(doc.text[start:end])
-        score = scores.get(term)
-        if score is not None:
-            pieces.append(
-                f'<span style="background-color: rgba(255, 200, 0, {score:.4f})">'
-                f"{token_markup}</span>"
-            )
-        else:
-            pieces.append(token_markup)
+        if term in scores:
+            style = f"background-color: rgba(255, 200, 0, {scores[term]:.4f})"
+            token_markup = f'<span style="{style}">{token_markup}</span>'
+        pieces += html.escape(doc.text[cursor:start]), token_markup
         cursor = end
     pieces.append(html.escape(doc.text[cursor:]))
     body = "".join(pieces)
@@ -329,11 +310,7 @@ def term_trends(
     (0 for empty buckets).
     """
     term_rows: dict[str, int] = {}
-    for term in terms:
-        parts = term.split(JOINER)
-        if len(parts) > 2 or any(normalize_tokenize(part) != (part.lower(),) for part in parts):
-            raise ValueError(f"trend term is neither a token nor a merged bigram: {term!r}")
-        term = term.lower()
+    for term in map(TokenIds.term, terms):
         if term in term_rows:
             raise ValueError(f"duplicate trend term: {term!r}")
         term_rows[term] = len(term_rows)

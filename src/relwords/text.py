@@ -49,16 +49,18 @@ def normalize_tokenize(text: str) -> tuple[str, ...]:
     return tuple(text.translate(_SEPARATORS).lower().split())
 
 
-def token_spans(text: str) -> list[tuple[int, int, str]]:
-    """The tokens of ``normalize_tokenize`` with their (start, end) positions.
-
-    ``_SEPARATORS`` maps each character to one character, so the non-space
-    runs of the spaced text sit where the tokens sit in the original string,
-    which lets renderers wrap tokens in place without touching other
-    characters.
+def token_spans(text: str, selected: Iterable[tuple[str, str]]) -> list[tuple[int, int, str]]:
+    """Each token of ``normalize_tokenize(text)`` as ``(start, end, term)``:
+    its place in ``text``, and the term it counts as once the ``selected``
+    bigrams merge (``apply_bigrams``); both tokens of a merged pair get the
+    joined term. ``_SEPARATORS`` maps each character to one character, so
+    the non-space runs of the spaced text sit where the tokens sit in
+    ``text``, and renderers can wrap tokens in place, touching nothing else.
     """
-    spaced = text.translate(_SEPARATORS)
-    return [(m.start(), m.end(), m.group().lower()) for m in re.finditer(r"\S+", spaced)]
+    merged = apply_bigrams(token_ids([normalize_tokenize(text)]), selected)[0]
+    terms = [term for term in merged for _ in term.split(JOINER)]  # tokens hold no JOINER
+    runs = re.finditer(r"\S+", text.translate(_SEPARATORS))
+    return [(run.start(), run.end(), term) for run, term in zip(runs, terms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +88,15 @@ class TokenIds:
         end = int(self.ends[k])
         ids = self.ids[end - int(self.lengths[k]) : end]
         return tuple(map(self.tokens.__getitem__, ids.tolist()))
+
+    @staticmethod
+    def term(name: str) -> str:
+        """``name`` lowercased as tokens are, if a token can equal it: one
+        token, or two joined by ``JOINER`` as a merged bigram is."""
+        parts = name.split(JOINER)
+        if len(parts) > 2 or any(normalize_tokenize(part) != (part.lower(),) for part in parts):
+            raise ValueError(f"trend term is neither a token nor a merged bigram: {name!r}")
+        return name.lower()
 
     @cached_property
     def ends(self) -> np.ndarray:

@@ -168,6 +168,17 @@ class TestCluster:
             assert main(argv) == 1
             assert "all documents are noise" in capsys.readouterr().err
 
+    def test_highlight_of_a_noise_document_fails_and_writes_nothing(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        assert main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
+                     "--eps", "0.01", "--min-pts", "3"]) == 0
+        doc_id = load_jsonl(corpus_file).docs[0].id
+        capsys.readouterr()
+        out = tmp_path / "doc.html"
+        assert main(["highlight", "--run", str(outdir), "--doc-id", doc_id, "--out", str(out)]) == 1
+        assert f"document {doc_id!r} is noise; nothing to highlight" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_nonzero_exit(self, tmp_path, capsys):
         code = main(["cluster", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--outdir", str(tmp_path / "run")])
@@ -210,22 +221,24 @@ class TestReadCommandsReuseRunBigrams:
         def refuse(*args, **kwargs):
             raise AssertionError("the run's bigrams or counts are re-derived")
 
-        tokenize_corpus = cli.tokenize_corpus
+        token_ids = relwords.text.token_ids
         for name in ("tokenize_corpus", "score_bigrams", "select_bigrams"):
             monkeypatch.setattr(pipeline, name, refuse)
         for name in ("build_vocabulary", "term_counts", "build_occurrence_index"):
             monkeypatch.setattr(cli, name, refuse)
         tokenized = []
 
-        def tokenize(corpus):
-            tokenized.extend(corpus.ids())
-            return tokenize_corpus(corpus)
+        def number(documents):
+            documents = list(documents)
+            tokenized.extend(documents)
+            return token_ids(documents)
 
-        monkeypatch.setattr(cli, "tokenize_corpus", tokenize)
+        monkeypatch.setattr(relwords.text, "token_ids", number)
         for argv in read_commands(phrase_run, after):
             assert main(argv) == 0
         assert written(after) == written(before)
-        assert tokenized == ["t0d00"]  # highlight's own document, and no other
+        (doc,) = [doc for doc in load_jsonl(phrase_run.parent / "corpus.jsonl").docs if doc.id == "t0d00"]
+        assert tokenized == [relwords.normalize_tokenize(doc.text)]  # highlight's own document, and no other
 
     def test_relevance_same_as_from_the_clustering_streams(self, phrase_run, tmp_path):
         corpus = load_jsonl(phrase_run.parent / "corpus.jsonl")
@@ -767,8 +780,7 @@ def test_highlight_scores_one_row_and_marks_as_the_whole_table(tmp_path, run_dir
     for position in positions:
         doc = corpus.docs[position]
         expected = tmp_path / f"expected{position}.html"
-        tokens = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text)]), selected)[0]
-        report.highlight_html(doc, tokens, table, labels[position], expected)
+        report.highlight_html(doc, selected, table, labels[position], expected)
         out = tmp_path / f"{position}.html"
         assert main(["highlight", "--run", str(run_dir), "--doc-id", doc.id, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes(), doc.id
@@ -937,8 +949,7 @@ class TestHighlight:
         for position in (0, len(loaded) // 2, len(loaded) - 1):
             doc = loaded.docs[position]
             expected = tmp_path / f"expected{position}.html"
-            tokens = relwords.apply_bigrams(relwords.token_ids([relwords.normalize_tokenize(doc.text)]), selected)[0]
-            report.highlight_html(doc, tokens, table, labels[position], expected)
+            report.highlight_html(doc, selected, table, labels[position], expected)
             out = tmp_path / f"{position}.html"
             assert main(["highlight", "--run", str(outdir), "--doc-id", doc.id, "--out", str(out)]) == 0
             assert out.read_bytes() == expected.read_bytes(), doc.id

@@ -315,6 +315,31 @@ class TestFetchArchive:
         assert corpus.docs[0].text == "reconnected"
 
     @pytest.mark.parametrize(
+        "error,shown",
+        [
+            (None, "HTTP 500 from https://archive.example/2017/1.json?api-key=***"),
+            (urllib.error.URLError("connection refused"), "connection refused"),
+        ],
+        ids=["http-status", "os-error"],
+    )
+    def test_gave_up_message_hides_the_api_key(self, tmp_path, monkeypatch, error, shown):
+        requested = []
+
+        def failing_get(url, timeout):
+            requested.append(url)
+            if error is not None:
+                raise error
+            return response(500)
+
+        monkeypatch.setattr(corpus_mod, "_http_get", failing_get)
+        monkeypatch.setattr(corpus_mod.time, "sleep", lambda s: None)
+        with pytest.raises(RuntimeError, match="archive fetch failed for 2017-01") as caught:
+            fetch_archive(self.ENDPOINT, [(2017, 1)], api_key="SECRET123", cache_dir=tmp_path)
+        assert "SECRET123" not in str(caught.value)
+        assert shown in str(caught.value)
+        assert requested == ["https://archive.example/2017/1.json?api-key=SECRET123"] * 3
+
+    @pytest.mark.parametrize(
         "content,cause",
         [
             ('{"response": {"docs": [', "Expecting value: line 1 column 24"),

@@ -180,8 +180,8 @@ class TestRelevanceTable:
                 "c": [["z"]],
             }
         )
-        raw = _fpr_raw(index.counts / index.sizes[:, None])[
-            index.clusters.index("t"), index.terms.index("w")
+        raw = _fpr_raw(index.counts / index.sizes[:, None], [index.clusters.index("t")])[
+            0, index.terms.index("w")
         ]
         assert raw > 1.0
         table = compute_relevance(index)

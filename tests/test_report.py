@@ -248,7 +248,7 @@ class TestHighlightHtml:
     def test_span_per_positive_token_occurrence(self, tmp_path):
         doc, stream, table = self.make_fixture()
         out = tmp_path / "doc.html"
-        highlight_html(doc, stream, table, 0, out)
+        highlight_html(doc, (), table, 0, out)
         content = out.read_text(encoding="utf-8")
         positive = {t for i, t in enumerate(table.terms) if table.r[0][i] > 0}
         expected_spans = sum(1 for t in stream if t in positive)
@@ -259,7 +259,7 @@ class TestHighlightHtml:
     def test_full_score_term_at_full_opacity(self, tmp_path):
         doc, stream, table = self.make_fixture()
         out = tmp_path / "doc.html"
-        highlight_html(doc, stream, table, 0, out)
+        highlight_html(doc, (), table, 0, out)
         content = out.read_text(encoding="utf-8")
         assert "rgba(255, 200, 0, 1.0000)" in content
 
@@ -268,7 +268,7 @@ class TestHighlightHtml:
         table = table_for(streams, [0, 1])
         doc = Document(id="d0", text="same words")
         out = tmp_path / "doc.html"
-        highlight_html(doc, streams[0], table, 0, out)
+        highlight_html(doc, (), table, 0, out)
         assert "<span" not in out.read_text(encoding="utf-8")
 
     def test_round_trip_strips_to_original_text(self, tmp_path):
@@ -277,7 +277,7 @@ class TestHighlightHtml:
         other = ("text", "with", "a")
         table = table_for([stream, other], [0, 1])
         out = tmp_path / "doc.html"
-        highlight_html(doc, stream, table, 0, out)
+        highlight_html(doc, (), table, 0, out)
         assert highlighted_text(out) == doc.text
 
     @settings(
@@ -293,7 +293,7 @@ class TestHighlightHtml:
         stream = normalize_tokenize(doc.text)
         table = table_for([stream, ("other",)], [0, 1])
         out = tmp_path / "doc.html"
-        highlight_html(doc, stream, table, 0, out)
+        highlight_html(doc, (), table, 0, out)
         assert highlighted_text(out) == doc.text
 
     def test_merged_bigram_tokens_highlighted(self, tmp_path):
@@ -303,17 +303,11 @@ class TestHighlightHtml:
         other = ("spoke", "again")
         table = table_for([merged, other], [0, 1])
         out = tmp_path / "doc.html"
-        highlight_html(doc, merged, table, 0, out)
+        highlight_html(doc, {("betsy", "devos")}, table, 0, out)
         content = out.read_text(encoding="utf-8")
         assert content.count("<span") == 2  # both halves of the merged pair
         stripped = re.sub(r"</?span[^>]*>", "", content)
         assert "betsy devos spoke" in html.unescape(stripped)
-
-    def test_stream_document_mismatch_rejected(self, tmp_path):
-        doc, _, table = self.make_fixture()
-        wrong = ("entirely", "different")
-        with pytest.raises(ValueError, match="does not match"):
-            highlight_html(doc, wrong, table, 0, tmp_path / "x.html")
 
 
 def dated_doc(doc_id, text, when):

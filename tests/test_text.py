@@ -61,7 +61,7 @@ class TestNormalizeTokenize:
     @example("İstanbul")
     @example("ΟΔΟΣ.Α")
     def test_same_tokens_as_token_spans(self, text):
-        assert normalize_tokenize(text) == tuple(t for *_, t in token_spans(text))
+        assert normalize_tokenize(text) == tuple(t for *_, t in token_spans(text, ()))
 
     def test_final_sigma_per_token(self):
         assert normalize_tokenize("ΣΑΣ-ΣΑΣ") == ("σας", "σας")
@@ -92,7 +92,7 @@ class TestNormalizeTokenize:
     def test_matches_the_regex_oracle(self, text):
         spans = token_spans_reference(text)
         assert normalize_tokenize(text) == tuple(token for *_, token in spans)
-        assert token_spans(text) == spans
+        assert token_spans(text, ()) == spans
 
     def test_isalnum_is_the_token_rule_over_all_of_unicode(self):
         # The library separates on "not str.isalnum", the oracle on [\W_]:
@@ -103,9 +103,49 @@ class TestNormalizeTokenize:
 
     def test_token_spans_match_tokens(self):
         text = "Hello, World-2"
-        spans = token_spans(text)
+        spans = token_spans(text, ())
         assert [t for _, _, t in spans] == ["hello", "world", "2"]
         assert [text[a:b].lower() for a, b, _ in spans] == ["hello", "world", "2"]
+
+
+class TestTokenSpans:
+    """token_spans(text, selected): where each token sits in the text, and
+    the term it counts as once the selected bigrams merge."""
+
+    def test_both_halves_of_a_merge_get_the_joined_term(self):
+        spans = token_spans("Betsy DeVos spoke; DeVos left.", {("betsy", "devos"), ("spoke", "left")})
+        assert spans == [
+            (0, 5, "betsy_devos"),
+            (6, 11, "betsy_devos"),
+            (12, 17, "spoke"),
+            (19, 24, "devos"),
+            (25, 29, "left"),
+        ]
+
+    # Short texts over a few letters repeat their pairs, so merges run into
+    # each other; the bigrams are a subset of the text's own adjacent pairs,
+    # picked by the bits of ``mask`` in order of first occurrence.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet=st.sampled_from("abİΣσ .-_'"), max_size=40) | st.text(max_size=200),
+        st.integers(min_value=0, max_value=2**12 - 1),
+    )
+    @example("İstanbul", 0)
+    @example("ΟΔΟΣ.Α", 1)
+    @example("a a a a b", 0b11)
+    def test_spans_and_terms_of_the_pipeline_tokens(self, text, mask):
+        tokens = normalize_tokenize(text)
+        pairs = list(dict.fromkeys(zip(tokens, tokens[1:])))
+        selected = {pair for bit, pair in enumerate(pairs) if mask >> bit & 1}
+        spans = token_spans(text, selected)
+        assert len(spans) == len(tokens)
+        ends = [0] + [end for _, end, _ in spans]
+        assert all(ends[i] <= start < end for i, (start, end, _) in enumerate(spans))
+        assert tuple(text[start:end].lower() for start, end, _ in spans) == tokens
+        merged = apply_bigrams(token_ids([tokens]), selected)[0]
+        assert [term for _, _, term in spans] == [
+            term for term in merged for _ in range(2 if "_" in term else 1)
+        ]
 
 
 def as_bits(candidates):
