@@ -8,6 +8,9 @@ what makes cosine-distance clustering productive afterwards.
 from __future__ import annotations
 
 import csv
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,16 @@ _PARTIAL_SOLVE_RATIO = 6
 # matrix. On a 2-core host, of 64, 128, 256 and 512 rows only 128 kept the
 # 1k-document bench run at the whole product's peak RSS (256 rows: +0.8 MiB).
 _PRODUCT_BLOCK_ROWS = 128
+
+# Rows of the centred Gram rebuilt at once for the dual coordinates on the
+# partial path. The height is fixed, since gemm's bits for a row depend on how
+# many rows it multiplies, so the coordinates do not depend on the core count.
+# The peak stays the solve's as long as a chunk is smaller than the Gram it
+# replaces. Taller chunks leave BLAS's spinning threads fewer product phases to
+# slow: on 6k snippets (2-core host) the rebuild's sparse products took 1.3 s
+# in 512-row chunks, 1.05 s in 1024 and 0.9 s in 2048 (0.74 s whole), and the
+# fit peaked at 392.7 MiB of RSS with 512 and with 2048.
+_REBUILD_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -64,20 +77,46 @@ def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) 
 
 
 def _fit_dual(matrix, max_components: int) -> KernelPca:
-    gram = _dense_product(matrix, matrix.T)
+    left, right = matrix.tocsr(), matrix.T.tocsr()
+    gram = _dense_product(left, right)
+    n = gram.shape[0]
     scale, col_means, grand = np.trace(gram), gram.mean(axis=0), float(gram.mean())
-    # Centred in place, in the order of gram - col - row + grand: the same
-    # bits as that expression, without a second N x N matrix.
-    gram -= col_means[None, :]
-    gram -= col_means[:, None]
-    gram += grand
-    eigenvalues, eigenvectors = _leading_eigenpairs(gram, scale, max_components)
+    _center(gram, col_means, col_means, grand)
+    # On the partial path the solve gets the transpose: the same matrix,
+    # Fortran-ordered as LAPACK wants it, which it may overwrite instead of a
+    # copy. Below it np.linalg.eigh copies its input anyway, so the Gram is
+    # kept for the coordinate product there: a rebuild would buy no memory.
+    partial = n >= _PARTIAL_SOLVE_RATIO * max_components
+    eigenvalues, eigenvectors = _leading_eigenpairs(
+        gram.T if partial else gram, scale, max_components, overwrite=partial
+    )
     # Scaled so that eigenvalue * ||column||^2 == 1: the coordinates' dot
     # products then reproduce the centered Gram on the kept eigenspace.
     dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
     del eigenvectors  # a view that keeps the whole N x N eigenvector matrix alive
     dual_coef *= _pivot_signs(dual_coef)
-    return KernelPca(eigenvalues=eigenvalues, coords=gram @ dual_coef)
+    if not partial:
+        return KernelPca(eigenvalues=eigenvalues, coords=gram @ dual_coef)
+    del gram  # overwritten by the solve
+    # The centred Gram rows are rebuilt _REBUILD_ROWS at a time. A one-row
+    # chunk would multiply by gemv, whose bits differ from gemm's, so a
+    # one-row tail joins the chunk before it.
+    coords = np.empty((n, dual_coef.shape[1]))
+    bounds = [*range(0, n - 1, _REBUILD_ROWS), n]
+    for a, b in zip(bounds, bounds[1:]):
+        block = _dense_product(left, right, slice(a, b))
+        _center(block, col_means[a:b], col_means, grand)
+        coords[a:b] = block @ dual_coef
+    return KernelPca(eigenvalues=eigenvalues, coords=coords)
+
+
+def _center(block: np.ndarray, row_means: np.ndarray, col_means: np.ndarray, grand: float) -> None:
+    """Double-centre rows of the Gram in place, in the order of
+    ``gram - col - row + grand``: the same bits as that expression, without a
+    second matrix."""
+    block -= col_means[None, :]
+    block -= row_means[:, None]
+    block += grand
 
 
 def _fit_primal(matrix, max_components: int) -> KernelPca:
@@ -104,19 +143,48 @@ def _fit_primal(matrix, max_components: int) -> KernelPca:
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
 
 
-def _dense_product(left, right) -> np.ndarray:
-    """``left @ right`` of two sparse matrices as a dense float64 array,
-    written into it one block of ``_PRODUCT_BLOCK_ROWS`` rows at a time.
+def _dense_product(left, right, rows: slice = slice(None)) -> np.ndarray:
+    """``(left @ right)[rows]`` of two sparse matrices as a dense float64
+    array, written into it one block of at most ``_PRODUCT_BLOCK_ROWS`` rows
+    at a time.
 
     Each block's rows are the whole product's, bit for bit: both are
-    computed row by row from the same CSR operands.
+    computed row by row from the same CSR operands. So the blocks are
+    shared out over every core the process may run on (the calling thread
+    takes every ``workers``-th block, starting with the first, and one helper
+    thread each of the others), and the result has the same bits for any
+    worker count. scipy releases the GIL in the sparse product. An exception
+    raised in a helper is raised here, once every helper has finished.
     """
     left, right = left.tocsr(), right.tocsr()
-    out = np.empty((left.shape[0], right.shape[1]))
-    for a in range(0, out.shape[0], _PRODUCT_BLOCK_ROWS):
-        rows = slice(a, a + _PRODUCT_BLOCK_ROWS)
-        (left[rows] @ right).toarray(out=out[rows])
+    start, stop, _ = rows.indices(left.shape[0])
+    out = np.empty((stop - start, right.shape[1]))
+    # Blocks of at most _PRODUCT_BLOCK_ROWS rows, as many for every worker,
+    # so that none has a block more to do than the others.
+    blocks = max(1, math.ceil((stop - start) / _PRODUCT_BLOCK_ROWS))
+    workers = min(_worker_count(), blocks)
+    height = max(1, math.ceil((stop - start) / (math.ceil(blocks / workers) * workers)))
+    starts = range(start, stop, height)
+
+    def fill(first: int) -> None:
+        for a in starts[first::workers]:
+            b = min(a + height, stop)
+            (left[a:b] @ right).toarray(out=out[a - start : b - start])
+
+    # No thread starts when there is no helper to run.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as helpers:
+        done = helpers.map(fill, range(1, workers))
+        fill(0)
+        list(done)
     return out
+
+
+def _worker_count() -> int:
+    """The number of cores this process may run on: its CPU affinity where
+    the platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _leading_eigenpairs(

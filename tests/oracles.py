@@ -19,6 +19,7 @@ from math import ceil, cos, hypot, sin
 import numpy as np
 from scipy import sparse
 
+from relwords import embedding
 from relwords.embedding import KernelPca, _leading_eigenpairs, _pivot_signs
 from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import build_occurrence_index, compute_relevance
@@ -236,11 +237,19 @@ def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
 def fit_dual_reference(matrix, max_components: int) -> KernelPca:
     """The dual kernel-PCA fit with the centred Gram as a second N x N
     matrix, the uncentred one kept for its trace, and the whole eigenvector
-    matrix alive through the coordinate product."""
+    matrix alive through the coordinate product.
+
+    On the partial path (N >= ``_PARTIAL_SOLVE_RATIO * max_components``) the
+    solve works on the transposed centred Gram, as the library's solve that
+    overwrites it does, and the coordinates are one product of the whole
+    centred Gram, whose rows are the library's rebuilt rows bit for bit."""
     gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
     col_means = gram.mean(axis=0)
     centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
-    eigenvalues, eigenvectors = _leading_eigenpairs(centered, np.trace(gram), max_components)
+    partial = matrix.shape[0] >= embedding._PARTIAL_SOLVE_RATIO * max_components
+    eigenvalues, eigenvectors = _leading_eigenpairs(
+        centered.T if partial else centered, np.trace(gram), max_components
+    )
     dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
     dual_coef *= _pivot_signs(dual_coef)
     return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)

@@ -567,21 +567,43 @@ def subprocess_env(**variables):
     return env
 
 
-def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
+# Runs ``relwords.cli.main(sys.argv[2:])`` with kernel PCA's block products
+# shared out over ``sys.argv[1]`` workers, whatever the cores.
+WITH_BLOCK_WORKERS = """\
+import sys
+from relwords import cli, embedding
+embedding._worker_count = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_reruns_identical_across_blas_thread_counts(tmp_path):
+    # 150 documents over more terms than that, so the dual path runs on a
+    # Gram of two 128-row blocks; --components 20 puts it on the partial
+    # solve, whose coordinates come from rebuilt Gram rows.
+    corpus, _, _ = planted_topic_corpus(docs_per_topic=50, filler_pool=400)
+    corpus_file = tmp_path / "corpus.jsonl"
+    save_jsonl(corpus, corpus_file)
     artifacts = {}
     for threads in ("1", "2"):
         env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        outdir = tmp_path / f"threads{threads}"
-        for argv in (["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir)],
-                     ["relevant", "--run", str(outdir)],
-                     ["wordcloud", "--run", str(outdir)]):
-            subprocess.run([sys.executable, "-m", "relwords.cli", *argv],
-                           env=env, check=True, capture_output=True)
-        names = ["labels.csv", "bigrams.csv", "occurrence.json", "relevance.csv"]
-        names += sorted(path.name for path in outdir.glob("*.svg"))
-        artifacts[threads] = {name: (outdir / name).read_bytes() for name in names}
-    assert len(artifacts["1"]) == 7
-    assert artifacts["1"] == artifacts["2"]
+        for workers in ("1", "2"):
+            outdir = tmp_path / f"threads{threads}-workers{workers}"
+            for argv in (["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
+                          "--components", "20", "--dump-embedding"],
+                         ["relevant", "--run", str(outdir)],
+                         ["wordcloud", "--run", str(outdir)]):
+                subprocess.run([sys.executable, "-c", WITH_BLOCK_WORKERS, workers, *argv],
+                               env=env, check=True, capture_output=True)
+            names = ["labels.csv", "bigrams.csv", "occurrence.json", "relevance.csv", "embedding.csv"]
+            names += sorted(path.name for path in outdir.glob("*.svg"))
+            artifacts[threads, workers] = {name: (outdir / name).read_bytes() for name in names}
+    assert len(artifacts["1", "1"]) == 8
+    embeddings = {key: files.pop("embedding.csv") for key, files in artifacts.items()}
+    assert all(files == artifacts["1", "1"] for files in artifacts.values())
+    # The coordinates may differ in the last bits between BLAS thread
+    # counts, but not between block worker counts.
+    assert all(embeddings[threads, "1"] == embeddings[threads, "2"] for threads in ("1", "2"))
 
 
 def without_key(key):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -196,6 +197,42 @@ class TestPartialEigensolve:
         assert eigensolves == ["partial"]
         assert np.array_equal(coords[n // 2], coords[n // 3])
 
+    @pytest.mark.parametrize("rebuild_rows", [128, 1024])
+    def test_duplicate_of_a_one_row_tail(self, rebuild_rows, monkeypatch, solvers, eigensolves):
+        # N = 4 * 128 + 1: in 128-row chunks the last rebuilt Gram row would
+        # be multiplied alone (gemv, other bits) did it not join the chunk
+        # before it, and its duplicate sits in another chunk; in 1024-row
+        # chunks both are in one. One, two and three product workers give
+        # the same bits.
+        monkeypatch.setattr(embedding, "_REBUILD_ROWS", rebuild_rows)
+        n, t = 513, 1200
+        rows = random_tfidf(np.random.default_rng(n), n, t)
+        rows[n - 1] = rows[3]
+        fm = make_feature_matrix(rows)
+        fits = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(embedding, "_worker_count", lambda workers=workers: workers)
+            fits.append(fit_kpca(fm, max_components=10).coords)
+        assert solvers == ["_fit_dual"] * 3
+        assert eigensolves == ["partial"] * 3
+        assert np.array_equal(fits[0][n - 1], fits[0][3])
+        for coords in fits[1:]:
+            assert np.array_equal(coords.view(np.uint64), fits[0].view(np.uint64))
+
+    def test_coordinates_do_not_depend_on_the_worker_count(self, monkeypatch, eigensolves):
+        # 250 components: gemm gives a row other bits in a taller chunk at
+        # this width, so the chunks must not grow with the worker count.
+        monkeypatch.setattr(embedding, "_PARTIAL_SOLVE_RATIO", 1)
+        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 128)
+        fm = make_feature_matrix(random_tfidf(np.random.default_rng(600), 600, 900))
+        fits = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(embedding, "_worker_count", lambda workers=workers: workers)
+            fits.append(fit_kpca(fm, max_components=250).coords)
+        assert eigensolves == ["partial"] * 3
+        for coords in fits[1:]:
+            assert np.array_equal(coords.view(np.uint64), fits[0].view(np.uint64))
+
     @pytest.mark.parametrize("n, t", SHAPES)
     def test_refit_is_bitwise_reproducible(self, n, t, eigensolves):
         rows = random_tfidf(np.random.default_rng(n * t), n, t)
@@ -357,6 +394,24 @@ class TestDualFitMemory:
         assert solvers == ["_fit_dual"]
         assert peak < 2.5 * 8 * n * n
 
+    def test_partial_path_peak_below_one_and_a_half_gram_matrices(self, monkeypatch, solvers, eigensolves):
+        # The partial solve overwrites the Gram, and the coordinates come from
+        # rebuilt rows: one N x N matrix plus product blocks and a rebuilt
+        # chunk, never the Gram beside a copy of it.
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 64)
+        n, k = 300, 10
+        fm = self.sparse_features(n, 900)
+        tracemalloc.start()
+        try:
+            fit_kpca(fm, max_components=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solvers == ["_fit_dual"]
+        assert eigensolves == ["partial"]
+        assert peak < 1.5 * 8 * n * n
+
     def test_dense_gram_peak_below_two_and_a_quarter_gram_matrices(self, monkeypatch, solvers):
         # Every entry of this Gram is nonzero, so a whole sparse product of
         # it would cost 1.5 Gram matrices more: beside the Gram and the
@@ -409,6 +464,69 @@ class TestProductBlocks:
         assert solvers == ["_fit_primal"]
         for got, want in ((model.eigenvalues, reference.eigenvalues), (model.coords, reference.coords)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestParallelProduct:
+    """``_dense_product`` shares its blocks out over the process's cores:
+    any number of workers gives the serial block loop's bits, and an error
+    in a helper reaches the caller once every helper has finished."""
+
+    @staticmethod
+    def serial_product(left, right, rows=slice(None)):
+        left, right = left.tocsr(), right.tocsr()
+        start, stop, _ = rows.indices(left.shape[0])
+        out = np.empty((stop - start, right.shape[1]))
+        for a in range(start, stop, embedding._PRODUCT_BLOCK_ROWS):
+            b = min(a + embedding._PRODUCT_BLOCK_ROWS, stop)
+            (left[a:b] @ right).toarray(out=out[a - start : b - start])
+        return out
+
+    @staticmethod
+    def operands(rows, transposed):
+        """X X^T with ``rows`` rows, or X^T X with as many."""
+        rng = np.random.default_rng(rows + transposed)
+        x = sparse.random(rows, 40, density=0.2, format="csr", random_state=rng)
+        if transposed:
+            x = x.T.tocsr()
+            return x.T, x
+        return x, x.T
+
+    # Blocks of at most 8 rows: one block, two, and three with a 5-row
+    # remainder (which two workers share as 6, 6, 6 and 3 rows)
+    @pytest.mark.parametrize("rows", [8, 16, 21])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bitwise_equal_to_the_serial_block_loop(self, rows, workers, transposed, monkeypatch):
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 8)
+        monkeypatch.setattr(embedding, "_worker_count", lambda: workers)
+        left, right = self.operands(rows, transposed)
+        for part in (slice(None), slice(3, rows - 2)):
+            got = embedding._dense_product(left, right, part)
+            want = self.serial_product(left, right, part)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), part
+        whole = (left @ right).toarray()
+        assert np.array_equal(embedding._dense_product(left, right).view(np.uint64), whole.view(np.uint64))
+
+    def test_helper_error_reaches_the_caller_after_every_helper_is_joined(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 8)
+        monkeypatch.setattr(embedding, "_worker_count", lambda: 3)
+        failed_in = set()
+
+        class FailingInHelpers(sparse.csr_matrix):
+            def __getitem__(self, key):
+                if threading.current_thread() is not threading.main_thread():
+                    failed_in.add(threading.current_thread())
+                    raise MemoryError("block in a helper")
+                return super().__getitem__(key)
+
+        left, right = self.operands(21, False)
+        left = FailingInHelpers(left)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match="block in a helper"):
+            embedding._dense_product(left, right)
+        assert failed_in
+        assert not any(thread.is_alive() for thread in failed_in)
+        assert set(threading.enumerate()) == before
 
 
 class TestTransform:
