@@ -8,7 +8,6 @@ what makes cosine-distance clustering productive afterwards.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +33,11 @@ _PARTIAL_SOLVE_RATIO = 6
 # matrix. On a 2-core host, of 64, 128, 256 and 512 rows only 128 kept the
 # 1k-document bench run at the whole product's peak RSS (256 rows: +0.8 MiB).
 _PRODUCT_BLOCK_ROWS = 128
+
+# At most this many blocks of a sparse product are computed at once, so its
+# transient memory is at most this many blocks' sparse products, whatever
+# the core count.
+_MAX_PRODUCT_WORKERS = 4
 
 # Rows of the centred Gram rebuilt at once for the dual coordinates on the
 # partial path. The height is fixed, since gemm's bits for a row depend on how
@@ -86,7 +90,7 @@ def _fit_dual(matrix, max_components: int) -> KernelPca:
     # Fortran-ordered as LAPACK wants it, which it may overwrite instead of a
     # copy. Below it np.linalg.eigh copies its input anyway, so the Gram is
     # kept for the coordinate product there: a rebuild would buy no memory.
-    partial = n >= _PARTIAL_SOLVE_RATIO * max_components
+    partial = _partial_solve(n, max_components)
     eigenvalues, eigenvectors = _leading_eigenpairs(
         gram.T if partial else gram, scale, max_components, overwrite=partial
     )
@@ -150,32 +154,27 @@ def _dense_product(left, right, rows: slice = slice(None)) -> np.ndarray:
 
     Each block's rows are the whole product's, bit for bit: both are
     computed row by row from the same CSR operands. So the blocks are
-    shared out over every core the process may run on (the calling thread
-    takes every ``workers``-th block, starting with the first, and one helper
-    thread each of the others), and the result has the same bits for any
-    worker count. scipy releases the GIL in the sparse product. An exception
-    raised in a helper is raised here, once every helper has finished.
+    shared out over the cores the process may run on, at most
+    ``_MAX_PRODUCT_WORKERS`` at once, and the result has the same bits for
+    any worker count. scipy releases the GIL in the sparse product. An
+    exception raised in a block is raised here, once every worker has stopped.
     """
     left, right = left.tocsr(), right.tocsr()
     start, stop, _ = rows.indices(left.shape[0])
     out = np.empty((stop - start, right.shape[1]))
-    # Blocks of at most _PRODUCT_BLOCK_ROWS rows, as many for every worker,
-    # so that none has a block more to do than the others.
-    blocks = max(1, math.ceil((stop - start) / _PRODUCT_BLOCK_ROWS))
-    workers = min(_worker_count(), blocks)
-    height = max(1, math.ceil((stop - start) / (math.ceil(blocks / workers) * workers)))
-    starts = range(start, stop, height)
+    blocks = range(start, stop, _PRODUCT_BLOCK_ROWS)
+    workers = min(_worker_count(), _MAX_PRODUCT_WORKERS, len(blocks))
 
-    def fill(first: int) -> None:
-        for a in starts[first::workers]:
-            b = min(a + height, stop)
-            (left[a:b] @ right).toarray(out=out[a - start : b - start])
+    def fill(a: int) -> None:
+        b = min(a + _PRODUCT_BLOCK_ROWS, stop)
+        (left[a:b] @ right).toarray(out=out[a - start : b - start])
 
-    # No thread starts when there is no helper to run.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as helpers:
-        done = helpers.map(fill, range(1, workers))
-        fill(0)
-        list(done)
+    if workers <= 1:
+        for a in blocks:
+            fill(a)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, blocks))
     return out
 
 
@@ -185,6 +184,12 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _partial_solve(side: int, max_components: int) -> bool:
+    """Whether a centered matrix of this side gets the partial eigensolve,
+    which computes only the kept eigenpairs, rather than the full one."""
+    return side >= _PARTIAL_SOLVE_RATIO * max_components
 
 
 def _leading_eigenpairs(
@@ -201,7 +206,7 @@ def _leading_eigenpairs(
     rather than copy it.
     """
     d = centered.shape[0]
-    if d >= _PARTIAL_SOLVE_RATIO * max_components:
+    if _partial_solve(d, max_components):
         # Imported only here: scipy.linalg adds ~8 MiB of resident memory,
         # which the read commands and the smaller fits never need.
         import scipy.linalg

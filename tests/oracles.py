@@ -19,8 +19,7 @@ from math import ceil, cos, hypot, sin
 import numpy as np
 from scipy import sparse
 
-from relwords import embedding
-from relwords.embedding import KernelPca, _leading_eigenpairs, _pivot_signs
+from relwords.embedding import KernelPca, _leading_eigenpairs, _partial_solve, _pivot_signs
 from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import build_occurrence_index, compute_relevance
 from relwords.report import (
@@ -239,14 +238,14 @@ def fit_dual_reference(matrix, max_components: int) -> KernelPca:
     matrix, the uncentred one kept for its trace, and the whole eigenvector
     matrix alive through the coordinate product.
 
-    On the partial path (N >= ``_PARTIAL_SOLVE_RATIO * max_components``) the
+    On the partial path (``_partial_solve(N, max_components)``) the
     solve works on the transposed centred Gram, as the library's solve that
     overwrites it does, and the coordinates are one product of the whole
     centred Gram, whose rows are the library's rebuilt rows bit for bit."""
     gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
     col_means = gram.mean(axis=0)
     centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
-    partial = matrix.shape[0] >= embedding._PARTIAL_SOLVE_RATIO * max_components
+    partial = _partial_solve(matrix.shape[0], max_components)
     eigenvalues, eigenvectors = _leading_eigenpairs(
         centered.T if partial else centered, np.trace(gram), max_components
     )

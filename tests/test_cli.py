@@ -577,27 +577,48 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_reruns_identical_across_blas_thread_counts(tmp_path):
+def run_and_read(outdir, env, cluster_argv, workers=None):
+    """Run ``cluster`` with ``cluster_argv`` into ``outdir``, then ``relevant``
+    and ``wordcloud`` on it, as subprocesses with ``env`` and, when given,
+    ``workers`` block workers; return the bytes of every artifact they write
+    but the manifest, by file name."""
+    launcher = [sys.executable, "-m", "relwords.cli"]
+    if workers is not None:
+        launcher = [sys.executable, "-c", WITH_BLOCK_WORKERS, workers]
+    for argv in ([*cluster_argv, "--outdir", str(outdir)],
+                 ["relevant", "--run", str(outdir)],
+                 ["wordcloud", "--run", str(outdir)]):
+        subprocess.run([*launcher, *argv], env=env, check=True, capture_output=True)
+    names = ["labels.csv", "bigrams.csv", "occurrence.json", "relevance.csv", "embedding.csv"]
+    names += sorted(path.name for path in outdir.glob("*.svg"))
+    return {name: (outdir / name).read_bytes() for name in names if (outdir / name).exists()}
+
+
+def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
+    # The default configuration: the full-eigh dual path that default runs
+    # take, its Gram one block.
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        artifacts[threads] = run_and_read(tmp_path / f"threads{threads}", env,
+                                          ["cluster", "--corpus", str(corpus_file)])
+    assert len(artifacts["1"]) == 7
+    assert artifacts["1"] == artifacts["2"]
+
     # 150 documents over more terms than that, so the dual path runs on a
-    # Gram of two 128-row blocks; --components 20 puts it on the partial
-    # solve, whose coordinates come from rebuilt Gram rows.
+    # Gram of two blocks, one per worker with two; --components 20 puts it on
+    # the partial solve, whose coordinates come from rebuilt Gram rows.
     corpus, _, _ = planted_topic_corpus(docs_per_topic=50, filler_pool=400)
-    corpus_file = tmp_path / "corpus.jsonl"
-    save_jsonl(corpus, corpus_file)
+    larger = tmp_path / "corpus.jsonl"
+    save_jsonl(corpus, larger)
     artifacts = {}
     for threads in ("1", "2"):
         env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         for workers in ("1", "2"):
-            outdir = tmp_path / f"threads{threads}-workers{workers}"
-            for argv in (["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir),
-                          "--components", "20", "--dump-embedding"],
-                         ["relevant", "--run", str(outdir)],
-                         ["wordcloud", "--run", str(outdir)]):
-                subprocess.run([sys.executable, "-c", WITH_BLOCK_WORKERS, workers, *argv],
-                               env=env, check=True, capture_output=True)
-            names = ["labels.csv", "bigrams.csv", "occurrence.json", "relevance.csv", "embedding.csv"]
-            names += sorted(path.name for path in outdir.glob("*.svg"))
-            artifacts[threads, workers] = {name: (outdir / name).read_bytes() for name in names}
+            outdir = tmp_path / f"larger-threads{threads}-workers{workers}"
+            artifacts[threads, workers] = run_and_read(
+                outdir, env, ["cluster", "--corpus", str(larger), "--components", "20", "--dump-embedding"], workers
+            )
     assert len(artifacts["1", "1"]) == 8
     embeddings = {key: files.pop("embedding.csv") for key, files in artifacts.items()}
     assert all(files == artifacts["1", "1"] for files in artifacts.values())

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -412,6 +413,29 @@ class TestDualFitMemory:
         assert eigensolves == ["partial"]
         assert peak < 1.5 * 8 * n * n
 
+    def test_more_cores_add_at_most_three_blocks_to_the_peak(self, monkeypatch, solvers, eigensolves):
+        # Every entry of this Gram is nonzero, so a block in progress holds a
+        # sparse product of 1.5 times its rows of the dense Gram, and its rows
+        # of the features. On eight cores at most four blocks are in progress
+        # at once: the one-core peak plus at most three blocks, each under
+        # 2.5 times its dense rows.
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 64)
+        n, k = 300, 10
+        fm = self.sparse_features(n, 900, density=0.1)
+        peaks = {}
+        for cores in (1, 8):
+            monkeypatch.setattr(embedding, "_worker_count", lambda cores=cores: cores)
+            tracemalloc.start()
+            try:
+                fit_kpca(fm, max_components=k)
+                peaks[cores] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert solvers == ["_fit_dual"] * 2
+        assert eigensolves == ["partial"] * 2
+        assert peaks[8] < peaks[1] + 3 * 2.5 * 8 * 16 * n
+
     def test_dense_gram_peak_below_two_and_a_quarter_gram_matrices(self, monkeypatch, solvers):
         # Every entry of this Gram is nonzero, so a whole sparse product of
         # it would cost 1.5 Gram matrices more: beside the Gram and the
@@ -467,9 +491,10 @@ class TestProductBlocks:
 
 
 class TestParallelProduct:
-    """``_dense_product`` shares its blocks out over the process's cores:
-    any number of workers gives the serial block loop's bits, and an error
-    in a helper reaches the caller once every helper has finished."""
+    """``_dense_product`` shares its blocks out over the process's cores, at
+    most four at once: any number of workers gives the serial block loop's
+    bits, and an error in a helper reaches the caller once every helper has
+    finished."""
 
     @staticmethod
     def serial_product(left, right, rows=slice(None)):
@@ -492,7 +517,7 @@ class TestParallelProduct:
         return x, x.T
 
     # Blocks of at most 8 rows: one block, two, and three with a 5-row
-    # remainder (which two workers share as 6, 6, 6 and 3 rows)
+    # remainder
     @pytest.mark.parametrize("rows", [8, 16, 21])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -527,6 +552,25 @@ class TestParallelProduct:
         assert failed_in
         assert not any(thread.is_alive() for thread in failed_in)
         assert set(threading.enumerate()) == before
+
+
+    def test_at_most_four_blocks_at_once(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 8)
+        monkeypatch.setattr(embedding, "_worker_count", lambda: 8)
+        threads = set()
+
+        class Recording(sparse.csr_matrix):
+            def __getitem__(self, key):
+                threads.add(threading.current_thread())
+                # Busy long enough that the pool starts a thread for every
+                # block it may run at once
+                time.sleep(0.02)
+                return super().__getitem__(key)
+
+        left, right = self.operands(80, False)
+        got = embedding._dense_product(Recording(left), right)
+        assert np.array_equal(got.view(np.uint64), self.serial_product(left, right).view(np.uint64))
+        assert 2 <= len(threads) <= 4
 
 
 class TestTransform:
