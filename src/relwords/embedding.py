@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .features import FeatureMatrix
 
@@ -104,11 +105,14 @@ def _fit_dual(matrix, max_components: int) -> KernelPca:
     del gram  # overwritten by the solve
     # The centred Gram rows are rebuilt _REBUILD_ROWS at a time. A one-row
     # chunk would multiply by gemv, whose bits differ from gemm's, so a
-    # one-row tail joins the chunk before it.
+    # one-row tail joins the chunk before it. A chunk's features are a view
+    # of their rows, as ``left[a:b]`` would copy their nonzeros.
     coords = np.empty((n, dual_coef.shape[1]))
     bounds = [*range(0, n - 1, _REBUILD_ROWS), n]
     for a, b in zip(bounds, bounds[1:]):
-        block = _dense_product(left, right, slice(a, b))
+        first, last = left.indptr[a], left.indptr[b]
+        rows = (left.data[first:last], left.indices[first:last], left.indptr[a : b + 1] - first)
+        block = _dense_product(sparse.csr_matrix(rows, shape=(b - a, left.shape[1])), right)
         _center(block, col_means[a:b], col_means, grand)
         coords[a:b] = block @ dual_coef
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
@@ -147,34 +151,29 @@ def _fit_primal(matrix, max_components: int) -> KernelPca:
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
 
 
-def _dense_product(left, right, rows: slice = slice(None)) -> np.ndarray:
-    """``(left @ right)[rows]`` of two sparse matrices as a dense float64
-    array, written into it one block of at most ``_PRODUCT_BLOCK_ROWS`` rows
-    at a time.
+def _dense_product(left, right) -> np.ndarray:
+    """``left @ right`` of two sparse matrices as a dense float64 array,
+    written one block of at most ``_PRODUCT_BLOCK_ROWS`` rows at a time.
 
     Each block's rows are the whole product's, bit for bit: both are
     computed row by row from the same CSR operands. So the blocks are
-    shared out over the cores the process may run on, at most
-    ``_MAX_PRODUCT_WORKERS`` at once, and the result has the same bits for
-    any worker count. scipy releases the GIL in the sparse product. An
-    exception raised in a block is raised here, once every worker has stopped.
+    shared out by a pool of one thread per core the process may run on, at
+    most ``_MAX_PRODUCT_WORKERS``, and the result has the same bits for any
+    worker count (one is a pool of one). scipy releases the GIL in the
+    sparse product. An exception raised in a block is raised here, once
+    every worker has stopped.
     """
     left, right = left.tocsr(), right.tocsr()
-    start, stop, _ = rows.indices(left.shape[0])
-    out = np.empty((stop - start, right.shape[1]))
-    blocks = range(start, stop, _PRODUCT_BLOCK_ROWS)
-    workers = min(_worker_count(), _MAX_PRODUCT_WORKERS, len(blocks))
+    n = left.shape[0]
+    out = np.empty((n, right.shape[1]))
+    blocks = range(0, n, _PRODUCT_BLOCK_ROWS)
 
     def fill(a: int) -> None:
-        b = min(a + _PRODUCT_BLOCK_ROWS, stop)
-        (left[a:b] @ right).toarray(out=out[a - start : b - start])
+        b = min(a + _PRODUCT_BLOCK_ROWS, n)
+        (left[a:b] @ right).toarray(out=out[a:b])
 
-    if workers <= 1:
-        for a in blocks:
-            fill(a)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, blocks))
+    with ThreadPoolExecutor(min(_worker_count(), _MAX_PRODUCT_WORKERS, len(blocks))) as pool:
+        list(pool.map(fill, blocks))
     return out
 
 

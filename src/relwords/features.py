@@ -48,7 +48,7 @@ def build_vocabulary(corpus: TokenIds, min_df: int = 1) -> Vocabulary:
     doc_freq = np.bincount(corpus.counts.indices, minlength=len(corpus.tokens))
     kept = np.flatnonzero(doc_freq >= min_df)
     if not kept.size:
-        raise ValueError("empty vocabulary")
+        raise ValueError(f"empty vocabulary: no term is in at least {min_df} document(s)")
     terms = tuple(map(corpus.tokens.__getitem__, kept.tolist()))
     return Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)}, doc_freq=doc_freq[kept])
 

@@ -77,7 +77,9 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     Documents with zero feature vectors, the rows the embedding sees as
     empty, get one warning naming how many there are and the first five, by
     ``corpus`` id. A row is zero when its document has no in-vocabulary
-    token, or only terms found in every document (idf 0).
+    token, or only terms found in every document (idf 0). Kernel PCA puts
+    them all at one point, so clustering sees them as zero vectors instead,
+    at distance 1 from every document; ``model.coords`` is left as it is.
     """
     if config is None:
         config = PipelineConfig()
@@ -99,6 +101,9 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     except ValueError as exc:
         raise ValueError(f"embedding: {exc}") from exc
     coords = transform(model).coords
+    if empty:
+        coords = coords.copy()
+        coords[empty] = 0.0
     assignment = dbscan(pairwise_distances(coords), eps=config.eps, min_pts=config.min_pts)
     return PipelineResult(
         selected_bigrams=selected, features=features, model=model, assignment=assignment

@@ -211,25 +211,19 @@ def render_svg(spec: WordCloudSpec, path) -> None:
 
 
 def render_contrast_cloud(
-    ranked_a: Sequence[tuple[str, float]],
-    ranked_b: Sequence[tuple[str, float]],
-    path,
-    *,
-    top_k: int = 50,
-    width: int = CANVAS_WIDTH,
-    height: int = CANVAS_HEIGHT,
+    ranked_a: Sequence[tuple[str, float]], ranked_b: Sequence[tuple[str, float]], path, *, top_k: int = 50
 ) -> WordCloudSpec:
-    """Two-group cloud: group A green in the upper half, group B red in the
-    lower half, each half sized independently; an empty ranking leaves its
-    half empty."""
-    half = height // 2
+    """Two-group cloud on the canvas: group A green in the upper half, group
+    B red in the lower half, each half sized independently; an empty ranking
+    leaves its half empty."""
+    half = CANVAS_HEIGHT // 2
     spec_a, spec_b = (
-        layout_wordcloud(ranked, top_k=top_k, width=width, height=half, color=color)
+        layout_wordcloud(ranked, top_k=top_k, width=CANVAS_WIDTH, height=half, color=color)
         for ranked, color in ((ranked_a, GROUP_A_COLOR), (ranked_b, GROUP_B_COLOR))
     )
     entries = spec_a.entries + tuple(replace(e, y=e.y + half) for e in spec_b.entries)
-    spec = WordCloudSpec(entries=entries, width=width, height=height)
-    divider = f'<line x1="0" y1="{half}" x2="{width}" y2="{half}" stroke="#cccccc" stroke-width="1"/>'
+    spec = WordCloudSpec(entries=entries, width=CANVAS_WIDTH, height=CANVAS_HEIGHT)
+    divider = f'<line x1="0" y1="{half}" x2="{CANVAS_WIDTH}" y2="{half}" stroke="#cccccc" stroke-width="1"/>'
     Path(path).write_bytes(svg_markup(spec, extra=[divider]).encode("utf-8"))
     return spec
 

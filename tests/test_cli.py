@@ -179,6 +179,13 @@ class TestCluster:
         assert f"document {doc_id!r} is noise; nothing to highlight" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_min_df_above_the_corpus_size_names_the_cause(self, tmp_path, corpus_file, capsys):
+        outdir = tmp_path / "run"
+        code = main(["cluster", "--corpus", str(corpus_file), "--outdir", str(outdir), "--min-df", "46"])
+        assert code == 1
+        assert "error: empty vocabulary: no term is in at least 46 document(s)" in capsys.readouterr().err
+        assert not (outdir / "manifest.json").exists()
+
     def test_missing_corpus_nonzero_exit(self, tmp_path, capsys):
         code = main(["cluster", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--outdir", str(tmp_path / "run")])

@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 import tracemalloc
@@ -491,10 +492,10 @@ class TestProductBlocks:
 
 
 class TestParallelProduct:
-    """``_dense_product`` shares its blocks out over the process's cores, at
-    most four at once: any number of workers gives the serial block loop's
-    bits, and an error in a helper reaches the caller once every helper has
-    finished."""
+    """``_dense_product`` shares its blocks out by a pool of the process's
+    cores, at most four at once: any number of workers, one included, gives
+    the serial block loop's bits, and an error in a helper reaches the
+    caller once every helper has finished."""
 
     @staticmethod
     def serial_product(left, right, rows=slice(None)):
@@ -526,7 +527,7 @@ class TestParallelProduct:
         monkeypatch.setattr(embedding, "_worker_count", lambda: workers)
         left, right = self.operands(rows, transposed)
         for part in (slice(None), slice(3, rows - 2)):
-            got = embedding._dense_product(left, right, part)
+            got = embedding._dense_product(left[part], right)
             want = self.serial_product(left, right, part)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), part
         whole = (left @ right).toarray()
@@ -571,6 +572,10 @@ class TestParallelProduct:
         got = embedding._dense_product(Recording(left), right)
         assert np.array_equal(got.view(np.uint64), self.serial_product(left, right).view(np.uint64))
         assert 2 <= len(threads) <= 4
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_worker_count_is_the_process_affinity(self):
+        assert embedding._worker_count() == len(os.sched_getaffinity(0))
 
 
 class TestTransform:

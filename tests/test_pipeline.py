@@ -122,6 +122,22 @@ class TestRunClustering:
             with pytest.raises(ValueError, match="embedding: degenerate corpus"):
                 run_clustering(Corpus(docs))
 
+    def test_empty_documents_are_noise(self):
+        # A zero tf-idf row embeds at -mean @ V, the same point for every
+        # such document; like any vector with no direction it is at distance
+        # 1 from every document, so the five form no topic of their own.
+        corpus, _, _ = planted_topic_corpus()
+        clean = run_clustering(corpus).assignment
+        empty = tuple(Document(id=f"empty{k}", text="?!") for k in range(5))
+        with pytest.warns(UserWarning, match="5 document"):
+            result = run_clustering(Corpus(corpus.docs + empty))
+        labels = result.assignment.labels
+        assert result.assignment.n_clusters == clean.n_clusters == 3
+        assert np.all(labels[-5:] == NOISE)
+        assert np.array_equal(labels[:-5], clean.labels)
+        # the embedding itself keeps them where kernel PCA put them
+        assert np.all(np.linalg.norm(result.model.coords[-5:], axis=1) > 0)
+
     def test_intermediate_shapes_consistent(self):
         corpus, _, _ = planted_topic_corpus(docs_per_topic=5)
         result = run_clustering(corpus)

@@ -204,9 +204,7 @@ class TestRenderSvg:
 class TestContrastCloud:
     def test_groups_in_their_halves_with_their_colors(self, tmp_path):
         out = tmp_path / "contrast.svg"
-        spec = render_contrast_cloud(
-            [("inauguration", 1.0)], [("christmas", 1.0)], out, width=800, height=600
-        )
+        spec = render_contrast_cloud([("inauguration", 1.0)], [("christmas", 1.0)], out)
         by_term = {e.term: e for e in spec.entries}
         top = by_term["inauguration"]
         bottom = by_term["christmas"]
