@@ -8,7 +8,7 @@ reproducible artifacts.
 
 __version__ = "0.1.0"
 
-from .clustering import NOISE, ClusterAssignment, dbscan, pairwise_distances
+from .clustering import NOISE, ClusterAssignment, CosineDistances, dbscan, pairwise_distances
 from .corpus import (
     Corpus,
     Document,
@@ -57,6 +57,7 @@ __all__ = [
     "BigramCandidates",
     "ClusterAssignment",
     "Corpus",
+    "CosineDistances",
     "Document",
     "FeatureMatrix",
     "OccurrenceIndex",

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 These deliberately follow the textbook definitions step by step and share no
-code with the library (the word-cloud and bigram references take only
-constants and result types from it). Three exceptions keep an earlier
-version's code path on the library's own functions, so that its successor
-can be required to give the very same bits: ``fit_dual_reference``,
-``fit_primal_reference`` and ``relevance_from_corpus``.
+code with the library (the word-cloud, bigram and distance references take
+only constants and result types from it). Four exceptions keep an earlier
+version's code path, so that its successor can be required to give the very
+same bits: ``fit_dual_reference``, ``fit_primal_reference`` and
+``relevance_from_corpus`` on the library's own functions, and
+``pairwise_distances_reference``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import ceil, cos, hypot, sin
 import numpy as np
 from scipy import sparse
 
+from relwords import clustering
 from relwords.embedding import KernelPca, _leading_eigenpairs, _partial_solve, _pivot_signs
 from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import build_occurrence_index, compute_relevance
@@ -52,6 +54,68 @@ def token_spans_reference(text: str) -> list[tuple[int, int, str]]:
     """(start, end, lowercased token) of each match of ``TOKEN``: split
     first, then lowercase each token on its own."""
     return [(m.start(), m.end(), m.group().lower()) for m in TOKEN.finditer(text)]
+
+
+def pairwise_distances_reference(coords: np.ndarray) -> np.ndarray:
+    """The full symmetric N x N matrix of cosine distances between the rows of
+    ``coords``, computed as ``clustering.pairwise_distances`` did while it
+    returned that matrix: gemm over row tiles of ``clustering._TILE_ROWS``
+    (read at each call, so a test can patch it) against the rows from each
+    tile's first one on, the upper triangle mirrored into the lower.
+
+    Rows shorter than ``clustering._NORM_FLOOR`` have no direction and are at
+    distance 2 from every other row. Entries lie in [0, 2] and the diagonal
+    is exactly 0. The upper triangle is the bitwise reference for
+    ``CosineDistances.tiles`` at the same tile height.
+    """
+    n = coords.shape[0]
+    norms = np.linalg.norm(coords, axis=1)
+    directionless = norms < clustering._NORM_FLOOR
+    unit = coords / np.where(directionless, 1.0, norms)[:, None]
+    sim = np.empty((n, n))
+    rows = clustering._TILE_ROWS
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        np.matmul(unit[a:b], unit[a:].T, out=sim[a:b, a:])
+        for i in range(a, b - 1):  # the diagonal block: upper triangle into lower
+            sim[i + 1:b, i] = sim[i, i + 1:b]
+        sim[b:, a:b] = sim[a:b, b:].T
+    sim[directionless, :] = -1.0
+    sim[:, directionless] = -1.0
+    dist = np.subtract(1.0, sim, out=sim)
+    np.clip(dist, 0.0, 2.0, out=dist)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@dataclass(frozen=True)
+class TiledMatrix:
+    """A precomputed distance matrix served as ``clustering.dbscan`` reads its
+    argument: a ``shape``, and ``tiles()`` yielding ``(a, b, matrix[a:b, a:])``
+    over row tiles of ``clustering._TILE_ROWS`` (read at each call). The
+    matrix need not hold cosine distances."""
+
+    matrix: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.matrix.shape
+
+    def tiles(self):
+        n, rows = self.matrix.shape[0], clustering._TILE_ROWS
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            yield a, b, self.matrix[a:b, a:]
+
+
+def matrix_of(distances) -> np.ndarray:
+    """The N x N matrix that tiled distances stand for: the upper triangle of
+    each tile (diagonal included), copied out and mirrored."""
+    n = distances.shape[0]
+    upper = np.zeros((n, n))
+    for a, b, block in distances.tiles():
+        upper[a:b, a:] = np.triu(block)
+    return upper + np.triu(upper, 1).T
 
 
 def dbscan_reference(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:

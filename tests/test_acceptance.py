@@ -30,7 +30,7 @@ from relwords.relevance import (
 from relwords.text import token_ids
 
 from corpora import planted_topic_corpus, trending_corpus
-from oracles import dbscan_reference, partition_of, random_distance_matrix
+from oracles import TiledMatrix, dbscan_reference, matrix_of, partition_of, random_distance_matrix
 from test_embedding import centered_gram, make_feature_matrix, random_tfidf
 
 
@@ -81,7 +81,7 @@ def test_dbscan_oracle_equivalence():
     for seed in range(100):
         dist = random_distance_matrix(seed)
         assert dist.shape[0] <= 200
-        fast = dbscan(dist, eps=0.45, min_pts=3).labels
+        fast = dbscan(TiledMatrix(dist), eps=0.45, min_pts=3).labels
         reference = dbscan_reference(dist, eps=0.45, min_pts=3)
         fast_clusters, fast_noise = partition_of(fast)
         ref_clusters, ref_noise = partition_of(reference)
@@ -163,7 +163,7 @@ def test_formula_exactness():
 
     v = [3.0, 4.0]
     rows = np.array([v, v, [-4.0, 3.0], [-3.0, -4.0]])  # v, v, orthogonal, -v
-    dist = pairwise_distances(rows)
+    dist = matrix_of(pairwise_distances(rows))
     assert dist[0, 1] == 0.0
     assert dist[0, 2] == 1.0
     assert dist[0, 3] == 2.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from relwords import clustering
 from relwords.clustering import (
+    DEFAULT_EPS,
     NOISE,
     dbscan,
     pairwise_distances,
@@ -13,7 +16,15 @@ from relwords.clustering import (
 from relwords.pipeline import PipelineConfig, run_clustering
 
 from corpora import planted_topic_corpus
-from oracles import dbscan_index_order, dbscan_reference, partition_of, random_distance_matrix
+from oracles import (
+    TiledMatrix,
+    dbscan_index_order,
+    dbscan_reference,
+    matrix_of,
+    pairwise_distances_reference,
+    partition_of,
+    random_distance_matrix,
+)
 
 
 def embedding_of(rows):
@@ -32,28 +43,37 @@ def clustered_rows(seed, n, dim):
     return rows
 
 
+def assert_upper_bits_equal(distances, reference):
+    """Each tile's upper triangle (diagonal included) holds the reference's bits."""
+    for a, b, block in distances.tiles():
+        upper = np.triu(np.ones(block.shape, dtype=bool))
+        expected = reference[a:b, a:][upper]
+        assert np.array_equal(block[upper].view(np.uint64), expected.view(np.uint64)), f"tile at row {a}"
+
+
 class TestCosineDistance:
     """The cosine distance of two rows, as ``pairwise_distances`` computes it."""
 
     def test_identical_vectors(self):
         v = [0.3, -1.2, 4.0]
-        assert pairwise_distances(embedding_of([v, v]))[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert matrix_of(pairwise_distances(embedding_of([v, v])))[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_vectors(self):
-        assert pairwise_distances(embedding_of([[1.0, 0.0], [0.0, 2.0]]))[0, 1] == 1.0
+        assert matrix_of(pairwise_distances(embedding_of([[1.0, 0.0], [0.0, 2.0]])))[0, 1] == 1.0
 
     def test_opposite_vectors(self):
         v = np.array([1.5, -2.0])
-        assert pairwise_distances(embedding_of([v, -v]))[0, 1] == pytest.approx(2.0, abs=1e-15)
+        assert matrix_of(pairwise_distances(embedding_of([v, -v])))[0, 1] == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_vector_convention(self):
-        # a zero-norm row is at distance 1 from every other row, another
-        # zero row included, and at distance 0 from itself
+        # a zero-norm row is at distance 2 from every other row, another
+        # zero row included, and at distance 0 from itself: no eps < 2
+        # makes it a neighbour
         zero, v = [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]
-        dist = pairwise_distances(embedding_of([zero, v, zero, [-1.0, -2.0, -3.0]]))
-        assert dist[0].tolist() == [0.0, 1.0, 1.0, 1.0]
-        assert dist[2].tolist() == [1.0, 1.0, 0.0, 1.0]
-        assert dist[:, 0].tolist() == [0.0, 1.0, 1.0, 1.0]
+        dist = matrix_of(pairwise_distances(embedding_of([zero, v, zero, [-1.0, -2.0, -3.0]])))
+        assert dist[0].tolist() == [0.0, 2.0, 2.0, 2.0]
+        assert dist[2].tolist() == [2.0, 2.0, 0.0, 2.0]
+        assert dist[:, 0].tolist() == [0.0, 2.0, 2.0, 2.0]
         assert np.diag(dist).tolist() == [0.0] * 4
 
     @settings(max_examples=100, deadline=None)
@@ -62,69 +82,114 @@ class TestCosineDistance:
         b=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
     )
     def test_bounds_and_symmetry(self, a, b):
-        dist = pairwise_distances(embedding_of([a, b]))
-        assert 0.0 <= dist[0, 1] <= 2.0
-        assert dist[0, 1] == dist[1, 0]
+        # each pair is computed once, so symmetry is the same distance
+        # with the two rows in either order
+        dist = matrix_of(pairwise_distances(embedding_of([a, b])))[0, 1]
+        assert 0.0 <= dist <= 2.0
+        assert dist == matrix_of(pairwise_distances(embedding_of([b, a])))[0, 1]
 
 
 class TestPairwiseDistances:
     def test_identical_rows(self):
-        dist = pairwise_distances(embedding_of([[1.0, 2.0], [1.0, 2.0]]))
+        dist = matrix_of(pairwise_distances(embedding_of([[1.0, 2.0], [1.0, 2.0]])))
         np.testing.assert_allclose(dist, np.zeros((2, 2)), atol=1e-12)
 
     def test_known_angles(self):
         angles = [0.0, np.pi / 3, np.pi / 2]
         rows = [[np.cos(a), np.sin(a)] for a in angles]
-        dist = pairwise_distances(embedding_of(rows))
+        dist = matrix_of(pairwise_distances(embedding_of(rows)))
         assert dist[0, 1] == pytest.approx(1 - np.cos(np.pi / 3), abs=1e-12)
         assert dist[0, 2] == pytest.approx(1.0, abs=1e-12)
         assert dist[1, 2] == pytest.approx(1 - np.cos(np.pi / 6), abs=1e-12)
 
     def test_bounds_symmetry_zero_diagonal(self):
         rng = np.random.default_rng(0)
-        dist = pairwise_distances(embedding_of(rng.normal(size=(40, 7))))
-        assert np.array_equal(dist, dist.T)  # exact symmetry
+        rows = embedding_of(rng.normal(size=(40, 7)))
+        dist = matrix_of(pairwise_distances(rows))
+        assert np.all(np.diag(dist) == 0.0)
+        assert dist.min() >= 0.0 and dist.max() <= 2.0
+        # the rows in reverse order give the same distances, to rounding
+        reverse = matrix_of(pairwise_distances(rows[::-1]))[::-1, ::-1]
+        assert np.abs(dist - reverse).max() <= 1e-12
+
+    def test_exact_symmetry_with_zero_and_duplicate_rows(self):
+        # the oracle mirrors its upper triangle, so it is exactly symmetric;
+        # the tiles hold that triangle's bits, zero rows at 2 from the others
+        rows = embedding_of(clustered_rows(1, 601, 17))
+        distances = pairwise_distances(rows)
+        reference = pairwise_distances_reference(rows)
+        assert np.array_equal(reference, reference.T)
+        assert_upper_bits_equal(distances, reference)
+        dist = matrix_of(distances)
+        zero = np.flatnonzero(~rows.any(axis=1))
+        off_diagonal = dist[zero]
+        off_diagonal[np.arange(zero.size), zero] = 2.0
+        assert zero.size and np.all(off_diagonal == 2.0)
         assert np.all(np.diag(dist) == 0.0)
         assert dist.min() >= 0.0 and dist.max() <= 2.0
 
-    def test_exact_symmetry_with_zero_and_duplicate_rows(self):
-        # the product itself must be symmetric: nothing mirrors it
-        dist = pairwise_distances(embedding_of(clustered_rows(1, 601, 17)))
-        assert np.array_equal(dist, dist.T)
-        assert np.all(np.diag(dist) == 0.0)
-        assert dist.min() >= 0.0 and dist.max() <= 2.0
+    @pytest.mark.parametrize("tile", [2, 3, 7, 64])
+    def test_tiles_bitwise_equal_to_the_oracle(self, tile, monkeypatch):
+        # the same gemm calls and the same elementwise rules, tile by tile;
+        # a ragged last tile for 45 and 601 rows at every height
+        monkeypatch.setattr(clustering, "_TILE_ROWS", tile)
+        planted = run_clustering(planted_topic_corpus()[0]).model.coords
+        for rows in (planted, embedding_of(clustered_rows(1, 601, 17))):
+            assert_upper_bits_equal(pairwise_distances(rows), pairwise_distances_reference(rows))
 
     def test_several_tiles_as_one(self, monkeypatch):
         result = run_clustering(planted_topic_corpus()[0])
         embeddings = (result.model.coords, embedding_of(clustered_rows(1, 601, 17)))
-        whole = [pairwise_distances(embedding) for embedding in embeddings]
+        whole = [pairwise_distances_reference(embedding) for embedding in embeddings]
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)  # a ragged last tile for 45 and 601 rows
-        tiled = [pairwise_distances(embedding) for embedding in embeddings]
-        for dist, reference in zip(tiled, whole):
-            assert np.array_equal(dist, dist.T)
-            assert np.all(np.diag(dist) == 0.0)
-            assert np.abs(dist - reference).max() <= 1e-12
+        for embedding, reference in zip(embeddings, whole):
+            tiled = pairwise_distances_reference(embedding)
+            assert_upper_bits_equal(pairwise_distances(embedding), tiled)
+            assert np.abs(tiled - reference).max() <= 1e-12
         config = PipelineConfig()
-        labels = dbscan(tiled[0], eps=config.eps, min_pts=config.min_pts).labels
+        labels = dbscan(pairwise_distances(embeddings[0]), eps=config.eps, min_pts=config.min_pts).labels
         assert np.array_equal(labels, result.assignment.labels)
 
     def test_symmetric_whatever_a_tile_holds_below_its_diagonal(self, monkeypatch):
-        # BLAS need not sum a pair's two products in the same order; the
-        # lower triangle of each diagonal block is overwritten, not trusted
+        # BLAS need not sum a pair's two products in the same order, so the
+        # lower triangle of each tile's diagonal block is never read: with it
+        # set to similarity 1 (distance 0, within every eps) the tiles'
+        # upper triangles and the labels stay the same
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
         embedding = embedding_of(clustered_rows(1, 61, 17))
-        reference = pairwise_distances(embedding)
+        reference = pairwise_distances_reference(embedding)
         matmul = np.matmul
 
         def skewed(a, b, out):
             matmul(a, b, out=out)
             below = np.tril_indices(a.shape[0], -1)
-            out[:, :a.shape[0]][below] += 1e-9
+            out[:, :a.shape[0]][below] = 1.0
 
         monkeypatch.setattr(np, "matmul", skewed)
-        dist = pairwise_distances(embedding)
-        monkeypatch.undo()
-        assert np.array_equal(dist, reference)
+        distances = pairwise_distances(embedding)
+        assert_upper_bits_equal(distances, reference)
+        for eps in (0.05, 0.45, 1.5):
+            labels, n_clusters = dbscan_index_order(reference, eps, 3)
+            assignment = dbscan(distances, eps=eps, min_pts=3)
+            assert assignment.labels.tolist() == labels.tolist()
+            assert assignment.n_clusters == n_clusters
+
+    def test_within_eps_as_one_boolean(self, monkeypatch):
+        # ``dist <= eps`` exists for the benchmark's tracer: the N x N
+        # boolean of the oracle's matrix
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
+        rows = embedding_of(clustered_rows(2, 61, 5))
+        reference = pairwise_distances_reference(rows)
+        for eps in (0.05, 0.45, 1.0, 1.9):
+            within = pairwise_distances(rows) <= eps
+            assert within.dtype == bool
+            assert np.array_equal(within, reference <= eps)
+
+    def test_sizes_count_the_rows_not_the_pairs(self):
+        rows = embedding_of(clustered_rows(3, 300, 11))
+        distances = pairwise_distances(rows)
+        assert distances.shape == (300, 300)
+        assert distances.nbytes == 300 * 11 * 8 + 300
 
 
 class TestDbscan:
@@ -138,7 +203,7 @@ class TestDbscan:
         return dist
 
     def test_two_separated_groups(self):
-        assignment = dbscan(self.two_blob_matrix(), eps=0.45, min_pts=3)
+        assignment = dbscan(TiledMatrix(self.two_blob_matrix()), eps=0.45, min_pts=3)
         assert assignment.n_clusters == 2
         assert assignment.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
@@ -146,12 +211,12 @@ class TestDbscan:
         dist = np.full((5, 5), 0.05)
         dist[4, :] = dist[:, 4] = 1.5
         np.fill_diagonal(dist, 0.0)
-        assignment = dbscan(dist, eps=0.45, min_pts=3)
+        assignment = dbscan(TiledMatrix(dist), eps=0.45, min_pts=3)
         assert assignment.labels[4] == NOISE
         assert assignment.labels[:4].tolist() == [0, 0, 0, 0]
 
     def test_all_zero_distances_single_cluster(self):
-        assignment = dbscan(np.zeros((4, 4)), eps=0.45, min_pts=3)
+        assignment = dbscan(TiledMatrix(np.zeros((4, 4))), eps=0.45, min_pts=3)
         assert assignment.n_clusters == 1
         assert assignment.labels.tolist() == [0] * 4
 
@@ -159,11 +224,11 @@ class TestDbscan:
         # Two points at distance 0.1: with min_pts=2 each neighborhood has
         # exactly 2 members, so they cluster; with min_pts=3 both are noise.
         dist = np.array([[0.0, 0.1], [0.1, 0.0]])
-        assert dbscan(dist, eps=0.45, min_pts=2).n_clusters == 1
-        assert dbscan(dist, eps=0.45, min_pts=3).labels.tolist() == [NOISE, NOISE]
+        assert dbscan(TiledMatrix(dist), eps=0.45, min_pts=2).n_clusters == 1
+        assert dbscan(TiledMatrix(dist), eps=0.45, min_pts=3).labels.tolist() == [NOISE, NOISE]
 
     def test_cluster_ids_contiguous_in_discovery_order(self):
-        assignment = dbscan(self.two_blob_matrix(), eps=0.45, min_pts=3)
+        assignment = dbscan(TiledMatrix(self.two_blob_matrix()), eps=0.45, min_pts=3)
         first_seen = []
         for label in assignment.labels:
             if label != NOISE and label not in first_seen:
@@ -173,7 +238,7 @@ class TestDbscan:
     def test_every_cluster_has_min_pts_members_and_a_core(self):
         for seed in range(10):
             dist = random_distance_matrix(seed)
-            assignment = dbscan(dist, eps=0.45, min_pts=3)
+            assignment = dbscan(TiledMatrix(dist), eps=0.45, min_pts=3)
             core = (dist <= 0.45).sum(axis=1) >= 3
             for cluster in range(assignment.n_clusters):
                 members = assignment.labels == cluster
@@ -183,32 +248,48 @@ class TestDbscan:
     def test_matches_reference_on_random_instances(self):
         for seed in range(25):
             dist = random_distance_matrix(seed)
-            fast = dbscan(dist, eps=0.45, min_pts=3).labels
+            fast = dbscan(TiledMatrix(dist), eps=0.45, min_pts=3).labels
             reference = dbscan_reference(dist, eps=0.45, min_pts=3)
             assert partition_of(fast) == partition_of(reference), f"seed {seed}"
 
     def test_a_pair_exactly_at_eps_is_a_neighbour(self):
         dist = np.array([[0.0, 0.25, 0.75], [0.25, 0.0, 0.75], [0.75, 0.75, 0.0]])
-        assert dbscan(dist, eps=0.25, min_pts=2).labels.tolist() == [0, 0, NOISE]
-        below = dbscan(dist, eps=np.nextafter(0.25, 0.0), min_pts=2)
+        assert dbscan(TiledMatrix(dist), eps=0.25, min_pts=2).labels.tolist() == [0, 0, NOISE]
+        below = dbscan(TiledMatrix(dist), eps=np.nextafter(0.25, 0.0), min_pts=2)
         assert below.labels.tolist() == [NOISE] * 3 and below.n_clusters == 0
+
+    def test_a_cosine_distance_of_exactly_eps_is_a_neighbour(self, monkeypatch):
+        # rows 0 and 3 are the one pair within eps, in a tile of its own
+        # row, off the tile's diagonal block; every other pair is 1 or more
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 2)
+        t = 0.7
+        rows = embedding_of(
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, -1.0, 0.0]]
+        )
+        distances = pairwise_distances(rows)
+        eps = pairwise_distances_reference(rows)[0, 3]
+        assert eps == matrix_of(distances)[0, 3] and 0.2 < eps < 0.3
+        assignment = dbscan(distances, eps=eps, min_pts=2)
+        assert assignment.labels.tolist() == [0, NOISE, NOISE, 0, NOISE] and assignment.n_clusters == 1
+        below = dbscan(distances, eps=np.nextafter(eps, 0.0), min_pts=2)
+        assert below.labels.tolist() == [NOISE] * 5 and below.n_clusters == 0
 
     def test_noise_count_never_grows_with_eps(self):
         dist = random_distance_matrix(12)
         noise_counts = [
-            int((dbscan(dist, eps=eps, min_pts=3).labels == NOISE).sum())
+            int((dbscan(TiledMatrix(dist), eps=eps, min_pts=3).labels == NOISE).sum())
             for eps in np.linspace(0.05, 1.9, 25)
         ]
         assert all(b <= a for a, b in zip(noise_counts, noise_counts[1:]))
 
     def test_parameter_validation(self):
-        dist = np.zeros((3, 3))
+        dist = TiledMatrix(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="eps"):
             dbscan(dist, eps=0.0)
         with pytest.raises(ValueError, match="min_pts"):
             dbscan(dist, min_pts=0)
         with pytest.raises(ValueError, match="square"):
-            dbscan(np.zeros((3, 2)))
+            dbscan(TiledMatrix(np.zeros((3, 2))))
 
 
 class TestDbscanIndexOrder:
@@ -216,9 +297,10 @@ class TestDbscanIndexOrder:
     seeding in index order with breadth-first expansion (the oracle)."""
 
     @staticmethod
-    def assert_index_order(dist, eps, min_pts):
+    def assert_index_order(dist, eps, min_pts, distances=None):
+        """``dbscan`` reads ``distances``, or the matrix ``dist`` when that is None."""
         labels, n_clusters = dbscan_index_order(dist, eps, min_pts)
-        assignment = dbscan(dist, eps=eps, min_pts=min_pts)
+        assignment = dbscan(TiledMatrix(dist) if distances is None else distances, eps=eps, min_pts=min_pts)
         assert assignment.labels.dtype == np.int64
         assert assignment.labels.tolist() == labels.tolist()
         assert assignment.n_clusters == n_clusters
@@ -240,16 +322,32 @@ class TestDbscanIndexOrder:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             rows = clustered_rows(seed, int(rng.integers(20, 150)), int(rng.integers(2, 10)))
-            dist = pairwise_distances(embedding_of(rows))
+            distances = pairwise_distances(embedding_of(rows))
+            dist = pairwise_distances_reference(embedding_of(rows))
             for eps in (0.05, 0.2, 0.45, 0.8, 1.5):
-                self.assert_index_order(dist, eps, int(rng.integers(1, 6)))
+                self.assert_index_order(dist, eps, int(rng.integers(1, 6)), distances)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_coordinates_in_several_tiles(self, seed):
+        # zero, duplicate and scaled rows; N from a few rows to ~2,600 (up
+        # to three tiles of 1024); the oracle's matrix holds the tiles' bits
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1100, 2700)) if seed < 2 else int(rng.integers(2, 400))
+        rows = embedding_of(clustered_rows(seed, n, int(rng.integers(2, 12))))
+        distances = pairwise_distances(rows)
+        dist = pairwise_distances_reference(rows)
+        for eps in rng.uniform(0.05, 1.9, size=3):
+            min_pts = int(rng.integers(1, 6))
+            self.assert_index_order(dist, eps, min_pts, distances)
+            labels = dbscan(distances, eps=eps, min_pts=min_pts).labels
+            assert partition_of(labels) == partition_of(dbscan_reference(dist, eps, min_pts))
 
     def test_chain_in_random_index_order(self):
         # one cluster whose core points link only to their two chain
         # neighbours, numbered at random: labels spread over many rounds
         positions = np.random.default_rng(5).permutation(400).astype(np.float64)
         dist = np.abs(positions[:, None] - positions[None, :])
-        assignment = dbscan(dist, eps=1.0, min_pts=3)
+        assignment = dbscan(TiledMatrix(dist), eps=1.0, min_pts=3)
         assert assignment.n_clusters == 1
         assert assignment.labels.tolist() == [0] * 400
         self.assert_index_order(dist, 1.0, 3)
@@ -286,17 +384,44 @@ class TestDbscanIndexOrder:
     def test_no_core_point_all_noise(self):
         dist = np.full((6, 6), 1.0)
         np.fill_diagonal(dist, 0.0)
-        assignment = dbscan(dist, eps=0.5, min_pts=2)
+        assignment = dbscan(TiledMatrix(dist), eps=0.5, min_pts=2)
         assert assignment.labels.tolist() == [NOISE] * 6
         assert assignment.n_clusters == 0
         self.assert_index_order(dist, 0.5, 2)
+
+
+class TestDbscanMemory:
+    """Clustering holds one tile of distances and its boolean, never N x N."""
+
+    @staticmethod
+    def traced_peak(rows, eps):
+        tracemalloc.start()
+        try:
+            dbscan(pairwise_distances(rows), eps=eps, min_pts=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_one_tile_plus_the_rows(self):
+        n = 3000
+        rows = embedding_of(clustered_rows(4, n, 50))
+        peak = self.traced_peak(rows, DEFAULT_EPS)
+        tile = clustering._TILE_ROWS * n * (8 + 1)  # float64 distances and a boolean
+        assert peak < tile + 4 * rows.nbytes
+        assert peak < 8 * n * n / 2
+
+    def test_a_wide_eps_holds_about_what_the_default_holds(self):
+        # at eps 1.9 nearly every pair is within eps; they are taken about
+        # N at a time, and those between points already joined are dropped
+        rows = embedding_of(clustered_rows(4, 3000, 50))
+        assert self.traced_peak(rows, 1.9) < 1.25 * self.traced_peak(rows, DEFAULT_EPS)
 
 
 def test_labels_csv_renders_noise_as_minus_one(tmp_path):
     dist = np.full((5, 5), 0.05)
     dist[4, :] = dist[:, 4] = 1.5
     np.fill_diagonal(dist, 0.0)
-    assignment = dbscan(dist, eps=0.45, min_pts=3)
+    assignment = dbscan(TiledMatrix(dist), eps=0.45, min_pts=3)
     out = tmp_path / "labels.csv"
     write_labels_csv(assignment, [f"doc{i}" for i in range(5)], out)
     lines = out.read_text(encoding="utf-8").splitlines()

@@ -125,7 +125,7 @@ class TestRunClustering:
     def test_empty_documents_are_noise(self):
         # A zero tf-idf row embeds at -mean @ V, the same point for every
         # such document; like any vector with no direction it is at distance
-        # 1 from every document, so the five form no topic of their own.
+        # 2 from every document, so the five form no topic of their own.
         corpus, _, _ = planted_topic_corpus()
         clean = run_clustering(corpus).assignment
         empty = tuple(Document(id=f"empty{k}", text="?!") for k in range(5))
@@ -137,6 +137,17 @@ class TestRunClustering:
         assert np.array_equal(labels[:-5], clean.labels)
         # the embedding itself keeps them where kernel PCA put them
         assert np.all(np.linalg.norm(result.model.coords[-5:], axis=1) > 0)
+
+    @pytest.mark.parametrize("eps", [1.0, 1.2])
+    def test_an_empty_document_stays_noise_at_a_wide_eps(self, eps):
+        # At distance 2 from every document, an empty one is within no eps
+        # < 2 of any, so it cannot be a core point that joins every topic.
+        corpus, _, _ = planted_topic_corpus()
+        docs = corpus.docs + (Document(id="empty", text="?!"),)
+        with pytest.warns(UserWarning, match="1 document"):
+            result = run_clustering(Corpus(docs), PipelineConfig(eps=eps))
+        assert result.assignment.n_clusters == 3
+        assert result.assignment.labels[-1] == NOISE
 
     def test_intermediate_shapes_consistent(self):
         corpus, _, _ = planted_topic_corpus(docs_per_topic=5)

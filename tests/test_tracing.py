@@ -17,13 +17,14 @@ import pytest
 import relwords.cli
 import relwords.pipeline
 from relwords import Corpus, Document
-from relwords.clustering import NOISE, pairwise_distances
+from relwords.clustering import NOISE
 from relwords.corpus import save_jsonl
 from relwords.features import build_vocabulary, vectorize
 from relwords.pipeline import PipelineConfig
 from relwords.text import apply_bigrams, normalize_tokenize, score_bigrams, select_bigrams, token_ids
 
 from corpora import phrase_corpus, planted_topic_corpus
+from oracles import pairwise_distances_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING_PATH = ROOT / "perfbench" / "tracing.py"
@@ -102,7 +103,8 @@ def test_traced_cluster_run_counts(tracing, tmp_path):
 
     (model,) = [result for name, _, result in calls if name == "embedding.transform"]
     config = PipelineConfig()
-    degree = np.count_nonzero(pairwise_distances(model.coords) <= config.eps, axis=1)
+    # the degrees from the dense oracle, not from the glue op_counts calls
+    degree = np.count_nonzero(pairwise_distances_reference(model.coords) <= config.eps, axis=1)
     with open(run / "labels.csv", encoding="utf-8", newline="") as handle:
         labels = [int(label) for _, label in list(csv.reader(handle))[1:]]
     assert counts["clustering.core_points"] == np.count_nonzero(degree >= config.min_pts) == 45
