@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,12 @@ _NORM_FLOOR = 1e-12
 
 # Rows per tile of the similarity product. One ``unit @ unit.T`` goes to BLAS
 # syrk, which kills the process (SIGSEGV) under OpenBLAS 0.3.31 at about 20k
-# rows; the tiles are plain gemm calls. A row's bits depend on how many rows
-# its gemm multiplies, so the height is fixed, not derived from N.
+# rows; the tiles are plain gemm calls. No decision depends on the height: a
+# pair near eps is settled by its own dot product (``CosineDistances.hit_tiles``).
 _TILE_ROWS = 1024
+
+_FLOAT32_UNIT = 2.0**-24
+_FLOAT64_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,70 @@ class ClusterAssignment:
     n_clusters: int
 
 
+def _least_similarity(eps: float) -> float:
+    """The least double s with ``1 - s <= eps`` in float64, for 0 < eps < 2.
+
+    ``1 - s`` rounds monotonically, so a similarity s is within eps, as
+    ``clip(1 - s, 0, 2) <= eps`` decides it, exactly when s >= this value.
+    Found by bisecting the doubles in their order (``_rank``).
+    """
+    low, high = _rank(-2.0), _rank(1.0)  # 1 - (-2) > eps >= 1 - 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        if 1.0 - _double(middle) <= eps:
+            high = middle
+        else:
+            low = middle
+    return _double(high)
+
+
+def _rank(s: float) -> int:
+    """The doubles' order as integers: the bits of |s|, negated for s < 0."""
+    bits = int(np.float64(abs(s)).view(np.int64))
+    return -bits if s < 0 else bits
+
+
+def _double(rank: int) -> float:
+    """The double of a ``_rank``."""
+    return math.copysign(float(np.int64(abs(rank)).view(np.float64)), rank)
+
+
+def _float32_error(k: int) -> float:
+    """A bound on |sim32 - sim64| for two unit rows x, y of length k: sim32
+    their float32 product (float32 copies of the rows, float32 sums), sim64
+    any float64 dot product of the rows themselves.
+
+    With u = 2^-24, casting the rows costs at most (2u + u^2) sum |x_i y_i|
+    and the float32 sums gamma32(k) (1 + u)^2 sum |x_i y_i| (Higham 2002,
+    3.1): less than (gamma32(k + 1) + 2u) nu^2 in all, as sum |x_i y_i| <=
+    |x| |y| <= nu^2 with nu = 1 + gamma64(k + 2) for the float64 rounding
+    of the rows' scaling. sim64 is within gamma64(k) nu^2 of the exact
+    product. gamma32(k + 1) exceeds what it bounds by nearly u, far more
+    than the float64 rounding of this sum and of s* +- delta, and any
+    underflow.
+    """
+
+    def gamma(n: int, u: float) -> float:
+        return n * u / (1.0 - n * u)
+
+    nu = 1.0 + gamma(k + 2, _FLOAT64_UNIT)
+    return (gamma(k + 1, _FLOAT32_UNIT) + 2.0 * _FLOAT32_UNIT + gamma(k, _FLOAT64_UNIT)) * nu * nu
+
+
+def _float32_outward(x: float, toward: float) -> np.float32:
+    """The float32 nearest x on the side of ``toward`` (+-inf). Bounds
+    compared with a float32 array must be float32: numpy rounds a Python
+    float to float32 first."""
+    y = np.float32(x)
+    if (float(y) < x) if toward > x else (float(y) > x):
+        y = np.nextafter(y, np.float32(toward))
+    return y
+
+
 @dataclass(frozen=True)
 class CosineDistances:
-    """The cosine distances between the rows of an N x D array, computed
-    tile by tile when read, never held as an N x N matrix.
+    """The cosine distances between the rows of an N x D array, decided
+    against eps tile by tile when read, never held as an N x N matrix.
 
     ``unit`` holds the rows scaled to unit length (directionless rows as
     they were) and ``directionless`` marks the rows shorter than
@@ -57,33 +122,63 @@ class CosineDistances:
     def nbytes(self) -> int:
         return self.unit.nbytes + self.directionless.nbytes
 
-    def tiles(self):
-        """Yield ``(a, b, block)``: the distances of rows a:b to rows a:, for
-        row tiles of ``_TILE_ROWS`` in order.
+    def hit_tiles(self, eps: float, tiles):
+        """Yield ``(a, b, hits)`` for each row range ``(a, b)`` of ``tiles``:
+        ``hits[i, j]`` tells whether rows a + i and a + j are within eps, on
+        the strict upper triangle (j > i), and is False elsewhere.
 
-        Entries lie in [0, 2] and the diagonal is exactly 0. Every unordered
-        pair is computed once, in the strict upper triangle; the lower
-        triangle of the square block at the left of each tile is not to be
-        read. ``block`` is a view into one buffer that the next tile
-        overwrites, so at most one tile is alive.
+        A pair is within eps when ``clip(1 - sim, 0, 2) <= eps``, sim being
+        the dot product of the unit rows and -1 for a directionless row: for
+        eps < 2 exactly when sim >= s* (``_least_similarity``), and always
+        for eps >= 2. Each tile is one float32 gemm (4 B a pair). A float32
+        similarity of at least s* + delta is a hit, one below s* - delta is
+        not (delta = ``_float32_error``), and the pairs between are settled
+        by a float64 dot product of their two rows. So every decision is
+        that dot's, whatever the tile height or BLAS thread count. One
+        float32 tile and two booleans are alive at a time, besides the hits
+        yielded.
         """
-        unit = self.unit
-        n = unit.shape[0]
+        n = self.shape[0]
+        if eps >= 2.0:
+            for a, b in tiles:
+                yield a, b, ~np.tri(b - a, n - a, dtype=bool)
+            return
+        s = _least_similarity(eps)
+        delta = _float32_error(self.unit.shape[1])
+        low, high = _float32_outward(s - delta, -math.inf), _float32_outward(s + delta, math.inf)
+        unit32 = self.unit.astype(np.float32)
         zero = np.flatnonzero(self.directionless)
-        buffer = np.empty((min(_TILE_ROWS, n), n))
-        for a in range(0, n, _TILE_ROWS):
-            b = min(a + _TILE_ROWS, n)
-            block = buffer[:b - a, a:]
-            np.matmul(unit[a:b], unit[a:].T, out=block)
-            block[zero[(zero >= a) & (zero < b)] - a] = -1.0
-            block[:, zero[zero >= a] - a] = -1.0
-            np.subtract(1.0, block, out=block)
-            np.clip(block, 0.0, 2.0, out=block)
-            np.fill_diagonal(block, 0.0)
-            yield a, b, block
+        upper = ~np.tri(max((b - a for a, b in tiles), default=0), dtype=bool)
+        buffer = np.empty(max(((b - a) * (n - a) for a, b in tiles), default=0), dtype=np.float32)
+        for a, b in tiles:
+            rows = b - a
+            sim = buffer[:rows * (n - a)].reshape(rows, n - a)
+            np.matmul(unit32[a:b], unit32[a:].T, out=sim)
+            sim[zero[(zero >= a) & (zero < b)] - a] = -1.0
+            sim[:, zero[zero >= a] - a] = -1.0
+            hits = sim >= high
+            band = sim >= low
+            band ^= hits
+            hits[:, :rows] &= upper[:rows, :rows]
+            band[:, :rows] &= upper[:rows, :rows]
+            for r in np.flatnonzero(band.any(axis=1)):
+                q = np.flatnonzero(band[r])
+                hits[r, q] = self._similarity(a + r, q + a) >= s
+            del band
+            yield a, b, hits
+            del hits  # before the next tile's are allocated
+
+    def _similarity(self, p: int, q: np.ndarray) -> np.ndarray:
+        """The float64 similarities of row p to rows q: each one the same
+        sum of the same products, whatever the other rows."""
+        if self.directionless[p]:
+            return np.full(q.size, -1.0)
+        sim = (self.unit[q] * self.unit[p]).sum(axis=1)
+        sim[self.directionless[q]] = -1.0
+        return sim
 
     def __le__(self, eps: float) -> np.ndarray:
-        """The N x N boolean ``distance <= eps``, mirrored from the tiles.
+        """The N x N boolean ``distance <= eps``, mirrored from the hit tiles.
 
         The library never calls it. It exists because the benchmark's tracer
         (``perfbench/tracing.py``) counts eps-degrees as
@@ -92,9 +187,8 @@ class CosineDistances:
         """
         n = self.shape[0]
         within = np.zeros((n, n), dtype=bool)
-        for a, b, block in self.tiles():
-            np.less_equal(block, eps, out=within[a:b, a:])
-        within = np.triu(within, 1)
+        for a, b, hits in self.hit_tiles(eps, _tiles(n)):
+            within[a:b, a:] = hits
         within |= within.T
         np.fill_diagonal(within, True)
         return within
@@ -102,7 +196,7 @@ class CosineDistances:
 
 def pairwise_distances(coords: np.ndarray) -> CosineDistances:
     """The cosine distances between the rows of an N x D array, to be read
-    tile by tile (``CosineDistances.tiles``)."""
+    tile by tile (``CosineDistances.hit_tiles``)."""
     n = coords.shape[0]
     if n < 2:
         raise ValueError("need at least 2 documents")
@@ -112,29 +206,28 @@ def pairwise_distances(coords: np.ndarray) -> CosineDistances:
     return CosineDistances(unit=unit, directionless=directionless)
 
 
-def _upper_hits(block: np.ndarray, eps: float, strict_upper: np.ndarray) -> np.ndarray:
-    """``block <= eps`` on the strict upper triangle of a tile, False elsewhere."""
-    hits = block <= eps
-    rows = hits.shape[0]
-    hits[:, :rows] &= strict_upper[:rows, :rows]
-    return hits
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """The row ranges of ``_TILE_ROWS`` rows that cover n rows, in order."""
+    return [(a, min(a + _TILE_ROWS, n)) for a in range(0, n, _TILE_ROWS)]
 
 
-def _pair_counts(dist, eps: float, strict_upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's eps-pairs with later points and with earlier points.
+def _pair_counts(dist, eps: float, tiles) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Each point's eps-pairs with later points and with earlier points, and
+    the first tile as ``(a, b, hits)``.
 
-    A function of its own, so that its last tile is freed before the next
-    read of the tiles allocates theirs.
+    The tiles are read last to first, so the first one is read last and
+    pass 2 can start from it. A function of its own, so that the tiles'
+    buffer is freed before pass 2 allocates its own.
     """
     n = dist.shape[0]
     after = np.zeros(n, dtype=np.int64)
     before = np.zeros(n, dtype=np.int64)
-    for a, b, block in dist.tiles():
-        hits = _upper_hits(block, eps, strict_upper)
+    for a, b, hits in dist.hit_tiles(eps, tiles[::-1]):
         after[a:b] = np.count_nonzero(hits, axis=1)
         before[a:] += np.count_nonzero(hits, axis=0)
-        del hits
-    return after, before
+        if a:
+            del hits  # before the next tile's are allocated
+    return after, before, (a, b, hits)
 
 
 def _hook(root: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,16 +261,17 @@ def dbscan(
     what seeding in index order with breadth-first expansion assigns, so the
     assignment is fully deterministic.
 
-    ``dist`` is anything with a square ``shape`` and ``tiles()`` as
-    ``CosineDistances`` has them; only each tile's strict upper triangle is
-    read, twice. Pass 1 counts each point's eps-degree, which gives the core
-    points. Pass 2 keeps the pairs of a core and a non-core point (fewer
-    than N ``min_pts``) and joins the core points' components as it goes,
-    from the core-core pairs between components, taken about N at a time;
-    a tile's pairs are taken in row slices of about N. Components come from
-    hooking roots with one pointer jump a round: ~log2 n rounds, not a
-    cluster's index-order length (10 for a 3000-point chain in random index
-    order, 12 in zigzag order).
+    ``dist`` is anything with a square ``shape`` and ``hit_tiles(eps,
+    tiles)`` as ``CosineDistances`` has them; the tiles are read twice.
+    Pass 1 reads them last to first and counts each point's eps-degree,
+    which gives the core points. Pass 2 starts from the first tile's hits,
+    pass 1's last, so a corpus of one tile takes one product. It keeps the
+    pairs of a core and a non-core point (fewer than N ``min_pts``) and
+    joins the core points' components as it goes, from the core-core pairs
+    between components, taken about N at a time; a tile's pairs are taken
+    in row slices of about N. Components come from hooking roots with one
+    pointer jump a round: ~log2 n rounds, not a cluster's index-order length
+    (10 for a 3000-point chain in random index order, 12 in zigzag order).
     """
     if len(dist.shape) != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -186,15 +280,17 @@ def dbscan(
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = dist.shape[0]
-    strict_upper = ~np.tri(min(n, _TILE_ROWS), dtype=bool)
-    after, before = _pair_counts(dist, eps, strict_upper)
+    tiles = _tiles(n)
+    after, before, first = _pair_counts(dist, eps, tiles)
     core = 1 + after + before >= min_pts
-    # Pass 2: border pairs, and core components as a star forest.
+    # Pass 2: border pairs, and core components as a star forest. The chain
+    # drops the first tile once read.
+    pass_two = itertools.chain([first], dist.hit_tiles(eps, tiles[1:]))
+    del first
     root = np.arange(n)
     border, neighbour = [], []
     held_p, held_q, held = [], [], 0
-    for a, b, block in dist.tiles():
-        hits = _upper_hits(block, eps, strict_upper)
+    for a, b, hits in pass_two:
         step = max(1, (b - a) * n // max(int(after[a:b].sum()), 1))  # ~n pairs a slice
         for r in range(0, b - a, step):
             p, q = np.divmod(np.flatnonzero(hits[r:r + step]), n - a)  # 2-D nonzero is ~5x slower

@@ -79,7 +79,8 @@ def run_clustering(corpus: Corpus, config: PipelineConfig | None = None) -> Pipe
     ``corpus`` id. A row is zero when its document has no in-vocabulary
     token, or only terms found in every document (idf 0). Kernel PCA puts
     them all at one point, so clustering sees them as zero vectors instead,
-    at distance 1 from every document; ``model.coords`` is left as it is.
+    at distance 2 from every other document, which no eps below 2 reaches;
+    ``model.coords`` is left as it is.
     """
     if config is None:
         config = PipelineConfig()

@@ -65,8 +65,8 @@ def pairwise_distances_reference(coords: np.ndarray) -> np.ndarray:
 
     Rows shorter than ``clustering._NORM_FLOOR`` have no direction and are at
     distance 2 from every other row. Entries lie in [0, 2] and the diagonal
-    is exactly 0. The upper triangle is the bitwise reference for
-    ``CosineDistances.tiles`` at the same tile height.
+    is exactly 0. ``reference <= eps`` is what ``CosineDistances.hit_tiles``
+    decides, except for a pair within float64 rounding of eps.
     """
     n = coords.shape[0]
     norms = np.linalg.norm(coords, axis=1)
@@ -91,9 +91,9 @@ def pairwise_distances_reference(coords: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TiledMatrix:
     """A precomputed distance matrix served as ``clustering.dbscan`` reads its
-    argument: a ``shape``, and ``tiles()`` yielding ``(a, b, matrix[a:b, a:])``
-    over row tiles of ``clustering._TILE_ROWS`` (read at each call). The
-    matrix need not hold cosine distances."""
+    argument: a ``shape``, and ``hit_tiles(eps, tiles)`` yielding
+    ``(a, b, hits)`` for each row range, hits the strict upper triangle of
+    ``matrix[a:b, a:] <= eps``. The matrix need not hold cosine distances."""
 
     matrix: np.ndarray
 
@@ -101,21 +101,9 @@ class TiledMatrix:
     def shape(self) -> tuple[int, ...]:
         return self.matrix.shape
 
-    def tiles(self):
-        n, rows = self.matrix.shape[0], clustering._TILE_ROWS
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            yield a, b, self.matrix[a:b, a:]
-
-
-def matrix_of(distances) -> np.ndarray:
-    """The N x N matrix that tiled distances stand for: the upper triangle of
-    each tile (diagonal included), copied out and mirrored."""
-    n = distances.shape[0]
-    upper = np.zeros((n, n))
-    for a, b, block in distances.tiles():
-        upper[a:b, a:] = np.triu(block)
-    return upper + np.triu(upper, 1).T
+    def hit_tiles(self, eps, tiles):
+        for a, b in tiles:
+            yield a, b, np.triu(self.matrix[a:b, a:] <= eps, 1)
 
 
 def dbscan_reference(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:

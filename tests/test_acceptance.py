@@ -30,7 +30,7 @@ from relwords.relevance import (
 from relwords.text import token_ids
 
 from corpora import planted_topic_corpus, trending_corpus
-from oracles import TiledMatrix, dbscan_reference, matrix_of, partition_of, random_distance_matrix
+from oracles import TiledMatrix, dbscan_reference, partition_of, random_distance_matrix
 from test_embedding import centered_gram, make_feature_matrix, random_tfidf
 
 
@@ -163,10 +163,10 @@ def test_formula_exactness():
 
     v = [3.0, 4.0]
     rows = np.array([v, v, [-4.0, 3.0], [-3.0, -4.0]])  # v, v, orthogonal, -v
-    dist = matrix_of(pairwise_distances(rows))
-    assert dist[0, 1] == 0.0
-    assert dist[0, 2] == 1.0
-    assert dist[0, 3] == 2.0
+    distances = pairwise_distances(rows)  # exactly 0, 1 and 2 apart: within eps from there on
+    assert (distances <= np.nextafter(0.0, 1.0))[0, 1]
+    assert (distances <= 1.0)[0, 2] and not (distances <= np.nextafter(1.0, 0.0))[0, 2]
+    assert (distances <= 2.0)[0, 3] and not (distances <= np.nextafter(2.0, 0.0))[0, 3]
 
 
 def _index_with_other_tprs():

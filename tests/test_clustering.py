@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from oracles import (
     TiledMatrix,
     dbscan_index_order,
     dbscan_reference,
-    matrix_of,
     pairwise_distances_reference,
     partition_of,
     random_distance_matrix,
@@ -43,38 +43,50 @@ def clustered_rows(seed, n, dim):
     return rows
 
 
-def assert_upper_bits_equal(distances, reference):
-    """Each tile's upper triangle (diagonal included) holds the reference's bits."""
-    for a, b, block in distances.tiles():
-        upper = np.triu(np.ones(block.shape, dtype=bool))
-        expected = reference[a:b, a:][upper]
-        assert np.array_equal(block[upper].view(np.uint64), expected.view(np.uint64)), f"tile at row {a}"
+def within(rows, eps):
+    """``pairwise_distances(rows) <= eps``: the N x N boolean of the hit tiles."""
+    return pairwise_distances(embedding_of(rows)) <= eps
+
+
+def assert_hits_equal(distances, reference, eps):
+    """Each hit tile holds the reference's decisions on its strict upper triangle."""
+    for a, b, hits in distances.hit_tiles(eps, clustering._tiles(distances.shape[0])):
+        assert np.array_equal(hits, np.triu(reference[a:b, a:] <= eps, 1)), f"tile at row {a}"
+
+
+EPS_VALUES = (0.05, 0.45, 1.0, 1.9)
 
 
 class TestCosineDistance:
-    """The cosine distance of two rows, as ``pairwise_distances`` computes it."""
+    """The cosine distance of two rows, as ``pairwise_distances`` decides it
+    against eps."""
 
     def test_identical_vectors(self):
         v = [0.3, -1.2, 4.0]
-        assert matrix_of(pairwise_distances(embedding_of([v, v])))[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert within([v, v], 1e-15)[0, 1]
 
     def test_orthogonal_vectors(self):
-        assert matrix_of(pairwise_distances(embedding_of([[1.0, 0.0], [0.0, 2.0]])))[0, 1] == 1.0
+        rows = [[1.0, 0.0], [0.0, 2.0]]
+        assert within(rows, 1.0)[0, 1]
+        assert not within(rows, np.nextafter(1.0, 0.0))[0, 1]
 
     def test_opposite_vectors(self):
         v = np.array([1.5, -2.0])
-        assert matrix_of(pairwise_distances(embedding_of([v, -v])))[0, 1] == pytest.approx(2.0, abs=1e-15)
+        assert within([v, -v], 2.0)[0, 1]
+        assert not within([v, -v], 2.0 - 1e-15)[0, 1]
 
     def test_zero_vector_convention(self):
         # a zero-norm row is at distance 2 from every other row, another
         # zero row included, and at distance 0 from itself: no eps < 2
         # makes it a neighbour
         zero, v = [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]
-        dist = matrix_of(pairwise_distances(embedding_of([zero, v, zero, [-1.0, -2.0, -3.0]])))
-        assert dist[0].tolist() == [0.0, 2.0, 2.0, 2.0]
-        assert dist[2].tolist() == [2.0, 2.0, 0.0, 2.0]
-        assert dist[:, 0].tolist() == [0.0, 2.0, 2.0, 2.0]
-        assert np.diag(dist).tolist() == [0.0] * 4
+        rows = [zero, v, zero, [-1.0, -2.0, -3.0]]
+        below = within(rows, np.nextafter(2.0, 0.0))
+        assert below[0].tolist() == [True, False, False, False]
+        assert below[2].tolist() == [False, False, True, False]
+        assert below[:, 0].tolist() == [True, False, False, False]
+        assert within(rows, 2.0).all()
+        assert np.array_equal(within(rows, 1e-300), np.eye(4, dtype=bool))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -82,70 +94,69 @@ class TestCosineDistance:
         b=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
     )
     def test_bounds_and_symmetry(self, a, b):
-        # each pair is computed once, so symmetry is the same distance
-        # with the two rows in either order
-        dist = matrix_of(pairwise_distances(embedding_of([a, b])))[0, 1]
-        assert 0.0 <= dist <= 2.0
-        assert dist == matrix_of(pairwise_distances(embedding_of([b, a])))[0, 1]
+        # each pair is decided once, so symmetry is the same decision with
+        # the two rows in either order; every distance is within 2
+        for eps in (1e-12, 0.45, 1.0, np.nextafter(2.0, 0.0)):
+            assert within([a, b], eps)[0, 1] == within([b, a], eps)[0, 1]
+        assert within([a, b], 2.0).all()
 
 
 class TestPairwiseDistances:
     def test_identical_rows(self):
-        dist = matrix_of(pairwise_distances(embedding_of([[1.0, 2.0], [1.0, 2.0]])))
-        np.testing.assert_allclose(dist, np.zeros((2, 2)), atol=1e-12)
+        assert within([[1.0, 2.0], [1.0, 2.0]], 1e-12).all()
 
     def test_known_angles(self):
         angles = [0.0, np.pi / 3, np.pi / 2]
         rows = [[np.cos(a), np.sin(a)] for a in angles]
-        dist = matrix_of(pairwise_distances(embedding_of(rows)))
-        assert dist[0, 1] == pytest.approx(1 - np.cos(np.pi / 3), abs=1e-12)
-        assert dist[0, 2] == pytest.approx(1.0, abs=1e-12)
-        assert dist[1, 2] == pytest.approx(1 - np.cos(np.pi / 6), abs=1e-12)
+        for (i, j), distance in {(0, 1): 1 - np.cos(np.pi / 3), (0, 2): 1.0, (1, 2): 1 - np.cos(np.pi / 6)}.items():
+            assert within(rows, distance + 1e-12)[i, j]
+            assert not within(rows, distance - 1e-12)[i, j]
 
     def test_bounds_symmetry_zero_diagonal(self):
+        # the rows in reverse order give the same decisions, bit for bit: a
+        # pair near eps is settled by the same dot product either way
         rng = np.random.default_rng(0)
         rows = embedding_of(rng.normal(size=(40, 7)))
-        dist = matrix_of(pairwise_distances(rows))
-        assert np.all(np.diag(dist) == 0.0)
-        assert dist.min() >= 0.0 and dist.max() <= 2.0
-        # the rows in reverse order give the same distances, to rounding
-        reverse = matrix_of(pairwise_distances(rows[::-1]))[::-1, ::-1]
-        assert np.abs(dist - reverse).max() <= 1e-12
+        assert np.array_equal(within(rows, 1e-300), np.eye(40, dtype=bool))
+        assert within(rows, 2.0).all()
+        for eps in EPS_VALUES:
+            assert np.array_equal(within(rows, eps), within(rows[::-1], eps)[::-1, ::-1])
 
     def test_exact_symmetry_with_zero_and_duplicate_rows(self):
-        # the oracle mirrors its upper triangle, so it is exactly symmetric;
-        # the tiles hold that triangle's bits, zero rows at 2 from the others
+        # the tiles hold the oracle's decisions; mirrored they are exactly
+        # symmetric, and a zero row is no other row's neighbour below eps 2
         rows = embedding_of(clustered_rows(1, 601, 17))
         distances = pairwise_distances(rows)
         reference = pairwise_distances_reference(rows)
-        assert np.array_equal(reference, reference.T)
-        assert_upper_bits_equal(distances, reference)
-        dist = matrix_of(distances)
         zero = np.flatnonzero(~rows.any(axis=1))
-        off_diagonal = dist[zero]
-        off_diagonal[np.arange(zero.size), zero] = 2.0
-        assert zero.size and np.all(off_diagonal == 2.0)
-        assert np.all(np.diag(dist) == 0.0)
-        assert dist.min() >= 0.0 and dist.max() <= 2.0
+        assert zero.size
+        for eps in EPS_VALUES:
+            assert_hits_equal(distances, reference, eps)
+            decided = distances <= eps
+            assert np.array_equal(decided, decided.T) and np.diag(decided).all()
+            assert np.array_equal(decided[zero], np.eye(601, dtype=bool)[zero])
 
     @pytest.mark.parametrize("tile", [2, 3, 7, 64])
     def test_tiles_bitwise_equal_to_the_oracle(self, tile, monkeypatch):
-        # the same gemm calls and the same elementwise rules, tile by tile;
-        # a ragged last tile for 45 and 601 rows at every height
+        # the oracle's decisions at every tile height, for 45 and 601 rows
+        # (a ragged last tile at every height)
         monkeypatch.setattr(clustering, "_TILE_ROWS", tile)
         planted = run_clustering(planted_topic_corpus()[0]).model.coords
         for rows in (planted, embedding_of(clustered_rows(1, 601, 17))):
-            assert_upper_bits_equal(pairwise_distances(rows), pairwise_distances_reference(rows))
+            distances, reference = pairwise_distances(rows), pairwise_distances_reference(rows)
+            for eps in EPS_VALUES:
+                assert_hits_equal(distances, reference, eps)
 
     def test_several_tiles_as_one(self, monkeypatch):
+        # the tile height moves no decision: tiles of 7 rows decide every
+        # pair as one tile does, and give the pipeline's labels
         result = run_clustering(planted_topic_corpus()[0])
         embeddings = (result.model.coords, embedding_of(clustered_rows(1, 601, 17)))
-        whole = [pairwise_distances_reference(embedding) for embedding in embeddings]
+        whole = [[pairwise_distances(embedding) <= eps for eps in EPS_VALUES] for embedding in embeddings]
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)  # a ragged last tile for 45 and 601 rows
-        for embedding, reference in zip(embeddings, whole):
-            tiled = pairwise_distances_reference(embedding)
-            assert_upper_bits_equal(pairwise_distances(embedding), tiled)
-            assert np.abs(tiled - reference).max() <= 1e-12
+        for embedding, decided in zip(embeddings, whole):
+            for eps, expected in zip(EPS_VALUES, decided):
+                assert np.array_equal(pairwise_distances(embedding) <= eps, expected)
         config = PipelineConfig()
         labels = dbscan(pairwise_distances(embeddings[0]), eps=config.eps, min_pts=config.min_pts).labels
         assert np.array_equal(labels, result.assignment.labels)
@@ -153,8 +164,8 @@ class TestPairwiseDistances:
     def test_symmetric_whatever_a_tile_holds_below_its_diagonal(self, monkeypatch):
         # BLAS need not sum a pair's two products in the same order, so the
         # lower triangle of each tile's diagonal block is never read: with it
-        # set to similarity 1 (distance 0, within every eps) the tiles'
-        # upper triangles and the labels stay the same
+        # set to similarity 1 (distance 0, within every eps) the tiles' hits
+        # and the labels stay the same
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
         embedding = embedding_of(clustered_rows(1, 61, 17))
         reference = pairwise_distances_reference(embedding)
@@ -167,8 +178,8 @@ class TestPairwiseDistances:
 
         monkeypatch.setattr(np, "matmul", skewed)
         distances = pairwise_distances(embedding)
-        assert_upper_bits_equal(distances, reference)
         for eps in (0.05, 0.45, 1.5):
+            assert_hits_equal(distances, reference, eps)
             labels, n_clusters = dbscan_index_order(reference, eps, 3)
             assignment = dbscan(distances, eps=eps, min_pts=3)
             assert assignment.labels.tolist() == labels.tolist()
@@ -190,6 +201,104 @@ class TestPairwiseDistances:
         distances = pairwise_distances(rows)
         assert distances.shape == (300, 300)
         assert distances.nbytes == 300 * 11 * 8 + 300
+
+
+class TestFloat32Band:
+    """A tile is one float32 product; only the pairs within delta of the
+    threshold s* are settled in float64."""
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.05, 0.45, 1.0, float(np.nextafter(2.0, 0.0))])
+    def test_threshold_identity(self, eps):
+        # clip(1 - s, 0, 2) <= eps exactly when s >= s*, on s* +- 64 ulps
+        # and on random similarities
+        s_star = clustering._least_similarity(eps)
+        near = [s_star]
+        for toward in (-math.inf, math.inf):
+            s = s_star
+            for _ in range(64):
+                s = math.nextafter(s, toward)
+                near.append(s)
+        s = np.concatenate((near, np.random.default_rng(0).uniform(-1.2, 1.2, 100_000)))
+        assert np.array_equal(np.clip(1.0 - s, 0.0, 2.0) <= eps, s >= s_star)
+
+    def test_thresholds_rounded_outward_to_float32(self):
+        # a Python float bound would be rounded to nearest float32 before
+        # the comparison, and could fall inside the band
+        for x in np.random.default_rng(1).uniform(-1.1, 1.1, 10_000).tolist() + [0.55, -1.0, 1.0]:
+            low, high = clustering._float32_outward(x, -math.inf), clustering._float32_outward(x, math.inf)
+            assert low.dtype == high.dtype == np.float32
+            assert float(low) <= x <= float(high)
+            assert float(np.nextafter(low, np.float32(math.inf))) > x
+            assert float(np.nextafter(high, np.float32(-math.inf))) < x
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 37, 250]))
+    def test_float32_similarity_within_delta(self, seed, k):
+        # random unit rows, some with only positive entries (no cancelling
+        # errors) and some near-duplicates, against gemm and against the
+        # pair-by-pair dot products that settle the band
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(120, k)) * rng.choice([1e-6, 1.0, 1e6], size=(120, 1))
+        rows[:40] = np.abs(rows[:40])
+        rows[80:] = rows[:40] + rng.normal(scale=1e-4, size=(40, k)) * np.abs(rows[:40])
+        distances = pairwise_distances(rows)
+        unit32 = distances.unit.astype(np.float32)
+        sim32 = (unit32 @ unit32.T).astype(np.float64)
+        delta = clustering._float32_error(k)
+        assert np.abs(sim32 - distances.unit @ distances.unit.T).max() <= delta
+        settled = np.array([distances._similarity(p, np.arange(120)) for p in range(120)])
+        assert np.abs(sim32 - settled).max() <= delta
+
+    @pytest.mark.parametrize("tile", [2, 7, 1024])
+    def test_pairs_near_eps_decided_as_the_oracle(self, tile, monkeypatch):
+        # pairs planted at s* +- delta / 2, closer than float32 can tell
+        # (2^-30), among random rows; then the exact-eps tie of
+        # rows 0 and 3 and the eps just below it
+        monkeypatch.setattr(clustering, "_TILE_ROWS", tile)
+        rng = np.random.default_rng(tile)
+        k = 37
+        delta = clustering._float32_error(k)
+        for eps in (0.05, 0.45, 1.0, 1.5):
+            s_star = clustering._least_similarity(eps)
+            planted = []
+            for offset in (delta / 2, -delta / 2, 2**-30, -(2**-30)) * 8:
+                x, z = np.linalg.qr(rng.normal(size=(k, 2)))[0].T  # orthonormal
+                c = s_star + offset
+                planted += [x, c * x + np.sqrt(1 - c * c) * z]
+            rows = np.concatenate((planted, rng.normal(size=(20, k))))[rng.permutation(len(planted) + 20)]
+            assert np.array_equal(within(rows, eps), pairwise_distances_reference(rows) <= eps)
+        t = 0.7
+        rows = embedding_of(
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [np.cos(t), np.sin(t), 0.0], [0.0, -1.0, 0.0]]
+        )
+        reference = pairwise_distances_reference(rows)
+        for eps in (reference[0, 3], np.nextafter(reference[0, 3], 0.0)):
+            assert np.array_equal(within(rows, eps), reference <= eps)
+
+    @pytest.mark.parametrize("n, products", [(300, 1), (1024, 1), (2600, 5)])
+    def test_float32_products_per_dbscan(self, n, products, monkeypatch):
+        # pass 1 reads the tiles last to first and pass 2 starts from the
+        # first tile's hits: a corpus of one tile takes one product
+        matmul = np.matmul
+        dtypes = []
+
+        def counting(a, b, out):
+            dtypes.append(out.dtype)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        assert -(-n // clustering._TILE_ROWS) == (products + 1) // 2
+        dbscan(pairwise_distances(embedding_of(clustered_rows(5, n, 20))), eps=DEFAULT_EPS, min_pts=3)
+        assert dtypes == [np.float32] * products
+
+    @pytest.mark.parametrize("eps", [2.0, 7.5])
+    def test_every_pair_within_an_eps_of_2(self, eps, monkeypatch):
+        # zero rows included; no product is needed
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
+        rows = embedding_of(clustered_rows(6, 30, 4))
+        monkeypatch.setattr(np, "matmul", None)
+        assignment = dbscan(pairwise_distances(rows), eps=eps, min_pts=30)
+        assert assignment.labels.tolist() == [0] * 30 and assignment.n_clusters == 1
 
 
 class TestDbscan:
@@ -268,7 +377,7 @@ class TestDbscan:
         )
         distances = pairwise_distances(rows)
         eps = pairwise_distances_reference(rows)[0, 3]
-        assert eps == matrix_of(distances)[0, 3] and 0.2 < eps < 0.3
+        assert 0.2 < eps < 0.3
         assignment = dbscan(distances, eps=eps, min_pts=2)
         assert assignment.labels.tolist() == [0, NOISE, NOISE, 0, NOISE] and assignment.n_clusters == 1
         below = dbscan(distances, eps=np.nextafter(eps, 0.0), min_pts=2)
@@ -415,6 +524,14 @@ class TestDbscanMemory:
         # N at a time, and those between points already joined are dropped
         rows = embedding_of(clustered_rows(4, 3000, 50))
         assert self.traced_peak(rows, 1.9) < 1.25 * self.traced_peak(rows, DEFAULT_EPS)
+
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 1.9])
+    def test_peak_is_one_float32_tile_three_booleans_and_the_rows(self, eps):
+        # a float32 tile, its hits, its band and the first tile's hits kept
+        # for pass 2
+        n = 3000
+        rows = embedding_of(clustered_rows(4, n, 50))
+        assert self.traced_peak(rows, eps) < clustering._TILE_ROWS * n * (4 + 3) + rows.nbytes
 
 
 def test_labels_csv_renders_noise_as_minus_one(tmp_path):
