@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .features import FeatureMatrix
 
@@ -40,17 +39,6 @@ _PRODUCT_BLOCK_ROWS = 128
 # the core count.
 _MAX_PRODUCT_WORKERS = 4
 
-# Rows of the centred Gram rebuilt at once for the dual coordinates on the
-# partial path. The height is fixed, since gemm's bits for a row depend on how
-# many rows it multiplies, so the coordinates do not depend on the core count.
-# The peak stays the solve's as long as a chunk is smaller than the Gram it
-# replaces. Taller chunks leave BLAS's spinning threads fewer product phases to
-# slow: on 6k snippets (2-core host) the rebuild's sparse products took 1.3 s
-# in 512-row chunks, 1.05 s in 1024 and 0.9 s in 2048 (0.74 s whole), and the
-# fit peaked at 392.7 MiB of RSS with 512 and with 2048.
-_REBUILD_ROWS = 2048
-
-
 @dataclass(frozen=True)
 class KernelPca:
     """Linear kernel PCA of a corpus: the kept eigenvalues of its centered
@@ -69,62 +57,58 @@ def fit_kpca(features: FeatureMatrix, max_components: int = DEFAULT_COMPONENTS) 
     when T < N. Both have the same positive spectrum and give the same
     coordinates. Keeps at most ``max_components`` components and drops
     eigenvalues below 1e-10 of the largest (rank deficiency), so small
-    corpora yield fewer dimensions than requested.
+    corpora yield fewer dimensions than requested. Identical documents get
+    one coordinate row (``_share_identical_rows``).
     """
     n, t = features.matrix.shape
     if n < 2:
         raise ValueError("need at least 2 documents")
     if max_components < 1:
         raise ValueError("max_components must be >= 1")
-    if t < n:
-        return _fit_primal(features.matrix, max_components)
-    return _fit_dual(features.matrix, max_components)
+    fit = (_fit_primal if t < n else _fit_dual)(features.matrix, max_components)
+    _share_identical_rows(features.matrix, fit.coords)
+    return fit
+
+
+def _share_identical_rows(matrix, coords: np.ndarray) -> None:
+    """Give each feature row that repeats an earlier one (the same CSR
+    indices and values, bit for bit) the earlier row's coordinates, in
+    place, in one pass over the rows.
+
+    A dense product gives a row bits that depend on where the row sits among
+    the others, so identical documents could differ in the last bits; here
+    they are equal by construction, on every path.
+    """
+    matrix = matrix.tocsr()
+    indptr, indices, data = matrix.indptr.tolist(), matrix.indices, matrix.data
+    first = {}
+    for row, (a, b) in enumerate(zip(indptr, indptr[1:])):
+        earlier = first.setdefault((indices[a:b].tobytes(), data[a:b].tobytes()), row)
+        if earlier != row:
+            coords[row] = coords[earlier]
 
 
 def _fit_dual(matrix, max_components: int) -> KernelPca:
-    left, right = matrix.tocsr(), matrix.T.tocsr()
-    gram = _dense_product(left, right)
-    n = gram.shape[0]
+    gram = _dense_product(matrix, matrix.T)
     scale, col_means, grand = np.trace(gram), gram.mean(axis=0), float(gram.mean())
-    _center(gram, col_means, col_means, grand)
+    # Double-centred in place, in the order of ``gram - col - row + grand``:
+    # the same bits as that expression, without a second matrix.
+    gram -= col_means[None, :]
+    gram -= col_means[:, None]
+    gram += grand
     # On the partial path the solve gets the transpose: the same matrix,
     # Fortran-ordered as LAPACK wants it, which it may overwrite instead of a
-    # copy. Below it np.linalg.eigh copies its input anyway, so the Gram is
-    # kept for the coordinate product there: a rebuild would buy no memory.
-    partial = _partial_solve(n, max_components)
+    # copy. Below it np.linalg.eigh copies its input anyway.
+    partial = _partial_solve(gram.shape[0], max_components)
     eigenvalues, eigenvectors = _leading_eigenpairs(
         gram.T if partial else gram, scale, max_components, overwrite=partial
     )
-    # Scaled so that eigenvalue * ||column||^2 == 1: the coordinates' dot
-    # products then reproduce the centered Gram on the kept eigenspace.
-    dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
-    del eigenvectors  # a view that keeps the whole N x N eigenvector matrix alive
-    dual_coef *= _pivot_signs(dual_coef)
-    if not partial:
-        return KernelPca(eigenvalues=eigenvalues, coords=gram @ dual_coef)
-    del gram  # overwritten by the solve
-    # The centred Gram rows are rebuilt _REBUILD_ROWS at a time. A one-row
-    # chunk would multiply by gemv, whose bits differ from gemm's, so a
-    # one-row tail joins the chunk before it. A chunk's features are a view
-    # of their rows, as ``left[a:b]`` would copy their nonzeros.
-    coords = np.empty((n, dual_coef.shape[1]))
-    bounds = [*range(0, n - 1, _REBUILD_ROWS), n]
-    for a, b in zip(bounds, bounds[1:]):
-        first, last = left.indptr[a], left.indptr[b]
-        rows = (left.data[first:last], left.indices[first:last], left.indptr[a : b + 1] - first)
-        block = _dense_product(sparse.csr_matrix(rows, shape=(b - a, left.shape[1])), right)
-        _center(block, col_means[a:b], col_means, grand)
-        coords[a:b] = block @ dual_coef
+    # A document's coordinate on component k is sqrt(lambda_k) times its
+    # entry of the unit eigenvector: their dot products then reproduce the
+    # centered Gram on the kept eigenspace.
+    coords = eigenvectors * np.sqrt(eigenvalues)[None, :]
+    coords *= _pivot_signs(coords)
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
-
-
-def _center(block: np.ndarray, row_means: np.ndarray, col_means: np.ndarray, grand: float) -> None:
-    """Double-centre rows of the Gram in place, in the order of
-    ``gram - col - row + grand``: the same bits as that expression, without a
-    second matrix."""
-    block -= col_means[None, :]
-    block -= row_means[:, None]
-    block += grand
 
 
 def _fit_primal(matrix, max_components: int) -> KernelPca:
@@ -146,7 +130,7 @@ def _fit_primal(matrix, max_components: int) -> KernelPca:
     coords = matrix @ axes
     coords -= mean @ axes
     # The coordinates are proportional to the Gram eigenvectors, so this
-    # picks the same sign as the dual path's rule on its coefficients.
+    # picks the same sign as the dual path's rule.
     coords *= _pivot_signs(coords)
     return KernelPca(eigenvalues=eigenvalues, coords=coords)
 

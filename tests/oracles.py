@@ -286,14 +286,12 @@ def kpca_reference(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def fit_dual_reference(matrix, max_components: int) -> KernelPca:
-    """The dual kernel-PCA fit with the centred Gram as a second N x N
-    matrix, the uncentred one kept for its trace, and the whole eigenvector
-    matrix alive through the coordinate product.
-
-    On the partial path (``_partial_solve(N, max_components)``) the
-    solve works on the transposed centred Gram, as the library's solve that
-    overwrites it does, and the coordinates are one product of the whole
-    centred Gram, whose rows are the library's rebuilt rows bit for bit."""
+    """The dual kernel-PCA fit with the Gram as one whole sparse product,
+    the centred Gram as a second N x N matrix and the uncentred one kept for
+    its trace. On the partial path (``_partial_solve(N, max_components)``)
+    the solve works on the transposed centred Gram, as the library's solve
+    that overwrites it does. It does not share rows between identical
+    documents."""
     gram = np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
     col_means = gram.mean(axis=0)
     centered = gram - col_means[None, :] - col_means[:, None] + float(gram.mean())
@@ -301,9 +299,9 @@ def fit_dual_reference(matrix, max_components: int) -> KernelPca:
     eigenvalues, eigenvectors = _leading_eigenpairs(
         centered.T if partial else centered, np.trace(gram), max_components
     )
-    dual_coef = eigenvectors / np.sqrt(eigenvalues)[None, :]
-    dual_coef *= _pivot_signs(dual_coef)
-    return KernelPca(eigenvalues=eigenvalues, coords=centered @ dual_coef)
+    coords = eigenvectors * np.sqrt(eigenvalues)[None, :]
+    coords *= _pivot_signs(coords)
+    return KernelPca(eigenvalues=eigenvalues, coords=coords)
 
 
 def fit_primal_reference(matrix, max_components: int) -> KernelPca:

@@ -614,7 +614,7 @@ def test_reruns_identical_across_blas_thread_counts(tmp_path, corpus_file):
 
     # 150 documents over more terms than that, so the dual path runs on a
     # Gram of two blocks, one per worker with two; --components 20 puts it on
-    # the partial solve, whose coordinates come from rebuilt Gram rows.
+    # the partial solve, which overwrites the Gram.
     corpus, _, _ = planted_topic_corpus(docs_per_topic=50, filler_pool=400)
     larger = tmp_path / "corpus.jsonl"
     save_jsonl(corpus, larger)

@@ -207,10 +207,13 @@ class TestFloat32Band:
     """A tile is one float32 product; only the pairs within delta of the
     threshold s* are settled in float64."""
 
-    @pytest.mark.parametrize("eps", [1e-12, 0.05, 0.45, 1.0, float(np.nextafter(2.0, 0.0))])
+    @pytest.mark.parametrize(
+        "eps", [1e-12, 0.05, 0.45, 0.5, 1.0 - 2.0**-40, 1.0, float(np.nextafter(2.0, 0.0))]
+    )
     def test_threshold_identity(self, eps):
         # clip(1 - s, 0, 2) <= eps exactly when s >= s*, on s* +- 64 ulps
-        # and on random similarities
+        # and on random similarities. At 1 - 2^-40 and at 1.0, s* lies 5.5e11
+        # and 4.4e18 doubles below fl(1 - eps): no walk from there finds it.
         s_star = clustering._least_similarity(eps)
         near = [s_star]
         for toward in (-math.inf, math.inf):

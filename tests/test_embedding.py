@@ -182,8 +182,8 @@ class TestPartialEigensolve:
 
     @pytest.mark.parametrize("n, t", SHAPES)
     def test_matches_textbook_reference(self, n, t, solvers, eigensolves):
-        # Against the independent oracle: a Gram clobbered by the eigensolve
-        # would also corrupt the dual path's coordinates, gram @ dual_coef.
+        # Against the independent oracle: the partial solve overwrites the
+        # Gram or covariance it is given, on both paths.
         rows = random_tfidf(np.random.default_rng(n + 7 * t), n, t)
         model = fit_kpca(make_feature_matrix(rows), max_components=10)
         assert solvers == ["_fit_dual" if n <= t else "_fit_primal"]
@@ -199,14 +199,13 @@ class TestPartialEigensolve:
         assert eigensolves == ["partial"]
         assert np.array_equal(coords[n // 2], coords[n // 3])
 
-    @pytest.mark.parametrize("rebuild_rows", [128, 1024])
-    def test_duplicate_of_a_one_row_tail(self, rebuild_rows, monkeypatch, solvers, eigensolves):
-        # N = 4 * 128 + 1: in 128-row chunks the last rebuilt Gram row would
-        # be multiplied alone (gemv, other bits) did it not join the chunk
-        # before it, and its duplicate sits in another chunk; in 1024-row
-        # chunks both are in one. One, two and three product workers give
-        # the same bits.
-        monkeypatch.setattr(embedding, "_REBUILD_ROWS", rebuild_rows)
+    @pytest.mark.parametrize("block_rows", [128, 1024])
+    def test_duplicate_of_a_one_row_tail(self, block_rows, monkeypatch, solvers, eigensolves):
+        # N = 4 * 128 + 1: in 128-row product blocks the last Gram row is a
+        # block of its own, and its duplicate sits in another block; in
+        # 1024-row blocks both are in one. One, two and three product
+        # workers give the same bits.
+        monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", block_rows)
         n, t = 513, 1200
         rows = random_tfidf(np.random.default_rng(n), n, t)
         rows[n - 1] = rows[3]
@@ -222,10 +221,9 @@ class TestPartialEigensolve:
             assert np.array_equal(coords.view(np.uint64), fits[0].view(np.uint64))
 
     def test_coordinates_do_not_depend_on_the_worker_count(self, monkeypatch, eigensolves):
-        # 250 components: gemm gives a row other bits in a taller chunk at
-        # this width, so the chunks must not grow with the worker count.
+        # 250 components on the partial path: the Gram's blocks must not
+        # depend on the worker count, nor anything after the solve.
         monkeypatch.setattr(embedding, "_PARTIAL_SOLVE_RATIO", 1)
-        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 128)
         fm = make_feature_matrix(random_tfidf(np.random.default_rng(600), 600, 900))
         fits = []
         for workers in (1, 2, 3):
@@ -333,6 +331,35 @@ class TestPartialEigensolve:
             assert np.array_equal(coords[n // 2], coords[n // 3]), f"trial {trial}: duplicates differ"
 
 
+class TestIdenticalDocuments:
+    """Identical documents, empty ones included, get bitwise identical
+    coordinate rows on every path at the default 250 components, whatever
+    the BLAS thread count: the eigensolver and a dense product give a row
+    bits that depend on where it sits among the rows."""
+
+    @pytest.mark.parametrize(
+        "n, t, solver, solve",
+        [
+            (1600, 4000, "_fit_dual", "partial"),
+            (300, 900, "_fit_dual", "full"),
+            (600, 300, "_fit_primal", "full"),
+        ],
+    )
+    def test_copies_share_a_coordinate_row(self, n, t, solver, solve, solvers, eigensolves):
+        rng = np.random.default_rng(n + t)
+        rows = sparse.random(n, t, density=0.02, format="csr", random_state=rng).toarray()
+        copies = [*range(7, n - 4, 7), n - 4, n - 3, n - 2, n - 1]
+        rows[copies] = rows[3]
+        rows[[5, n // 2]] = 0.0  # two empty documents
+        coords = fit_kpca(make_feature_matrix(rows)).coords
+        assert solvers == [solver]
+        assert eigensolves == [solve]
+        assert coords.shape[1] == 250
+        for row in copies:
+            assert np.array_equal(coords[row].view(np.uint64), coords[3].view(np.uint64)), row
+        assert np.array_equal(coords[n // 2].view(np.uint64), coords[5].view(np.uint64))
+
+
 class TestShortSide:
     """The eigenproblem is solved on the N x N Gram when N <= T and on the
     T x T covariance when T < N; both must give the textbook coordinates."""
@@ -363,8 +390,8 @@ class TestShortSide:
 
 
 class TestDualFitMemory:
-    """The dual path centres the Gram in place and lets the full eigenvector
-    matrix go before the coordinate product."""
+    """The dual path centres the Gram in place, and its coordinates need
+    only the kept eigenvectors."""
 
     @staticmethod
     def sparse_features(n, t, density=0.01):
@@ -397,11 +424,10 @@ class TestDualFitMemory:
         assert peak < 2.5 * 8 * n * n
 
     def test_partial_path_peak_below_one_and_a_half_gram_matrices(self, monkeypatch, solvers, eigensolves):
-        # The partial solve overwrites the Gram, and the coordinates come from
-        # rebuilt rows: one N x N matrix plus product blocks and a rebuilt
-        # chunk, never the Gram beside a copy of it.
+        # The partial solve overwrites the Gram, and the coordinates come
+        # from the kept eigenvectors: one N x N matrix plus product blocks,
+        # never the Gram beside a copy of it.
         monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
-        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 64)
         n, k = 300, 10
         fm = self.sparse_features(n, 900)
         tracemalloc.start()
@@ -421,7 +447,6 @@ class TestDualFitMemory:
         # at once: the one-core peak plus at most three blocks, each under
         # 2.5 times its dense rows.
         monkeypatch.setattr(embedding, "_PRODUCT_BLOCK_ROWS", 16)
-        monkeypatch.setattr(embedding, "_REBUILD_ROWS", 64)
         n, k = 300, 10
         fm = self.sparse_features(n, 900, density=0.1)
         peaks = {}
