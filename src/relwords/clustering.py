@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,10 +121,10 @@ class CosineDistances:
     def nbytes(self) -> int:
         return self.unit.nbytes + self.directionless.nbytes
 
-    def hit_tiles(self, eps: float, tiles):
-        """Yield ``(a, b, hits)`` for each row range ``(a, b)`` of ``tiles``:
-        ``hits[i, j]`` tells whether rows a + i and a + j are within eps, on
-        the strict upper triangle (j > i), and is False elsewhere.
+    def hit_tiles(self, eps: float):
+        """Yield ``(a, b, hits)`` for the tiles of ``_TILE_ROWS`` rows, first
+        to last: ``hits[i, j]`` tells whether rows a + i and a + j are within
+        eps, on the strict upper triangle (j > i), and is False elsewhere.
 
         A pair is within eps when ``clip(1 - sim, 0, 2) <= eps``, sim being
         the dot product of the unit rows and -1 for a directionless row: for
@@ -139,6 +138,7 @@ class CosineDistances:
         yielded.
         """
         n = self.shape[0]
+        tiles = _tiles(n)
         if eps >= 2.0:
             for a, b in tiles:
                 yield a, b, ~np.tri(b - a, n - a, dtype=bool)
@@ -148,8 +148,9 @@ class CosineDistances:
         low, high = _float32_outward(s - delta, -math.inf), _float32_outward(s + delta, math.inf)
         unit32 = self.unit.astype(np.float32)
         zero = np.flatnonzero(self.directionless)
-        upper = ~np.tri(max((b - a for a, b in tiles), default=0), dtype=bool)
-        buffer = np.empty(max(((b - a) * (n - a) for a, b in tiles), default=0), dtype=np.float32)
+        height = min(_TILE_ROWS, n)  # the first tile is the tallest and the widest
+        upper = ~np.tri(height, dtype=bool)
+        buffer = np.empty(height * n, dtype=np.float32)
         for a, b in tiles:
             rows = b - a
             sim = buffer[:rows * (n - a)].reshape(rows, n - a)
@@ -187,7 +188,7 @@ class CosineDistances:
         """
         n = self.shape[0]
         within = np.zeros((n, n), dtype=bool)
-        for a, b, hits in self.hit_tiles(eps, _tiles(n)):
+        for a, b, hits in self.hit_tiles(eps):
             within[a:b, a:] = hits
         within |= within.T
         np.fill_diagonal(within, True)
@@ -209,25 +210,6 @@ def pairwise_distances(coords: np.ndarray) -> CosineDistances:
 def _tiles(n: int) -> list[tuple[int, int]]:
     """The row ranges of ``_TILE_ROWS`` rows that cover n rows, in order."""
     return [(a, min(a + _TILE_ROWS, n)) for a in range(0, n, _TILE_ROWS)]
-
-
-def _pair_counts(dist, eps: float, tiles) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Each point's eps-pairs with later points and with earlier points, and
-    the first tile as ``(a, b, hits)``.
-
-    The tiles are read last to first, so the first one is read last and
-    pass 2 can start from it. A function of its own, so that the tiles'
-    buffer is freed before pass 2 allocates its own.
-    """
-    n = dist.shape[0]
-    after = np.zeros(n, dtype=np.int64)
-    before = np.zeros(n, dtype=np.int64)
-    for a, b, hits in dist.hit_tiles(eps, tiles[::-1]):
-        after[a:b] = np.count_nonzero(hits, axis=1)
-        before[a:] += np.count_nonzero(hits, axis=0)
-        if a:
-            del hits  # before the next tile's are allocated
-    return after, before, (a, b, hits)
 
 
 def _hook(root: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -261,15 +243,14 @@ def dbscan(
     what seeding in index order with breadth-first expansion assigns, so the
     assignment is fully deterministic.
 
-    ``dist`` is anything with a square ``shape`` and ``hit_tiles(eps,
-    tiles)`` as ``CosineDistances`` has them; the tiles are read twice.
-    Pass 1 reads them last to first and counts each point's eps-degree,
-    which gives the core points. Pass 2 starts from the first tile's hits,
-    pass 1's last, so a corpus of one tile takes one product. It keeps the
-    pairs of a core and a non-core point (fewer than N ``min_pts``) and
-    joins the core points' components as it goes, from the core-core pairs
-    between components, taken about N at a time; a tile's pairs are taken
-    in row slices of about N. Components come from hooking roots with one
+    ``dist`` is anything with a square ``shape`` and ``hit_tiles(eps)`` as
+    ``CosineDistances`` has them, read once. Pass 1 counts each point's
+    eps-degree from the tiles, which gives the core points, and keeps each
+    tile's hits packed 8 to a byte (N^2 / 16 bytes in all). Pass 2 unpacks
+    them in row slices of about N pairs. It keeps the pairs of a core and a
+    non-core point (fewer than N ``min_pts``) and joins the core points'
+    components as it goes, from the core-core pairs between components,
+    taken about N at a time. Components come from hooking roots with one
     pointer jump a round: ~log2 n rounds, not a cluster's index-order length
     (10 for a 3000-point chain in random index order, 12 in zigzag order).
     """
@@ -280,20 +261,25 @@ def dbscan(
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = dist.shape[0]
-    tiles = _tiles(n)
-    after, before, first = _pair_counts(dist, eps, tiles)
+    after = np.zeros(n, dtype=np.int64)
+    before = np.zeros(n, dtype=np.int64)
+    packed = []
+    for a, b, hits in dist.hit_tiles(eps):
+        after[a:b] = np.count_nonzero(hits, axis=1)
+        before[a:] += np.count_nonzero(hits, axis=0)
+        packed.append((a, b, np.packbits(hits, axis=1)))
+        del hits  # before the next tile's are allocated
     core = 1 + after + before >= min_pts
-    # Pass 2: border pairs, and core components as a star forest. The chain
-    # drops the first tile once read.
-    pass_two = itertools.chain([first], dist.hit_tiles(eps, tiles[1:]))
-    del first
+    # Pass 2: border pairs, and core components as a star forest.
     root = np.arange(n)
     border, neighbour = [], []
     held_p, held_q, held = [], [], 0
-    for a, b, hits in pass_two:
+    for a, b, bits in packed:
         step = max(1, (b - a) * n // max(int(after[a:b].sum()), 1))  # ~n pairs a slice
         for r in range(0, b - a, step):
-            p, q = np.divmod(np.flatnonzero(hits[r:r + step]), n - a)  # 2-D nonzero is ~5x slower
+            # a boolean view: flatnonzero reads uint8 ~3x slower
+            hits = np.unpackbits(bits[r:r + step], axis=1, count=n - a).view(bool)
+            p, q = np.divmod(np.flatnonzero(hits), n - a)  # 2-D nonzero is ~5x slower
             p += a + r
             q += a
             core_p, core_q = core[p], core[q]
@@ -310,7 +296,6 @@ def dbscan(
             if held > n:
                 root = _hook(root, np.concatenate(held_p), np.concatenate(held_q))
                 held_p, held_q, held = [], [], 0
-        del hits
     if held:
         root = _hook(root, np.concatenate(held_p), np.concatenate(held_q))
     # A border point takes its core neighbours' smallest root; n marks noise.

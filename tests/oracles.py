@@ -91,9 +91,10 @@ def pairwise_distances_reference(coords: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TiledMatrix:
     """A precomputed distance matrix served as ``clustering.dbscan`` reads its
-    argument: a ``shape``, and ``hit_tiles(eps, tiles)`` yielding
-    ``(a, b, hits)`` for each row range, hits the strict upper triangle of
-    ``matrix[a:b, a:] <= eps``. The matrix need not hold cosine distances."""
+    argument: a ``shape``, and ``hit_tiles(eps)`` yielding ``(a, b, hits)``
+    for each row range of ``clustering._tiles``, hits the strict upper
+    triangle of ``matrix[a:b, a:] <= eps``. The matrix need not hold cosine
+    distances."""
 
     matrix: np.ndarray
 
@@ -101,8 +102,8 @@ class TiledMatrix:
     def shape(self) -> tuple[int, ...]:
         return self.matrix.shape
 
-    def hit_tiles(self, eps, tiles):
-        for a, b in tiles:
+    def hit_tiles(self, eps):
+        for a, b in clustering._tiles(self.matrix.shape[0]):
             yield a, b, np.triu(self.matrix[a:b, a:] <= eps, 1)
 
 

@@ -50,7 +50,7 @@ def within(rows, eps):
 
 def assert_hits_equal(distances, reference, eps):
     """Each hit tile holds the reference's decisions on its strict upper triangle."""
-    for a, b, hits in distances.hit_tiles(eps, clustering._tiles(distances.shape[0])):
+    for a, b, hits in distances.hit_tiles(eps):
         assert np.array_equal(hits, np.triu(reference[a:b, a:] <= eps, 1)), f"tile at row {a}"
 
 
@@ -278,10 +278,10 @@ class TestFloat32Band:
         for eps in (reference[0, 3], np.nextafter(reference[0, 3], 0.0)):
             assert np.array_equal(within(rows, eps), reference <= eps)
 
-    @pytest.mark.parametrize("n, products", [(300, 1), (1024, 1), (2600, 5)])
+    @pytest.mark.parametrize("n, products", [(300, 1), (1024, 1), (2600, 3)])
     def test_float32_products_per_dbscan(self, n, products, monkeypatch):
-        # pass 1 reads the tiles last to first and pass 2 starts from the
-        # first tile's hits: a corpus of one tile takes one product
+        # pass 1 reads each tile once and pass 2 reads its packed hits: one
+        # product a tile
         matmul = np.matmul
         dtypes = []
 
@@ -290,9 +290,24 @@ class TestFloat32Band:
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", counting)
-        assert -(-n // clustering._TILE_ROWS) == (products + 1) // 2
+        assert -(-n // clustering._TILE_ROWS) == products
         dbscan(pairwise_distances(embedding_of(clustered_rows(5, n, 20))), eps=DEFAULT_EPS, min_pts=3)
         assert dtypes == [np.float32] * products
+
+    def test_dbscan_reads_the_hit_tiles_once(self, monkeypatch):
+        # pass 2 reads pass 1's packed hits, not the tiles again; 45 rows
+        # in tiles of 7 leave a ragged last tile
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
+        hit_tiles = clustering.CosineDistances.hit_tiles
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            return hit_tiles(self, *args)
+
+        monkeypatch.setattr(clustering.CosineDistances, "hit_tiles", counting)
+        dbscan(pairwise_distances(embedding_of(clustered_rows(5, 45, 20))), eps=DEFAULT_EPS, min_pts=3)
+        assert calls == [(DEFAULT_EPS,)]
 
     @pytest.mark.parametrize("eps", [2.0, 7.5])
     def test_every_pair_within_an_eps_of_2(self, eps, monkeypatch):
@@ -530,8 +545,8 @@ class TestDbscanMemory:
 
     @pytest.mark.parametrize("eps", [DEFAULT_EPS, 1.9])
     def test_peak_is_one_float32_tile_three_booleans_and_the_rows(self, eps):
-        # a float32 tile, its hits, its band and the first tile's hits kept
-        # for pass 2
+        # a float32 tile, its hits and its band; no tile's hits are kept
+        # whole, and the packed hits of all tiles are 0.56 MB at 3,000 rows
         n = 3000
         rows = embedding_of(clustered_rows(4, n, 50))
         assert self.traced_peak(rows, eps) < clustering._TILE_ROWS * n * (4 + 3) + rows.nbytes
