@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from functools import lru_cache
-from math import ceil, cos, hypot, isfinite, sin
+from math import ceil, cos, hypot, inf, isfinite, sin
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,9 +50,10 @@ _PALETTE = (
 
 _SPIRAL_STEP = 0.1  # radians between candidate positions
 _SPIRAL_GROWTH = 1.0  # radius gained per radian
-# Spiral positions tested together against every placed box: on 50-word
-# clouds 64 was faster than 32, and than 128 in most runs.
-_GROUP = 64
+# Live spiral steps a word tests first against every placed box; each
+# further chunk is twice the last. On 40 clouds of 50 words, 32 and 64 were
+# even and faster than 8, 16 and 128.
+_FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,13 @@ def _spiral(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def _clear(px: np.ndarray, py: np.ndarray, half_w: float, half_h: float, boxes: np.ndarray) -> np.ndarray:
+    """Per step (px, py): whether the box of these half sizes centred there
+    overlaps none of ``boxes`` (rows x0, y0, x1, y1); touching is allowed."""
+    b0, b1, b2, b3 = boxes[:, :, None]
+    return ((px + half_w <= b0) | (b2 <= px - half_w) | (py + half_h <= b1) | (b3 <= py - half_h)).all(axis=0)
+
+
 def layout_wordcloud(
     ranked: Sequence[tuple[str, float]],
     *,
@@ -131,56 +139,59 @@ def layout_wordcloud(
     weights = [w for _, w in chosen]
     w_min, w_max = min(weights), max(weights)
     span = w_max - w_min
-    xs, ys = _spiral(width, height)
+    if span > 0.0:
+        sizes = [MIN_FONT_PT + (MAX_FONT_PT - MIN_FONT_PT) * (w - w_min) / span for w in weights]
+    else:
+        sizes = [MAX_FONT_PT] * len(chosen)
+    widths = [CHAR_ADVANCE * size * len(term) for size, (term, _) in zip(sizes, chosen)]
+    # The smallest half width and half height among the words from each on.
+    halves = np.array([(w / 2.0, h / 2.0) for w, h in zip(widths, sizes)] + [(inf, inf)])
+    smallest = np.minimum.accumulate(halves[::-1])[::-1].tolist()
 
-    # Per spiral position, the last placed box (x0, y0, x1, y1) found to
-    # cover it, or an empty box at infinity. It only saves work: each word
-    # tests its own box against it, so a position is ruled out only by a box
-    # that covers it there, and taken only once no placed box does.
-    last_box = np.empty((4, xs.size))
-    last_box[:2], last_box[2:] = np.inf, -np.inf
-    placed = np.empty((4, len(chosen)))
+    # The canvas's surroundings as four boxes placed before any word: a box
+    # overlaps one exactly where it crosses that edge of the canvas.
+    placed = np.empty((4, 4 + len(chosen)))
+    placed[:, :4] = np.transpose(
+        [(-inf, -inf, 0.0, inf), (width, -inf, inf, inf), (-inf, -inf, inf, 0.0), (-inf, height, inf, inf)]
+    )
+    # The live spiral steps, in order: those some word still to come may
+    # take. Each placed box drops the steps where the smallest box still to
+    # come overlaps it; every such box is at least as large and rounding is
+    # monotone, so each overlaps the placed box there too.
+    xs, ys = _spiral(width, height)
+    live = _clear(xs, ys, *smallest[0], placed[:, :4])
+    px, py = xs[live], ys[live]
     entries: list[CloudEntry] = []
     for rank, (term, weight) in enumerate(chosen):
-        if span > 0.0:
-            size = MIN_FONT_PT + (MAX_FONT_PT - MIN_FONT_PT) * (weight - w_min) / span
-        else:
-            size = MAX_FONT_PT
-        box_w = CHAR_ADVANCE * size * len(term)
+        size, box_w = sizes[rank], widths[rank]
         box_h = size
         if box_w > width or box_h > height:
             warnings.warn(f"word {term!r} does not fit the canvas; skipped")
             continue
-        x0, y0 = xs - box_w / 2.0, ys - box_h / 2.0
-        x1, y1 = xs + box_w / 2.0, ys + box_h / 2.0
-        blocked = (x0 < 0) | (y0 < 0) | (x1 > width) | (y1 > height)
-        l0, l1, l2, l3 = last_box
-        blocked |= ~((x1 <= l0) | (l2 <= x0) | (y1 <= l1) | (l3 <= y0))
-        # The positions left, in order, a group at a time against every box.
-        b0, b1, b2, b3 = placed[:, : len(entries)]
-        candidates = np.flatnonzero(~blocked)
-        step = None
-        for start in range(0, candidates.size, _GROUP):
-            group = candidates[start : start + _GROUP]
-            gx0, gy0, gx1, gy1 = x0[group, None], y0[group, None], x1[group, None], y1[group, None]
-            hits = ~((gx1 <= b0) | (b2 <= gx0) | (gy1 <= b1) | (b3 <= gy0))
-            covered = hits.any(axis=1)
-            if covered.any():
-                last_box[:, group[covered]] = placed[:, hits[covered].argmax(axis=1)]
-            if not covered.all():
-                step = int(group[covered.argmin()])
-                break
+        half_w, half_h = box_w / 2.0, box_h / 2.0
+        # The first live step where the box is clear, in doubling chunks.
+        boxes = placed[:, : 4 + len(entries)]
+        step, start, chunk = None, 0, _FIRST_CHUNK
+        while step is None and start < px.size:
+            free = _clear(px[start : start + chunk], py[start : start + chunk], half_w, half_h, boxes)
+            if free.any():
+                step = start + int(free.argmax())
+            start, chunk = start + chunk, 2 * chunk
         if step is None:
             warnings.warn(f"no free position for word {term!r}; skipped")
             continue
-        placed[:, len(entries)] = x0[step], y0[step], x1[step], y1[step]
+        x, y = float(px[step]), float(py[step])
+        new = 4 + len(entries)
+        placed[:, new] = x - half_w, y - half_h, x + half_w, y + half_h
+        live = _clear(px, py, *smallest[rank + 1], placed[:, new : new + 1])
+        px, py = px[live], py[live]
         entries.append(
             CloudEntry(
                 term=term,
                 weight=weight,
                 font_size=size,
-                x=float(xs[step]),
-                y=float(ys[step]),
+                x=x,
+                y=y,
                 color=color if color is not None else _PALETTE[rank % len(_PALETTE)],
             )
         )

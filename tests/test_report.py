@@ -143,7 +143,7 @@ RANKINGS = st.integers(1, 60).flatmap(lambda n: st.lists(RANKED_WORD, min_size=n
 @example(ranked=[("a", 0.0)], top_k=50, canvas=(800, 600))  # all weights zero
 @example(ranked=[("abcde", 1.0)], top_k=50, canvas=(144, 48))  # box exactly the canvas
 @example(ranked=[("", 1.0), ("", 1.0), ("ab", 0.5)], top_k=50, canvas=(800, 300))  # boxes touch
-# "y" takes a position that a box placed before it was found to cover for "abba"
+# two equal 48-point boxes, then a 10-point word
 @example(ranked=[("abba", 1.0), ("abba", 1.0), ("y", 0.1)], top_k=50, canvas=(800, 300))
 # ten tied top scores among 50 words on the cloud canvas
 @example(
@@ -151,10 +151,19 @@ RANKINGS = st.integers(1, 60).flatmap(lambda n: st.lists(RANKED_WORD, min_size=n
     top_k=50,
     canvas=(800, 600),
 )
-# the last "ab" takes the 64th position the remembered boxes leave open and
-# "xy" the 65th: the last of one group of 64 and the first of the next
+# words that take a live step of the second chunk
 @example(ranked=[("", 1.0), ("ab", 0.6), ("abcd", 0.4), ("ab", 0.1)], top_k=50, canvas=(800, 300))
 @example(ranked=[("a", 0.6), ("b", 0.5), ("xy", 0.4), ("abc", 0.1)], top_k=50, canvas=(200, 100))
+# "ab" takes the gap just above "abcd", where a box as large as "abcd" would
+# not fit: a placed box drops only the steps the smallest box still to come
+# cannot take
+@example(ranked=[("abcd", 1.0), ("ab", 0.5)], top_k=50, canvas=(800, 600))
+# the second "" touches the first one's zero-width box at the canvas centre:
+# touching keeps a step live
+@example(ranked=[("", 1.0), ("", 0.5)], top_k=50, canvas=(800, 600))
+# "a" takes the last live step of the first chunk and "aa" the first of the
+# second
+@example(ranked=[("a", 0.5), ("aa", 0.5), ("", 0.6), ("", 0.5)], top_k=50, canvas=(200, 100))
 @settings(max_examples=60, deadline=None)
 def test_layout_same_as_the_per_position_walk(ranked, top_k, canvas):
     width, height = canvas
