@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,7 @@ _NORM_FLOOR = 1e-12
 
 # Rows per tile of the similarity product. One ``unit @ unit.T`` goes to BLAS
 # syrk, which kills the process (SIGSEGV) under OpenBLAS 0.3.31 at about 20k
-# rows; the tiles are plain gemm calls. No decision depends on the height: a
-# pair near eps is settled by its own dot product (``CosineDistances.hit_tiles``).
+# rows; the tiles are plain gemm calls. No decision depends on the height.
 _TILE_ROWS = 1024
 
 _FLOAT32_UNIT = 2.0**-24
@@ -39,34 +37,6 @@ class ClusterAssignment:
     n_clusters: int
 
 
-def _least_similarity(eps: float) -> float:
-    """The least double s with ``1 - s <= eps`` in float64, for 0 < eps < 2.
-
-    ``1 - s`` rounds monotonically, so a similarity s is within eps, as
-    ``clip(1 - s, 0, 2) <= eps`` decides it, exactly when s >= this value.
-    Found by bisecting the doubles in their order (``_rank``).
-    """
-    low, high = _rank(-2.0), _rank(1.0)  # 1 - (-2) > eps >= 1 - 1
-    while high - low > 1:
-        middle = (low + high) // 2
-        if 1.0 - _double(middle) <= eps:
-            high = middle
-        else:
-            low = middle
-    return _double(high)
-
-
-def _rank(s: float) -> int:
-    """The doubles' order as integers: the bits of |s|, negated for s < 0."""
-    bits = int(np.float64(abs(s)).view(np.int64))
-    return -bits if s < 0 else bits
-
-
-def _double(rank: int) -> float:
-    """The double of a ``_rank``."""
-    return math.copysign(float(np.int64(abs(rank)).view(np.float64)), rank)
-
-
 def _float32_error(k: int) -> float:
     """A bound on |sim32 - sim64| for two unit rows x, y of length k: sim32
     their float32 product (float32 copies of the rows, float32 sums), sim64
@@ -78,8 +48,7 @@ def _float32_error(k: int) -> float:
     |x| |y| <= nu^2 with nu = 1 + gamma64(k + 2) for the float64 rounding
     of the rows' scaling. sim64 is within gamma64(k) nu^2 of the exact
     product. gamma32(k + 1) exceeds what it bounds by nearly u, far more
-    than the float64 rounding of this sum and of s* +- delta, and any
-    underflow.
+    than the float64 rounding of this sum, and any underflow.
     """
 
     def gamma(n: int, u: float) -> float:
@@ -89,14 +58,16 @@ def _float32_error(k: int) -> float:
     return (gamma(k + 1, _FLOAT32_UNIT) + 2.0 * _FLOAT32_UNIT + gamma(k, _FLOAT64_UNIT)) * nu * nu
 
 
-def _float32_outward(x: float, toward: float) -> np.float32:
-    """The float32 nearest x on the side of ``toward`` (+-inf). Bounds
-    compared with a float32 array must be float32: numpy rounds a Python
-    float to float32 first."""
-    y = np.float32(x)
-    if (float(y) < x) if toward > x else (float(y) > x):
-        y = np.nextafter(y, np.float32(toward))
-    return y
+def _float32_band(eps: float, k: int) -> tuple[np.float32, np.float32]:
+    """The float32 bounds of ``hit_tiles``'s band for 0 < eps < 2: fl(1 - eps)
+    -+ (delta + 2^-23), delta = ``_float32_error(k)``. As 1 - s rounds by at
+    most 2^-53 for |s| <= 1, the rule holds for every s >= 1 - eps + 2^-52 and
+    fails for every s <= 1 - eps - 2^-52. A float64 similarity lies within
+    delta of its float32 one, and rounding fl(1 - eps), the sum and the
+    float32 (|bound| < 2: delta < 1 for k < 2^22) moves a bound by at most
+    2^-54 + 2^-53 + 2^-24 < 2^-23 - 2^-52 toward 1 - eps."""
+    margin = _float32_error(k) + 2.0**-23
+    return np.float32(1.0 - eps - margin), np.float32(1.0 - eps + margin)
 
 
 @dataclass(frozen=True)
@@ -126,16 +97,14 @@ class CosineDistances:
         to last: ``hits[i, j]`` tells whether rows a + i and a + j are within
         eps, on the strict upper triangle (j > i), and is False elsewhere.
 
-        A pair is within eps when ``clip(1 - sim, 0, 2) <= eps``, sim being
-        the dot product of the unit rows and -1 for a directionless row: for
-        eps < 2 exactly when sim >= s* (``_least_similarity``), and always
-        for eps >= 2. Each tile is one float32 gemm (4 B a pair). A float32
-        similarity of at least s* + delta is a hit, one below s* - delta is
-        not (delta = ``_float32_error``), and the pairs between are settled
-        by a float64 dot product of their two rows. So every decision is
-        that dot's, whatever the tile height or BLAS thread count. One
-        float32 tile and two booleans are alive at a time, besides the hits
-        yielded.
+        A pair is within eps when ``clip(1 - sim, 0, 2) <= eps`` (the rule),
+        sim being the dot product of the unit rows and -1 for a directionless
+        row: always for eps >= 2. Each tile is one float32 gemm (4 B a pair).
+        A float32 similarity at or above ``_float32_band`` is a hit, one below
+        it is not, and the pairs in it are settled by the rule on a float64
+        dot product of their two rows. So every decision is the rule's on
+        that dot, whatever the tile height or BLAS thread count. One float32
+        tile and two booleans are alive at a time, besides the hits yielded.
         """
         n = self.shape[0]
         tiles = _tiles(n)
@@ -143,9 +112,7 @@ class CosineDistances:
             for a, b in tiles:
                 yield a, b, ~np.tri(b - a, n - a, dtype=bool)
             return
-        s = _least_similarity(eps)
-        delta = _float32_error(self.unit.shape[1])
-        low, high = _float32_outward(s - delta, -math.inf), _float32_outward(s + delta, math.inf)
+        low, high = _float32_band(eps, self.unit.shape[1])
         unit32 = self.unit.astype(np.float32)
         zero = np.flatnonzero(self.directionless)
         height = min(_TILE_ROWS, n)  # the first tile is the tallest and the widest
@@ -164,7 +131,7 @@ class CosineDistances:
             band[:, :rows] &= upper[:rows, :rows]
             for r in np.flatnonzero(band.any(axis=1)):
                 q = np.flatnonzero(band[r])
-                hits[r, q] = self._similarity(a + r, q + a) >= s
+                hits[r, q] = np.clip(1.0 - self._similarity(a + r, q + a), 0.0, 2.0) <= eps
             del band
             yield a, b, hits
             del hits  # before the next tile's are allocated
@@ -256,8 +223,8 @@ def dbscan(
     """
     if len(dist.shape) != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:  # NaN included
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = dist.shape[0]

@@ -28,8 +28,6 @@ _FETCH_TIMEOUT = 30.0
 _FETCH_ATTEMPTS = 3
 _FETCH_BACKOFF = 0.5
 
-_TZ_NO_COLON = re.compile(r"([+-]\d{2})(\d{2})$")
-
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 date or datetime string.
@@ -38,9 +36,8 @@ def parse_timestamp(value: str) -> datetime:
     timestamps from mixed sources stay mutually comparable.
     """
     raw = value.strip()
-    if raw.endswith(("Z", "z")):
+    if raw.endswith(("Z", "z")):  # fromisoformat reads "Z" and "+0000", not "z"
         raw = raw[:-1] + "+00:00"
-    raw = _TZ_NO_COLON.sub(r"\1:\2", raw)
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)

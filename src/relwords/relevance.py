@@ -183,8 +183,10 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     """Top-k terms for a cluster by score, descending.
 
     Ties break by higher TPR, then term order; zero-score terms never appear,
-    so the list may be shorter than k.
+    so the list may be shorter than k. A k below 1 is rejected.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     c = table.cluster_position(cluster)
     n_positive = int(np.count_nonzero(table.r[c] > 0.0))
     top = _ranked(table, c)[:n_positive][:k]

@@ -124,10 +124,12 @@ def layout_wordcloud(
     first; each takes the first spiral position from the canvas center where
     its bounding box fits inside the canvas without overlapping a placed box
     (touching edges are allowed). Words that fit nowhere are skipped with a
-    warning. A NaN or infinite score among the top k is rejected, naming its
-    word. With no positive score the cloud is the empty canvas. No
-    randomness.
+    warning. A top_k below 1 is rejected, and so is a NaN or infinite score
+    among the top k, naming its word. With no positive score the cloud is
+    the empty canvas. No randomness.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     head = list(ranked)[:top_k]
     for term, weight in head:
         if not isfinite(weight):

@@ -15,7 +15,7 @@ import re
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import ceil, cos, hypot, sin
+from math import ceil, copysign, cos, hypot, sin
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +86,26 @@ def pairwise_distances_reference(coords: np.ndarray) -> np.ndarray:
     np.clip(dist, 0.0, 2.0, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def least_similarity_reference(eps: float) -> float:
+    """The least double s with ``1 - s <= eps`` in float64, for 0 < eps < 2:
+    ``1 - s`` rounds monotonically, so ``clip(1 - s, 0, 2) <= eps`` holds
+    exactly for the similarities at or above it. Found by bisecting the
+    doubles in their order: the bits of |s| as an integer, negated for s < 0.
+    """
+
+    def double(rank: int) -> float:
+        return copysign(float(np.int64(abs(rank)).view(np.float64)), rank)
+
+    low, high = -int(np.float64(2.0).view(np.int64)), int(np.float64(1.0).view(np.int64))
+    while high - low > 1:  # 1 - (-2) > eps >= 1 - 1
+        middle = (low + high) // 2
+        if 1.0 - double(middle) <= eps:
+            high = middle
+        else:
+            low = middle
+    return double(high)
 
 
 @dataclass(frozen=True)

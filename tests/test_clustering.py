@@ -21,6 +21,7 @@ from oracles import (
     TiledMatrix,
     dbscan_index_order,
     dbscan_reference,
+    least_similarity_reference,
     pairwise_distances_reference,
     partition_of,
     random_distance_matrix,
@@ -55,6 +56,7 @@ def assert_hits_equal(distances, reference, eps):
 
 
 EPS_VALUES = (0.05, 0.45, 1.0, 1.9)
+BAND_EPS = [1e-12, 0.05, 0.45, 0.5, 1.0 - 2.0**-40, 1.0, float(np.nextafter(2.0, 0.0))]
 
 
 class TestCosineDistance:
@@ -204,17 +206,14 @@ class TestPairwiseDistances:
 
 
 class TestFloat32Band:
-    """A tile is one float32 product; only the pairs within delta of the
-    threshold s* are settled in float64."""
+    """A tile is one float32 product; only the pairs in a band around
+    fl(1 - eps) are settled in float64."""
 
-    @pytest.mark.parametrize(
-        "eps", [1e-12, 0.05, 0.45, 0.5, 1.0 - 2.0**-40, 1.0, float(np.nextafter(2.0, 0.0))]
-    )
+    @pytest.mark.parametrize("eps", BAND_EPS)
     def test_threshold_identity(self, eps):
-        # clip(1 - s, 0, 2) <= eps exactly when s >= s*, on s* +- 64 ulps
-        # and on random similarities. At 1 - 2^-40 and at 1.0, s* lies 5.5e11
-        # and 4.4e18 doubles below fl(1 - eps): no walk from there finds it.
-        s_star = clustering._least_similarity(eps)
+        # the oracle's s*: clip(1 - s, 0, 2) <= eps exactly when s >= s*, on
+        # s* +- 64 ulps and on random similarities
+        s_star = least_similarity_reference(eps)
         near = [s_star]
         for toward in (-math.inf, math.inf):
             s = s_star
@@ -224,15 +223,43 @@ class TestFloat32Band:
         s = np.concatenate((near, np.random.default_rng(0).uniform(-1.2, 1.2, 100_000)))
         assert np.array_equal(np.clip(1.0 - s, 0.0, 2.0) <= eps, s >= s_star)
 
-    def test_thresholds_rounded_outward_to_float32(self):
-        # a Python float bound would be rounded to nearest float32 before
-        # the comparison, and could fall inside the band
-        for x in np.random.default_rng(1).uniform(-1.1, 1.1, 10_000).tolist() + [0.55, -1.0, 1.0]:
-            low, high = clustering._float32_outward(x, -math.inf), clustering._float32_outward(x, math.inf)
+    @pytest.mark.parametrize("k", [1, 37, 250])
+    def test_band_bounds_cover_the_boundary(self, k):
+        # the least similarity within eps, s*, lies within 2^-51 of
+        # fl(1 - eps), and the float32 bounds lie outside it by delta more
+        delta = clustering._float32_error(k)
+        for eps in BAND_EPS + np.random.default_rng(k).uniform(0.0, 2.0, 500).tolist():
+            assert abs(least_similarity_reference(eps) - (1.0 - eps)) < 2.0**-51
+            low, high = clustering._float32_band(eps, k)
             assert low.dtype == high.dtype == np.float32
-            assert float(low) <= x <= float(high)
-            assert float(np.nextafter(low, np.float32(math.inf))) > x
-            assert float(np.nextafter(high, np.float32(-math.inf))) < x
+            assert float(low) <= 1.0 - eps - delta - 2.0**-51
+            assert float(high) >= 1.0 - eps + delta + 2.0**-51
+
+    @pytest.mark.parametrize("k", [2, 37, 250])
+    def test_band_pairs_decided_by_the_rule(self, k):
+        # row 0 is (1, 0, ...), and row j (s_j, sqrt(1 - s_j^2), 0, ...), so
+        # their float64 dot is s_j exactly, with s_j the doubles in [-1, 1]
+        # up to 8 steps from s* (the oracle's bisection), all in the band. At eps = 1.0, s* = -2^-53
+        # lies 4.4e18 doubles from fl(1 - eps) = 0; at 1 - 2^-40, 5.5e11.
+        assert least_similarity_reference(1.0) == -(2.0**-53)
+        for eps in BAND_EPS + np.random.default_rng(k).uniform(0.0, 2.0, 50).tolist():
+            near = [least_similarity_reference(eps)]
+            for toward in (-math.inf, math.inf):
+                x = near[0]
+                for _ in range(8):
+                    x = math.nextafter(x, toward)
+                    near.append(x)
+            s = np.array([x for x in near if abs(x) <= 1.0])
+            unit = np.zeros((1 + s.size, k))
+            unit[0, 0] = 1.0
+            unit[1:, 0] = s
+            unit[1:, 1] = np.sqrt(1.0 - s * s)
+            distances = clustering.CosineDistances(unit=unit, directionless=np.zeros(1 + s.size, bool))
+            low, high = clustering._float32_band(eps, k)
+            assert np.all((low <= s.astype(np.float32)) & (s.astype(np.float32) < high))
+            [(_, _, hits)] = distances.hit_tiles(eps)
+            assert np.array_equal(hits[0, 1:], np.clip(1.0 - s, 0.0, 2.0) <= eps)
+            assert hits[0, 1:].any() and not hits[0, 1:].all()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 37, 250]))
@@ -254,19 +281,18 @@ class TestFloat32Band:
 
     @pytest.mark.parametrize("tile", [2, 7, 1024])
     def test_pairs_near_eps_decided_as_the_oracle(self, tile, monkeypatch):
-        # pairs planted at s* +- delta / 2, closer than float32 can tell
-        # (2^-30), among random rows; then the exact-eps tie of
-        # rows 0 and 3 and the eps just below it
+        # pairs planted at cosines 1 - eps +- delta / 2 and +- 2^-30, closer
+        # than float32 can tell, clamped to [-1, 1], among random rows; then
+        # the exact-eps tie of rows 0 and 3 and the eps just below it
         monkeypatch.setattr(clustering, "_TILE_ROWS", tile)
         rng = np.random.default_rng(tile)
         k = 37
         delta = clustering._float32_error(k)
-        for eps in (0.05, 0.45, 1.0, 1.5):
-            s_star = clustering._least_similarity(eps)
+        for eps in (1e-12, 0.05, 0.45, 0.5, 1.0 - 2.0**-40, 1.0, 1.5):
             planted = []
             for offset in (delta / 2, -delta / 2, 2**-30, -(2**-30)) * 8:
                 x, z = np.linalg.qr(rng.normal(size=(k, 2)))[0].T  # orthonormal
-                c = s_star + offset
+                c = min(max(1.0 - eps + offset, -1.0), 1.0)
                 planted += [x, c * x + np.sqrt(1 - c * c) * z]
             rows = np.concatenate((planted, rng.normal(size=(20, k))))[rng.permutation(len(planted) + 20)]
             assert np.array_equal(within(rows, eps), pairwise_distances_reference(rows) <= eps)
@@ -417,6 +443,12 @@ class TestDbscan:
             dbscan(dist, min_pts=0)
         with pytest.raises(ValueError, match="square"):
             dbscan(TiledMatrix(np.zeros((3, 2))))
+
+    def test_nan_eps_rejected(self):
+        # no comparison with NaN holds, so ``eps <= 0`` would let it through
+        rows = embedding_of(clustered_rows(4, 20, 3))
+        with pytest.raises(ValueError, match="eps"):
+            dbscan(pairwise_distances(rows), eps=float("nan"))
 
 
 class TestDbscanIndexOrder:

@@ -455,6 +455,8 @@ class TestParseHelpers:
         assert parse_timestamp("2017-01-20T14:30:00Z") == datetime.datetime(2017, 1, 20, 14, 30)
         assert parse_timestamp("2017-01-20T14:30:00+0000") == datetime.datetime(2017, 1, 20, 14, 30)
         assert parse_timestamp("2017-01-20T15:30:00+01:00") == datetime.datetime(2017, 1, 20, 14, 30)
+        assert parse_timestamp("2017-01-20T14:30:00z") == datetime.datetime(2017, 1, 20, 14, 30)
+        assert parse_timestamp("2017-01-20T09:00:00-0530") == datetime.datetime(2017, 1, 20, 14, 30)
 
     def test_month_range(self):
         assert month_range("2017-01") == [(2017, 1)]

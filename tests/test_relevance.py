@@ -296,6 +296,13 @@ class TestRankTerms:
         assert rank_terms(table, 0, 10) == []
         assert [t for t, _ in rank_terms(table, 1, 10)] == ["other"]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # a negative k would slice from the end
+        table = compute_relevance(make_index({0: [["a", "b"], ["a"]], 1: [["x"], ["x"]]}))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_terms(table, 0, k)
+
     def test_lexicographic_tiebreak(self, tmp_path):
         table = compute_relevance(
             make_index({0: [["zeta", "alpha"], ["zeta", "alpha"]], 1: [["x"], ["x"]]})

@@ -83,6 +83,12 @@ class TestLayoutWordcloud:
         spec = layout_wordcloud(ranked, top_k=5)
         assert len(spec.entries) == 5
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        # a negative top_k would slice from the end
+        with pytest.raises(ValueError, match="top_k"):
+            layout_wordcloud([("a", 1.0), ("b", 0.5)], top_k=top_k)
+
     def test_empty_or_unscored_ranking_is_the_empty_canvas(self):
         for ranked in ([], [("a", 0.0), ("b", -0.5)]):
             assert layout_wordcloud(ranked) == WordCloudSpec(entries=(), width=800, height=600)
