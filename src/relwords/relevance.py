@@ -157,10 +157,11 @@ def compute_relevance(
     tpr = rates[rows]
     del rates, rows
     # With rates freed and in this order, no more (scored clusters, terms)
-    # arrays are alive at once than the five stored ones and fpr_raw.
-    r = score_final(tpr, fpr_raw)
+    # arrays are alive at once than the five stored ones and fpr_raw. r is
+    # score_final's operations on the two scores, so it has the same bits.
     r_quot = score_quot(tpr, fpr_raw)
     r_diff = score_diff(tpr, fpr_raw)
+    r = 0.5 * (r_diff + r_quot)
     return RelevanceTable(
         terms=index.terms,
         clusters=clusters,
@@ -204,6 +205,43 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+# Rows of the relevance CSV grouped at once. Grouping holds ~20 bytes a row
+# (the sort order, one gathered column, the group ids), so blocks of whole
+# clusters up to 2**18 rows keep it near 5 MiB whatever the number of clusters.
+_WRITE_BLOCK_ROWS = 1 << 18
+
+
+def _row_tails(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The tails ``,tpr,fpr,r_diff,r_quot,r\\n`` of a block of rows, given as
+    its five columns' bit patterns (rows, terms), and each row's index into
+    them: one tail per run of rows equal in all five columns, once sorted by
+    a key of (tpr, fpr). Bit patterns tell 0.0 from -0.0, which print
+    differently."""
+    flat = [column.ravel() for column in columns]
+    # Rows equal in (tpr, fpr) share a key, so each such class sorts into
+    # one run (a key two classes share can only split runs, never merge
+    # unequal rows). One quicksort of a mixed key is ~4x faster than a
+    # lexsort of the two columns.
+    order = np.argsort(flat[0] * np.uint64(0x9E3779B97F4A7C15) ^ flat[1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for column in flat:
+        gathered = column[order]
+        starts[1:] |= gathered[1:] != gathered[:-1]
+        del gathered
+    group = np.empty(order.size, dtype=np.int32)
+    group[order] = np.cumsum(starts, dtype=np.int32) - 1
+    firsts = order[starts]
+    del order, starts
+    # Each distinct value among the groups' first rows is formatted once.
+    values = [column[firsts] for column in flat]
+    distinct = _distinct(np.concatenate(values))
+    text = np.array([f"{v:.12g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    cells = zip(*(text[np.searchsorted(distinct, value)].tolist() for value in values))
+    tails = np.array([f",{a},{b},{c},{d},{e}\n" for a, b, c, d, e in cells], dtype=object)
+    return tails, group.reshape(columns[0].shape)
+
+
 def write_relevance_csv(table: RelevanceTable, path) -> None:
     """Full table dump: ``cluster,term,tpr,fpr,r_diff,r_quot,r``.
 
@@ -211,28 +249,22 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     term ascending) — the same order used for ranking. Values print as
     ``.12g``.
     """
-    # Each distinct value is formatted once. Values are told apart by bit
-    # pattern, since 0.0 and -0.0 are equal as values but print differently,
-    # and found column by column so that no copy of the whole table is made.
+    # A row is three cells, its cluster, its term and its group's tail, so
+    # a cluster's rows are one join, encoded and written as one block.
     columns = [
         column.view(np.uint64) for column in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
     ]
-    distinct = _distinct(np.concatenate([_distinct(column) for column in columns]))
-    text = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
-    # A value's text carries the comma before it and the last column's the
-    # line end, so a cluster's rows are one join of its cells, encoded and
-    # written as one block.
-    lookups = [np.array(["," + s for s in text], dtype=object)] * 4 + [
-        np.array(["," + s + "\n" for s in text], dtype=object)
-    ]
+    per_block = max(1, _WRITE_BLOCK_ROWS // max(len(table.terms), 1))
     terms = np.array(table.terms, dtype=object)
-    cells = np.empty((len(table.terms), 7), dtype=object)
+    cells = np.empty((len(table.terms), 3), dtype=object)
     with open(path, "wb") as handle:
         handle.write(b"cluster,term,tpr,fpr,r_diff,r_quot,r\n")
-        for c, cluster in enumerate(table.clusters):
-            order = _ranked(table, c)
-            cells[:, 0] = f"{cluster},"
-            cells[:, 1] = terms[order]
-            for j, (lookup, column) in enumerate(zip(lookups, columns), start=2):
-                cells[:, j] = lookup[np.searchsorted(distinct, column[c, order])]
-            handle.write("".join(cells.ravel().tolist()).encode("utf-8"))
+        for start in range(0, len(table.clusters), per_block):
+            tails, group = _row_tails([column[start : start + per_block] for column in columns])
+            for row, cluster in enumerate(table.clusters[start : start + per_block]):
+                order = _ranked(table, start + row)
+                cells[:, 0] = f"{cluster},"
+                cells[:, 1] = terms[order]
+                cells[:, 2] = tails[group[row, order]]
+                handle.write("".join(cells.ravel().tolist()).encode("utf-8"))
+            del tails, group

@@ -24,6 +24,7 @@ from relwords.corpus import Corpus, Document, load_jsonl, save_jsonl
 from relwords.features import build_vocabulary, term_counts
 from relwords.pipeline import PipelineConfig, run_clustering
 from relwords.relevance import (
+    OccurrenceIndex,
     RelevanceTable,
     build_occurrence_index,
     compute_relevance,
@@ -840,6 +841,26 @@ def test_highlight_scores_one_row_and_marks_as_the_whole_table(tmp_path, run_dir
 # sha256 of the contrast cloud of trending_corpus() at its boundary, as the
 # per-position spiral walk drew it
 CONTRAST_SVG_SHA256 = "1a24474f895b9f4fee2f91b99a072c5635bb9f04f51c27e247dbc40dbaafe550"
+
+# sha256 of the relevance CSV of seeded_occurrence_index(), recorded before the
+# writer grouped rows by blocks of clusters
+RELEVANCE_CSV_SHA256 = "5f0f3c612369da1ba23dd837ef9ae836f2cb65b7878e3dced309da8ca037ff90"
+
+
+def seeded_occurrence_index() -> OccurrenceIndex:
+    """48 clusters of 1 to 40 documents over 500 terms, each count zero with
+    probability 0.9: no clustering, so no BLAS, decides a byte."""
+    rng = np.random.default_rng(2017)
+    sizes = rng.integers(1, 41, size=48)
+    counts = rng.integers(0, sizes[:, None] + 1, size=(48, 500))
+    counts[rng.random(counts.shape) < 0.9] = 0
+    return OccurrenceIndex(tuple(f"w{i:03d}" for i in range(500)), tuple(range(48)), counts, sizes)
+
+
+def test_relevance_csv_bytes_pinned(tmp_path):
+    out = tmp_path / "relevance.csv"
+    write_relevance_csv(compute_relevance(seeded_occurrence_index()), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RELEVANCE_CSV_SHA256
 
 
 def test_clouds_byte_identical_to_the_reference_layout(tmp_path, run_dir):

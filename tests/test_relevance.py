@@ -1,8 +1,13 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from relwords import relevance
 from relwords.clustering import NOISE
 from relwords.features import build_vocabulary, term_counts
 from relwords.relevance import (
@@ -187,6 +192,12 @@ class TestRelevanceTable:
         table = compute_relevance(index)
         assert at(table, "fpr", "t", "w") == 1.0
         assert at(table, "r_diff", "t", "w") == score_diff(1.0, raw)
+
+    def test_r_is_score_final_of_tpr_and_raw_fpr(self):
+        index = random_index(30, 400, seed=12)
+        table = compute_relevance(index)
+        raw = _fpr_raw(index.counts / index.sizes[:, None], range(30))
+        assert np.array_equal(table.r.view(np.uint64), score_final(table.tpr, raw).view(np.uint64))
 
 
 SCORES = ("tpr", "fpr", "r_diff", "r_quot", "r")
@@ -381,26 +392,100 @@ def test_distinct_bit_patterns_equal_np_unique():
     assert _distinct(values).size == 8  # -0.0 and 0.0 stay apart
 
 
-def test_relevance_csv_same_bytes_as_the_per_row_writer(tmp_path):
-    # repeated values, score ties, 0.0 and -0.0 (equal as values but
-    # printed "0" and "-0"), a subnormal, and terms out of order
-    values = np.array([
-        [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
-        [1.0, 0.0, -0.0, 1e-300, 0.5, 0.5, 0.0],
-    ])
-    table = RelevanceTable(
-        terms=("b", "a", "d", "c", "e", "ab", "f"),
-        clusters=(0, 7),
-        tpr=values,
-        fpr=values.copy(),
-        r_diff=values.copy(),
-        r_quot=values.copy(),
-        r=np.array([[0.5, 0.5, -0.0, 0.0, 1 / 3, 0.5, 0.5], [0.0, -0.0, 0.25, 0.25, 1.0, 0.0, 0.25]]),
-    )
-    computed = compute_relevance(make_index({0: [["x", "y"], ["x"], ["z"]], 1: [["y"], ["y", "w"]]}))
-    for name, case in (("made", table), ("computed", computed)):
-        write_relevance_csv(case, tmp_path / f"{name}.csv")
-        write_relevance_csv_reference(case, tmp_path / f"{name}.reference.csv")
-        written = (tmp_path / f"{name}.csv").read_bytes()
-        assert written == (tmp_path / f"{name}.reference.csv").read_bytes(), name
+# repeated values, score ties, 0.0 and -0.0 (equal as values but printed "0"
+# and "-0"), a subnormal, and terms out of order
+_MADE_VALUES = np.array([
+    [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
+    [1.0, 0.0, -0.0, 1e-300, 0.5, 0.5, 0.0],
+])
+MADE_TABLE = RelevanceTable(
+    terms=("b", "a", "d", "c", "e", "ab", "f"),
+    clusters=(0, 7),
+    tpr=_MADE_VALUES,
+    fpr=_MADE_VALUES.copy(),
+    r_diff=_MADE_VALUES.copy(),
+    r_quot=_MADE_VALUES.copy(),
+    r=np.array([[0.5, 0.5, -0.0, 0.0, 1 / 3, 0.5, 0.5], [0.0, -0.0, 0.25, 0.25, 1.0, 0.0, 0.25]]),
+)
+COMPUTED_TABLE = compute_relevance(make_index({0: [["x", "y"], ["x"], ["z"]], 1: [["y"], ["y", "w"]]}))
+
+CSV_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.5, 1.0, 0.1 + 0.2])
+# the block size a test patches in, from the table's T: one row (so one
+# cluster a block), one cluster, or two clusters and a row
+BLOCK_ROWS = {"1": lambda t: 1, "T": lambda t: t, "2T+1": lambda t: 2 * t + 1}
+
+
+@st.composite
+def relevance_tables(draw):
+    """Tables of 1-5 clusters by 1-6 terms whose cells take one of a few
+    (tpr, fpr) pairs, each with its own three scores: rows equal in (tpr,
+    fpr) need not be equal in the scores."""
+    n_clusters, n_terms = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(CSV_VALUES, CSV_VALUES), min_size=1, max_size=4))
+    shape = (n_clusters, n_terms)
+    cells = n_clusters * n_terms
+    pair = np.array(draw(st.lists(st.integers(0, len(pairs) - 1), min_size=cells, max_size=cells)))
+    tpr, fpr = (np.array([p[j] for p in pairs])[pair].reshape(shape) for j in (0, 1))
+    scores = [
+        np.array(draw(st.lists(CSV_VALUES, min_size=cells, max_size=cells))).reshape(shape)
+        for _ in range(3)
+    ]
+    clusters = draw(st.lists(st.integers(0, 99), min_size=n_clusters, max_size=n_clusters, unique=True))
+    # ranking breaks its last ties by column, so terms come in ascending order
+    terms = tuple(f"t{i}" for i in range(n_terms))
+    return RelevanceTable(terms, tuple(clusters), tpr, fpr, *scores)
+
+
+@given(table=relevance_tables(), block=st.sampled_from(sorted(BLOCK_ROWS)))
+@example(table=MADE_TABLE, block="2T+1")
+@example(table=COMPUTED_TABLE, block="1")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_relevance_csv_same_bytes_as_the_per_row_writer(tmp_path, table, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relevance, "_WRITE_BLOCK_ROWS", BLOCK_ROWS[block](len(table.terms)))
+        write_relevance_csv(table, tmp_path / "written.csv")
+    write_relevance_csv_reference(table, tmp_path / "reference.csv")
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_made_table_prints_negative_zero(tmp_path):
+    write_relevance_csv(MADE_TABLE, tmp_path / "made.csv")
     assert b",-0," in (tmp_path / "made.csv").read_bytes()
+
+
+def many_cluster_table(n_clusters, n_terms, seed):
+    """A table shaped like compute_relevance's without its O(C^2 T) cost:
+    counts zero with probability 0.95, and each term's FPR the mean plus
+    std of its rates over the other clusters, so one value for every
+    cluster where the term is absent."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(5, 61, size=(n_clusters, 1))
+    counts = rng.integers(1, sizes + 1, size=(n_clusters, n_terms))
+    counts[rng.random(counts.shape) < 0.95] = 0
+    tpr = counts / sizes
+    mean = (tpr.sum(axis=0) - tpr) / (n_clusters - 1)
+    variance = ((tpr**2).sum(axis=0) - tpr**2) / (n_clusters - 1) - mean**2
+    fpr_raw = mean + np.sqrt(np.maximum(variance, 0.0))
+    return RelevanceTable(
+        terms=tuple(f"t{i:04d}" for i in range(n_terms)),
+        clusters=tuple(range(n_clusters)),
+        tpr=tpr,
+        fpr=np.minimum(fpr_raw, 1.0),
+        r_diff=score_diff(tpr, fpr_raw),
+        r_quot=score_quot(tpr, fpr_raw),
+        r=score_final(tpr, fpr_raw),
+    )
+
+
+def test_relevance_csv_peak_set_by_a_block_not_the_table():
+    # 500 x 4,000 rows, ~5% of them with a distinct tail. Each column is
+    # 15.3 MiB, so a writer that sorts a copy of whole columns cannot pass
+    # (67.9 MiB measured); a block of 2**18 rows holds ~8 MiB.
+    table = many_cluster_table(500, 4000, seed=40)
+    tracemalloc.start()
+    try:
+        write_relevance_csv(table, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * relevance._WRITE_BLOCK_ROWS
