@@ -150,8 +150,9 @@ class CosineDistances:
 
         The library never calls it. It exists because the benchmark's tracer
         (``perfbench/tracing.py``) counts eps-degrees as
-        ``(dist <= eps).sum(axis=1)`` from ``dbscan``'s argument; ROADMAP item
-        2b deletes it once those counts are read from the run's records.
+        ``(dist <= eps).sum(axis=1)`` from ``dbscan``'s argument. Once those
+        counts are read from the run's records (ROADMAP item 16), item 12
+        deletes it.
         """
         n = self.shape[0]
         within = np.zeros((n, n), dtype=bool)

@@ -224,8 +224,8 @@ def transform(model: KernelPca) -> KernelPca:
 
     It computes nothing. It exists because the benchmark's tracer
     (``perfbench/tracing.py``) times the embedding stage as
-    ``pipeline.transform`` and sizes the arrays it returns; ROADMAP item 2b
-    deletes it once that span moves to ``fit_kpca``.
+    ``pipeline.transform`` and sizes the arrays it returns. Once that span
+    moves to ``fit_kpca`` (ROADMAP item 16), item 12 deletes it.
     """
     return model
 

@@ -46,21 +46,18 @@ class OccurrenceIndex:
 
 @dataclass(frozen=True)
 class RelevanceTable:
-    """All five scores per (cluster, term); every stored value is in [0, 1].
+    """TPR and raw FPR per (cluster, term); every score is formed from the
+    two where it is read, a cluster's ``score_final(tpr[c], fpr_raw[c])``.
 
-    ``fpr`` is clamped at 1 for storage; the raw value (mean + std can exceed
-    1) is what the difference and quotient scores were computed from.
-    ``terms`` are the occurrence index's, in ascending string order, so a
-    column's position is its term's rank.
+    ``fpr_raw`` (mean + std) can exceed 1; only ``relevance.csv`` prints it
+    clamped at 1. ``terms`` are the occurrence index's, in ascending string
+    order, so a column's position is its term's rank.
     """
 
     terms: tuple[str, ...]
     clusters: tuple[ClusterKey, ...]
     tpr: np.ndarray
-    fpr: np.ndarray
-    r_diff: np.ndarray
-    r_quot: np.ndarray
-    r: np.ndarray
+    fpr_raw: np.ndarray
 
     def cluster_position(self, cluster: ClusterKey) -> int:
         return _position(self.clusters, cluster)
@@ -141,8 +138,9 @@ def score_final(tpr_value, fpr_value):
 def compute_relevance(
     index: OccurrenceIndex, clusters: Sequence[ClusterKey] | None = None
 ) -> RelevanceTable:
-    """Score every term for the given clusters of an occurrence index, in the
-    order given (default: every cluster, in index order).
+    """The TPR and raw FPR of every term for the given clusters of an
+    occurrence index, in the order given (default: every cluster, in index
+    order).
 
     A cluster's row is the same, bit for bit, whichever clusters are scored
     with it. Its FPR reads every cluster's rates, so one row costs
@@ -154,30 +152,14 @@ def compute_relevance(
     rows = [_position(index.clusters, key) for key in clusters]
     rates = index.counts / index.sizes[:, None]
     fpr_raw = _fpr_raw(rates, rows)
-    tpr = rates[rows]
-    del rates, rows
-    # With rates freed and in this order, no more (scored clusters, terms)
-    # arrays are alive at once than the five stored ones and fpr_raw. r is
-    # score_final's operations on the two scores, so it has the same bits.
-    r_quot = score_quot(tpr, fpr_raw)
-    r_diff = score_diff(tpr, fpr_raw)
-    r = 0.5 * (r_diff + r_quot)
-    return RelevanceTable(
-        terms=index.terms,
-        clusters=clusters,
-        tpr=tpr,
-        fpr=np.minimum(fpr_raw, 1.0),
-        r_diff=r_diff,
-        r_quot=r_quot,
-        r=r,
-    )
+    return RelevanceTable(terms=index.terms, clusters=clusters, tpr=rates[rows], fpr_raw=fpr_raw)
 
 
-def _ranked(table: RelevanceTable, c: int) -> np.ndarray:
-    """Term positions of cluster row ``c`` by score descending, ties by TPR
-    descending, then term ascending: ``lexsort`` is stable and the terms are
-    in ascending order, so the last ties keep column order."""
-    return np.lexsort((-table.tpr[c], -table.r[c]))
+def _ranked(tpr: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Term positions of one cluster's row by score ``r`` descending, ties by
+    TPR descending, then term ascending: ``lexsort`` is stable and the terms
+    are in ascending order, so the last ties keep column order."""
+    return np.lexsort((-tpr, -r))
 
 
 def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple[str, float]]:
@@ -189,9 +171,9 @@ def rank_terms(table: RelevanceTable, cluster: ClusterKey, k: int) -> list[tuple
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     c = table.cluster_position(cluster)
-    n_positive = int(np.count_nonzero(table.r[c] > 0.0))
-    top = _ranked(table, c)[:n_positive][:k]
-    return [(table.terms[i], score) for i, score in zip(top.tolist(), table.r[c, top].tolist())]
+    r = score_final(table.tpr[c], table.fpr_raw[c])
+    top = _ranked(table.tpr[c], r)[: np.count_nonzero(r > 0.0)][:k]
+    return [(table.terms[i], score) for i, score in zip(top.tolist(), r[top].tolist())]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -211,17 +193,17 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 _WRITE_BLOCK_ROWS = 1 << 18
 
 
-def _row_tails(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _row_tails(tpr: np.ndarray, fpr_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tails ``,tpr,fpr,r_diff,r_quot,r\\n`` of a block of rows, given as
-    its five columns' bit patterns (rows, terms), and each row's index into
-    them: one tail per run of rows equal in all five columns, once sorted by
-    a key of (tpr, fpr). Bit patterns tell 0.0 from -0.0, which print
-    differently."""
-    flat = [column.ravel() for column in columns]
-    # Rows equal in (tpr, fpr) share a key, so each such class sorts into
-    # one run (a key two classes share can only split runs, never merge
-    # unequal rows). One quicksort of a mixed key is ~4x faster than a
-    # lexsort of the two columns.
+    its (rows, terms) ``tpr`` and ``fpr_raw`` bit patterns, and each row's
+    index into them: one tail per run of rows equal in both, once sorted by a
+    key mixed from the two. Every printed value is a function of the pair,
+    so it is formed only for each run's first row. Bit patterns tell 0.0
+    from -0.0, which print differently."""
+    flat = [tpr.ravel(), fpr_raw.ravel()]
+    # Equal pairs share a key, so each sorts into one run (a key two pairs
+    # share can only split runs, never merge unequal rows). One quicksort of
+    # a mixed key is ~4x faster than a lexsort of the two columns.
     order = np.argsort(flat[0] * np.uint64(0x9E3779B97F4A7C15) ^ flat[1])
     starts = np.zeros(order.size, dtype=bool)
     starts[:1] = True
@@ -233,17 +215,22 @@ def _row_tails(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     group[order] = np.cumsum(starts, dtype=np.int32) - 1
     firsts = order[starts]
     del order, starts
+    t, f = (column[firsts].view(np.float64) for column in flat)
+    values = [
+        value.view(np.uint64)
+        for value in (t, np.minimum(f, 1.0), score_diff(t, f), score_quot(t, f), score_final(t, f))
+    ]
     # Each distinct value among the groups' first rows is formatted once.
-    values = [column[firsts] for column in flat]
     distinct = _distinct(np.concatenate(values))
     text = np.array([f"{v:.12g}" for v in distinct.view(np.float64).tolist()], dtype=object)
     cells = zip(*(text[np.searchsorted(distinct, value)].tolist() for value in values))
     tails = np.array([f",{a},{b},{c},{d},{e}\n" for a, b, c, d, e in cells], dtype=object)
-    return tails, group.reshape(columns[0].shape)
+    return tails, group.reshape(tpr.shape)
 
 
 def write_relevance_csv(table: RelevanceTable, path) -> None:
-    """Full table dump: ``cluster,term,tpr,fpr,r_diff,r_quot,r``.
+    """Full table dump: ``cluster,term,tpr,fpr,r_diff,r_quot,r``, with the
+    FPR clamped at 1 and the three scores formed from TPR and raw FPR.
 
     Rows sorted by cluster, then score descending (ties: TPR descending,
     term ascending) — the same order used for ranking. Values print as
@@ -251,20 +238,18 @@ def write_relevance_csv(table: RelevanceTable, path) -> None:
     """
     # A row is three cells, its cluster, its term and its group's tail, so
     # a cluster's rows are one join, encoded and written as one block.
-    columns = [
-        column.view(np.uint64) for column in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
-    ]
+    tpr, fpr_raw = table.tpr.view(np.uint64), table.fpr_raw.view(np.uint64)
     per_block = max(1, _WRITE_BLOCK_ROWS // max(len(table.terms), 1))
     terms = np.array(table.terms, dtype=object)
     cells = np.empty((len(table.terms), 3), dtype=object)
     with open(path, "wb") as handle:
         handle.write(b"cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for start in range(0, len(table.clusters), per_block):
-            tails, group = _row_tails([column[start : start + per_block] for column in columns])
-            for row, cluster in enumerate(table.clusters[start : start + per_block]):
-                order = _ranked(table, start + row)
+            tails, group = _row_tails(tpr[start : start + per_block], fpr_raw[start : start + per_block])
+            for row, cluster in enumerate(table.clusters[start : start + per_block], start):
+                order = _ranked(table.tpr[row], score_final(table.tpr[row], table.fpr_raw[row]))
                 cells[:, 0] = f"{cluster},"
                 cells[:, 1] = terms[order]
-                cells[:, 2] = tails[group[row, order]]
+                cells[:, 2] = tails[group[row - start, order]]
                 handle.write("".join(cells.ravel().tolist()).encode("utf-8"))
             del tails, group

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
-from .relevance import ClusterKey, RelevanceTable
+from .relevance import ClusterKey, RelevanceTable, score_final
 from .text import TokenIds, token_spans
 
 MIN_FONT_PT = 10.0
@@ -257,7 +257,8 @@ def highlight_html(
     untouched, so stripping the spans (and unescaping) restores the original
     text exactly.
     """
-    row = table.r[table.cluster_position(cluster)]
+    c = table.cluster_position(cluster)
+    row = score_final(table.tpr[c], table.fpr_raw[c])
     positive = np.flatnonzero(row > 0.0)
     scores = dict(zip([table.terms[i] for i in positive.tolist()], row[positive].tolist()))
     pieces: list[str] = []

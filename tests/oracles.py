@@ -23,7 +23,7 @@ from scipy import sparse
 from relwords import clustering
 from relwords.embedding import KernelPca, _leading_eigenpairs, _partial_solve, _pivot_signs
 from relwords.features import build_vocabulary, term_counts
-from relwords.relevance import build_occurrence_index, compute_relevance
+from relwords.relevance import build_occurrence_index, compute_relevance, score_diff, score_final, score_quot
 from relwords.report import (
     _PALETTE,
     _SPIRAL_GROWTH,
@@ -439,14 +439,17 @@ def apply_bigrams_reference(tokens: tuple[str, ...], selected) -> tuple[str, ...
 def write_relevance_csv_reference(table, path) -> None:
     """The relevance CSV written one row and one value at a time: rows by
     cluster, then score descending, TPR descending and term ascending; each
-    value printed with ``.12g``."""
-    columns = (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r)
+    cell's clamped FPR and three scores formed from its own (tpr, fpr_raw)
+    pair and printed with ``.12g``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("cluster,term,tpr,fpr,r_diff,r_quot,r\n")
         for c, cluster in enumerate(table.clusters):
-            r, tpr = table.r[c].tolist(), table.tpr[c].tolist()
-            for i in sorted(range(len(table.terms)), key=lambda i: (-r[i], -tpr[i], table.terms[i])):
-                values = ",".join(f"{float(column[c, i]):.12g}" for column in columns)
+            cells = [(t, f, score_final(t, f)) for t, f in zip(table.tpr[c], table.fpr_raw[c])]
+            for i in sorted(range(len(table.terms)), key=lambda i: (-cells[i][2], -cells[i][0], table.terms[i])):
+                t, f, r = cells[i]
+                values = ",".join(
+                    f"{float(v):.12g}" for v in (t, np.minimum(f, 1.0), score_diff(t, f), score_quot(t, f), r)
+                )
                 handle.write(f"{cluster},{table.terms[i]},{values}\n")
 
 

@@ -158,7 +158,7 @@ def test_formula_exactness():
     # other-cluster TPRs {0.2, 0.0, 0.1} -> 0.1 + sqrt(0.02/3)
     table = compute_relevance(_index_with_other_tprs())
     expected = 0.1 + math.sqrt(0.02 / 3)
-    fpr_w = table.fpr[table.cluster_position("target"), table.terms.index("w")]
+    fpr_w = table.fpr_raw[table.cluster_position("target"), table.terms.index("w")]
     assert abs(fpr_w - expected) <= 1e-12
 
     v = [3.0, 4.0]

@@ -29,9 +29,10 @@ from relwords.relevance import (
     build_occurrence_index,
     compute_relevance,
     rank_terms,
+    score_final,
     write_relevance_csv,
 )
-from relwords.report import svg_markup
+from relwords.report import highlight_html, layout_wordcloud, svg_markup
 from relwords.text import read_bigrams_csv
 
 from corpora import phrase_and_stray_corpus, phrase_corpus, planted_topic_corpus, trending_corpus
@@ -298,7 +299,7 @@ class TestReadCommandsReuseRunBigrams:
         with open(outdir / "relevance.csv", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
         for c, cluster in enumerate(table.clusters):
-            r, tpr = table.r[c].tolist(), table.tpr[c].tolist()
+            r, tpr = score_final(table.tpr[c], table.fpr_raw[c]).tolist(), table.tpr[c].tolist()
             expected = sorted(range(len(table.terms)), key=lambda i: (-r[i], -tpr[i], table.terms[i]))
             assert [term for key, term, *_ in rows if key == str(cluster)] == [
                 table.terms[i] for i in expected
@@ -801,7 +802,7 @@ def rows_scored(monkeypatch):
 
     def counting(index, clusters=None):
         table = compute_relevance(index, clusters)
-        scored.append(table.r.shape[0])
+        scored.append(table.tpr.shape[0])
         return table
 
     monkeypatch.setattr(cli, "compute_relevance", counting)
@@ -846,6 +847,17 @@ CONTRAST_SVG_SHA256 = "1a24474f895b9f4fee2f91b99a072c5635bb9f04f51c27e247dbc40db
 # writer grouped rows by blocks of clusters
 RELEVANCE_CSV_SHA256 = "5f0f3c612369da1ba23dd837ef9ae836f2cb65b7878e3dced309da8ca037ff90"
 
+# sha256 of the word clouds of every cluster of seeded_occurrence_index(), one
+# after another, and of SEEDED_DOCUMENT highlighted against its cluster 5;
+# both recorded while the relevance table still stored its scores
+WORDCLOUD_SVGS_SHA256 = "6fabdc06d922dc0803118fa5bf017560e81c097c59d3ad1a9224032ad62b2f09"
+HIGHLIGHT_HTML_SHA256 = "2628afb8722ce059cde8268213a9d28fdc12c0e3d6084a23b8facfc5f729f121"
+
+# mixed case and characters HTML escapes, around every sixth term of the index
+SEEDED_DOCUMENT = Document(
+    id="pinned", text="\n".join(f"W{i:03d}, w{i + 1:03d} & <w{i + 2:03d}>!" for i in range(0, 498, 6))
+)
+
 
 def seeded_occurrence_index() -> OccurrenceIndex:
     """48 clusters of 1 to 40 documents over 500 terms, each count zero with
@@ -861,6 +873,21 @@ def test_relevance_csv_bytes_pinned(tmp_path):
     out = tmp_path / "relevance.csv"
     write_relevance_csv(compute_relevance(seeded_occurrence_index()), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RELEVANCE_CSV_SHA256
+
+
+def test_wordcloud_svgs_bytes_pinned():
+    table = compute_relevance(seeded_occurrence_index())
+    digest = hashlib.sha256()
+    for cluster in table.clusters:
+        digest.update(svg_markup(layout_wordcloud(rank_terms(table, cluster, 50))).encode("utf-8"))
+    assert digest.hexdigest() == WORDCLOUD_SVGS_SHA256
+
+
+def test_highlight_html_bytes_pinned(tmp_path):
+    out = tmp_path / "pinned.html"
+    highlight_html(SEEDED_DOCUMENT, (), compute_relevance(seeded_occurrence_index()), 5, out)
+    assert out.read_bytes().count(b"<span") == 16
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHLIGHT_HTML_SHA256
 
 
 def test_clouds_byte_identical_to_the_reference_layout(tmp_path, run_dir):

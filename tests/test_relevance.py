@@ -28,9 +28,20 @@ from relwords.text import token_ids
 from oracles import write_relevance_csv_reference
 
 
+# each column relevance.csv prints, as a function of a cell's TPR and raw FPR
+PRINTED = {
+    "tpr": lambda tpr, fpr_raw: tpr,
+    "fpr": lambda tpr, fpr_raw: np.minimum(fpr_raw, 1.0),
+    "r_diff": score_diff,
+    "r_quot": score_quot,
+    "r": score_final,
+}
+
+
 def at(table, column, cluster, term):
-    """One stored value of a relevance table column."""
-    return float(getattr(table, column)[table.cluster_position(cluster), table.terms.index(term)])
+    """The value relevance.csv prints in ``column`` for one cell of a table."""
+    c, i = table.cluster_position(cluster), table.terms.index(term)
+    return float(PRINTED[column](table.tpr[c, i], table.fpr_raw[c, i]))
 
 
 def csv_terms(table, cluster, tmp_path):
@@ -147,9 +158,11 @@ class TestRelevanceTable:
             for c in range(4)
         }
         table = compute_relevance(make_index(cluster_docs))
-        for field in (table.tpr, table.fpr, table.r_diff, table.r_quot, table.r):
-            assert field.min() >= 0.0 and field.max() <= 1.0
-        np.testing.assert_allclose(table.r, (table.r_diff + table.r_quot) / 2)
+        assert table.fpr_raw.min() >= 0.0
+        printed = {name: form(table.tpr, table.fpr_raw) for name, form in PRINTED.items()}
+        for name, value in printed.items():
+            assert value.min() >= 0.0 and value.max() <= 1.0, name
+        np.testing.assert_allclose(printed["r"], (printed["r_diff"] + printed["r_quot"]) / 2)
 
     def test_exclusive_term_scores_one(self):
         table = compute_relevance(
@@ -175,7 +188,7 @@ class TestRelevanceTable:
                 assert at(table1, column, 0, term) == at(table2, column, 9, term)
                 assert at(table1, column, 1, term) == at(table2, column, 5, term)
 
-    def test_stored_fpr_clamped_but_scores_use_raw(self):
+    def test_printed_fpr_clamped_but_scores_use_raw(self, tmp_path):
         # Other TPRs {1, 1, 0}: mean 2/3, std sqrt(2)/3 -> raw FPR ~ 1.138.
         index = make_index(
             {
@@ -190,17 +203,27 @@ class TestRelevanceTable:
         ]
         assert raw > 1.0
         table = compute_relevance(index)
-        assert at(table, "fpr", "t", "w") == 1.0
-        assert at(table, "r_diff", "t", "w") == score_diff(1.0, raw)
+        assert table.fpr_raw[table.cluster_position("t"), table.terms.index("w")] == raw
+        assert at(table, "r", "t", "w") == score_final(1.0, raw) == 0.0
+        write_relevance_csv(table, tmp_path / "relevance.csv")
+        lines = (tmp_path / "relevance.csv").read_text(encoding="utf-8").splitlines()
+        assert "t,w,1,1,0,0,0" in lines
 
     def test_r_is_score_final_of_tpr_and_raw_fpr(self):
         index = random_index(30, 400, seed=12)
         table = compute_relevance(index)
         raw = _fpr_raw(index.counts / index.sizes[:, None], range(30))
-        assert np.array_equal(table.r.view(np.uint64), score_final(table.tpr, raw).view(np.uint64))
+        assert np.array_equal(table.fpr_raw.view(np.uint64), raw.view(np.uint64))
+        r = score_final(table.tpr, raw)
+        for c, cluster in enumerate(table.clusters):
+            ranked = rank_terms(table, cluster, len(table.terms))
+            positions = [table.terms.index(term) for term, _ in ranked]
+            scores = np.array([score for _, score in ranked])
+            assert len(ranked) == np.count_nonzero(r[c] > 0.0)
+            assert np.array_equal(scores.view(np.uint64), r[c, positions].view(np.uint64))
 
 
-SCORES = ("tpr", "fpr", "r_diff", "r_quot", "r")
+SCORES = ("tpr", "fpr_raw")
 
 
 def assert_rows_of(table, full, rows):
@@ -330,13 +353,14 @@ class TestRankTerms:
             {c: [list(rng.choice(words, size=6)) for _ in range(4)] for c in range(3)}
         )
         table = compute_relevance(index)
+        r = score_final(table.tpr, table.fpr_raw)
         for c in table.clusters:
             row = table.cluster_position(c)
             expected = sorted(
                 range(len(table.terms)),
-                key=lambda i: (-table.r[row, i], -table.tpr[row, i], table.terms[i]),
+                key=lambda i: (-r[row, i], -table.tpr[row, i], table.terms[i]),
             )
-            ranked = [(table.terms[i], float(table.r[row, i])) for i in expected if table.r[row, i] > 0]
+            ranked = [(table.terms[i], float(r[row, i])) for i in expected if r[row, i] > 0]
             assert rank_terms(table, c, len(table.terms)) == ranked
             assert csv_terms(table, c, tmp_path) == [table.terms[i] for i in expected]
 
@@ -393,23 +417,24 @@ def test_distinct_bit_patterns_equal_np_unique():
 
 
 # repeated values, score ties, 0.0 and -0.0 (equal as values but printed "0"
-# and "-0"), a subnormal, and terms out of order
-_MADE_VALUES = np.array([
-    [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
-    [1.0, 0.0, -0.0, 1e-300, 0.5, 0.5, 0.0],
-])
+# and "-0"), a subnormal, raw FPRs above 1 (one that ranks otherwise than its
+# clamped value would), and terms out of order (no tie falls to their order,
+# which ranking reads as term order)
 MADE_TABLE = RelevanceTable(
     terms=("b", "a", "d", "c", "e", "ab", "f"),
     clusters=(0, 7),
-    tpr=_MADE_VALUES,
-    fpr=_MADE_VALUES.copy(),
-    r_diff=_MADE_VALUES.copy(),
-    r_quot=_MADE_VALUES.copy(),
-    r=np.array([[0.5, 0.5, -0.0, 0.0, 1 / 3, 0.5, 0.5], [0.0, -0.0, 0.25, 0.25, 1.0, 0.0, 0.25]]),
+    tpr=np.array([
+        [0.5, -0.0, 0.0, 1 / 3, 0.5, 5e-324, 0.1 + 0.2],
+        [1.0, 2.0, -0.0, 1e-300, 0.5, 1.0, 0.5],
+    ]),
+    fpr_raw=np.array([
+        [0.5, 0.0, -0.0, 5e-324, 0.1, 1.5, 0.1 + 0.2],
+        [0.25, 1.5, 0.0, 1e-300, 0.125, 0.5, 0.125],
+    ]),
 )
 COMPUTED_TABLE = compute_relevance(make_index({0: [["x", "y"], ["x"], ["z"]], 1: [["y"], ["y", "w"]]}))
 
-CSV_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.5, 1.0, 0.1 + 0.2])
+CSV_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.5, 1.0, 0.1 + 0.2, 1.5, 2.0])
 # the block size a test patches in, from the table's T: one row (so one
 # cluster a block), one cluster, or two clusters and a row
 BLOCK_ROWS = {"1": lambda t: 1, "T": lambda t: t, "2T+1": lambda t: 2 * t + 1}
@@ -418,22 +443,17 @@ BLOCK_ROWS = {"1": lambda t: 1, "T": lambda t: t, "2T+1": lambda t: 2 * t + 1}
 @st.composite
 def relevance_tables(draw):
     """Tables of 1-5 clusters by 1-6 terms whose cells take one of a few
-    (tpr, fpr) pairs, each with its own three scores: rows equal in (tpr,
-    fpr) need not be equal in the scores."""
+    (tpr, fpr_raw) bit patterns, whichever values a computed table could
+    hold or not: -0.0, subnormals, a TPR above its raw FPR or either above 1."""
     n_clusters, n_terms = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     pairs = draw(st.lists(st.tuples(CSV_VALUES, CSV_VALUES), min_size=1, max_size=4))
-    shape = (n_clusters, n_terms)
     cells = n_clusters * n_terms
     pair = np.array(draw(st.lists(st.integers(0, len(pairs) - 1), min_size=cells, max_size=cells)))
-    tpr, fpr = (np.array([p[j] for p in pairs])[pair].reshape(shape) for j in (0, 1))
-    scores = [
-        np.array(draw(st.lists(CSV_VALUES, min_size=cells, max_size=cells))).reshape(shape)
-        for _ in range(3)
-    ]
+    tpr, fpr_raw = (np.array([p[j] for p in pairs])[pair].reshape(n_clusters, n_terms) for j in (0, 1))
     clusters = draw(st.lists(st.integers(0, 99), min_size=n_clusters, max_size=n_clusters, unique=True))
     # ranking breaks its last ties by column, so terms come in ascending order
     terms = tuple(f"t{i}" for i in range(n_terms))
-    return RelevanceTable(terms, tuple(clusters), tpr, fpr, *scores)
+    return RelevanceTable(terms, tuple(clusters), tpr, fpr_raw)
 
 
 @given(table=relevance_tables(), block=st.sampled_from(sorted(BLOCK_ROWS)))
@@ -453,28 +473,26 @@ def test_made_table_prints_negative_zero(tmp_path):
     assert b",-0," in (tmp_path / "made.csv").read_bytes()
 
 
-def many_cluster_table(n_clusters, n_terms, seed):
-    """A table shaped like compute_relevance's without its O(C^2 T) cost:
-    counts zero with probability 0.95, and each term's FPR the mean plus
-    std of its rates over the other clusters, so one value for every
-    cluster where the term is absent."""
+def many_cluster_index(n_clusters, n_terms, seed):
+    """Clusters of 5 to 60 documents, each count zero with probability 0.95."""
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(5, 61, size=(n_clusters, 1))
-    counts = rng.integers(1, sizes + 1, size=(n_clusters, n_terms))
+    sizes = rng.integers(5, 61, size=n_clusters)
+    counts = rng.integers(1, sizes[:, None] + 1, size=(n_clusters, n_terms))
     counts[rng.random(counts.shape) < 0.95] = 0
-    tpr = counts / sizes
+    return OccurrenceIndex(tuple(f"t{i:04d}" for i in range(n_terms)), tuple(range(n_clusters)), counts, sizes)
+
+
+def many_cluster_table(n_clusters, n_terms, seed):
+    """A table shaped like compute_relevance's of ``many_cluster_index``
+    without its O(C^2 T) cost: each term's FPR the mean plus std of its
+    rates over the other clusters, so one value for every cluster where the
+    term is absent."""
+    index = many_cluster_index(n_clusters, n_terms, seed)
+    tpr = index.counts / index.sizes[:, None]
     mean = (tpr.sum(axis=0) - tpr) / (n_clusters - 1)
     variance = ((tpr**2).sum(axis=0) - tpr**2) / (n_clusters - 1) - mean**2
     fpr_raw = mean + np.sqrt(np.maximum(variance, 0.0))
-    return RelevanceTable(
-        terms=tuple(f"t{i:04d}" for i in range(n_terms)),
-        clusters=tuple(range(n_clusters)),
-        tpr=tpr,
-        fpr=np.minimum(fpr_raw, 1.0),
-        r_diff=score_diff(tpr, fpr_raw),
-        r_quot=score_quot(tpr, fpr_raw),
-        r=score_final(tpr, fpr_raw),
-    )
+    return RelevanceTable(index.terms, index.clusters, tpr, fpr_raw)
 
 
 def test_relevance_csv_peak_set_by_a_block_not_the_table():
@@ -489,3 +507,18 @@ def test_relevance_csv_peak_set_by_a_block_not_the_table():
     finally:
         tracemalloc.stop()
     assert peak < 40 * relevance._WRITE_BLOCK_ROWS
+
+
+def test_scoring_and_writing_peak_below_five_tables():
+    # 200 x 4,000 cells, each table 6.1 MiB. Scoring holds the rates, the
+    # raw FPR and one row's copy of the other clusters' rates with its std
+    # temporary; the CSV writer then holds the table's two arrays and a
+    # block. This reads 4.0 tables; storing the three scores too read 6.4.
+    index = many_cluster_index(200, 4000, seed=41)
+    tracemalloc.start()
+    try:
+        write_relevance_csv(compute_relevance(index), os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * index.counts.size * np.dtype(np.float64).itemsize

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from relwords.corpus import Corpus, Document, parse_timestamp
 from relwords.features import build_vocabulary, term_counts
-from relwords.relevance import build_occurrence_index, compute_relevance
+from relwords.relevance import build_occurrence_index, compute_relevance, score_final
 from relwords.report import (
     GROUP_A_COLOR,
     GROUP_B_COLOR,
@@ -263,7 +263,8 @@ class TestHighlightHtml:
         out = tmp_path / "doc.html"
         highlight_html(doc, (), table, 0, out)
         content = out.read_text(encoding="utf-8")
-        positive = {t for i, t in enumerate(table.terms) if table.r[0][i] > 0}
+        r = score_final(table.tpr[0], table.fpr_raw[0])
+        positive = {t for i, t in enumerate(table.terms) if r[i] > 0}
         expected_spans = sum(1 for t in stream if t in positive)
         assert content.count("<span") == expected_spans
         # devos twice + hearing, vote, looms once each ("the" is everywhere)
