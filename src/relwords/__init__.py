@@ -33,7 +33,6 @@ from .relevance import (
     score_quot,
 )
 from .report import (
-    TrendTable,
     WordCloudSpec,
     highlight_html,
     layout_wordcloud,
@@ -65,7 +64,6 @@ __all__ = [
     "PipelineResult",
     "RelevanceTable",
     "TokenIds",
-    "TrendTable",
     "Vocabulary",
     "WordCloudSpec",
     "apply_bigrams",

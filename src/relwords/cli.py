@@ -339,9 +339,9 @@ def cmd_trends(args: argparse.Namespace) -> int:
         raise ValueError(f"--terms names no term: {args.terms!r}")
     corpus = load_jsonl(args.corpus)
     merged, _ = prepare_streams(corpus, config_from_args(args))
-    table = term_trends(corpus, merged, terms, bucket=args.by)
-    write_trends_csv(table, args.out)
-    print(f"wrote {len(terms)} term trend(s) over {len(table.starts)} bucket(s) to {args.out}")
+    index = term_trends(corpus, merged, terms, bucket=args.by)
+    write_trends_csv(index, args.out)
+    print(f"wrote {len(terms)} term trend(s) over {len(index.clusters)} bucket(s) to {args.out}")
     return 0
 
 

@@ -59,13 +59,21 @@ def _float32_error(k: int) -> float:
 
 
 def _float32_band(eps: float, k: int) -> tuple[np.float32, np.float32]:
-    """The float32 bounds of ``hit_tiles``'s band for 0 < eps < 2: fl(1 - eps)
+    """The float32 bounds of ``hit_tiles``'s band for 0 < eps <= 2: fl(1 - eps)
     -+ (delta + 2^-23), delta = ``_float32_error(k)``. As 1 - s rounds by at
     most 2^-53 for |s| <= 1, the rule holds for every s >= 1 - eps + 2^-52 and
     fails for every s <= 1 - eps - 2^-52. A float64 similarity lies within
     delta of its float32 one, and rounding fl(1 - eps), the sum and the
     float32 (|bound| < 2: delta < 1 for k < 2^22) moves a bound by at most
-    2^-54 + 2^-53 + 2^-24 < 2^-23 - 2^-52 toward 1 - eps."""
+    2^-54 + 2^-53 + 2^-24 < 2^-23 - 2^-52 toward 1 - eps.
+
+    At eps = 2 the low bound is -1 - delta - 2^-23 before rounding, which
+    moves it by at most 2^-53 + 2^-24: it is below -1 - delta - 2^-25. A
+    float32 similarity of two unit rows is above that, as it lies within
+    delta - gamma64(k) nu^2 of their exact product, which is at least
+    -nu^2 > -1 - 2^-25; a directionless row's is -1. So every pair is a hit
+    or in the band, where the rule holds for every eps >= 2: ``hit_tiles``
+    takes the band of 2 for such an eps."""
     margin = _float32_error(k) + 2.0**-23
     return np.float32(1.0 - eps - margin), np.float32(1.0 - eps + margin)
 
@@ -100,25 +108,21 @@ class CosineDistances:
         A pair is within eps when ``clip(1 - sim, 0, 2) <= eps`` (the rule),
         sim being the dot product of the unit rows and -1 for a directionless
         row: always for eps >= 2. Each tile is one float32 gemm (4 B a pair).
-        A float32 similarity at or above ``_float32_band`` is a hit, one below
-        it is not, and the pairs in it are settled by the rule on a float64
-        dot product of their two rows. So every decision is the rule's on
-        that dot, whatever the tile height or BLAS thread count. One float32
-        tile and two booleans are alive at a time, besides the hits yielded.
+        A float32 similarity at or above ``_float32_band`` (of eps, or of 2
+        for a larger eps) is a hit, one below it is not, and the pairs in it
+        are settled by the rule on a float64 dot product of their two rows.
+        So every decision is the rule's on that dot, whatever the tile
+        height or BLAS thread count. One float32 tile and two booleans are
+        alive at a time, besides the hits yielded.
         """
         n = self.shape[0]
-        tiles = _tiles(n)
-        if eps >= 2.0:
-            for a, b in tiles:
-                yield a, b, ~np.tri(b - a, n - a, dtype=bool)
-            return
-        low, high = _float32_band(eps, self.unit.shape[1])
+        low, high = _float32_band(min(eps, 2.0), self.unit.shape[1])
         unit32 = self.unit.astype(np.float32)
         zero = np.flatnonzero(self.directionless)
         height = min(_TILE_ROWS, n)  # the first tile is the tallest and the widest
         upper = ~np.tri(height, dtype=bool)
         buffer = np.empty(height * n, dtype=np.float32)
-        for a, b in tiles:
+        for a, b in _tiles(n):
             rows = b - a
             sim = buffer[:rows * (n - a)].reshape(rows, n - a)
             np.matmul(unit32[a:b], unit32[a:].T, out=sim)

@@ -79,14 +79,17 @@ def term_counts(corpus: TokenIds, index: Mapping[str, int]) -> sparse.csr_matrix
     return counts
 
 
-def group_doc_freq(counts: sparse.csr_matrix, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """(n_groups, columns) int64: per group, how many of its rows have a
-    nonzero count in each column. Row k of ``counts`` is in group
-    ``groups[k]``; rows of a negative group count nowhere."""
+def group_doc_freq(
+    counts: sparse.csr_matrix, groups: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per group, how many of its rows have a nonzero count in each column,
+    (n_groups, columns) int64, and how many rows it has, (n_groups,) int64.
+    Row k of ``counts`` is in group ``groups[k]``; rows of a negative group
+    count nowhere."""
     rows = np.flatnonzero(groups >= 0)
     ones = np.ones(rows.size, dtype=np.int64)
     members = sparse.csr_matrix((ones, (groups[rows], rows)), shape=(n_groups, counts.shape[0]))
-    return (members @ counts.sign()).toarray()
+    return (members @ counts.sign()).toarray(), np.bincount(groups[rows], minlength=n_groups)
 
 
 def vectorize(corpus: TokenIds, vocab: Vocabulary) -> FeatureMatrix:

@@ -30,12 +30,15 @@ ClusterKey = Hashable
 
 @dataclass(frozen=True)
 class OccurrenceIndex:
-    """Document-occurrence counts per (cluster, term).
+    """Document-occurrence counts per (group, term); the groups are a run's
+    clusters, contrast's periods or trends' buckets.
 
-    ``counts[c, i]`` is the number of documents in cluster c that contain
-    term i at least once; ``sizes[c]`` the cluster's document count.
-    ``terms`` are a vocabulary's, so in ascending string order (token ids
-    keep it): ranking breaks its last ties by column, which is term order.
+    ``counts[c, i]`` is the number of documents in group c that contain
+    term i at least once; ``sizes[c]`` the group's document count, 0 only
+    for an empty bucket of a trend index. ``terms`` are in column order,
+    ascending for ``build_occurrence_index`` (token ids keep a vocabulary's
+    order), which ranking's last tie-break relies on; a trend index keeps
+    the order its terms were given in.
     """
 
     terms: tuple[str, ...]
@@ -50,8 +53,9 @@ class RelevanceTable:
     two where it is read, a cluster's ``score_final(tpr[c], fpr_raw[c])``.
 
     ``fpr_raw`` (mean + std) can exceed 1; only ``relevance.csv`` prints it
-    clamped at 1. ``terms`` are the occurrence index's, in ascending string
-    order, so a column's position is its term's rank.
+    clamped at 1. ``terms`` are the occurrence index's, in its column order:
+    ascending for ``build_occurrence_index``'s, so a column's position is
+    then its term's rank.
     """
 
     terms: tuple[str, ...]
@@ -87,8 +91,7 @@ def build_occurrence_index(
     kept = sorted({label for label in labels if label != NOISE})
     positions = {label: c for c, label in enumerate(kept)}
     groups = np.array([positions.get(label, NOISE) for label in labels], dtype=np.int64)
-    doc_freq = group_doc_freq(counts, groups, len(kept))
-    sizes = np.bincount(groups[groups != NOISE], minlength=len(kept))
+    doc_freq, sizes = group_doc_freq(counts, groups, len(kept))
     return OccurrenceIndex(
         terms=vocab.terms, clusters=tuple(kept), counts=doc_freq, sizes=sizes
     )
@@ -144,10 +147,14 @@ def compute_relevance(
 
     A cluster's row is the same, bit for bit, whichever clusters are scored
     with it. Its FPR reads every cluster's rates, so one row costs
-    O(clusters x terms) and the whole table O(clusters^2 x terms).
+    O(clusters x terms) and the whole table O(clusters^2 x terms). A group
+    without documents has no rates, and is rejected by name.
     """
     if not index.clusters:
         raise ValueError("no clusters to score (all documents are noise)")
+    empty = np.flatnonzero(index.sizes == 0)
+    if empty.size:
+        raise ValueError(f"group {index.clusters[empty[0]]!r} has no documents")
     clusters = index.clusters if clusters is None else tuple(clusters)
     rows = [_position(index.clusters, key) for key in clusters]
     rates = index.counts / index.sizes[:, None]

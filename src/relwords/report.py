@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .features import group_doc_freq, term_counts
-from .relevance import ClusterKey, RelevanceTable, score_final
+from .relevance import ClusterKey, OccurrenceIndex, RelevanceTable, score_final
 from .text import TokenIds, token_spans
 
 MIN_FONT_PT = 10.0
@@ -283,17 +283,6 @@ def highlight_html(
     Path(path).write_bytes(markup.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class TrendTable:
-    """Per (term, time bucket): document count and rate within the bucket."""
-
-    terms: tuple[str, ...]
-    starts: tuple[date, ...]
-    totals: np.ndarray
-    counts: np.ndarray
-    rates: np.ndarray
-
-
 def _bucket_start(when: date, bucket: str) -> date:
     if bucket == "day":
         return when
@@ -307,15 +296,15 @@ def term_trends(
     merged: TokenIds,
     terms: Sequence[str],
     bucket: str = "day",
-) -> TrendTable:
-    """Document-occurrence counts of selected terms per day or week.
+) -> OccurrenceIndex:
+    """Document-occurrence counts of selected terms per day or week, as an
+    occurrence index whose groups are the buckets' first days.
 
     A term is one token, or two joined by ``_`` as a merged bigram is; any
     other term is rejected, since no token can equal it. Terms are
-    lowercased as tokens are, and a term given twice is rejected.
-    Buckets cover the corpus time span contiguously, including empty ones;
-    the rate is the fraction of that bucket's documents containing the term
-    (0 for empty buckets).
+    lowercased as tokens are, kept in the order given, and a term given
+    twice is rejected. Buckets cover the corpus time span contiguously,
+    including empty ones, whose size is 0.
     """
     term_rows: dict[str, int] = {}
     for term in map(TokenIds.term, terms):
@@ -331,26 +320,18 @@ def term_trends(
         starts.append(cursor)
         cursor += step
     bucket_of = np.array([(b - first) // step for b in doc_buckets], dtype=np.int64)
-    totals = np.bincount(bucket_of, minlength=len(starts))
-    counts = group_doc_freq(term_counts(merged, term_rows), bucket_of, len(starts)).T
-    safe_totals = np.where(totals == 0, 1, totals)
-    rates = counts / safe_totals
-    return TrendTable(
-        terms=tuple(term_rows),
-        starts=tuple(starts),
-        totals=totals,
-        counts=counts,
-        rates=rates,
-    )
+    counts, sizes = group_doc_freq(term_counts(merged, term_rows), bucket_of, len(starts))
+    return OccurrenceIndex(terms=tuple(term_rows), clusters=tuple(starts), counts=counts, sizes=sizes)
 
 
-def write_trends_csv(table: TrendTable, path) -> None:
-    """Dump as ``term,bucket_start,count,rate`` CSV."""
+def write_trends_csv(index: OccurrenceIndex, path) -> None:
+    """Dump a ``term_trends`` index as ``term,bucket_start,count,rate`` CSV,
+    term by term. The rate is the fraction of the bucket's documents that
+    contain the term, 0 for an empty bucket."""
+    rates = index.counts / np.maximum(index.sizes, 1)[:, None]
+    starts = [start.isoformat() for start in index.clusters]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("term,bucket_start,count,rate\n")
-        for i, term in enumerate(table.terms):
-            for b, start in enumerate(table.starts):
-                handle.write(
-                    f"{term},{start.isoformat()},{int(table.counts[i, b])},"
-                    f"{table.rates[i, b]:.12g}\n"
-                )
+        for term, counts, term_rates in zip(index.terms, index.counts.T.tolist(), rates.T.tolist()):
+            for start, count, rate in zip(starts, counts, term_rates):
+                handle.write(f"{term},{start},{count},{rate:.12g}\n")

@@ -853,6 +853,13 @@ RELEVANCE_CSV_SHA256 = "5f0f3c612369da1ba23dd837ef9ae836f2cb65b7878e3dced309da8c
 WORDCLOUD_SVGS_SHA256 = "6fabdc06d922dc0803118fa5bf017560e81c097c59d3ad1a9224032ad62b2f09"
 HIGHLIGHT_HTML_SHA256 = "2628afb8722ce059cde8268213a9d28fdc12c0e3d6084a23b8facfc5f729f121"
 
+# sha256 of the trends CSVs of trending_corpus(), --by day then --by week, for
+# its trend words, common00 and a term absent from it; and of occurrence.json
+# of cluster on planted_topic_corpus(). Both recorded while trends had a table
+# type of their own and the cluster sizes a bincount of their own.
+TRENDS_CSV_SHA256 = "ee4a4e8871665a4ad5d2e0bf451ba98a79f302f51be787ba609c62e189b7601d"
+OCCURRENCE_JSON_SHA256 = "5f813e05871eee644c263169718fcbf5f2d32063820a50de3acfdfb96783661e"
+
 # mixed case and characters HTML escapes, around every sixth term of the index
 SEEDED_DOCUMENT = Document(
     id="pinned", text="\n".join(f"W{i:03d}, w{i + 1:03d} & <w{i + 2:03d}>!" for i in range(0, 498, 6))
@@ -888,6 +895,27 @@ def test_highlight_html_bytes_pinned(tmp_path):
     highlight_html(SEEDED_DOCUMENT, (), compute_relevance(seeded_occurrence_index()), 5, out)
     assert out.read_bytes().count(b"<span") == 16
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HIGHLIGHT_HTML_SHA256
+
+
+def test_trends_csv_bytes_pinned(tmp_path):
+    corpus, trend_words, _ = trending_corpus()
+    save_jsonl(corpus, tmp_path / "trending.jsonl")
+    terms = ",".join((*trend_words, "common00", "absent"))
+    digest = hashlib.sha256()
+    for by in ("day", "week"):
+        out = tmp_path / f"{by}.csv"
+        assert main(["trends", "--corpus", str(tmp_path / "trending.jsonl"), "--terms", terms,
+                     "--by", by, "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    # no document is dated the 14th or the 15th: both days are empty buckets
+    day = (tmp_path / "day.csv").read_text(encoding="utf-8").splitlines()
+    assert {"common00,2017-01-14,0,0", "common00,2017-01-15,0,0"} <= set(day)
+    assert digest.hexdigest() == TRENDS_CSV_SHA256
+
+
+def test_occurrence_json_bytes_pinned(run_dir):
+    occurrence = (run_dir / "occurrence.json").read_bytes()
+    assert hashlib.sha256(occurrence).hexdigest() == OCCURRENCE_JSON_SHA256
 
 
 def test_clouds_byte_identical_to_the_reference_layout(tmp_path, run_dir):

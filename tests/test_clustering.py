@@ -337,12 +337,26 @@ class TestFloat32Band:
 
     @pytest.mark.parametrize("eps", [2.0, 7.5])
     def test_every_pair_within_an_eps_of_2(self, eps, monkeypatch):
-        # zero rows included; no product is needed
+        # zero rows included
         monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
         rows = embedding_of(clustered_rows(6, 30, 4))
-        monkeypatch.setattr(np, "matmul", None)
         assignment = dbscan(pairwise_distances(rows), eps=eps, min_pts=30)
         assert assignment.labels.tolist() == [0] * 30 and assignment.n_clusters == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [2.0, float(np.nextafter(2.0, 3.0)), 7.5, 1e300, math.inf])
+    def test_hit_tiles_of_an_eps_of_2_or_more_hold_every_pair(self, eps, monkeypatch):
+        # zero rows and rows antipodal to others (distance 2) in five tiles;
+        # the band of such an eps is the band of 2, so no cast overflows
+        monkeypatch.setattr(clustering, "_TILE_ROWS", 7)
+        rows = embedding_of(clustered_rows(6, 30, 4))
+        rows[[3, 17]] = 0.0
+        rows[20:25] = -rows[5:10]
+        n = len(rows)
+        tiles = list(pairwise_distances(rows).hit_tiles(eps))
+        assert [(a, b) for a, b, _ in tiles] == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+        for a, b, hits in tiles:
+            assert np.array_equal(hits, np.triu(np.ones((b - a, n - a), dtype=bool), 1)), f"tile at row {a}"
 
 
 class TestDbscan:

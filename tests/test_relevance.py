@@ -303,6 +303,15 @@ class TestScoreSomeClusters:
         with pytest.raises(ValueError, match="unknown cluster: 9"):
             compute_relevance(index, [0, 9])
 
+    @pytest.mark.parametrize("clusters", [None, ["a"], ["b"], ["c", "a"]])
+    def test_group_without_documents_rejected_by_name(self, clusters):
+        # its TPR row would be NaN, and so would every other row's FPR, which
+        # ranks no term for any group
+        counts = np.array([[1, 0], [0, 0], [0, 2]])
+        index = OccurrenceIndex(("w", "z"), ("a", "b", "c"), counts, np.array([1, 0, 2]))
+        with pytest.raises(ValueError, match="group 'b' has no documents"):
+            compute_relevance(index, clusters)
+
 
 class TestRankTerms:
     def test_exclusive_term_ranks_first(self):

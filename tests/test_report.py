@@ -328,8 +328,19 @@ def dated_doc(doc_id, text, when):
     return Document(id=doc_id, text=text, timestamp=parse_timestamp(when))
 
 
+def printed_rates(index, tmp_path):
+    """Per term, the rates ``write_trends_csv`` prints for it, bucket by bucket."""
+    out = tmp_path / "trends.csv"
+    write_trends_csv(index, out)
+    rates = {}
+    for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+        term, _, _, rate = line.split(",")
+        rates.setdefault(term, []).append(float(rate))
+    return rates
+
+
 class TestTermTrends:
-    def test_rate_one_on_single_day(self):
+    def test_rate_one_on_single_day(self, tmp_path):
         corpus = Corpus(
             (
                 dated_doc("a", "trump speech", "2017-01-20"),
@@ -338,12 +349,12 @@ class TestTermTrends:
             )
         )
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["trump"], bucket="day")
-        assert [s.isoformat() for s in table.starts] == ["2017-01-20", "2017-01-21"]
-        assert table.counts.tolist() == [[2, 0]]
-        assert table.rates.tolist() == [[1.0, 0.0]]
+        index = term_trends(corpus, streams, ["trump"], bucket="day")
+        assert [s.isoformat() for s in index.clusters] == ["2017-01-20", "2017-01-21"]
+        assert index.counts.tolist() == [[2], [0]]
+        assert printed_rates(index, tmp_path) == {"trump": [1.0, 0.0]}
 
-    def test_buckets_contiguous_including_empty_days(self):
+    def test_buckets_contiguous_including_empty_days(self, tmp_path):
         corpus = Corpus(
             (
                 dated_doc("a", "start here", "2017-01-01"),
@@ -351,12 +362,12 @@ class TestTermTrends:
             )
         )
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["start"], bucket="day")
-        assert len(table.starts) == 5
-        assert table.totals.tolist() == [1, 0, 0, 0, 1]
-        assert table.rates[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        index = term_trends(corpus, streams, ["start"], bucket="day")
+        assert len(index.clusters) == 5
+        assert index.sizes.tolist() == [1, 0, 0, 0, 1]
+        assert printed_rates(index, tmp_path)["start"] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
-    def test_weekday_word_spikes_weekly(self):
+    def test_weekday_word_spikes_weekly(self, tmp_path):
         # "tuesday" planted in every Tuesday document -> weekly spikes
         docs = []
         for day in range(1, 29):  # 2017-01-01 is a Sunday
@@ -366,9 +377,9 @@ class TestTermTrends:
             docs.append(dated_doc(f"d{day}", f"{word} news", when))
         corpus = Corpus(tuple(docs))
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["tuesday"], bucket="day")
-        rates = table.rates[0]
-        spike_days = {table.starts[i].weekday() for i in np.flatnonzero(rates == 1.0)}
+        index = term_trends(corpus, streams, ["tuesday"], bucket="day")
+        rates = np.array(printed_rates(index, tmp_path)["tuesday"])
+        spike_days = {index.clusters[i].weekday() for i in np.flatnonzero(rates == 1.0)}
         assert spike_days == {1}
         assert set(np.diff(np.flatnonzero(rates == 1.0))) == {7}
 
@@ -380,15 +391,15 @@ class TestTermTrends:
             )
         )
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["one"], bucket="week")
-        assert [s.isoformat() for s in table.starts] == ["2017-01-16", "2017-01-23"]
+        index = term_trends(corpus, streams, ["one"], bucket="week")
+        assert [s.isoformat() for s in index.clusters] == ["2017-01-16", "2017-01-23"]
 
     def test_empty_term_list_empty_table(self):
         corpus = Corpus((dated_doc("a", "text", "2017-01-01"),))
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, [])
-        assert table.terms == ()
-        assert table.counts.shape == (0, 1)
+        index = term_trends(corpus, streams, [])
+        assert index.terms == ()
+        assert index.counts.shape == (1, 0)
 
     def test_missing_timestamps_listed(self):
         corpus = Corpus((Document(id="undated", text="x"),))
@@ -400,9 +411,9 @@ class TestTermTrends:
             (dated_doc("a", "Trump speech", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["Trump", "CALM"], bucket="day")
-        assert table.terms == ("trump", "calm")
-        assert table.counts.tolist() == [[1, 0], [0, 1]]
+        index = term_trends(corpus, streams, ["Trump", "CALM"], bucket="day")
+        assert index.terms == ("trump", "calm")
+        assert index.counts.tolist() == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("terms", [["trump", "trump"], ["trump", "Trump"]])
     def test_duplicate_term_rejected_by_name(self, terms):
@@ -434,18 +445,18 @@ class TestTermTrends:
         streams = apply_bigrams(
             token_ids([normalize_tokenize(d.text) for d in corpus.docs]), {("new", "york")}
         )
-        table = term_trends(corpus, streams, ["İstanbul", "New_York", "york"], bucket="day")
-        assert table.terms == ("i̇stanbul", "new_york", "york")
-        assert table.counts.tolist() == [[1, 0], [1, 0], [0, 1]]
+        index = term_trends(corpus, streams, ["İstanbul", "New_York", "york"], bucket="day")
+        assert index.terms == ("i̇stanbul", "new_york", "york")
+        assert index.counts.tolist() == [[1, 1, 0], [0, 0, 1]]
 
     def test_csv_dump(self, tmp_path):
         corpus = Corpus(
             (dated_doc("a", "trump", "2017-01-20"), dated_doc("b", "calm", "2017-01-21"))
         )
         streams = token_ids([normalize_tokenize(d.text) for d in corpus.docs])
-        table = term_trends(corpus, streams, ["trump", "calm"], bucket="day")
+        index = term_trends(corpus, streams, ["trump", "calm"], bucket="day")
         out = tmp_path / "trends.csv"
-        write_trends_csv(table, out)
+        write_trends_csv(index, out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "term,bucket_start,count,rate"
         assert "trump,2017-01-20,1,1" in lines
